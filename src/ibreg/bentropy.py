@@ -3,6 +3,13 @@
 All quantities are in bits (logarithms base 2).  ``star`` is the binary
 convolution ``a*b = a(1-b) + b(1-a)``, i.e. the crossover probability of two
 cascaded binary symmetric channels.
+
+Validation rule: each public function checks and clamps its arguments, then
+calls a private kernel of the same name with a leading underscore (``_h2``,
+``_star``).  The kernel holds the only copy of the formula, assumes in-domain
+floats and checks nothing; it is called only from inside solvers that have
+already validated their own inputs (``h2_inv`` here, the curve solvers in
+``binary``).
 """
 
 from __future__ import annotations
@@ -20,19 +27,23 @@ _EPS = 1e-12
 
 def _check_range(name: str, x: float, lo: float, hi: float) -> float:
     # tolerate floating spill just outside the interval, reject real violations
-    if x < lo - _EPS or x > hi + _EPS:
+    # (written so that NaN fails the comparison too)
+    if not lo - _EPS <= x <= hi + _EPS:
         raise DomainError(f"{name}={x!r} outside [{lo}, {hi}]")
     return min(max(x, lo), hi)
 
 
-def h2(x: float) -> float:
-    """Binary entropy -x*log2(x) - (1-x)*log2(1-x), with 0*log(0) = 0."""
-    x = _check_range("x", float(x), 0.0, 1.0)
+def _h2(x: float) -> float:
     out = 0.0
     for v in (x, 1.0 - x):
         if v > 0.0:
             out -= v * math.log2(v)
     return out
+
+
+def h2(x: float) -> float:
+    """Binary entropy -x*log2(x) - (1-x)*log2(1-x), with 0*log(0) = 0."""
+    return _h2(_check_range("x", float(x), 0.0, 1.0))
 
 
 def h2_arr(x) -> np.ndarray:
@@ -58,18 +69,20 @@ def h2_inv(y: float) -> float:
     lo, hi = 0.0, 0.5
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if h2(mid) < y:
+        if _h2(mid) < y:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
+def _star(a: float, b: float) -> float:
+    return a * (1.0 - b) + b * (1.0 - a)
+
+
 def star(a: float, b: float) -> float:
     """Binary convolution a(1-b) + b(1-a) of crossover probabilities."""
-    a = _check_range("a", float(a), 0.0, 1.0)
-    b = _check_range("b", float(b), 0.0, 1.0)
-    return a * (1.0 - b) + b * (1.0 - a)
+    return _star(_check_range("a", float(a), 0.0, 1.0), _check_range("b", float(b), 0.0, 1.0))
 
 
 def gerber_bound(entropy_bits: float, p: float) -> float:

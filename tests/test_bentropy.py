@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ibreg import DomainError, gerber_bound, h2, h2_arr, h2_inv, star
+from ibreg.bentropy import _h2, _star
 
 H2_01 = 0.46899559358928122      # h2(0.1)
 H2_018 = 0.68007704572827984     # h2(0.18)
@@ -98,3 +99,27 @@ def test_bits_are_log2():
     # convention check: a fair coin is exactly one bit
     assert h2(0.5) == 1.0
     assert math.log2(2.0) == 1.0
+
+
+def test_kernels_equal_public_twins():
+    # the unchecked kernels hold the only copy of each formula: on in-domain
+    # input the public function must return exactly the kernel's value
+    xs = np.concatenate([[0.0, 1e-300, 0.5, 1.0], np.linspace(0.0, 1.0, 257)])
+    for x in xs:
+        x = float(x)
+        assert _h2(x) == h2(x)
+        for b in (0.0, 1e-300, 0.1, 0.5, 1.0):
+            assert _star(x, b) == star(x, b)
+
+
+@pytest.mark.parametrize("fn,args", [
+    pytest.param(h2, (math.nan,), id="h2"),
+    pytest.param(star, (math.nan, 0.1), id="star-a"),
+    pytest.param(star, (0.1, math.nan), id="star-b"),
+    pytest.param(h2_inv, (math.nan,), id="h2_inv"),
+    pytest.param(gerber_bound, (math.nan, 0.1), id="gerber_bound-h"),
+    pytest.param(gerber_bound, (0.5, math.nan), id="gerber_bound-p"),
+])
+def test_nan_rejected(fn, args):
+    with pytest.raises(DomainError):
+        fn(*args)

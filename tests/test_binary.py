@@ -29,6 +29,7 @@ from ibreg import (
     optimal_channel,
     star,
 )
+from ibreg.binary import _f, _f_prime, _g, _g_prime
 from ibreg.pmf import compose_markov, conditional_mutual_information as cmi, \
     mutual_information as mi
 
@@ -46,6 +47,24 @@ MU_ED_02 = 0.42428134232508697    # mu_ed(0.2)
 MU_D_02 = 0.41144320335858733     # mu_d(0.2), linear branch
 MU_D_035 = 0.48008339017373771    # mu_d(0.35), linear branch (R_c = 0.418)
 MU_D_04 = 0.50296345244545450     # mu_d(0.4), linear branch
+
+# mu_d_dual(rate, p, q) and critical_point(p, q) as computed, printed with
+# repr, while every solver evaluation still went through the checked public
+# f/g; the solvers now call the unchecked kernels, which must not move a bit
+DUAL_FROZEN = [
+    ((0.05, 0.1, 0.1), 0.34280301667172275),
+    ((0.2, 0.1, 0.1), 0.41144320375226406),
+    ((0.4, 0.1, 0.1), 0.5029634524782484),
+    ((0.3, 0.05, 0.3), 0.32648505235357894),
+    ((0.1, 0.3, 0.05), 0.10373072310938518),
+    ((0.5, 0.2, 0.2), 0.2305822545334177),
+]
+CP_FROZEN = [
+    ((0.1, 0.1), (0.008804506547680096, 0.41817439235213416, 0.457601245434336)),
+    ((0.2, 0.2), (0.0939631564944702, 0.3716694588807831, 0.2714137987454078)),
+]
+NAN = float("nan")
+INF = float("inf")
 
 
 def test_model_validation():
@@ -109,6 +128,19 @@ def test_domain_errors():
         g(0.2, 0.0)
 
 
+@pytest.mark.parametrize("p,q", [(0.1, 0.1), (0.05, 0.3), (0.3, 0.05)])
+def test_kernels_equal_public_twins(p, q):
+    # the unchecked kernels hold the only copy of each formula: on in-domain
+    # input the public function must return exactly the kernel's value
+    for r in np.concatenate([[0.0, 1e-300, 0.5], np.linspace(0.0, 1.0, 201)]):
+        r = float(r)
+        assert _f(r, p, q) == f(r, p, q)
+        assert _g(r, q) == g(r, q)
+        assert _f_prime(r, p, q) == f_prime(r, p, q)
+        if 0.0 < r < 1.0:
+            assert _g_prime(r, q) == g_prime(r, q)
+
+
 @pytest.mark.parametrize("p,q", [(0.1, 0.1), (0.05, 0.3), (0.3, 0.05), (0.2, 0.25)])
 def test_derivatives_match_finite_differences(p, q):
     h = 1e-6
@@ -142,6 +174,12 @@ def test_critical_point_values():
     assert cp.alpha_star == pytest.approx(f(cp.crossover, P, Q) / cp.rate, abs=1e-9)
     assert 0.0 < cp.rate < h2(Q)
     assert 0.0 < cp.alpha_star < 1.0
+
+
+def test_critical_point_frozen_bits():
+    for (p, q), expected in CP_FROZEN:
+        cp = critical_point(p, q)
+        assert (cp.crossover, cp.rate, cp.alpha_star) == expected
 
 
 def test_critical_point_tangent_dominates_curved_branch():
@@ -220,6 +258,11 @@ def test_mu_d_dual_endpoints_and_agreement():
         mu_d_dual(h2(Q) + 0.01, P, Q)
 
 
+def test_mu_d_dual_frozen_bits():
+    for (rate, p, q), expected in DUAL_FROZEN:
+        assert mu_d_dual(rate, p, q) == expected
+
+
 def test_mu_d_timeshare_oracle():
     assert mu_d_timeshare_oracle(0.0, P, Q) == pytest.approx(MU0, abs=1e-12)
     assert mu_d_timeshare_oracle(h2(Q), P, Q) == pytest.approx(TOP, abs=1e-12)
@@ -230,6 +273,35 @@ def test_mu_d_timeshare_oracle():
         assert v >= ref - 5e-3
     with pytest.raises(ArgumentError):
         mu_d_timeshare_oracle(0.1, P, Q, grid_n=32)
+
+
+@pytest.mark.parametrize("fn,args", [
+    pytest.param(g, (NAN, Q), id="g"),
+    pytest.param(f, (NAN, P, Q), id="f"),
+    pytest.param(g_prime, (NAN, Q), id="g_prime"),
+    pytest.param(f_prime, (NAN, P, Q), id="f_prime"),
+    pytest.param(g_inverse, (NAN, Q), id="g_inverse"),
+    pytest.param(critical_point, (NAN, Q), id="critical_point"),
+    pytest.param(mu_d, (NAN, P, Q), id="mu_d"),
+    pytest.param(mu_ed, (NAN, P, Q), id="mu_ed"),
+    pytest.param(mu_d_dual, (NAN, P, Q), id="mu_d_dual"),
+    pytest.param(mu_d_timeshare_oracle, (NAN, P, Q), id="mu_d_timeshare_oracle"),
+    pytest.param(optimal_channel, (NAN, P, Q), id="optimal_channel"),
+])
+def test_nan_rejected(fn, args):
+    with pytest.raises(DomainError):
+        fn(*args)
+
+
+def test_infinite_rate():
+    # beyond h2(q) the curves saturate; the solvers bounded by h2(q) reject
+    assert mu_d(INF, P, Q) == 1.0 - h2(P)
+    assert mu_ed(INF, P, Q) == 1.0 - h2(P)
+    assert optimal_channel(INF, P, Q).kind == "identity"
+    for fn, args in ((g_inverse, (INF, Q)), (mu_d_dual, (INF, P, Q)),
+                     (mu_d_timeshare_oracle, (INF, P, Q))):
+        with pytest.raises(DomainError):
+            fn(*args)
 
 
 # ---------------------------------------------------------------------------
