@@ -7,9 +7,9 @@ cascaded binary symmetric channels.
 Validation rule: each public function checks and clamps its arguments, then
 calls a private kernel of the same name with a leading underscore (``_h2``,
 ``_star``).  The kernel holds the only copy of the formula, assumes in-domain
-floats and checks nothing; it is called only from inside solvers that have
-already validated their own inputs (``h2_inv`` here, the curve solvers in
-``binary``).
+floats and checks nothing; besides its public twin, only solvers that
+validated their own inputs at entry call it (``h2_inv`` here, the curve
+solvers in ``binary``).
 """
 
 from __future__ import annotations

@@ -27,9 +27,9 @@ Validation rule: each public function (``g``, ``f``, ``g_prime``,
 ``f_prime`` and the solvers below) checks its arguments once, at entry.  The
 curve formulas live only in private kernels (``_g``, ``_f``, ``_g_prime``,
 ``_f_prime``, built on ``bentropy._h2``/``_star``) that assume in-domain
-floats and check nothing; they are called only from inside solvers that have
-validated their inputs (``g_inverse``, ``critical_point``, ``mu_d_dual``), so
-the per-evaluation cost of the inner loops is arithmetic alone.
+floats and check nothing.  Besides their public twins, only solvers that
+validated their inputs at entry call them (``g_inverse``, ``critical_point``,
+``mu_d_dual``), so an inner-loop evaluation costs arithmetic alone.
 """
 
 from __future__ import annotations

@@ -48,9 +48,9 @@ MU_D_02 = 0.41144320335858733     # mu_d(0.2), linear branch
 MU_D_035 = 0.48008339017373771    # mu_d(0.35), linear branch (R_c = 0.418)
 MU_D_04 = 0.50296345244545450     # mu_d(0.4), linear branch
 
-# mu_d_dual(rate, p, q) and critical_point(p, q) as computed, printed with
-# repr, while every solver evaluation still went through the checked public
-# f/g; the solvers now call the unchecked kernels, which must not move a bit
+# mu_d_dual(rate, p, q) and critical_point(p, q) printed with repr when every
+# solver evaluation went through the checked public f/g; the solvers' calls
+# to the unchecked kernels must reproduce them bit for bit
 DUAL_FROZEN = [
     ((0.05, 0.1, 0.1), 0.34280301667172275),
     ((0.2, 0.1, 0.1), 0.41144320375226406),
