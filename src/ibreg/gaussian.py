@@ -435,8 +435,9 @@ def cdib_x1yx2_outer_point(m: GaussianCdibModel, r1: float, r2: float, *,
     """
     _require_chain(m, "x1-y-x2")
     r1, r2 = float(r1), float(r2)
-    if r1 < 0.0 or r2 < 0.0:
-        raise DomainError(f"auxiliary rates must be nonnegative, got ({r1!r}, {r2!r})")
+    if not (0.0 <= r1 < inf and 0.0 <= r2 < inf):
+        raise DomainError(
+            f"auxiliary rates must be finite and nonnegative, got ({r1!r}, {r2!r})")
     e1, e2 = m.rho_x1y ** 2, m.rho_x2y ** 2
     mu = float(_outer_mu(e1, e2, r1, r2))
     if not isfinite(mu):
@@ -463,8 +464,9 @@ def cdib_x1yx2_outer_frontier(m: GaussianCdibModel, rate1: float, rate2: float, 
     """
     _require_chain(m, "x1-y-x2")
     rate1, rate2 = float(rate1), float(rate2)
-    if rate1 < 0.0 or rate2 < 0.0:
-        raise DomainError(f"rates must be nonnegative, got ({rate1!r}, {rate2!r})")
+    if not (0.0 <= rate1 < inf and 0.0 <= rate2 < inf):
+        raise DomainError(
+            f"rates must be finite and nonnegative, got ({rate1!r}, {rate2!r})")
     e1, e2 = m.rho_x1y ** 2, m.rho_x2y ** 2
     i_y_x2 = m.i_y_x2()
     span = rate1 + rate2
@@ -501,8 +503,9 @@ def cdib_x1yx2_inner(m: GaussianCdibModel, rate1: float, rate2: float, *,
     """
     _require_chain(m, "x1-y-x2")
     rate1, rate2 = float(rate1), float(rate2)
-    if rate1 < 0.0 or rate2 < 0.0:
-        raise DomainError(f"rates must be nonnegative, got ({rate1!r}, {rate2!r})")
+    if not (0.0 <= rate1 < inf and 0.0 <= rate2 < inf):
+        raise DomainError(
+            f"rates must be finite and nonnegative, got ({rate1!r}, {rate2!r})")
     sx1, sx2, sy = m.sigma_x1_sq, m.sigma_x2_sq, m.sigma_y_sq
     e1, e2 = m.rho_x1y ** 2, m.rho_x2y ** 2
     c12 = m.rho_x1x2 * sqrt(sx1 * sx2)

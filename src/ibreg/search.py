@@ -346,11 +346,11 @@ def _int_source(model: BinaryModel) -> JointPmf:
     return marginalize(model.twcib_source(), ["x1", "x2", "y1"])
 
 
-def _batch_entropy(j: np.ndarray, keep: set[int]) -> np.ndarray:
-    axes = tuple(a for a in range(1, j.ndim) if a not in keep)
-    m = j.sum(axis=axes).reshape(j.shape[0], -1)
-    pos = m > 0.0
-    return -np.where(pos, m * np.log2(np.where(pos, m, 1.0)), 0.0).sum(axis=1)
+def _xlog2x(m: np.ndarray) -> np.ndarray:
+    # elementwise m log2 m with 0 log 0 = 0: baseline channels hold exact zeros
+    out = np.zeros_like(m)
+    np.log2(m, out=out, where=m > 0.0)
+    return m * out
 
 
 def _evaluate_v2_batch(q0: np.ndarray, chans: np.ndarray):
@@ -358,13 +358,37 @@ def _evaluate_v2_batch(q0: np.ndarray, chans: np.ndarray):
 
     ``q0`` is the composed (x1, x2, y1, v1) table; ``chans`` has shape
     (B, |x2|, |v1|, |v2|).  Returns (I(X2;V2|X1,V1), I(Y1;V2,X1)).
+
+    The (x1, x2, y1, v1, v2) joint is never formed.  H(X1,V1) and H(Y1) do
+    not depend on the channel and are computed once per call from ``q0``.
+    Since V2 - (X2,V1) - (X1,Y1) is a Markov chain,
+
+        I(X2;V2|X1,V1) = H(X1,V1,V2) - H(X1,V1) - sum p(x2,v1) H(c[x2,v1,:]),
+
+    which needs the (B, x1, v1, v2) marginal and the entropies of the
+    channel rows.  The relevance
+
+        I(Y1;V2,X1) = H(Y1) + H(X1,V2) - H(X1,Y1,V2)
+
+    needs the (B, x1, v2) marginal and the (B, x1 y1, v2) marginal, one
+    matmul of ``q0`` as an (x1 y1, x2 v1) matrix against the channels as
+    (B, x2 v1, v2) matrices.
     """
-    j = np.einsum("acdv,bcvw->bacdvw", q0, chans)
-    # axes: 1=x1, 2=x2, 3=y1, 4=v1, 5=v2
-    rate = (_batch_entropy(j, {1, 2, 4}) + _batch_entropy(j, {1, 4, 5})
-            - _batch_entropy(j, {1, 2, 4, 5}) - _batch_entropy(j, {1, 4}))
-    rel = (_batch_entropy(j, {3}) + _batch_entropy(j, {1, 5})
-           - _batch_entropy(j, {1, 3, 5}))
+    b = chans.shape[0]
+    n_x1, n_x2, n_y1, n_v1 = q0.shape
+    p_x1x2v1 = q0.sum(axis=2)
+    h_x1v1 = -_xlog2x(p_x1x2v1.sum(axis=1)).sum()
+    h_y1 = -_xlog2x(q0.sum(axis=(0, 1, 3))).sum()
+    m_x1v1v2 = np.einsum("acv,bcvw->bavw", p_x1x2v1, chans)
+    h_rows = -_xlog2x(chans).sum(axis=3).reshape(b, -1)
+    rate = (-_xlog2x(m_x1v1v2).reshape(b, -1).sum(axis=1) - h_x1v1
+            - h_rows @ p_x1x2v1.sum(axis=0).ravel())
+    m_x1y1v2 = np.matmul(
+        q0.transpose(0, 2, 1, 3).reshape(n_x1 * n_y1, n_x2 * n_v1),
+        chans.reshape(b, n_x2 * n_v1, -1))
+    m_x1v2 = m_x1v1v2.sum(axis=2)
+    rel = (h_y1 - _xlog2x(m_x1v2).reshape(b, -1).sum(axis=1)
+           + _xlog2x(m_x1y1v2).reshape(b, -1).sum(axis=1))
     return np.maximum(rate, 0.0), np.maximum(rel, 0.0)
 
 
@@ -404,8 +428,8 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
     if budget < 1:
         raise ArgumentError(f"budget must be >= 1, got {budget!r}")
     grid = np.asarray(list(r2_grid), dtype=float)
-    if grid.size < 1 or np.any(np.diff(grid) <= 0.0):
-        raise ArgumentError("r2_grid must be nonempty and strictly increasing")
+    if grid.size < 1 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0.0):
+        raise ArgumentError("r2_grid must be nonempty, finite and strictly increasing")
     p, q = model.p, model.q
     hq = h2(q)
     if r1_rate is None:
@@ -527,7 +551,10 @@ def check_inclusion(inner: RegionCurve, outer: RegionCurve, tol: float) -> Inclu
 
     The outer curve is linearly interpolated at the inner sample rates lying
     inside both rate ranges; the verdict carries the worst-violation point.
+    A non-finite ``tol`` raises :class:`ArgumentError`.
     """
+    if not np.isfinite(tol):
+        raise ArgumentError(f"tol must be finite, got {tol!r}")
     if len(outer.points) < 2:
         raise ComparisonError("outer curve needs at least two points to interpolate")
     o = sorted(outer.points)

@@ -161,6 +161,15 @@ def test_compare_identical_requests(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["worst_gap"] <= 0.0
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_compare_non_finite_tol_exit_2(tmp_path, capsys, tol):
+    grid = {"min": 0.0, "max": 0.4, "n": 20}
+    req = write_json(tmp_path / "r.json",
+                     {"model": BINARY, "quantity": "mu_d", "grid": grid})
+    assert main(["compare", req, req, f"--tol={tol}"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_figures(tmp_path):
     rc = main(["figures", "--out", str(tmp_path / "figs"),
                "--seed", "3", "--budget", "1500"])

@@ -299,6 +299,17 @@ def test_inner_quantities_match_determinant_oracle(chain_b):
         assert mu == pytest.approx(muc, abs=1e-10)
 
 
+@pytest.mark.parametrize("fun", [cdib_x1yx2_outer_point, cdib_x1yx2_outer_frontier,
+                                 cdib_x1yx2_inner])
+@pytest.mark.parametrize("rates", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                   (1.0, math.inf), (-math.inf, 1.0)])
+def test_x1yx2_rejects_non_finite_rates(chain_b, fun, rates):
+    # NaN and infinite rates used to give 0.0 (outer frontier, inner with NaN)
+    # or an unbounded point; every one now raises
+    with pytest.raises(DomainError):
+        fun(chain_b, *rates)
+
+
 def test_outer_dominates_inner_small_grid(chain_b):
     for r1 in np.linspace(0.0, 2.0, 6):
         for r2 in np.linspace(0.0, 2.0, 6):

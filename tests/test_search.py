@@ -24,6 +24,7 @@ from ibreg import (
     h2,
     mu_d,
     mu_ed,
+    optimal_channel,
     search_mu_int,
     search_mu_int_detailed,
     upper_concave_envelope,
@@ -34,6 +35,7 @@ from ibreg.pmf import (
     entropy,
     mutual_information as mi,
 )
+from ibreg.search import _baseline_channels, _evaluate_v2_batch, _int_source
 from conftest import random_channel, random_pmf
 
 P = Q = 0.1
@@ -346,6 +348,69 @@ def test_search_argument_errors():
         search_mu_int(MODEL, GRID, budget=10, seed=1, v2_card=9)
 
 
+def _kernel_oracle(q0, chans):
+    # independent route: compose the full joint, then generic (C)MI
+    rates, rels = [], []
+    for c in chans:
+        ch = Channel(("x2", "v1"), Axis("v2", c.shape[-1]), c)
+        q = compose_markov(q0, ch)
+        rates.append(cmi(q, ["x2"], ["v2"], ["x1", "v1"]))
+        rels.append(mi(q, ["y1"], ["v2", "x1"]))
+    return np.array(rates), np.array(rels)
+
+
+def _assert_kernel_matches_oracle(v1, chans):
+    q0 = compose_markov(_int_source(MODEL), v1)
+    rate, rel = _evaluate_v2_batch(q0.table, chans)
+    want_rate, want_rel = _kernel_oracle(q0, chans)
+    assert np.all(rate >= 0.0) and np.all(rel >= 0.0)
+    assert np.max(np.abs(rate - want_rate)) <= 1e-12
+    assert np.max(np.abs(rel - want_rel)) <= 1e-12
+
+
+@pytest.mark.parametrize("r1_rate", [h2(Q), 0.2])
+def test_search_kernel_random_channels(rng, r1_rate):
+    v1 = optimal_channel(r1_rate, P, Q).to_channel("x1", "v1", out_card=3)
+    chans = rng.dirichlet(np.ones(7), size=(64, 2, 3))
+    _assert_kernel_matches_oracle(v1, chans)
+
+
+def test_search_kernel_baseline_channels():
+    # r = 0 holds exact zeros (0 log 0 = 0), r = 1/2 carries nothing
+    v1 = optimal_channel(h2(Q), P, Q).to_channel("x1", "v1", out_card=3)
+    rs, chans = _baseline_channels(3, 7)
+    assert rs[0] == 0.0 and rs[-1] == 0.5
+    _assert_kernel_matches_oracle(v1, chans)
+    q0 = compose_markov(_int_source(MODEL), v1).table
+    rate, rel = _evaluate_v2_batch(q0, chans[[0, -1]])
+    assert rate[0] == pytest.approx(h2(Q), abs=1e-12)
+    assert rate[1] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("table", [
+    [[0.7, 0.3, 0.0], [0.2, 0.8, 0.0]],   # v1 = 2 never occurs
+    [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]],   # exact zeros inside rows
+])
+def test_search_kernel_v1_with_zeros(rng, table):
+    v1 = Channel(("x1",), Axis("v1", 3), np.array(table))
+    chans = rng.dirichlet(np.ones(7), size=(32, 2, 3))
+    chans[:8, ..., :3] = 0.0           # channel rows with exact zeros
+    chans[:8] /= chans[:8].sum(axis=-1, keepdims=True)
+    _assert_kernel_matches_oracle(v1, chans)
+    _, base = _baseline_channels(3, 7)
+    _assert_kernel_matches_oracle(v1, base[::16])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_search_rejects_non_finite_grid(bad):
+    grid = np.array(GRID)
+    grid[3] = bad
+    with pytest.raises(ArgumentError):
+        search_mu_int(MODEL, grid, budget=10, seed=1)
+    with pytest.raises(ArgumentError):
+        search_mu_int(MODEL, [bad], budget=10, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # inclusion checks
 # ---------------------------------------------------------------------------
@@ -385,6 +450,14 @@ def test_inclusion_disjoint_ranges():
     b = _curve("mu_d", lambda r: mu_d(r, P, Q), [0.3, 0.4])
     with pytest.raises(ComparisonError):
         check_inclusion(a, b, tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+def test_inclusion_rejects_non_finite_tol(tol):
+    rates = np.linspace(0.0, h2(Q), 10)
+    c = _curve("mu_d", lambda r: mu_d(r, P, Q), rates)
+    with pytest.raises(ArgumentError):
+        check_inclusion(c, c, tol=tol)
 
 
 # ---------------------------------------------------------------------------
