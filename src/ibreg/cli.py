@@ -29,6 +29,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -136,6 +137,8 @@ class CurveRequest:
             raise ConfigError(f"grid must provide min/max/n: {exc}") from exc
         if n < 2:
             raise ConfigError(f"grid n must be >= 2, got {n}")
+        if not (isfinite(lo) and isfinite(hi)):
+            raise ConfigError(f"grid min/max must be finite, got [{lo}, {hi}]")
         if not lo < hi:
             raise ConfigError(f"grid needs min < max, got [{lo}, {hi}]")
         seed, budget = d.get("seed"), d.get("budget")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -60,6 +61,15 @@ def test_request_validation():
         CurveRequest.from_dict({**good, "grid": {"min": 0.4, "max": 0.0, "n": 10}})
     with pytest.raises(ConfigError):
         CurveRequest.from_dict({**good, "grid": {"min": 0.0, "max": 0.4, "n": 1}})
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0),
+                                    (0.0, math.nan)])
+def test_request_rejects_non_finite_grid(lo, hi):
+    # min < max held for [0, inf], and linspace turned it into [nan, inf, inf]
+    with pytest.raises(ConfigError, match="grid"):
+        CurveRequest.from_dict({"model": BINARY, "quantity": "mu_ed",
+                                "grid": {"min": lo, "max": hi, "n": 3}})
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +144,15 @@ def test_curve_exit_codes(tmp_path, capsys):
     assert main(["curve", "mu_d", "--model", model, "--grid", "bad"]) == 2
     missing = str(tmp_path / "missing.json")
     assert main(["curve", "mu_d", "--model", missing, "--grid", "0:1:5"]) == 2
+
+
+@pytest.mark.parametrize("grid", ["0:inf:3", "nan:1:3"])
+def test_curve_non_finite_grid_exit_2(tmp_path, capsys, grid):
+    model = write_json(tmp_path / "m.json", BINARY)
+    assert main(["curve", "mu_ed", "--model", model, "--grid", grid]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "grid min/max must be finite" in err
 
 
 def test_compare_inclusion(tmp_path, capsys):

@@ -9,6 +9,8 @@ import math
 import numpy as np
 import pytest
 
+from ibreg.optimize import golden_max
+
 from ibreg import (
     DegenerateModelError,
     DomainError,
@@ -148,6 +150,21 @@ def test_twcib_round_trip():
         assert pt["R2"] == pytest.approx(twcib_rate_for_relevance(m, 2, mu1), abs=1e-9)
 
 
+@pytest.mark.parametrize("call", [
+    lambda m: twcib_rate_for_relevance(m, 1, math.nan),
+    lambda m: twcib_rate_for_relevance(m, 2, math.nan),
+    lambda m: twcib_test_channel_variances(m, math.nan, 0.2),
+    lambda m: twcib_test_channel_variances(m, 0.2, math.nan),
+    lambda m: twcib_rate_for_relevance(m, 2, math.inf),
+    lambda m: twcib_test_channel_variances(m, math.inf, 0.2),
+], ids=["rate-1-nan", "rate-2-nan", "variances-mu1-nan", "variances-mu2-nan",
+        "rate-inf", "variances-inf"])
+def test_twcib_rejects_non_finite_relevance(call):
+    # NaN relevance used to give a rate of 0.0 and variances {inf, 0.0}
+    with pytest.raises(DomainError):
+        call(twcib_model())
+
+
 # ---------------------------------------------------------------------------
 # broadcast chain X1 - X2 - Y
 # ---------------------------------------------------------------------------
@@ -202,6 +219,29 @@ def test_cdib_x1x2y_critical_r1(chain_a):
     # above I(Y;X1) no finite first rate suffices
     assert cdib_x1x2y_critical_r1(chain_a, chain_a.i_y_x1() + 0.01) is None
     assert cdib_x1x2y_critical_r1(chain_a, chain_a.i_y_x1()) == math.inf
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: cdib_x1x2y_r2(m, math.nan, 0.3),
+    lambda m: cdib_x1x2y_r2(m, 1.0, math.nan),
+    lambda m: cdib_x1x2y_mu(m, math.nan, 1.0),
+    lambda m: cdib_x1x2y_mu(m, 1.0, math.nan),
+    lambda m: cdib_x1x2y_critical_r1(m, math.nan),
+    lambda m: cdib_x1x2y_r2(m, 1.0, math.inf),
+    lambda m: cdib_x1x2y_critical_r1(m, math.inf),
+], ids=["r2-rate-nan", "r2-mu-nan", "mu-rate1-nan", "mu-rate2-nan", "critical-nan",
+        "r2-mu-inf", "critical-inf"])
+def test_cdib_x1x2y_rejects_nan(chain_a, call):
+    # NaN used to give R2 = 0.0 and NaN relevances and critical rates
+    with pytest.raises(DomainError):
+        call(chain_a)
+
+
+def test_cdib_x1x2y_infinite_rates_saturate(chain_a):
+    assert cdib_x1x2y_mu(chain_a, math.inf, math.inf) == pytest.approx(
+        chain_a.i_y_x2(), abs=1e-12)
+    assert cdib_x1x2y_mu(chain_a, math.inf, 1.0) == cdib_x1x2y_mu(chain_a, 200.0, 1.0)
+    assert cdib_x1x2y_r2(chain_a, math.inf, 0.3) == cdib_x1x2y_r2(chain_a, 200.0, 0.3)
 
 
 def test_wrong_chain_rejected(chain_a):
@@ -259,6 +299,113 @@ def test_outer_frontier_basics(chain_b):
     assert np.all(np.diff(vals, axis=1) >= -1e-9)
     assert cdib_x1yx2_outer_frontier(chain_b, 50.0, 50.0) == pytest.approx(
         chain_b.i_y_x1x2(), abs=1e-6)
+
+
+# The objective of the outer frontier as it stood before it moved to Python
+# floats: numpy-scalar arithmetic on every evaluation, nothing hoisted out of
+# the inner search.  It is the oracle the rewritten objective must equal
+# bit for bit, since the frontier's 12-digit output depends on the exact
+# golden-section path.
+def _numpy_scalar_outer_mu(e1, e2, r1, r2):
+    num = 1.0 - e1 * e2 - e1 * (1.0 - e2) * 2.0 ** (-2.0 * np.asarray(r1)) \
+          - e2 * (1.0 - e1) * 2.0 ** (-2.0 * np.asarray(r2))
+    return 0.5 * np.log2(num / ((1.0 - e1) * (1.0 - e2)))
+
+
+def _oracle_outer_frontier(m, rate1, rate2, r2_term_decays=True, tol=1e-11):
+    e1, e2 = m.rho_x1y ** 2, m.rho_x2y ** 2
+    i_y_x2 = m.i_y_x2()
+    span = rate1 + rate2
+    if span <= 0.0:
+        return 0.0
+
+    def admissible(r1, r2):
+        mu = float(_numpy_scalar_outer_mu(e1, e2, r1, r2))
+        l2 = mu if r2_term_decays else float(_numpy_scalar_outer_mu(e1, e2, r1, 0.0))
+        return min(mu, rate1 - r1 + i_y_x2, rate2 - r2 + l2, span - r1 - r2)
+
+    def best_over_r2(r1):
+        return golden_max(lambda r2: admissible(r1, r2), 0.0, span, tol)[1]
+
+    return max(0.0, golden_max(best_over_r2, 0.0, span, tol)[1])
+
+
+def _oracle_outer_point(m, r1, r2, r2_term_decays=True):
+    e1, e2 = m.rho_x1y ** 2, m.rho_x2y ** 2
+    mu = float(_numpy_scalar_outer_mu(e1, e2, r1, r2))
+    l2 = mu if r2_term_decays else float(_numpy_scalar_outer_mu(e1, e2, r1, 0.0))
+    return (max(0.0, r1 - m.i_y_x2() + mu), max(0.0, r2 - l2 + mu), r1 + r2 + mu, mu)
+
+
+# repr values of the numpy-scalar implementation; (rho_x1y, rho_x2y), rates, kwargs
+FROZEN_FRONTIER = [
+    ((0.8, 0.6), 0.5, 0.5, {}, 0.4433599544966398),
+    ((0.8, 0.6), 1.0, 0.25, {}, 0.5398349248133129),
+    ((0.8, 0.6), 0.0, 1.5, {}, 0.29780369867576684),
+    ((0.8, 0.6), 2.0, 0.0, {}, 0.6609640474409202),
+    ((0.8, 0.6), 50.0, 50.0, {}, 0.8699840411638579),
+    ((0.8, 0.6), 0.7, 1.3, {"r2_term_decays": False}, 0.5793975018337141),
+    ((0.8, 0.6), 1.2, 0.4, {"tol": 1e-6}, 0.6109809469358123),
+    ((-0.3, 0.9), 0.3, 2.2, {"r2_term_decays": False, "tol": 1e-8}, 1.0733255420187746),
+    # two of 500 seeded random points whose last digit math.log2 would move
+    ((0.054549277061133494, 0.3816642787877603), 2.3258483991197174, 0.2534810102255938,
+     {"r2_term_decays": False}, 0.0338104507898256),
+    ((0.09496491268576385, 0.4035299150084481), 2.250390195892012, 0.7472762173278403,
+     {"r2_term_decays": False, "tol": 5.733013874964742e-12}, 0.08569163584266176),
+]
+
+# (R1_min, R2_min, sum_min, mu_max)
+FROZEN_POINT = [
+    ((0.8, 0.6), 0.0, 0.0, {}, (0.0, 0.0, 0.0, 0.0)),
+    ((0.8, 0.6), 0.1, 0.8, {},
+     (0.12029122234413389, 0.8, 1.2422193172314961, 0.34221931723149623)),
+    ((0.8, 0.6), 1.0, 0.3, {"r2_term_decays": False},
+     (1.3461340988615944, 0.35686598308073264, 1.9680621937489569, 0.6680621937489568)),
+    ((0.8, 0.6), 2.0, 2.0, {},
+     (2.515756414030861, 2.0, 4.837684508918223, 0.8376845089182231)),
+    ((-0.3, 0.9), 0.6, 0.0, {"r2_term_decays": False},
+     (0.0, 0.0, 0.6392037407315205, 0.039203740731520595)),
+    ((0.8, 0.6), 64.0, 64.0, {},
+     (64.5480559462765, 64.0, 128.86998404116386, 0.869984041163865)),
+]
+
+
+@pytest.mark.parametrize("rhos, rate1, rate2, kw, expected", FROZEN_FRONTIER)
+def test_outer_frontier_frozen(rhos, rate1, rate2, kw, expected):
+    m = GaussianCdibModel.chain_x1_y_x2(*rhos)
+    assert cdib_x1yx2_outer_frontier(m, rate1, rate2, **kw) == expected
+
+
+@pytest.mark.parametrize("rhos, r1, r2, kw, expected", FROZEN_POINT)
+def test_outer_point_frozen(rhos, r1, r2, kw, expected):
+    pt = cdib_x1yx2_outer_point(GaussianCdibModel.chain_x1_y_x2(*rhos), r1, r2, **kw)
+    assert (pt.R1_min, pt.R2_min, pt.sum_min, pt.mu_max) == expected
+
+
+def _random_x1yx2_case(rng):
+    rho_x1y = float(rng.uniform(0.05, 0.97)) * (1.0 if rng.random() < 0.8 else -1.0)
+    m = GaussianCdibModel.chain_x1_y_x2(rho_x1y, float(rng.uniform(0.05, 0.97)))
+    rate1 = float(rng.uniform(0.0, 3.0)) if rng.random() < 0.9 else 0.0
+    rate2 = float(rng.uniform(0.0, 3.0)) if rng.random() < 0.9 else 0.0
+    return m, rate1, rate2, bool(rng.random() < 0.5)
+
+
+def test_outer_frontier_equals_numpy_scalar_oracle():
+    rng = np.random.default_rng(20240917)
+    for _ in range(50):
+        m, rate1, rate2, decays = _random_x1yx2_case(rng)
+        tol = float(10.0 ** rng.uniform(-11.0, -7.0)) if rng.random() < 0.3 else 1e-11
+        got = cdib_x1yx2_outer_frontier(m, rate1, rate2, r2_term_decays=decays, tol=tol)
+        assert got == _oracle_outer_frontier(m, rate1, rate2, decays, tol)
+
+
+def test_outer_point_equals_numpy_scalar_oracle():
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        m, r1, r2, decays = _random_x1yx2_case(rng)
+        pt = cdib_x1yx2_outer_point(m, r1, r2, r2_term_decays=decays)
+        assert (pt.R1_min, pt.R2_min, pt.sum_min, pt.mu_max) == \
+            _oracle_outer_point(m, r1, r2, decays)
 
 
 def test_inner_limits(chain_b):
