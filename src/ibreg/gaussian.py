@@ -432,13 +432,8 @@ def _outer_base(e1: float, e2: float, r1: float) -> float:
 
 def _outer_mu(e1: float, e2: float, base: float, r2: float) -> float:
     """Outer-bound relevance (1/2) log2((base - e2 (1 - e1) 2^(-2 r2)) /
-    ((1 - e1)(1 - e2))) with ``base`` from :func:`_outer_base`.
-
-    Python-float arithmetic (``2.0 ** x`` is libm ``pow``, as numpy's scalar
-    power is) and ``np.log2``, not ``math.log2``: the two logarithms differ
-    in the last bit for about 0.2% of arguments, which would move digits of
-    the emitted frontier.
-    """
+    ((1 - e1)(1 - e2))) with ``base`` from :func:`_outer_base`; the log is
+    ``np.log2`` on purpose (see :func:`cdib_x1yx2_outer_frontier`)."""
     return 0.5 * float(np.log2((base - e2 * (1.0 - e1) * 2.0 ** (-2.0 * r2))
                                / ((1.0 - e1) * (1.0 - e2))))
 
@@ -483,15 +478,16 @@ def cdib_x1yx2_outer_frontier(m: GaussianCdibModel, rate1: float, rate2: float, 
     jointly concave and nested golden-section search is exact; the sum-rate
     constraint confines the search box to r1 + r2 <= R1 + R2.
 
-    Cost: at the default ``tol`` the outer golden section evaluates about 57
-    values of r1, each an inner golden section of about 57 evaluations over
-    r2, so about 3,240 evaluations of the objective per call (3,364 at
-    R1 + R2 = 2; the count grows with log(R1 + R2) / tol).  Everything free of r2 (the r1 term of the log argument, the
-    R1 cap, the remaining sum-rate room, the r2-free R2 term) is computed
-    once per inner search; an evaluation is then a few float operations and
-    one ``np.log2`` call.  ``np.log2`` stays because ``math.log2`` rounds
-    differently in the last bit for about 0.2% of arguments, and the
-    12-digit frontier depends on the exact golden-section path.
+    Cost: each golden section takes about 3 + log((R1 + R2) / tol) / 0.48
+    evaluations, 57 at the default ``tol`` and R1 + R2 = 1.4, so a call
+    evaluates the objective about 57 x 57 = 3,249 times (3,364 at
+    R1 + R2 = 2).  Everything free of r2 (the r1 term of the log argument,
+    the R1 cap, the remaining sum-rate room, the r2-free R2 term) is
+    computed once per inner search; an evaluation is then a few float
+    operations and one ``np.log2`` call.  ``np.log2`` stays because
+    ``math.log2`` rounds differently in the last bit for about 0.2% of
+    arguments, and the 12-digit frontier depends on the exact
+    golden-section path.
     """
     _require_chain(m, "x1-y-x2")
     rate1, rate2 = float(rate1), float(rate2)

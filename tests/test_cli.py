@@ -146,10 +146,15 @@ def test_curve_exit_codes(tmp_path, capsys):
     assert main(["curve", "mu_d", "--model", missing, "--grid", "0:1:5"]) == 2
 
 
-@pytest.mark.parametrize("grid", ["0:inf:3", "nan:1:3"])
-def test_curve_non_finite_grid_exit_2(tmp_path, capsys, grid):
-    model = write_json(tmp_path / "m.json", BINARY)
-    assert main(["curve", "mu_ed", "--model", model, "--grid", grid]) == 2
+@pytest.mark.parametrize("model, quantity, grid", [
+    (BINARY, "mu_ed", "0:inf:3"),
+    (BINARY, "mu_ed", "nan:1:3"),
+    # printed nan,nan and inf rows with exit 0 before the grid was checked
+    (CHAIN_A, "cdib_mu_surface", "0:inf:3"),
+])
+def test_curve_non_finite_grid_exit_2(tmp_path, capsys, model, quantity, grid):
+    path = write_json(tmp_path / "m.json", model)
+    assert main(["curve", quantity, "--model", path, "--grid", grid]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "grid min/max must be finite" in err
