@@ -25,11 +25,13 @@ search (``mu_d_timeshare_oracle``).
 
 Validation rule: each public function (``g``, ``f``, ``g_prime``,
 ``f_prime`` and the solvers below) checks its arguments once, at entry.  The
-curve formulas live only in private kernels (``_g``, ``_f``, ``_g_prime``,
+curve formulas live in private kernels (``_g``, ``_f``, ``_g_prime``,
 ``_f_prime``, built on ``bentropy._h2``/``_star``) that assume in-domain
 floats and check nothing.  Besides their public twins, only solvers that
-validated their inputs at entry call them (``g_inverse``, ``critical_point``,
-``mu_d_dual``), so an inner-loop evaluation costs arithmetic alone.
+validated their inputs at entry call them (``g_inverse``, ``critical_point``),
+so an inner-loop evaluation costs arithmetic alone.  The one other copy of
+``f`` and ``g`` is the dual oracle's flat objective in ``mu_d_dual``, which
+must equal the kernels bit for bit.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ class BinaryModel:
 
 
 def _g(r: float, q: float) -> float:
-    return _h2(_star(r, q)) - _h2(r)
+    return _h2(r * (1.0 - q) + q * (1.0 - r)) - _h2(r)
 
 
 def g(r: float, q: float) -> float:
@@ -124,12 +126,18 @@ def g(r: float, q: float) -> float:
 
 
 def _f(r: float, p: float, q: float) -> float:
-    w = _star(q, r)
-    # near r = 1 rounding can put q r / (1 - w) an ulp above 1; on [0, 1/2]
-    # the ratio stays below 1/2 and the min is a no-op
-    return (_h2(_star(p, q))
-            - (1.0 - w) * _h2(_star(p, min(q * r / (1.0 - w), 1.0)))
-            - w * _h2(_star(p, (1.0 - q) * r / w)))
+    # the binary convolutions a*b = a(1-b) + b(1-a) are written out, operands
+    # in _star's order, so that the values match it bit for bit
+    w = q * (1.0 - r) + r * (1.0 - q)
+    a = q * r / (1.0 - w)
+    # near r = 1 rounding can put a an ulp above 1; on [0, 1/2] it stays
+    # below 1/2 and the clamp is a no-op
+    if a > 1.0:
+        a = 1.0
+    b = (1.0 - q) * r / w
+    return (_h2(p * (1.0 - q) + q * (1.0 - p))
+            - (1.0 - w) * _h2(p * (1.0 - a) + a * (1.0 - p))
+            - w * _h2(p * (1.0 - b) + b * (1.0 - p)))
 
 
 def f(r: float, p: float, q: float) -> float:
@@ -336,9 +344,19 @@ def mu_d_dual(rate: float, p: float, q: float, *, alpha_tol: float = 1e-8,
     two highest interior local maxima and of the left edge.
 
     Cost: about 40 outer steps, each refining two or three grid brackets with
-    about 34 objective evaluations apiece, so roughly 2,800 scalar evaluations
-    of the unchecked kernels ``_f`` and ``_g`` per call (2,788 at p = q = 0.1,
-    R = 0.2).  The grids are cached per ``(p, q, grid_n)``.
+    about 34 objective evaluations apiece, so roughly 2,800 scalar objective
+    evaluations per call (2,788 at p = q = 0.1, R = 0.2): about 3 ms per call
+    on a 2-vCPU x86-64 host (median interior call of the ``binary-oracles``
+    benchmark).  The grids are cached per ``(p, q, grid_n)``.
+
+    The objective is flat because its cost is Python calls, not arithmetic:
+    composed from ``_f`` and ``_g`` an evaluation makes fourteen calls
+    (``_h2`` and ``_star`` five times each), which doubles the oracle's
+    time.  It is this oracle's own copy of the first algebraic form of
+    ``f`` together with ``g``, one function on floats with the binary
+    convolutions and entropies written out.  It performs ``_f``'s and
+    ``_g``'s floating-point operations in their order, with the same
+    ``math.log2``, and equals ``_f(r, p, q) - alpha * _g(r, q)`` bit for bit.
     """
     p = _check_open_half("p", p)
     q = _check_open_half("q", q)
@@ -347,11 +365,46 @@ def mu_d_dual(rate: float, p: float, q: float, *, alpha_tol: float = 1e-8,
     if not -1e-12 <= rate <= hq + 1e-12:
         raise DomainError(f"rate {rate!r} outside [0, h2(q)={hq!r}]")
     rgrid, fg, gg = _dual_grids(p, q, grid_n)
-
-    def objective(r: float, alpha: float) -> float:
-        return _f(r, p, q) - alpha * _g(r, q)
+    hpq = _h2(_star(p, q))
+    omq = 1.0 - q
+    omp = 1.0 - p
 
     def inner_max(alpha: float) -> float:
+        def objective(r: float) -> float:
+            w = q * (1.0 - r) + r * omq   # star(q, r) == star(r, q)
+            a = q * r / (1.0 - w)
+            if a > 1.0:
+                a = 1.0
+            b = omq * r / w
+            # h2 of star(p, a), star(p, b), w and r, each as in _h2
+            x = p * (1.0 - a) + a * omp
+            ha = 0.0
+            if x > 0.0:
+                ha -= x * log2(x)
+            x = 1.0 - x
+            if x > 0.0:
+                ha -= x * log2(x)
+            x = p * (1.0 - b) + b * omp
+            hb = 0.0
+            if x > 0.0:
+                hb -= x * log2(x)
+            x = 1.0 - x
+            if x > 0.0:
+                hb -= x * log2(x)
+            hw = 0.0
+            if w > 0.0:
+                hw -= w * log2(w)
+            x = 1.0 - w
+            if x > 0.0:
+                hw -= x * log2(x)
+            hr = 0.0
+            if r > 0.0:
+                hr -= r * log2(r)
+            x = 1.0 - r
+            if x > 0.0:
+                hr -= x * log2(x)
+            return hpq - (1.0 - w) * ha - w * hb - alpha * (hw - hr)
+
         vals = fg - alpha * gg
         best = max(float(vals[0]), float(vals[-1]))
         interior = np.nonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:]))[0] + 1
@@ -363,12 +416,12 @@ def mu_d_dual(rate: float, p: float, q: float, *, alpha_tol: float = 1e-8,
         # the left edge hides a narrow spike for small alpha: always refine it
         brackets.append((float(rgrid[0]), float(rgrid[2])))
         for lo, hi in brackets:
-            _, v = golden_max(lambda r: objective(r, alpha), lo, hi, tol=1e-10)
+            _, v = golden_max(objective, lo, hi, tol=1e-10)
             best = max(best, v)
         return best
 
     _, value = golden_min(lambda a: inner_max(a) + a * rate, 0.0, 1.0, tol=alpha_tol)
-    return 1.0 - h2(star(p, q)) + value
+    return 1.0 - hpq + value
 
 
 @lru_cache(maxsize=64)

@@ -108,6 +108,18 @@ class ModelConfig:
         return cls(kind=kind, raw=dict(d), model=model)
 
 
+def _as_int(name: str, v) -> int:
+    """``v`` as an int, or ``ConfigError`` naming the field: a non-numeric
+    string, a non-integral float, NaN and +-inf are rejected, not truncated."""
+    try:
+        n = int(v)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be an integer, got {v!r}") from exc
+    if not isinstance(v, str) and n != v:
+        raise ConfigError(f"{name} must be an integer, got {v!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class CurveRequest:
     """A model, a named curve, an evaluation grid, and search parameters."""
@@ -132,9 +144,10 @@ class CurveRequest:
                 f"quantity {quantity!r} does not apply to model kind {model.kind!r}")
         grid = d.get("grid", {})
         try:
-            lo, hi, n = float(grid["min"]), float(grid["max"]), int(grid["n"])
+            lo, hi, n = float(grid["min"]), float(grid["max"]), grid["n"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"grid must provide min/max/n: {exc}") from exc
+        n = _as_int("grid n", n)
         if n < 2:
             raise ConfigError(f"grid n must be >= 2, got {n}")
         if not (isfinite(lo) and isfinite(hi)):
@@ -145,14 +158,14 @@ class CurveRequest:
         if quantity in _STOCHASTIC:
             if seed is None or budget is None:
                 raise ConfigError(f"quantity {quantity!r} requires seed and budget")
-            if int(budget) < 1:
+            seed, budget = _as_int("seed", seed), _as_int("budget", budget)
+            if budget < 1:
                 raise ConfigError(f"budget must be >= 1, got {budget}")
         elif seed is not None or budget is not None:
             raise ConfigError(f"quantity {quantity!r} is deterministic; drop seed/budget")
         return cls(model=model, quantity=quantity, grid_min=lo, grid_max=hi,
-                   grid_n=n, seed=None if seed is None else int(seed),
-                   budget=None if budget is None else int(budget),
-                   which=int(d.get("which", 2)))
+                   grid_n=n, seed=seed, budget=budget,
+                   which=_as_int("which", d.get("which", 2)))
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.grid_min, self.grid_max, self.grid_n)

@@ -425,8 +425,12 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
     Deterministic for a fixed seed; samples are drawn in fixed-size chunks
     keyed by (seed, chunk index), so enlarging the budget only adds samples.
     """
-    if budget < 1:
+    # written so that NaN fails both comparisons; inf % 1 is NaN
+    if not budget >= 1:
         raise ArgumentError(f"budget must be >= 1, got {budget!r}")
+    if not budget % 1 == 0:
+        raise ArgumentError(f"budget must be an integer, got {budget!r}")
+    budget = int(budget)
     grid = np.asarray(list(r2_grid), dtype=float)
     if grid.size < 1 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0.0):
         raise ArgumentError("r2_grid must be nonempty, finite and strictly increasing")

@@ -17,6 +17,29 @@ H2_018 = 0.68007704572827984     # h2(0.18)
 H2INV_0468996 = 0.10000012820834888
 GERBER_0469_01 = 0.68007947849069621
 
+# repr of h2, h2_inv and the kernel _h2 as printed when _h2 looped over
+# (x, 1 - x); the loop-free kernel must reproduce them bit for bit
+H2_FROZEN = [
+    (0.1, 0.4689955935892812),
+    (0.3, 0.8812908992306927),
+    (1e-05, 0.00018052328301819962),
+    (0.77, 0.7780113035465376),
+]
+H2_INV_FROZEN = [
+    (0.3, 0.05323904077679681),
+    (0.468996, 0.10000012820834886),
+    (0.9, 0.31601934632360773),
+    (1e-06, 3.834490369734704e-08),
+]
+H2_KERNEL_EDGES_FROZEN = [
+    (0.0, 0.0),
+    (0.5, 1.0),
+    (1.0, 0.0),
+    (5e-324, 5.306e-321),               # smallest subnormal; 1 - x rounds to 1
+    (1e-300, 9.965784284662087e-298),
+    (1.0 - 2.0 ** -53, 6.0443533557040756e-15),  # largest float below 1
+]
+
 
 def test_h2_endpoints_and_midpoint():
     assert h2(0.5) == 1.0
@@ -110,6 +133,15 @@ def test_kernels_equal_public_twins():
         assert _h2(x) == h2(x)
         for b in (0.0, 1e-300, 0.1, 0.5, 1.0):
             assert _star(x, b) == star(x, b)
+
+
+def test_frozen_bits():
+    for x, expected in H2_FROZEN:
+        assert h2(x) == expected
+    for y, expected in H2_INV_FROZEN:
+        assert h2_inv(y) == expected
+    for x, expected in H2_KERNEL_EDGES_FROZEN:
+        assert _h2(x) == expected
 
 
 @pytest.mark.parametrize("fn,args", [

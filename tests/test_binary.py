@@ -6,6 +6,9 @@ differentiated 50-digit f and g, the curve values from the resulting
 piecewise formula, and every h2 combination from the defining sums.
 """
 
+import inspect
+import math
+
 import numpy as np
 import pytest
 
@@ -29,7 +32,9 @@ from ibreg import (
     optimal_channel,
     star,
 )
-from ibreg.binary import _f, _f_prime, _g, _g_prime
+from ibreg import binary
+from ibreg.binary import _dual_grids, _f, _f_prime, _g, _g_prime
+from ibreg.optimize import golden_max, golden_min
 from ibreg.pmf import compose_markov, conditional_mutual_information as cmi, \
     mutual_information as mi
 
@@ -62,6 +67,37 @@ DUAL_FROZEN = [
 CP_FROZEN = [
     ((0.1, 0.1), (0.008804506547680096, 0.41817439235213416, 0.457601245434336)),
     ((0.2, 0.2), (0.0939631564944702, 0.3716694588807831, 0.2714137987454078)),
+]
+# repr values printed before the curve kernels and the dual objective were
+# written out on flat floats; asserted with == so that a reordered operation
+# or a different log2 shows
+G_INV_FROZEN = [
+    ((0.2, 0.1), 0.10801915969807382),
+    ((0.01, 0.3), 0.43586961033324567),
+    ((0.44, 0.3), 0.10576502214822542),
+]
+MU_ED_FROZEN = [
+    ((0.2, 0.1, 0.1), 0.42428134232508696),
+    ((0.05, 0.3, 0.05), 0.10059238640443713),
+    ((0.7, 0.2, 0.3), 0.24636256145232505),
+]
+MU_D_CURVED_FROZEN = [
+    ((0.4435849929707077, 0.1, 0.1), 0.5223377998530859),
+    ((0.5467987768840727, 0.2, 0.2), 0.24238814834972858),
+    ((0.1, 0.3, 0.05), 0.10373072308379705),    # degenerate: no linear segment
+    ((0.2, 0.3, 0.05), 0.11184290389208786),
+]
+# rate 0, rate h2(q) (written as its repr), a curved-branch rate, and the
+# degenerate model (0.3, 0.05)
+DUAL_MORE_FROZEN = [
+    ((0.0, 0.1, 0.1), 0.31992295427172013),
+    ((0.4689955935892812, 0.1, 0.1), 0.5310044064107187),
+    ((0.0, 0.2, 0.2), 0.09561854227550615),
+    ((0.7219280948873623, 0.2, 0.2), 0.2780719051126376),
+    ((0.45, 0.1, 0.1), 0.5248721265115619),
+    ((0.0, 0.3, 0.05), 0.09561854227550626),
+    ((0.25, 0.3, 0.05), 0.11589899430007698),
+    ((0.28639695711595625, 0.3, 0.05), 0.1187091007693078),
 ]
 NAN = float("nan")
 INF = float("inf")
@@ -261,6 +297,118 @@ def test_mu_d_dual_endpoints_and_agreement():
 def test_mu_d_dual_frozen_bits():
     for (rate, p, q), expected in DUAL_FROZEN:
         assert mu_d_dual(rate, p, q) == expected
+
+
+def test_more_frozen_bits():
+    for (rate, q), expected in G_INV_FROZEN:
+        assert g_inverse(rate, q) == expected
+    for (rate, p, q), expected in MU_ED_FROZEN:
+        assert mu_ed(rate, p, q) == expected
+    for (rate, p, q), expected in MU_D_CURVED_FROZEN:
+        assert mu_d(rate, p, q) == expected
+    for (rate, p, q), expected in DUAL_MORE_FROZEN:
+        assert mu_d_dual(rate, p, q) == expected
+
+
+# The dual oracle as it was before its objective was written out on flat
+# floats: nested calls into a looping h2 and the star convolution.  Kept as
+# the reference the flat objective and the kernels must equal bit for bit.
+
+def _ref_h2(x):
+    out = 0.0
+    for v in (x, 1.0 - x):
+        if v > 0.0:
+            out -= v * math.log2(v)
+    return out
+
+
+def _ref_star(a, b):
+    return a * (1.0 - b) + b * (1.0 - a)
+
+
+def _ref_g(r, q):
+    return _ref_h2(_ref_star(r, q)) - _ref_h2(r)
+
+
+def _ref_f(r, p, q):
+    w = _ref_star(q, r)
+    return (_ref_h2(_ref_star(p, q))
+            - (1.0 - w) * _ref_h2(_ref_star(p, min(q * r / (1.0 - w), 1.0)))
+            - w * _ref_h2(_ref_star(p, (1.0 - q) * r / w)))
+
+
+def _ref_mu_d_dual(rate, p, q, alpha_tol=1e-8, grid_n=4096):
+    rgrid, fg, gg = _dual_grids(p, q, grid_n)
+
+    def objective(r, alpha):
+        return _ref_f(r, p, q) - alpha * _ref_g(r, q)
+
+    def inner_max(alpha):
+        vals = fg - alpha * gg
+        best = max(float(vals[0]), float(vals[-1]))
+        interior = np.nonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:]))[0] + 1
+        if len(interior):
+            order = interior[np.argsort(vals[interior])[::-1][:2]]
+        else:
+            order = []
+        brackets = [(rgrid[i - 1], rgrid[i + 1]) for i in order]
+        brackets.append((float(rgrid[0]), float(rgrid[2])))
+        for lo, hi in brackets:
+            _, v = golden_max(lambda r: objective(r, alpha), lo, hi, tol=1e-10)
+            best = max(best, v)
+        return best
+
+    _, value = golden_min(lambda a: inner_max(a) + a * rate, 0.0, 1.0, tol=alpha_tol)
+    return 1.0 - _ref_h2(_ref_star(p, q)) + value
+
+
+def test_mu_d_dual_equals_reference_bits():
+    rng = np.random.default_rng(20261018)
+    for i in range(40):
+        p, q = (float(v) for v in rng.uniform(0.02, 0.48, size=2))
+        hq = h2(q)
+        rate = (0.0, hq)[i] if i < 2 else float(rng.uniform(0.0, hq))
+        assert mu_d_dual(rate, p, q) == _ref_mu_d_dual(rate, p, q), (rate, p, q)
+
+
+def test_mu_d_dual_objective_equals_reference_bits(monkeypatch):
+    # the end value hides most last-digit changes (a golden section rarely
+    # changes course over one ulp), so the objective handed to golden_max is
+    # checked against the reference f - alpha g at every point the search
+    # evaluates and at 25 random points of [0, 1/2] per search
+    rng = np.random.default_rng(7)
+    mismatches, evaluations = [], [0]
+
+    def check(fun, r, alpha):
+        v = fun(r)
+        evaluations[0] += 1
+        if v != _ref_f(r, p, q) - alpha * _ref_g(r, q):
+            mismatches.append((r, alpha, p, q))
+        return v
+
+    def checking_golden_max(fun, lo, hi, tol):
+        alpha = inspect.getclosurevars(fun).nonlocals["alpha"]
+        for r in rng.uniform(0.0, 0.5, 25):
+            check(fun, float(r), alpha)
+        return golden_max(lambda r: check(fun, r, alpha), lo, hi, tol)
+
+    monkeypatch.setattr(binary, "golden_max", checking_golden_max)
+    for _ in range(8):
+        p, q = (float(v) for v in rng.uniform(0.02, 0.48, size=2))
+        mu_d_dual(float(rng.uniform(0.0, h2(q))), p, q)
+    assert evaluations[0] > 30000
+    assert mismatches == []
+
+
+def test_kernels_equal_reference_bits():
+    rng = np.random.default_rng(5)
+    rs = np.concatenate([[0.0, 1e-300, 0.5, 1.0, 1.0 - 2.0 ** -53],
+                         rng.uniform(0.0, 1.0, 300), 1.0 - rng.uniform(0.0, 1e-12, 50)])
+    for r in rs:
+        r = float(r)
+        for p, q in ((0.1, 0.1), (0.3, 0.05), (0.45, 1e-4), (0.2, 1e-3)):
+            assert _f(r, p, q) == _ref_f(r, p, q), (r, p, q)
+            assert _g(r, q) == _ref_g(r, q), (r, q)
 
 
 def test_mu_d_timeshare_oracle():

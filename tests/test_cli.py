@@ -194,6 +194,37 @@ def test_compare_non_finite_tol_exit_2(tmp_path, capsys, tol):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("field, value", [
+    ("which", "x"), ("which", 2.5), ("which", math.nan), ("which", math.inf),
+    ("seed", "abc"), ("seed", 1.5), ("seed", math.nan), ("seed", -math.inf),
+    ("budget", "many"), ("budget", 1000.5), ("budget", math.nan), ("budget", math.inf),
+    ("n", "ten"), ("n", 2.7), ("n", math.nan), ("n", -math.inf),
+])
+def test_compare_request_integers_exit_2(tmp_path, capsys, field, value):
+    # "which": "x" and "seed": "abc" printed a ValueError traceback (exit 1),
+    # and "n": 2.7 was silently truncated to a 2-point grid
+    req = {"model": BINARY, "quantity": "mu_d", "grid": {"min": 0.0, "max": 0.4, "n": 3}}
+    if field in ("seed", "budget"):
+        req.update(quantity="mu_int", seed=1, budget=100)
+    if field == "n":
+        req["grid"]["n"] = value
+    else:
+        req[field] = value
+    path = write_json(tmp_path / "r.json", req)
+    assert main(["compare", path, path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{'grid n' if field == 'n' else field} must be an integer" in err
+
+
+def test_request_integral_values_accepted():
+    req = CurveRequest.from_dict({"model": BINARY, "quantity": "mu_int",
+                                  "grid": {"min": 0.0, "max": 0.4, "n": 3.0},
+                                  "seed": 7.0, "budget": "1500", "which": 1.0})
+    assert (req.grid_n, req.seed, req.budget, req.which) == (3, 7, 1500, 1)
+    assert all(type(v) is int for v in (req.grid_n, req.seed, req.budget, req.which))
+
+
 def test_figures(tmp_path):
     rc = main(["figures", "--out", str(tmp_path / "figs"),
                "--seed", "3", "--budget", "1500"])

@@ -348,6 +348,20 @@ def test_search_argument_errors():
         search_mu_int(MODEL, GRID, budget=10, seed=1, v2_card=9)
 
 
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), float("-inf"), 2.5, 1000.25])
+def test_search_rejects_bad_budget(budget):
+    # NaN passed `budget < 1` and a non-integral budget reached range():
+    # both raised TypeError instead of an ArgumentError
+    with pytest.raises(ArgumentError, match="budget"):
+        search_mu_int(MODEL, [0.0, 0.2], budget, 1)
+
+
+def test_search_integral_float_budget():
+    a = search_mu_int(MODEL, GRID, budget=2000.0, seed=5)
+    b = search_mu_int(MODEL, GRID, budget=2000, seed=5)
+    assert [(p.x, p.y) for p in a] == [(p.x, p.y) for p in b]
+
+
 def _kernel_oracle(q0, chans):
     # independent route: compose the full joint, then generic (C)MI
     rates, rels = [], []
