@@ -73,6 +73,26 @@ def _check_open_half(name: str, v: float) -> float:
     return v
 
 
+def _check_pq(p: float, q: float) -> tuple[float, float]:
+    return _check_open_half("p", p), _check_open_half("q", q)
+
+
+def _check_rate(rate: float) -> float:
+    rate = float(rate)
+    if not rate >= 0.0:
+        raise DomainError(f"rate must be nonnegative, got {rate!r}")
+    return rate
+
+
+def _check_rate_upto_hq(rate: float, q: float) -> tuple[float, float]:
+    # rate in [0, h2(q)] up to 1e-12, not clamped; returns (rate, h2(q))
+    rate = float(rate)
+    hq = h2(q)
+    if not -1e-12 <= rate <= hq + 1e-12:
+        raise DomainError(f"rate {rate!r} outside [0, h2(q)={hq!r}]")
+    return rate, hq
+
+
 def _check_r(r: float) -> float:
     r = float(r)
     if not -1e-12 <= r <= 1.0 + 1e-12:
@@ -142,14 +162,14 @@ def _f(r: float, p: float, q: float) -> float:
 
 def f(r: float, p: float, q: float) -> float:
     """Relevance curve; first displayed algebraic form."""
-    return _f(_check_r(r), _check_open_half("p", p), _check_open_half("q", q))
+    p, q = _check_pq(p, q)
+    return _f(_check_r(r), p, q)
 
 
 def f_alt(r: float, p: float, q: float) -> float:
     """Relevance curve; second displayed algebraic form (cross-check of ``f``)."""
     r = _check_r(r)
-    p = _check_open_half("p", p)
-    q = _check_open_half("q", q)
+    p, q = _check_pq(p, q)
     w = star(p, q)
     gam = p * q / (1.0 - w)
     dlt = p * (1.0 - q) / w
@@ -186,8 +206,7 @@ def _f_prime(r: float, p: float, q: float) -> float:
 
 def f_prime(r: float, p: float, q: float) -> float:
     """Analytic derivative of ``f`` (via the second algebraic form)."""
-    p = _check_open_half("p", p)
-    q = _check_open_half("q", q)
+    p, q = _check_pq(p, q)
     return _f_prime(_check_r(r), p, q)
 
 
@@ -207,10 +226,7 @@ def _f_vec(r: np.ndarray, p: float, q: float) -> np.ndarray:
 def g_inverse(rate: float, q: float) -> float:
     """Unique r in [0, 1/2] with g(r) = rate; bisection on the decreasing branch."""
     q = _check_open_half("q", q)
-    rate = float(rate)
-    hq = h2(q)
-    if not -1e-12 <= rate <= hq + 1e-12:
-        raise DomainError(f"rate {rate!r} outside [0, h2(q)={hq!r}]")
+    rate, hq = _check_rate_upto_hq(rate, q)
     rate = min(max(rate, 0.0), hq)
     if rate == 0.0:
         # g is quadratically flat at 1/2; bisection stalls on the float plateau
@@ -236,7 +252,10 @@ class CriticalPoint:
             raise DomainError(f"alpha_star={self.alpha_star!r} outside (0, 1)")
 
 
-_SCAN_N = 2048
+_SCAN_N = 2048            # critical_point's sign-change scan
+_DUAL_GRID_N = 4096       # mu_d_dual's inner r-grid
+_DUAL_ALPHA_TOL = 1e-8    # mu_d_dual's golden-section tolerance on alpha
+_TIMESHARE_GRID_N = 512   # mu_d_timeshare_oracle's r-grid
 
 
 def critical_point(p: float, q: float) -> CriticalPoint:
@@ -247,8 +266,7 @@ def critical_point(p: float, q: float) -> CriticalPoint:
     monotone the tangency degenerates to the boundary (no time-sharing
     segment, R_c -> 0); that raises ``SolverError`` with the scan summary.
     """
-    p = _check_open_half("p", p)
-    q = _check_open_half("q", q)
+    p, q = _check_pq(p, q)
     rs = np.linspace(1e-6, 0.5 - 1e-6, _SCAN_N)
     one_m_2q = 1.0 - 2.0 * q
     w = star(p, q)
@@ -303,11 +321,8 @@ def mu_ed(rate: float, p: float, q: float) -> float:
     Equals ``1 - h2(h2_inv([h2(q) - R]^+) * p)``; constant ``1 - h2(p)`` for
     R >= h2(q).
     """
-    p = _check_open_half("p", p)
-    q = _check_open_half("q", q)
-    rate = float(rate)
-    if not rate >= 0.0:
-        raise DomainError(f"rate must be nonnegative, got {rate!r}")
+    p, q = _check_pq(p, q)
+    rate = _check_rate(rate)
     residual = max(h2(q) - rate, 0.0)
     # exact inverse: the residual entropy is reached at crossover s
     return 1.0 - h2(star(h2_inv(residual), p))
@@ -319,11 +334,8 @@ def mu_d(rate: float, p: float, q: float) -> float:
     Piecewise: linear with slope ``alpha*`` on [0, R_c], then
     ``1 - h2(p*q) + f(g^{-1}(R))`` up to h2(q), constant ``1 - h2(p)`` beyond.
     """
-    p = _check_open_half("p", p)
-    q = _check_open_half("q", q)
-    rate = float(rate)
-    if not rate >= 0.0:
-        raise DomainError(f"rate must be nonnegative, got {rate!r}")
+    p, q = _check_pq(p, q)
+    rate = _check_rate(rate)
     if rate >= h2(q):
         return 1.0 - h2(p)
     base = 1.0 - h2(star(p, q))
@@ -333,21 +345,21 @@ def mu_d(rate: float, p: float, q: float) -> float:
     return base + f(g_inverse(rate, q), p, q)
 
 
-def mu_d_dual(rate: float, p: float, q: float, *, alpha_tol: float = 1e-8,
-              grid_n: int = 4096) -> float:
+def mu_d_dual(rate: float, p: float, q: float) -> float:
     """Independent dual oracle for ``mu_d``:
 
         1 - h2(p*q) + min_{alpha in [0,1]} max_{r in [0,1/2]} f(r) + alpha (R - g(r))
 
-    Outer golden section on alpha (the inner max is convex in alpha); inner
-    maximisation by a dense grid plus golden refinement (tol 1e-10) of the
-    two highest interior local maxima and of the left edge.
+    Outer golden section on alpha (tol 1e-8; the inner max is convex in
+    alpha); inner maximisation by a dense 4096-point grid plus golden
+    refinement (tol 1e-10) of the two highest interior local maxima and of
+    the left edge.
 
     Cost: about 40 outer steps, each refining two or three grid brackets with
     about 34 objective evaluations apiece, so roughly 2,800 scalar objective
     evaluations per call (2,788 at p = q = 0.1, R = 0.2): about 3 ms per call
     on a 2-vCPU x86-64 host (median interior call of the ``binary-oracles``
-    benchmark).  The grids are cached per ``(p, q, grid_n)``.
+    benchmark).  The grids are cached per ``(p, q)``.
 
     The objective is flat because its cost is Python calls, not arithmetic:
     composed from ``_f`` and ``_g`` an evaluation makes fourteen calls
@@ -358,13 +370,9 @@ def mu_d_dual(rate: float, p: float, q: float, *, alpha_tol: float = 1e-8,
     ``_g``'s floating-point operations in their order, with the same
     ``math.log2``, and equals ``_f(r, p, q) - alpha * _g(r, q)`` bit for bit.
     """
-    p = _check_open_half("p", p)
-    q = _check_open_half("q", q)
-    rate = float(rate)
-    hq = h2(q)
-    if not -1e-12 <= rate <= hq + 1e-12:
-        raise DomainError(f"rate {rate!r} outside [0, h2(q)={hq!r}]")
-    rgrid, fg, gg = _dual_grids(p, q, grid_n)
+    p, q = _check_pq(p, q)
+    rate, _ = _check_rate_upto_hq(rate, q)
+    rgrid, fg, gg = _dual_grids(p, q, _DUAL_GRID_N)
     hpq = _h2(_star(p, q))
     omq = 1.0 - q
     omp = 1.0 - p
@@ -420,7 +428,7 @@ def mu_d_dual(rate: float, p: float, q: float, *, alpha_tol: float = 1e-8,
             best = max(best, v)
         return best
 
-    _, value = golden_min(lambda a: inner_max(a) + a * rate, 0.0, 1.0, tol=alpha_tol)
+    _, value = golden_min(lambda a: inner_max(a) + a * rate, 0.0, 1.0, tol=_DUAL_ALPHA_TOL)
     return 1.0 - hpq + value
 
 
@@ -430,21 +438,18 @@ def _dual_grids(p: float, q: float, grid_n: int):
     return rgrid, _f_vec(rgrid, p, q), _g_vec(rgrid, q)
 
 
-def mu_d_timeshare_oracle(rate: float, p: float, q: float, grid_n: int = 512) -> float:
-    """Second oracle: brute-force two-point time sharing on an r-grid.
+def mu_d_timeshare_oracle(rate: float, p: float, q: float) -> float:
+    """Second oracle: brute-force two-point time sharing on a 512-point r-grid.
 
     Maximises ``1 - h2(p*q) + lam f(r1) + (1-lam) f(r2)`` subject to
     ``lam g(r1) + (1-lam) g(r2) = rate`` with lam solved from the constraint.
     Lower-bounds ``mu_d`` by construction; accuracy is limited by the grid.
     """
-    if grid_n < 64:
-        raise ArgumentError(f"grid_n must be >= 64, got {grid_n}")
-    p = _check_open_half("p", p)
-    q = _check_open_half("q", q)
+    p, q = _check_pq(p, q)
     rate = float(rate)
     if not 0.0 <= rate <= h2(q) + 1e-12:
         raise DomainError(f"rate {rate!r} outside [0, h2(q)]")
-    r = np.linspace(0.0, 0.5, grid_n)
+    r = np.linspace(0.0, 0.5, _TIMESHARE_GRID_N)
     gv = _g_vec(r, q)
     fv = _f_vec(r, p, q)
     g1, g2 = gv[:, None], gv[None, :]
@@ -522,11 +527,8 @@ def optimal_channel(rate: float, p: float, q: float) -> TestChannelSpec:
     Identity beyond h2(q), a direct BSC(g^{-1}(R)) on the curved branch, and
     a time-shared BSC(r_c) with weight R/R_c on the linear segment.
     """
-    p = _check_open_half("p", p)
-    q = _check_open_half("q", q)
-    rate = float(rate)
-    if not rate >= 0.0:
-        raise DomainError(f"rate must be nonnegative, got {rate!r}")
+    p, q = _check_pq(p, q)
+    rate = _check_rate(rate)
     if rate == 0.0:
         return TestChannelSpec("constant")
     if rate > h2(q):

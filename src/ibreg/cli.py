@@ -8,11 +8,11 @@ Subcommands
 ``validate``  validate a model configuration file
 
 Model configuration files are JSON objects with a ``kind`` of ``binary``,
-``gaussian-twcib``, ``gaussian-cdib-x1x2y``, ``gaussian-cdib-x1yx2`` or
-``discrete``.  Curve requests pair a model with a ``quantity`` (one of
+``gaussian-twcib``, ``gaussian-cdib-x1x2y`` or ``gaussian-cdib-x1yx2``.
+Curve requests pair a model with a ``quantity`` (one of
 ``mu_ed``, ``mu_d``, ``mu_int``, ``twcib_rate``, ``cdib_mu_surface``,
 ``outer_frontier``, ``inner_bound``), a grid, and -- for the stochastic
-``mu_int`` only -- a seed and budget.
+``mu_int`` only -- a nonnegative seed and a budget.
 
 Deterministic quantities produce byte-identical outputs for identical
 requests; stochastic ones are keyed by (seed, budget).  Exit codes: 0 ok
@@ -43,7 +43,6 @@ from .errors import (
     IbregError,
     SolverError,
 )
-from .pmf import JointPmf
 
 QUANTITIES = ("mu_ed", "mu_d", "mu_int", "twcib_rate", "cdib_mu_surface",
               "outer_frontier", "inner_bound")
@@ -52,7 +51,6 @@ _KIND_QUANTITIES = {
     "gaussian-twcib": {"twcib_rate"},
     "gaussian-cdib-x1x2y": {"cdib_mu_surface"},
     "gaussian-cdib-x1yx2": {"outer_frontier", "inner_bound"},
-    "discrete": set(),
 }
 _STOCHASTIC = {"mu_int"}
 
@@ -71,10 +69,10 @@ class ModelConfig:
             raise ConfigError("model config must be an object with a 'kind' field")
         kind = d["kind"]
         try:
+            rho, sig = d.get("rho", {}), d.get("sigma", {})
             if kind == "binary":
                 model = binary.BinaryModel(p=float(d["p"]), q=float(d["q"]))
             elif kind == "gaussian-twcib":
-                rho, sig = d.get("rho", {}), d.get("sigma", {})
                 model = gaussian.GaussianTwcibModel(
                     rho_x1x2=float(rho["x1x2"]), rho_x1y1=float(rho["x1y1"]),
                     rho_x2y1=float(rho["x2y1"]), rho_x2y2=float(rho["x2y2"]),
@@ -84,21 +82,17 @@ class ModelConfig:
                     sigma_y1_sq=float(sig.get("y1", 1.0)),
                     sigma_y2_sq=float(sig.get("y2", 1.0)))
             elif kind == "gaussian-cdib-x1x2y":
-                rho, sig = d.get("rho", {}), d.get("sigma", {})
                 model = gaussian.GaussianCdibModel.chain_x1_x2_y(
                     float(rho["x1x2"]), float(rho["x2y"]),
                     sigma_x1_sq=float(sig.get("x1", 1.0)),
                     sigma_x2_sq=float(sig.get("x2", 1.0)),
                     sigma_y_sq=float(sig.get("y", 1.0)))
             elif kind == "gaussian-cdib-x1yx2":
-                rho, sig = d.get("rho", {}), d.get("sigma", {})
                 model = gaussian.GaussianCdibModel.chain_x1_y_x2(
                     float(rho["x1y"]), float(rho["x2y"]),
                     sigma_x1_sq=float(sig.get("x1", 1.0)),
                     sigma_x2_sq=float(sig.get("x2", 1.0)),
                     sigma_y_sq=float(sig.get("y", 1.0)))
-            elif kind == "discrete":
-                model = JointPmf.from_dict(d["pmf"])
             else:
                 raise ConfigError(f"unknown model kind {kind!r}")
         except ConfigError:
@@ -159,6 +153,8 @@ class CurveRequest:
             if seed is None or budget is None:
                 raise ConfigError(f"quantity {quantity!r} requires seed and budget")
             seed, budget = _as_int("seed", seed), _as_int("budget", budget)
+            if seed < 0:
+                raise ConfigError(f"seed must be >= 0, got {seed}")
             if budget < 1:
                 raise ConfigError(f"budget must be >= 1, got {budget}")
         elif seed is not None or budget is not None:

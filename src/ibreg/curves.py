@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, DomainError
 
 __all__ = ["RegionCurve", "sig12", "csv_document"]
 
@@ -25,7 +25,7 @@ def sig12(x: float) -> float:
 
 @dataclass(frozen=True)
 class RegionCurve:
-    """A sampled frontier: points are (rate, relevance) pairs in bits."""
+    """A sampled frontier: points are finite (rate, relevance) pairs in bits."""
 
     model: dict
     method: str
@@ -36,6 +36,8 @@ class RegionCurve:
         pts = tuple((float(r), float(mu)) for r, mu in self.points)
         if not pts:
             raise ArgumentError("a RegionCurve needs at least one point")
+        if not np.isfinite(pts).all():  # JSON has no NaN or Infinity
+            raise DomainError("RegionCurve points must be finite")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "model", dict(self.model))
         object.__setattr__(self, "seed", None if self.seed is None else int(self.seed))

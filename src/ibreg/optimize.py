@@ -13,6 +13,7 @@ from typing import Callable
 from .errors import SolverError
 
 _INVPHI = (sqrt(5.0) - 1.0) / 2.0
+_BISECT_ITERATIONS = 100   # fixed halvings: the bracket shrinks by 2^-100
 
 __all__ = ["golden_max", "golden_min", "bisect_root", "bisect_decreasing_inverse"]
 
@@ -44,8 +45,7 @@ def golden_min(fun: Callable[[float], float], lo: float, hi: float,
     return x, -v
 
 
-def bisect_root(fun: Callable[[float], float], lo: float, hi: float,
-                iterations: int = 100) -> float:
+def bisect_root(fun: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of ``fun`` on [lo, hi] given fun(lo) and fun(hi) of opposite sign."""
     flo, fhi = fun(lo), fun(hi)
     if flo == 0.0:
@@ -54,7 +54,7 @@ def bisect_root(fun: Callable[[float], float], lo: float, hi: float,
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise SolverError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    for _ in range(iterations):
+    for _ in range(_BISECT_ITERATIONS):
         mid = 0.5 * (lo + hi)
         fm = fun(mid)
         if fm == 0.0:
@@ -67,9 +67,9 @@ def bisect_root(fun: Callable[[float], float], lo: float, hi: float,
 
 
 def bisect_decreasing_inverse(fun: Callable[[float], float], target: float,
-                              lo: float, hi: float, iterations: int = 100) -> float:
+                              lo: float, hi: float) -> float:
     """Solve fun(x) = target for a strictly decreasing ``fun`` on [lo, hi]."""
-    for _ in range(iterations):
+    for _ in range(_BISECT_ITERATIONS):
         mid = 0.5 * (lo + hi)
         if fun(mid) > target:
             lo = mid

@@ -58,8 +58,10 @@ class Axis:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise AxisError(f"axis name must be a nonempty string, got {self.name!r}")
-        if int(self.card) < 1:
-            raise DomainError(f"axis {self.name!r} has nonpositive cardinality {self.card}")
+        # NaN fails both tests and inf % 1 is NaN
+        if not (self.card >= 1 and self.card % 1 == 0):
+            raise DomainError(f"axis {self.name!r} needs a positive integer cardinality, "
+                              f"got {self.card!r}")
         object.__setattr__(self, "card", int(self.card))
 
 
@@ -332,8 +334,8 @@ def marginalize(p: JointPmf, keep: Iterable[str]) -> JointPmf:
 def condition(p: JointPmf, axis: str, value: int) -> JointPmf:
     """Renormalised conditional of ``p`` given ``axis == value``."""
     i = p.axis_index(axis)
-    if not 0 <= int(value) < p.axes[i].card:
-        raise DomainError(f"value {value} outside alphabet of axis {axis!r}")
+    if not (value % 1 == 0 and 0 <= value < p.axes[i].card):
+        raise DomainError(f"value {value!r} outside alphabet of axis {axis!r}")
     slab = np.take(p.table, int(value), axis=i)
     mass = float(slab.sum())
     if mass <= _EVENT_TOL:

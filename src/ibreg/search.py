@@ -81,6 +81,15 @@ class EnvelopePoint:
     is_vertex: bool = True
 
 
+def _as_count(name: str, v, lo: int) -> int:
+    # NaN fails both comparisons and inf % 1 is NaN; nothing is truncated
+    if not v >= lo:
+        raise ArgumentError(f"{name} must be >= {lo}, got {v!r}")
+    if not v % 1 == 0:
+        raise ArgumentError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _stack_hash(channels, seed=None) -> str:
     h = hashlib.sha256()
     for ch in channels:
@@ -118,9 +127,7 @@ class RoundSchedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "channels", tuple(self.channels))
-        k = int(self.rounds)
-        if k < 1:
-            raise ArgumentError(f"rounds must be >= 1, got {self.rounds!r}")
+        k = _as_count("rounds", self.rounds, 1)
         if self.bound_rule not in ("twcib", "cdib"):
             raise ArgumentError(f"bound_rule must be 'twcib' or 'cdib', got {self.bound_rule!r}")
         if len(self.channels) != 2 * k:
@@ -164,31 +171,18 @@ class RoundSchedule:
                         f"{self._input_card(ch, axis)}, description has {cards[axis]}")
 
     def _check_bounds(self, k: int) -> None:
-        x1_card = self._input_card(self.channels[0], self.x1_axis)
-        x2_card = self._input_card(self.channels[1], self.x2_axis)
+        x_cards = (self._input_card(self.channels[0], self.x1_axis),
+                   self._input_card(self.channels[1], self.x2_axis))
+        nonfinal = 3 if self.bound_rule == "twcib" else 4
         w = 1  # alphabet size of the accumulated description history
-        for l in range(k):
-            final = l == k - 1
-            enc1 = self.channels[2 * l]
-            if self.bound_rule == "twcib":
-                slack1 = 3
-            else:
-                slack1 = 3 if final else 4
-            bound1 = x1_card * w + slack1
-            if enc1.output.card > bound1:
+        for i, ch in enumerate(self.channels):
+            # the final round's encoder-1 / encoder-2 outputs get + 3 / + 1
+            slack = (3, 1)[i % 2] if i >= 2 * k - 2 else nonfinal
+            bound = x_cards[i % 2] * w + slack
+            if ch.output.card > bound:
                 raise CardinalityError(
-                    f"|{enc1.output.name}| = {enc1.output.card} exceeds bound {bound1}")
-            w *= enc1.output.card
-            enc2 = self.channels[2 * l + 1]
-            if final:
-                slack2 = 1
-            else:
-                slack2 = 3 if self.bound_rule == "twcib" else 4
-            bound2 = x2_card * w + slack2
-            if enc2.output.card > bound2:
-                raise CardinalityError(
-                    f"|{enc2.output.name}| = {enc2.output.card} exceeds bound {bound2}")
-            w *= enc2.output.card
+                    f"|{ch.output.name}| = {ch.output.card} exceeds bound {bound}")
+            w *= ch.output.card
 
     def description_names(self) -> tuple[str, ...]:
         return tuple(ch.output.name for ch in self.channels)
@@ -339,6 +333,7 @@ class BucketRecord:
 
 _CHUNK = 8192
 _BUCKETS = 64
+_V2_CARD = 7   # single-letter bound 2 |V1| + 1; V1 is padded to 3 symbols
 
 
 def _int_source(model: BinaryModel) -> JointPmf:
@@ -410,27 +405,25 @@ def _baseline_channels(v1_card: int, v2_card: int) -> tuple[np.ndarray, np.ndarr
 
 
 def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, *,
-                           r1_rate: float | None = None, v2_card: int = 7,
-                           threads: int | None = None, keep_channels: bool = False):
+                           r1_rate: float | None = None, threads: int | None = None,
+                           keep_channels: bool = False):
     """Seeded random-channel search for the interactive relevance curve.
 
     Fixes the first half-round description V1 at the relevance-optimal test
     channel for rate ``r1_rate`` (default: h2(q), a full first description),
-    then samples ``budget`` conditional pmfs p(v2 | x2, v1) with |V2| =
-    ``v2_card`` from a symmetric Dirichlet(1) per conditional slice.  Keeps
-    the best relevance per rate bucket, adds the deterministic non-interactive
-    baselines, and returns the upper concave envelope evaluated on
-    ``r2_grid`` together with the per-bucket records.
+    then samples ``budget`` conditional pmfs p(v2 | x2, v1) with |V2| = 7,
+    the single-letter bound 2 |V1| + 1, from a symmetric Dirichlet(1) per
+    conditional slice.  Keeps the best relevance per rate bucket, adds the
+    deterministic non-interactive baselines, and returns the upper concave
+    envelope evaluated on ``r2_grid`` together with the per-bucket records.
+    ``seed`` must be a nonnegative integer; with ``threads`` unset the
+    worker count comes from ``IBREG_THREADS`` (unset or empty: 1).
 
     Deterministic for a fixed seed; samples are drawn in fixed-size chunks
     keyed by (seed, chunk index), so enlarging the budget only adds samples.
     """
-    # written so that NaN fails both comparisons; inf % 1 is NaN
-    if not budget >= 1:
-        raise ArgumentError(f"budget must be >= 1, got {budget!r}")
-    if not budget % 1 == 0:
-        raise ArgumentError(f"budget must be an integer, got {budget!r}")
-    budget = int(budget)
+    budget = _as_count("budget", budget, 1)
+    seed = _as_count("seed", seed, 0)
     grid = np.asarray(list(r2_grid), dtype=float)
     if grid.size < 1 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0.0):
         raise ArgumentError("r2_grid must be nonempty, finite and strictly increasing")
@@ -439,9 +432,6 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
     if r1_rate is None:
         r1_rate = hq
     v1 = optimal_channel(r1_rate, p, q).to_channel("x1", "v1", out_card=3)
-    if v2_card > 2 * v1.output.card + 1:
-        raise CardinalityError(
-            f"|v2| = {v2_card} exceeds the single-letter bound {2 * v1.output.card + 1}")
     q0 = compose_markov(_int_source(model), v1).table
 
     edges = np.linspace(0.0, hq, _BUCKETS + 1)
@@ -469,7 +459,7 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
                         float(rates[k]), float(rels[k]), origin(int(k)),
                         np.array(chans[k]) if keep_channels else None)
 
-    base_rs, base_chans = _baseline_channels(v1.output.card, v2_card)
+    base_rs, base_chans = _baseline_channels(v1.output.card, _V2_CARD)
     rates, rels = _evaluate_v2_batch(q0, base_chans)
     absorb(rates, rels, lambda k: f"baseline:r={base_rs[k]:.6g}", base_chans)
     kept.extend(zip(map(float, rates), map(float, rels)))
@@ -482,12 +472,16 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
     kept.append((anchor.rate, anchor.relevance))
 
     if threads is None:
-        threads = int(os.environ.get("IBREG_THREADS", "1") or 1)
+        env = os.environ.get("IBREG_THREADS", "")
+        try:
+            threads = int(env or 1)
+        except ValueError:
+            raise ArgumentError(f"IBREG_THREADS must be an integer, got {env!r}") from None
     n_chunks = (budget + _CHUNK - 1) // _CHUNK
 
     def run_chunk(j: int):
-        rng = np.random.default_rng([int(seed), j])
-        block = rng.dirichlet(np.ones(v2_card), size=(_CHUNK, 2, v1.output.card))
+        rng = np.random.default_rng([seed, j])
+        block = rng.dirichlet(np.ones(_V2_CARD), size=(_CHUNK, 2, v1.output.card))
         take = min(_CHUNK, budget - j * _CHUNK)
         block = block[:take]
         r, v = _evaluate_v2_batch(q0, block)
@@ -511,13 +505,12 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
 
 
 def search_mu_int(model: BinaryModel, r2_grid, budget: int, seed: int, *,
-                  r1_rate: float | None = None, v2_card: int = 7,
+                  r1_rate: float | None = None,
                   threads: int | None = None) -> list[EnvelopePoint]:
     """Envelope of the interactive-curve search on ``r2_grid`` (see
     :func:`search_mu_int_detailed` for the sampling protocol)."""
     points, _ = search_mu_int_detailed(
-        model, r2_grid, budget, seed, r1_rate=r1_rate, v2_card=v2_card,
-        threads=threads)
+        model, r2_grid, budget, seed, r1_rate=r1_rate, threads=threads)
     return points
 
 

@@ -1,0 +1,40 @@
+"""Pinned signatures of the solver entry points.
+
+The solver settings (grids, tolerances, iteration counts, |V2|) are module
+constants, documented in the README; these tests keep them from coming back
+as arguments unnoticed, and keep the CLI's model kinds to those some
+quantity accepts.
+"""
+
+import inspect
+
+import pytest
+
+from ibreg import binary, cli, gaussian, optimize, search
+from ibreg.errors import ConfigError
+
+SIGNATURES = [
+    (binary.mu_d_dual, ("rate", "p", "q")),
+    (binary.mu_d_timeshare_oracle, ("rate", "p", "q")),
+    (gaussian.cdib_x1yx2_inner, ("m", "rate1", "rate2")),
+    (gaussian.cdib_x1yx2_outer_frontier, ("m", "rate1", "rate2", "r2_term_decays", "tol")),
+    (optimize.bisect_root, ("fun", "lo", "hi")),
+    (optimize.bisect_decreasing_inverse, ("fun", "target", "lo", "hi")),
+    (optimize.golden_max, ("fun", "lo", "hi", "tol")),
+    (search.search_mu_int, ("model", "r2_grid", "budget", "seed", "r1_rate", "threads")),
+    (search.search_mu_int_detailed,
+     ("model", "r2_grid", "budget", "seed", "r1_rate", "threads", "keep_channels")),
+]
+
+
+@pytest.mark.parametrize("fn, names", SIGNATURES, ids=[fn.__name__ for fn, _ in SIGNATURES])
+def test_entry_point_parameters(fn, names):
+    assert tuple(inspect.signature(fn).parameters) == names
+
+
+def test_model_kinds_are_the_ones_quantities_accept():
+    assert set(cli._KIND_QUANTITIES) == {
+        "binary", "gaussian-twcib", "gaussian-cdib-x1x2y", "gaussian-cdib-x1yx2"}
+    assert all(cli._KIND_QUANTITIES.values())
+    with pytest.raises(ConfigError):
+        cli.ModelConfig.from_dict({"kind": "discrete", "pmf": {}})

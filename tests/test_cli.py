@@ -8,7 +8,7 @@ import pytest
 
 from ibreg import RegionCurve, h2, mu_d
 from ibreg.cli import CurveRequest, ModelConfig, main
-from ibreg.errors import ConfigError
+from ibreg.errors import ConfigError, DomainError
 
 MU0 = 0.31992295427172016
 TOP = 0.53100440641071878
@@ -32,10 +32,13 @@ def test_model_config_kinds():
     for cfg in (BINARY, CHAIN_A, CHAIN_B,
                 {"kind": "gaussian-twcib",
                  "rho": {"x1x2": 0.5, "x1y1": 0.4, "x2y1": 0.8,
-                         "x2y2": 0.7, "x1y2": 0.55}},
-                {"kind": "discrete",
-                 "pmf": {"axes": [{"name": "a", "card": 2}], "table": [0.5, 0.5]}}):
+                         "x2y2": 0.7, "x1y2": 0.55}}):
         assert ModelConfig.from_dict(cfg).kind == cfg["kind"]
+    # no quantity accepts a discrete pmf, so the kind is not offered
+    with pytest.raises(ConfigError, match="unknown model kind"):
+        ModelConfig.from_dict(
+            {"kind": "discrete",
+             "pmf": {"axes": [{"name": "a", "card": 2}], "table": [0.5, 0.5]}})
 
 
 def test_model_config_rejects_invalid():
@@ -217,6 +220,13 @@ def test_compare_request_integers_exit_2(tmp_path, capsys, field, value):
     assert f"{'grid n' if field == 'n' else field} must be an integer" in err
 
 
+def test_request_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        CurveRequest.from_dict({"model": BINARY, "quantity": "mu_int",
+                                "grid": {"min": 0.0, "max": 0.4, "n": 3},
+                                "seed": -1, "budget": 100})
+
+
 def test_request_integral_values_accepted():
     req = CurveRequest.from_dict({"model": BINARY, "quantity": "mu_int",
                                   "grid": {"min": 0.0, "max": 0.4, "n": 3.0},
@@ -267,6 +277,34 @@ def test_region_curve_round_trip():
     e = RegionCurve.from_json(d.to_json())
     assert e == d
     assert d.points[0][1] == pytest.approx(MU0, abs=1e-11)
+
+
+@pytest.mark.parametrize("point", [(0.0, math.nan), (math.inf, 0.3), (math.nan, math.nan)])
+def test_region_curve_rejects_non_finite_points(point):
+    # json.dumps emitted {"R":0.0,"mu":NaN}, which is not valid JSON
+    with pytest.raises(DomainError, match="finite"):
+        RegionCurve(BINARY, "mu_d", None, ((0.1, 0.4), point))
+
+
+@pytest.mark.parametrize("case", ["negative seed", "bad IBREG_THREADS", "discrete model"])
+def test_curve_bad_input_exit_2(tmp_path, capsys, monkeypatch, case):
+    # the first two ended in a traceback with exit 1; "discrete" validated
+    # but no quantity accepted it
+    model, seed = BINARY, "1"
+    if case == "negative seed":
+        seed = "-1"
+    elif case == "bad IBREG_THREADS":
+        monkeypatch.setenv("IBREG_THREADS", "abc")
+    else:
+        model = {"kind": "discrete",
+                 "pmf": {"axes": [{"name": "a", "card": 2}], "table": [0.5, 0.5]}}
+    path = write_json(tmp_path / "m.json", model)
+    rc = main(["curve", "mu_int", "--model", path, "--grid", "0:0.4:3",
+               "--seed", seed, "--budget", "100"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("ibreg: ") and "Traceback" not in err
 
 
 def test_compare_disjoint_ranges_exit_3(tmp_path, capsys):

@@ -283,3 +283,30 @@ def test_condition_bad_value():
     p = dsbs(0.2)
     with pytest.raises(DomainError):
         condition(p, "a", 5)
+
+
+@pytest.mark.parametrize("card", [2.5, math.nan, math.inf, -math.inf])
+def test_axis_rejects_non_integral_card(card):
+    # 2.5 became card 2 silently, and NaN raised a bare ValueError
+    with pytest.raises(DomainError, match="cardinality"):
+        Axis("x", card)
+
+
+def test_axis_accepts_integral_card():
+    for card in (3, 3.0, np.int64(3)):
+        axis = Axis("x", card)
+        assert axis.card == 3 and type(axis.card) is int
+
+
+@pytest.mark.parametrize("value", [1.7, 0.5, math.nan, math.inf])
+def test_condition_rejects_non_integral_value(value):
+    # 1.7 conditioned on value 1 silently
+    with pytest.raises(DomainError, match="value"):
+        condition(dsbs(0.2), "a", value)
+
+
+def test_condition_accepts_integral_value():
+    p = dsbs(0.2)
+    ref = condition(p, "a", 1)
+    for value in (1.0, np.int64(1)):
+        assert np.array_equal(condition(p, "a", value).table, ref.table)

@@ -344,8 +344,6 @@ def test_search_argument_errors():
         search_mu_int(MODEL, GRID, budget=0, seed=1)
     with pytest.raises(ArgumentError):
         search_mu_int(MODEL, [0.2, 0.1], budget=10, seed=1)
-    with pytest.raises(CardinalityError):
-        search_mu_int(MODEL, GRID, budget=10, seed=1, v2_card=9)
 
 
 @pytest.mark.parametrize("budget", [float("nan"), float("inf"), float("-inf"), 2.5, 1000.25])
@@ -526,4 +524,49 @@ def test_search_threads_env(monkeypatch):
     a = search_mu_int(MODEL, GRID, budget=3000, seed=9)
     monkeypatch.setenv("IBREG_THREADS", "4")
     b = search_mu_int(MODEL, GRID, budget=3000, seed=9)
+    assert [(p.x, p.y) for p in a] == [(p.x, p.y) for p in b]
+
+
+@pytest.mark.parametrize("rounds", [float("nan"), 1.5, float("inf")])
+def test_schedule_rejects_non_integral_rounds(rounds):
+    # NaN raised a bare ValueError and 1.5 was truncated to one round
+    v1 = Channel.bsc("x1", "v1", 0.1)
+    v2 = Channel.constant([("x2", 2), ("v1", 2)], "v2")
+    with pytest.raises(ArgumentError, match="rounds"):
+        RoundSchedule(rounds, (v1, v2))
+
+
+def test_schedule_accepts_integral_rounds():
+    v1 = Channel.bsc("x1", "v1", 0.1)
+    v2 = Channel.constant([("x2", 2), ("v1", 2)], "v2")
+    for rounds in (1.0, np.int64(1)):
+        assert RoundSchedule(rounds, (v1, v2)).description_names() == ("v1", "v2")
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, float("nan"), float("inf")])
+def test_search_rejects_bad_seed(seed):
+    # -1 ended in a numpy ValueError from the seed sequence
+    with pytest.raises(ArgumentError, match="seed"):
+        search_mu_int(MODEL, [0.0, 0.2], 100, seed)
+
+
+def test_search_integral_float_seed():
+    a = search_mu_int(MODEL, GRID, budget=2000, seed=5.0)
+    b = search_mu_int(MODEL, GRID, budget=2000, seed=np.int64(5))
+    c = search_mu_int(MODEL, GRID, budget=2000, seed=5)
+    assert [(p.x, p.y) for p in a] == [(p.x, p.y) for p in b] == [(p.x, p.y) for p in c]
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5"])
+def test_search_rejects_bad_threads_env(monkeypatch, value):
+    # "abc" ended in a ValueError traceback
+    monkeypatch.setenv("IBREG_THREADS", value)
+    with pytest.raises(ArgumentError, match="IBREG_THREADS"):
+        search_mu_int(MODEL, [0.0, 0.2], 100, 1)
+
+
+def test_search_empty_threads_env_is_serial(monkeypatch):
+    a = search_mu_int(MODEL, GRID, budget=1000, seed=3)
+    monkeypatch.setenv("IBREG_THREADS", "")
+    b = search_mu_int(MODEL, GRID, budget=1000, seed=3)
     assert [(p.x, p.y) for p in a] == [(p.x, p.y) for p in b]
