@@ -356,10 +356,18 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
     the left edge.
 
     Cost: about 40 outer steps, each refining two or three grid brackets with
-    about 34 objective evaluations apiece, so roughly 2,800 scalar objective
-    evaluations per call (2,788 at p = q = 0.1, R = 0.2): about 3 ms per call
-    on a 2-vCPU x86-64 host (median interior call of the ``binary-oracles``
-    benchmark).  The grids are cached per ``(p, q)``.
+    about 34 objective evaluations apiece, so roughly 2,800 objective
+    evaluations per call (2,788 at p = q = 0.1, R = 0.2; about 1,500 at
+    R = 0 and R = h2(q)).  Most of them repeat an r that the same call has
+    already evaluated, because the searches for nearby alphas retrace the
+    same bracket points.  923 of the 2,788 are distinct; on random interior
+    rates 27-42% are, and at R = 0 and R = h2(q) 2-15% (34-224 distinct r).
+    So the objective is split into its alpha-free parts F(r) = f(r) and
+    G(r) = g(r), memoised by r in a dict that lives for this one call, and
+    an evaluation returns F - alpha * G.  Nothing outlives the call but the
+    r-grid and its f and g values, which are cached per ``(p, q)``.  A call
+    takes about 2 ms on a 2-vCPU x86-64 host (median item of the
+    ``binary-oracles`` benchmark), 3 ms without the memo.
 
     The objective is flat because its cost is Python calls, not arithmetic:
     composed from ``_f`` and ``_g`` an evaluation makes fourteen calls
@@ -368,7 +376,8 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
     ``f`` together with ``g``, one function on floats with the binary
     convolutions and entropies written out.  It performs ``_f``'s and
     ``_g``'s floating-point operations in their order, with the same
-    ``math.log2``, and equals ``_f(r, p, q) - alpha * _g(r, q)`` bit for bit.
+    ``math.log2``: F equals ``_f(r, p, q)`` and G equals ``_g(r, q)`` bit
+    for bit, and F - alpha * G is the double the unsplit expression gave.
     """
     p, q = _check_pq(p, q)
     rate, _ = _check_rate_upto_hq(rate, q)
@@ -377,41 +386,53 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
     omq = 1.0 - q
     omp = 1.0 - p
 
+    # r -> (F, G), the alpha-free parts of the objective F - alpha * G; it
+    # lives for this call only
+    terms: dict[float, tuple[float, float]] = {}
+
+    def split_objective(r: float) -> tuple[float, float]:
+        w = q * (1.0 - r) + r * omq   # star(q, r) == star(r, q)
+        a = q * r / (1.0 - w)
+        if a > 1.0:
+            a = 1.0
+        b = omq * r / w
+        # h2 of star(p, a), star(p, b), w and r, each as in _h2
+        x = p * (1.0 - a) + a * omp
+        ha = 0.0
+        if x > 0.0:
+            ha -= x * log2(x)
+        x = 1.0 - x
+        if x > 0.0:
+            ha -= x * log2(x)
+        x = p * (1.0 - b) + b * omp
+        hb = 0.0
+        if x > 0.0:
+            hb -= x * log2(x)
+        x = 1.0 - x
+        if x > 0.0:
+            hb -= x * log2(x)
+        hw = 0.0
+        if w > 0.0:
+            hw -= w * log2(w)
+        x = 1.0 - w
+        if x > 0.0:
+            hw -= x * log2(x)
+        hr = 0.0
+        if r > 0.0:
+            hr -= r * log2(r)
+        x = 1.0 - r
+        if x > 0.0:
+            hr -= x * log2(x)
+        # Python groups the unsplit hpq - (1.0 - w) * ha - w * hb
+        # - alpha * (hw - hr) as ((hpq - (1.0 - w) * ha) - w * hb)
+        # - alpha * (hw - hr), so F - alpha * G is the same double
+        t = terms[r] = (hpq - (1.0 - w) * ha - w * hb, hw - hr)
+        return t
+
     def inner_max(alpha: float) -> float:
         def objective(r: float) -> float:
-            w = q * (1.0 - r) + r * omq   # star(q, r) == star(r, q)
-            a = q * r / (1.0 - w)
-            if a > 1.0:
-                a = 1.0
-            b = omq * r / w
-            # h2 of star(p, a), star(p, b), w and r, each as in _h2
-            x = p * (1.0 - a) + a * omp
-            ha = 0.0
-            if x > 0.0:
-                ha -= x * log2(x)
-            x = 1.0 - x
-            if x > 0.0:
-                ha -= x * log2(x)
-            x = p * (1.0 - b) + b * omp
-            hb = 0.0
-            if x > 0.0:
-                hb -= x * log2(x)
-            x = 1.0 - x
-            if x > 0.0:
-                hb -= x * log2(x)
-            hw = 0.0
-            if w > 0.0:
-                hw -= w * log2(w)
-            x = 1.0 - w
-            if x > 0.0:
-                hw -= x * log2(x)
-            hr = 0.0
-            if r > 0.0:
-                hr -= r * log2(r)
-            x = 1.0 - r
-            if x > 0.0:
-                hr -= x * log2(x)
-            return hpq - (1.0 - w) * ha - w * hb - alpha * (hw - hr)
+            t = terms.get(r) or split_objective(r)
+            return t[0] - alpha * t[1]
 
         vals = fg - alpha * gg
         best = max(float(vals[0]), float(vals[-1]))
@@ -444,6 +465,18 @@ def mu_d_timeshare_oracle(rate: float, p: float, q: float) -> float:
     Maximises ``1 - h2(p*q) + lam f(r1) + (1-lam) f(r2)`` subject to
     ``lam g(r1) + (1-lam) g(r2) = rate`` with lam solved from the constraint.
     Lower-bounds ``mu_d`` by construction; accuracy is limited by the grid.
+
+    Only two blocks of the grid's pairs are evaluated: r1 with
+    g(r1) >= rate - 1e-12 against r2 with g(r2) <= rate + 1e-12, and the
+    mirror block.  This is exact, not an approximation.  lam =
+    (rate - g(r2)) / (g(r1) - g(r2)) lies in [0, 1] only if rate lies
+    between g(r1) and g(r2), and the relative rounding of the differences
+    and the quotient (a few 1e-16) is far below the 1e-12 margin, so the
+    blocks hold every pair the full 512 x 512 grid would accept.  Each kept pair does the same float
+    operations as on the full grid, and the max over a superset of the valid
+    pairs is the same number.  The blocks have k (512 - k) pairs each, k
+    the grid points with g(r) >= rate, which is small for most rates since
+    g falls steeply near r = 0.
     """
     p, q = _check_pq(p, q)
     rate = float(rate)
@@ -452,14 +485,23 @@ def mu_d_timeshare_oracle(rate: float, p: float, q: float) -> float:
     r = np.linspace(0.0, 0.5, _TIMESHARE_GRID_N)
     gv = _g_vec(r, q)
     fv = _f_vec(r, p, q)
-    g1, g2 = gv[:, None], gv[None, :]
-    f1, f2 = fv[:, None], fv[None, :]
-    den = g1 - g2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.where(den != 0.0, (rate - g2) / den, np.nan)
-    valid = np.isfinite(lam) & (lam >= 0.0) & (lam <= 1.0)
-    obj = np.where(valid, lam * f1 + (1.0 - lam) * f2, -np.inf)
-    best = float(obj.max())
+
+    def best_pair(rows: np.ndarray, cols: np.ndarray) -> float:
+        g1, g2 = gv[rows][:, None], gv[cols][None, :]
+        f1, f2 = fv[rows][:, None], fv[cols][None, :]
+        den = g1 - g2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = np.where(den != 0.0, (rate - g2) / den, np.nan)
+        valid = np.isfinite(lam) & (lam >= 0.0) & (lam <= 1.0)
+        obj = np.where(valid, lam * f1 + (1.0 - lam) * f2, -np.inf)
+        # a block is empty when rate lies above every grid value of g,
+        # which the guard's 1e-12 slack allows; the full grid gave -inf
+        return float(obj.max(initial=-np.inf))
+
+    # the two blocks that can hold a valid pair (see the docstring)
+    above = gv >= rate - 1e-12
+    below = gv <= rate + 1e-12
+    best = max(best_pair(above, below), best_pair(below, above))
     # degenerate single-point solutions g(r) == rate are covered in the limit;
     # include them explicitly for exactness at the endpoints
     exact = np.isclose(gv, rate, rtol=0.0, atol=1e-15)

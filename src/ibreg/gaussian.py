@@ -32,7 +32,7 @@ from math import inf, isfinite, log2, sqrt
 import numpy as np
 
 from .errors import DegenerateModelError, DomainError
-from .optimize import golden_max
+from .optimize import _check_tol, golden_max
 
 __all__ = [
     "GaussianTwcibModel",
@@ -487,10 +487,12 @@ def cdib_x1yx2_outer_frontier(m: GaussianCdibModel, rate1: float, rate2: float, 
     operations and one ``np.log2`` call.  ``np.log2`` stays because
     ``math.log2`` rounds differently in the last bit for about 0.2% of
     arguments, and the 12-digit frontier depends on the exact
-    golden-section path.
+    golden-section path.  ``tol`` must be positive and finite
+    (``ArgumentError``): NaN would return 0.0 and 0 would never return.
     """
     _require_chain(m, "x1-y-x2")
     rate1, rate2 = _check_finite_rates("rates", rate1, rate2)
+    tol = _check_tol(tol)
     e1, e2 = m.rho_x1y ** 2, m.rho_x2y ** 2
     i_y_x2 = m.i_y_x2()
     span = rate1 + rate2

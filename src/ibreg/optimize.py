@@ -2,15 +2,17 @@
 
 Only what the region computations need; no stochastic restarts.  Golden
 section assumes a (weakly) unimodal objective on the bracket, which every
-caller in this package guarantees by convexity/concavity arguments.
+caller in this package guarantees by convexity/concavity arguments.  Its
+``tol`` must be positive and finite: the loop runs while the bracket is wider
+than ``tol``, so 0 or less never ends and NaN or inf ends at once.
 """
 
 from __future__ import annotations
 
-from math import sqrt
+from math import inf, sqrt
 from typing import Callable
 
-from .errors import SolverError
+from .errors import ArgumentError, SolverError
 
 _INVPHI = (sqrt(5.0) - 1.0) / 2.0
 _BISECT_ITERATIONS = 100   # fixed halvings: the bracket shrinks by 2^-100
@@ -18,9 +20,17 @@ _BISECT_ITERATIONS = 100   # fixed halvings: the bracket shrinks by 2^-100
 __all__ = ["golden_max", "golden_min", "bisect_root", "bisect_decreasing_inverse"]
 
 
+def _check_tol(tol: float) -> float:
+    tol = float(tol)
+    if not 0.0 < tol < inf:
+        raise ArgumentError(f"tol must be positive and finite, got {tol!r}")
+    return tol
+
+
 def golden_max(fun: Callable[[float], float], lo: float, hi: float,
                tol: float = 1e-10) -> tuple[float, float]:
     """Maximise a unimodal function on [lo, hi]; returns (x, fun(x))."""
+    tol = _check_tol(tol)
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)

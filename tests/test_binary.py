@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ibreg import (
     ArgumentError,
@@ -33,7 +34,7 @@ from ibreg import (
     star,
 )
 from ibreg import binary
-from ibreg.binary import _dual_grids, _f, _f_prime, _g, _g_prime
+from ibreg.binary import _dual_grids, _f, _f_prime, _f_vec, _g, _g_prime, _g_vec
 from ibreg.optimize import golden_max, golden_min
 from ibreg.pmf import compose_markov, conditional_mutual_information as cmi, \
     mutual_information as mi
@@ -98,6 +99,19 @@ DUAL_MORE_FROZEN = [
     ((0.0, 0.3, 0.05), 0.09561854227550626),
     ((0.25, 0.3, 0.05), 0.11589899430007698),
     ((0.28639695711595625, 0.3, 0.05), 0.1187091007693078),
+]
+# mu_d_timeshare_oracle(rate, p, q) printed with repr while it still
+# evaluated the full 512 x 512 grid of pairs; the third and fourth rates are
+# the grid values g(r[40]; q = 0.1) and g(r[3]; q = 0.1)
+TIMESHARE_FROZEN = [
+    ((0.0, 0.1, 0.1), 0.31992295427172013),
+    ((0.4689955935892812, 0.1, 0.1), 0.5310044064107187),
+    ((0.2, 0.1, 0.1), 0.4114432033397465),
+    ((0.3226928464102984, 0.1, 0.1), 0.4675876026514245),
+    ((0.3, 0.2, 0.2), 0.17704268179041055),
+    ((0.0, 0.3, 0.05), 0.09561854227550626),
+    ((0.25, 0.3, 0.05), 0.11589348858455581),
+    ((0.4474736569105588, 0.45, 0.1), 0.007142553287969006),
 ]
 NAN = float("nan")
 INF = float("inf")
@@ -419,6 +433,61 @@ def test_mu_d_timeshare_oracle():
         ref = mu_d(rate, P, Q)
         assert v <= ref + 1e-9
         assert v >= ref - 5e-3
+
+
+# The time-sharing oracle as it was before it kept only the two blocks of
+# pairs that can be valid: every pair of the 512-point grid.  Kept as the
+# reference the block version must equal under ==.
+
+def _ref_mu_d_timeshare_oracle(rate, p, q, grid_n=512):
+    r = np.linspace(0.0, 0.5, grid_n)
+    gv = _g_vec(r, q)
+    fv = _f_vec(r, p, q)
+    g1, g2 = gv[:, None], gv[None, :]
+    f1, f2 = fv[:, None], fv[None, :]
+    den = g1 - g2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.where(den != 0.0, (rate - g2) / den, np.nan)
+    valid = np.isfinite(lam) & (lam >= 0.0) & (lam <= 1.0)
+    obj = np.where(valid, lam * f1 + (1.0 - lam) * f2, -np.inf)
+    best = float(obj.max())
+    exact = np.isclose(gv, rate, rtol=0.0, atol=1e-15)
+    if exact.any():
+        best = max(best, float(fv[exact].max()))
+    return 1.0 - h2(star(p, q)) + best
+
+
+def test_mu_d_timeshare_oracle_frozen_bits():
+    for (rate, p, q), expected in TIMESHARE_FROZEN:
+        assert mu_d_timeshare_oracle(rate, p, q) == expected
+
+
+def test_mu_d_timeshare_oracle_equals_reference_bits():
+    # per 8 draws: rate 0, rate h2(q), two grid values of g (a pair with lam
+    # exactly 0 or 1, and the exact-point branch) and four uniform rates;
+    # dropping the mirror block changes about one interior value in twenty
+    rng = np.random.default_rng(20261019)
+    grid = np.linspace(0.0, 0.5, 512)
+    for i in range(96):
+        p, q = (float(v) for v in rng.uniform(0.02, 0.48, size=2))
+        kind = i % 8
+        if kind == 0:
+            rate = 0.0
+        elif kind == 1:
+            rate = h2(q)
+        elif kind < 4:
+            rate = float(_g_vec(grid, q)[int(rng.integers(0, 500))])
+        else:
+            rate = float(rng.uniform(0.0, h2(q)))
+        assert mu_d_timeshare_oracle(rate, p, q) == _ref_mu_d_timeshare_oracle(rate, p, q), \
+            (rate, p, q)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(st.floats(0.02, 0.48), st.floats(0.02, 0.48), st.floats(0.0, 1.0))
+def test_mu_d_timeshare_oracle_equals_reference_bits_drawn(p, q, u):
+    rate = u * h2(q)
+    assert mu_d_timeshare_oracle(rate, p, q) == _ref_mu_d_timeshare_oracle(rate, p, q)
 
 
 @pytest.mark.parametrize("fn,args", [

@@ -12,6 +12,7 @@ import pytest
 from ibreg.optimize import golden_max
 
 from ibreg import (
+    ArgumentError,
     DegenerateModelError,
     DomainError,
     GaussianCdibModel,
@@ -455,6 +456,17 @@ def test_x1yx2_rejects_non_finite_rates(chain_b, fun, rates):
     # or an unbounded point; every one now raises
     with pytest.raises(DomainError):
         fun(chain_b, *rates)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+def test_outer_frontier_rejects_bad_tol(chain_b, tol):
+    # tol=nan gave 0.0 instead of 0.6403281992393299 at (1, 1) and tol=0
+    # never returned.  At (0, 0) no golden section runs, so only the
+    # frontier's own check can raise; it comes first, so that a frontier
+    # without that check fails there instead of searching with tol=0
+    for rates in ((0.0, 0.0), (1.0, 1.0)):
+        with pytest.raises(ArgumentError):
+            cdib_x1yx2_outer_frontier(chain_b, *rates, tol=tol)
 
 
 def test_outer_dominates_inner_small_grid(chain_b):
