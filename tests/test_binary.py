@@ -101,7 +101,7 @@ DUAL_MORE_FROZEN = [
     ((0.28639695711595625, 0.3, 0.05), 0.1187091007693078),
 ]
 # mu_d_timeshare_oracle(rate, p, q) printed with repr while it still
-# evaluated the full 512 x 512 grid of pairs; the third and fourth rates are
+# evaluated the full 512 x 512 grid of pairs; the fourth and last rates are
 # the grid values g(r[40]; q = 0.1) and g(r[3]; q = 0.1)
 TIMESHARE_FROZEN = [
     ((0.0, 0.1, 0.1), 0.31992295427172013),
@@ -439,8 +439,8 @@ def test_mu_d_timeshare_oracle():
 # pairs that can be valid: every pair of the 512-point grid.  Kept as the
 # reference the block version must equal under ==.
 
-def _ref_mu_d_timeshare_oracle(rate, p, q, grid_n=512):
-    r = np.linspace(0.0, 0.5, grid_n)
+def _ref_mu_d_timeshare_oracle(rate, p, q):
+    r = np.linspace(0.0, 0.5, 512)
     gv = _g_vec(r, q)
     fv = _f_vec(r, p, q)
     g1, g2 = gv[:, None], gv[None, :]
