@@ -7,9 +7,10 @@ cascaded binary symmetric channels.
 Validation rule: each public function checks and clamps its arguments, then
 calls a private kernel of the same name with a leading underscore (``_h2``,
 ``_star``).  The kernel holds the only copy of the formula, assumes in-domain
-floats and checks nothing; besides its public twin, only solvers that
-validated their own inputs at entry call it (``h2_inv`` here, the curve
-solvers in ``binary``).
+floats and checks nothing; besides its public twin, only functions that
+validated their own inputs at entry call it (``h2_inv`` and ``gerber_bound``
+here, the curve solvers in ``binary``).  The one array kernel is
+``_xlog2x``: ``h2_arr`` and the search kernel in ``search`` build on it.
 """
 
 from __future__ import annotations
@@ -50,14 +51,18 @@ def h2(x: float) -> float:
     return _h2(_check_range("x", float(x), 0.0, 1.0))
 
 
+def _xlog2x(m: np.ndarray) -> np.ndarray:
+    # elementwise m log2 m with 0 log 0 = 0; NaN stays NaN
+    out = np.zeros_like(m)
+    np.log2(m, out=out, where=m > 0.0)
+    return m * out
+
+
 def h2_arr(x) -> np.ndarray:
-    """Vectorised binary entropy (no domain check; 0*log(0) = 0)."""
+    """Vectorised binary entropy (no domain check; 0*log(0) = 0, NaN gives NaN)."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for v in (x, 1.0 - x):
-        m = v > 0.0
-        out -= np.where(m, v * np.log2(np.where(m, v, 1.0)), 0.0)
-    return out
+    # asarray keeps a 0-d input a 0-d array, not a numpy scalar
+    return np.asarray(0.0 - _xlog2x(x) - _xlog2x(1.0 - x))
 
 
 def h2_inv(y: float) -> float:
@@ -97,4 +102,4 @@ def gerber_bound(entropy_bits: float, p: float) -> float:
     """
     h = _check_range("entropy_bits", float(entropy_bits), 0.0, 1.0)
     p = _check_range("p", float(p), 0.0, 0.5)
-    return h2(star(h2_inv(h), p))
+    return _h2(_star(h2_inv(h), p))

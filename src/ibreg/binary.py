@@ -23,15 +23,17 @@ Two independent oracles are provided for cross-checking ``mu_d``: a dual
 min-max formulation (``mu_d_dual``) and a brute-force two-point time-sharing
 search (``mu_d_timeshare_oracle``).
 
-Validation rule: each public function (``g``, ``f``, ``g_prime``,
-``f_prime`` and the solvers below) checks its arguments once, at entry.  The
-curve formulas live in private kernels (``_g``, ``_f``, ``_g_prime``,
-``_f_prime``, built on ``bentropy._h2``/``_star``) that assume in-domain
-floats and check nothing.  Besides their public twins, only solvers that
-validated their inputs at entry call them (``g_inverse``, ``critical_point``),
-so an inner-loop evaluation costs arithmetic alone.  The one other copy of
-``f`` and ``g`` is the dual oracle's flat objective in ``mu_d_dual``, which
-must equal the kernels bit for bit.
+Kernel rule: one scalar kernel and one array kernel per formula.  The
+scalar kernels (``_g``, ``_f``, ``_g_prime``, ``_f_prime``, on
+``bentropy._h2``/``_star`` and ``math.log2``) and the array kernels (the same
+names ending in ``_vec``, on ``bentropy.h2_arr`` and ``np.log2``) assume
+in-domain floats and check nothing; ``_second_form`` alone holds the second
+form's constants.  The twins stay apart on purpose: folding them moves last
+bits, and the second-form array kernels keep both oracles independent of the
+primal kernels.  Each public function checks its arguments once, at entry,
+and from then on calls kernels, never the checking ``h2``, ``star``, ``f``
+or ``g``.  The one other copy of ``f`` and ``g`` is the dual oracle's flat
+objective in ``mu_d_dual``, which equals the scalar kernels bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from math import log2
 
 import numpy as np
 
-from .bentropy import _h2, _star, h2, h2_arr, h2_inv, star
+from .bentropy import _h2, _star, h2_arr, h2_inv
 from .errors import ArgumentError, DomainError, SolverError
 from .optimize import bisect_decreasing_inverse, bisect_root, golden_max, golden_min
 from .pmf import Axis, Channel, JointPmf
@@ -85,9 +87,9 @@ def _check_rate(rate: float) -> float:
 
 
 def _check_rate_upto_hq(rate: float, q: float) -> tuple[float, float]:
-    # rate in [0, h2(q)] up to 1e-12, not clamped; returns (rate, h2(q))
+    # rate in [0, h2(q)] up to 1e-12, not clamped; returns (rate, h2(q)); q checked
     rate = float(rate)
-    hq = h2(q)
+    hq = _h2(q)
     if not -1e-12 <= rate <= hq + 1e-12:
         raise DomainError(f"rate {rate!r} outside [0, h2(q)={hq!r}]")
     return rate, hq
@@ -166,16 +168,21 @@ def f(r: float, p: float, q: float) -> float:
     return _f(_check_r(r), p, q)
 
 
+def _second_form(p: float, q: float) -> tuple[float, float, float]:
+    # (w, gam, dlt) of f's second algebraic form: w = p*q and the crossovers
+    # gam, dlt of the hidden link given each test-channel output
+    w = _star(p, q)
+    return w, p * q / (1.0 - w), p * (1.0 - q) / w
+
+
 def f_alt(r: float, p: float, q: float) -> float:
     """Relevance curve; second displayed algebraic form (cross-check of ``f``)."""
     r = _check_r(r)
     p, q = _check_pq(p, q)
-    w = star(p, q)
-    gam = p * q / (1.0 - w)
-    dlt = p * (1.0 - q) / w
-    return (h2(star(r, q))
-            - (1.0 - w) * h2(star(r, gam))
-            - w * h2(star(r, dlt)))
+    w, gam, dlt = _second_form(p, q)
+    return (_h2(_star(r, q))
+            - (1.0 - w) * _h2(_star(r, gam))
+            - w * _h2(_star(r, dlt)))
 
 
 def _h2p(x: float) -> float:
@@ -196,9 +203,7 @@ def g_prime(r: float, q: float) -> float:
 
 
 def _f_prime(r: float, p: float, q: float) -> float:
-    w = _star(p, q)
-    gam = p * q / (1.0 - w)
-    dlt = p * (1.0 - q) / w
+    w, gam, dlt = _second_form(p, q)
     return ((1.0 - 2.0 * q) * _h2p(_star(r, q))
             - (1.0 - w) * (1.0 - 2.0 * gam) * _h2p(_star(r, gam))
             - w * (1.0 - 2.0 * dlt) * _h2p(_star(r, dlt)))
@@ -215,12 +220,25 @@ def _g_vec(r: np.ndarray, q: float) -> np.ndarray:
 
 
 def _f_vec(r: np.ndarray, p: float, q: float) -> np.ndarray:
-    w = star(p, q)
-    gam = p * q / (1.0 - w)
-    dlt = p * (1.0 - q) / w
+    w, gam, dlt = _second_form(p, q)
     return (h2_arr(r * (1 - 2 * q) + q)
             - (1.0 - w) * h2_arr(r * (1 - 2 * gam) + gam)
             - w * h2_arr(r * (1 - 2 * dlt) + dlt))
+
+
+def _h2p_vec(x: np.ndarray) -> np.ndarray:
+    return np.log2((1.0 - x) / x)
+
+
+def _g_prime_vec(r: np.ndarray, q: float) -> np.ndarray:
+    return (1 - 2 * q) * _h2p_vec(r * (1 - 2 * q) + q) - _h2p_vec(r)
+
+
+def _f_prime_vec(r: np.ndarray, p: float, q: float) -> np.ndarray:
+    w, gam, dlt = _second_form(p, q)
+    return ((1 - 2 * q) * _h2p_vec(r * (1 - 2 * q) + q)
+            - (1 - w) * (1 - 2 * gam) * _h2p_vec(r * (1 - 2 * gam) + gam)
+            - w * (1 - 2 * dlt) * _h2p_vec(r * (1 - 2 * dlt) + dlt))
 
 
 def g_inverse(rate: float, q: float) -> float:
@@ -268,19 +286,7 @@ def critical_point(p: float, q: float) -> CriticalPoint:
     """
     p, q = _check_pq(p, q)
     rs = np.linspace(1e-6, 0.5 - 1e-6, _SCAN_N)
-    one_m_2q = 1.0 - 2.0 * q
-    w = star(p, q)
-    gam = p * q / (1.0 - w)
-    dlt = p * (1.0 - q) / w
-
-    def h2p_arr(x):
-        return np.log2((1.0 - x) / x)
-
-    gp = one_m_2q * h2p_arr(rs * one_m_2q + q) - h2p_arr(rs)
-    fp = (one_m_2q * h2p_arr(rs * one_m_2q + q)
-          - (1 - w) * (1 - 2 * gam) * h2p_arr(rs * (1 - 2 * gam) + gam)
-          - w * (1 - 2 * dlt) * h2p_arr(rs * (1 - 2 * dlt) + dlt))
-    phi = fp * _g_vec(rs, q) - _f_vec(rs, p, q) * gp
+    phi = _f_prime_vec(rs, p, q) * _g_vec(rs, q) - _f_vec(rs, p, q) * _g_prime_vec(rs, q)
 
     hits = np.nonzero((phi[:-1] > 0.0) & (phi[1:] <= 0.0))[0]
     if len(hits) == 0:
@@ -298,8 +304,8 @@ def critical_point(p: float, q: float) -> CriticalPoint:
         raise SolverError(
             f"tangency found only at the boundary (r_c={r_c!r}); "
             "treating the time-sharing segment as empty (R_c -> 0)")
-    rate = g(r_c, q)
-    return CriticalPoint(r_c, rate, f(r_c, p, q) / rate)
+    rate = _g(r_c, q)
+    return CriticalPoint(r_c, rate, _f(r_c, p, q) / rate)
 
 
 @lru_cache(maxsize=256)
@@ -323,9 +329,9 @@ def mu_ed(rate: float, p: float, q: float) -> float:
     """
     p, q = _check_pq(p, q)
     rate = _check_rate(rate)
-    residual = max(h2(q) - rate, 0.0)
+    residual = max(_h2(q) - rate, 0.0)
     # exact inverse: the residual entropy is reached at crossover s
-    return 1.0 - h2(star(h2_inv(residual), p))
+    return 1.0 - _h2(_star(h2_inv(residual), p))
 
 
 def mu_d(rate: float, p: float, q: float) -> float:
@@ -336,13 +342,13 @@ def mu_d(rate: float, p: float, q: float) -> float:
     """
     p, q = _check_pq(p, q)
     rate = _check_rate(rate)
-    if rate >= h2(q):
-        return 1.0 - h2(p)
-    base = 1.0 - h2(star(p, q))
+    if rate >= _h2(q):
+        return 1.0 - _h2(p)
+    base = 1.0 - _h2(_star(p, q))
     cp = _critical_or_none(p, q)
     if cp is not None and rate <= cp.rate:
         return base + cp.alpha_star * rate
-    return base + f(g_inverse(rate, q), p, q)
+    return base + _f(g_inverse(rate, q), p, q)
 
 
 def mu_d_dual(rate: float, p: float, q: float) -> float:
@@ -381,7 +387,7 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
     """
     p, q = _check_pq(p, q)
     rate, _ = _check_rate_upto_hq(rate, q)
-    rgrid, fg, gg = _dual_grids(p, q, _DUAL_GRID_N)
+    rgrid, fg, gg = _curve_grids(p, q, _DUAL_GRID_N)
     hpq = _h2(_star(p, q))
     omq = 1.0 - q
     omp = 1.0 - p
@@ -454,7 +460,8 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def _dual_grids(p: float, q: float, grid_n: int):
+def _curve_grids(p: float, q: float, grid_n: int):
+    # the r-grid on [0, 1/2] and f, g on it, shared by both oracles
     rgrid = np.linspace(0.0, 0.5, grid_n)
     return rgrid, _f_vec(rgrid, p, q), _g_vec(rgrid, q)
 
@@ -465,6 +472,9 @@ def mu_d_timeshare_oracle(rate: float, p: float, q: float) -> float:
     Maximises ``1 - h2(p*q) + lam f(r1) + (1-lam) f(r2)`` subject to
     ``lam g(r1) + (1-lam) g(r2) = rate`` with lam solved from the constraint.
     Lower-bounds ``mu_d`` by construction; accuracy is limited by the grid.
+    A rate within the 1e-12 slack outside [0, h2(q)] that ``mu_d_dual``
+    accepts is clamped to the nearer end.  The grid and f, g on it are
+    cached per (p, q), as for the dual oracle.
 
     Only two blocks of the grid's pairs are evaluated: r1 with
     g(r1) >= rate - 1e-12 against r2 with g(r2) <= rate + 1e-12, and the
@@ -472,19 +482,16 @@ def mu_d_timeshare_oracle(rate: float, p: float, q: float) -> float:
     (rate - g(r2)) / (g(r1) - g(r2)) lies in [0, 1] only if rate lies
     between g(r1) and g(r2), and the relative rounding of the differences
     and the quotient (a few 1e-16) is far below the 1e-12 margin, so the
-    blocks hold every pair the full 512 x 512 grid would accept.  Each kept pair does the same float
-    operations as on the full grid, and the max over a superset of the valid
-    pairs is the same number.  The blocks have k (512 - k) pairs each, k
-    the grid points with g(r) >= rate, which is small for most rates since
-    g falls steeply near r = 0.
+    blocks hold every pair the full 512 x 512 grid would accept.  Each kept
+    pair does the same float operations as on the full grid, and the max
+    over a superset of the valid pairs is the same number.  The blocks have
+    k (512 - k) pairs each, k the grid points with g(r) >= rate, which is
+    small for most rates since g falls steeply near r = 0.
     """
     p, q = _check_pq(p, q)
-    rate = float(rate)
-    if not 0.0 <= rate <= h2(q) + 1e-12:
-        raise DomainError(f"rate {rate!r} outside [0, h2(q)]")
-    r = np.linspace(0.0, 0.5, _TIMESHARE_GRID_N)
-    gv = _g_vec(r, q)
-    fv = _f_vec(r, p, q)
+    rate, hq = _check_rate_upto_hq(rate, q)
+    rate = min(max(rate, 0.0), hq)
+    _, fv, gv = _curve_grids(p, q, _TIMESHARE_GRID_N)
 
     def best_pair(rows: np.ndarray, cols: np.ndarray) -> float:
         g1, g2 = gv[rows][:, None], gv[cols][None, :]
@@ -494,9 +501,9 @@ def mu_d_timeshare_oracle(rate: float, p: float, q: float) -> float:
             lam = np.where(den != 0.0, (rate - g2) / den, np.nan)
         valid = np.isfinite(lam) & (lam >= 0.0) & (lam <= 1.0)
         obj = np.where(valid, lam * f1 + (1.0 - lam) * f2, -np.inf)
-        # a block is empty when rate lies above every grid value of g,
-        # which the guard's 1e-12 slack allows; the full grid gave -inf
-        return float(obj.max(initial=-np.inf))
+        # neither block is empty: the clamped rate lies in [0, h2(q)], and
+        # the grid's g(0) and g(1/2) are within a few ulp of h2(q) and 0
+        return float(obj.max())
 
     # the two blocks that can hold a valid pair (see the docstring)
     above = gv >= rate - 1e-12
@@ -507,7 +514,7 @@ def mu_d_timeshare_oracle(rate: float, p: float, q: float) -> float:
     exact = np.isclose(gv, rate, rtol=0.0, atol=1e-15)
     if exact.any():
         best = max(best, float(fv[exact].max()))
-    return 1.0 - h2(star(p, q)) + best
+    return 1.0 - _h2(_star(p, q)) + best
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +551,7 @@ class TestChannelSpec:
         """Materialise as a :class:`Channel` (optionally padded with unused
         output symbols up to ``out_card``)."""
         if self.kind == "constant":
-            card = out_card or 1
-            t = np.zeros((2, card))
-            t[:, 0] = 1.0
-            return Channel((input_axis,), Axis(output_name, card), t)
+            return Channel.constant(((input_axis, 2),), output_name, out_card or 1)
         if self.kind == "identity":
             return Channel.bsc(input_axis, output_name, 0.0, out_card or 2)
         if self.kind == "direct":
@@ -573,7 +577,7 @@ def optimal_channel(rate: float, p: float, q: float) -> TestChannelSpec:
     rate = _check_rate(rate)
     if rate == 0.0:
         return TestChannelSpec("constant")
-    if rate > h2(q):
+    if rate > _h2(q):
         return TestChannelSpec("identity")
     cp = _critical_or_none(p, q)
     if cp is None or rate > cp.rate:

@@ -17,8 +17,8 @@ Curve requests pair a model with a ``quantity`` (one of
 Deterministic quantities produce byte-identical outputs for identical
 requests; stochastic ones are keyed by (seed, budget).  Exit codes: 0 ok
 (or inclusion holds), 1 inclusion violated, 2 configuration error,
-3 numeric/solver error.  ``IBREG_THREADS`` caps worker parallelism of the
-stochastic search.
+3 numeric/solver error.  ``IBREG_THREADS``, a positive integer, caps worker
+parallelism of the stochastic search.
 """
 
 from __future__ import annotations
@@ -185,10 +185,8 @@ def evaluate_request(req: CurveRequest) -> tuple[np.ndarray, np.ndarray, RegionC
         ys = np.array([gaussian.cdib_x1x2y_mu(m, x, x) for x in xs])
     elif q == "outer_frontier":
         ys = np.array([gaussian.cdib_x1yx2_outer_frontier(m, x, x) for x in xs])
-    elif q == "inner_bound":
+    else:  # inner_bound; CurveRequest admits no other quantity
         ys = np.array([gaussian.cdib_x1yx2_inner(m, x, x) for x in xs])
-    else:  # pragma: no cover - guarded by CurveRequest validation
-        raise ConfigError(f"unhandled quantity {q!r}")
     if q == "twcib_rate":
         points = tuple((float(r), float(mu)) for mu, r in zip(xs, ys))
     else:

@@ -165,9 +165,8 @@ class GaussianTwcibModel:
 
 def twcib_coefficients(m: GaussianTwcibModel) -> dict:
     """Regression coefficients and noise variances of the two-way model."""
+    # the model's __post_init__ guarantees beta, delta > 0
     beta, delta = m.beta, m.delta
-    if beta <= 0.0 or delta <= 0.0:
-        raise DegenerateModelError("beta and delta must be positive")
     den = 1.0 - m.rho_x1x2 ** 2
     return {
         "a12": sqrt(m.sigma_y1_sq / m.sigma_x2_sq)
@@ -194,13 +193,13 @@ def _twcib_side(m: GaussianTwcibModel, which: int) -> tuple[float, float, float]
     raise DomainError(f"which must be 1 or 2, got {which!r}")
 
 
-def _check_twcib_mu(m: GaussianTwcibModel, which: int, mu: float) -> float:
+def _check_mu(mu: float, limit: float, what: str) -> float:
+    # relevance in [0, limit); ``what`` names the limit in the message
     mu = float(mu)
     if not 0.0 <= mu:
         raise DomainError(f"mu must be nonnegative, got {mu!r}")
-    limit = twcib_relevance_limit(m, which)
     if mu >= limit:
-        raise DomainError(f"mu={mu!r} at or above the validity limit {limit!r}")
+        raise DomainError(f"mu={mu!r} at or above {what}{limit!r}")
     return mu
 
 
@@ -218,7 +217,7 @@ def twcib_rate_for_relevance(m: GaussianTwcibModel, which: int, mu: float) -> fl
     limit in its message) at or above the limit.
     """
     d, other_rho, _ = _twcib_side(m, which)
-    mu = _check_twcib_mu(m, which, mu)
+    mu = _check_mu(mu, twcib_relevance_limit(m, which), "the validity limit ")
     one_m_r2 = 1.0 - m.rho_x1x2 ** 2
     num = one_m_r2 * (1.0 - other_rho ** 2) - d
     den = 2.0 ** (-2.0 * mu) * one_m_r2 - d
@@ -242,7 +241,7 @@ def twcib_test_channel_variances(m: GaussianTwcibModel, mu1: float, mu2: float) 
     out = {}
     for key, which, mu in (("sigma_p1_sq", 1, mu2), ("sigma_p2_sq", 2, mu1)):
         d, other_rho, sx_sq = _twcib_side(m, which)
-        mu = _check_twcib_mu(m, which, mu)
+        mu = _check_mu(mu, twcib_relevance_limit(m, which), "the validity limit ")
         c2 = other_rho ** 2
         if mu <= -0.5 * log2(1.0 - c2) + 1e-15:
             # side information alone already delivers mu: useless description
@@ -351,15 +350,6 @@ def _require_chain(m: GaussianCdibModel, chain: str) -> None:
         raise DomainError(f"operation requires a {chain!r} model, got {m.chain!r}")
 
 
-def _check_x1x2y_mu(m: GaussianCdibModel, mu: float) -> float:
-    mu = float(mu)
-    if not 0.0 <= mu:
-        raise DomainError(f"mu must be nonnegative, got {mu!r}")
-    if mu >= m.i_y_x2():
-        raise DomainError(f"mu={mu!r} at or above I(Y;X2)={m.i_y_x2()!r}")
-    return mu
-
-
 def cdib_x1x2y_mu(m: GaussianCdibModel, rate1: float, rate2: float) -> float:
     """Exact relevance surface for the chain X1 - X2 - Y.
 
@@ -383,7 +373,7 @@ def cdib_x1x2y_r2(m: GaussianCdibModel, rate1: float, mu: float) -> float:
     r1 = float(rate1)
     if not 0.0 <= r1:
         raise DomainError(f"rate1 must be nonnegative, got {rate1!r}")
-    mu = _check_x1x2y_mu(m, mu)
+    mu = _check_mu(mu, m.i_y_x2(), "I(Y;X2)=")
     a2, c2 = m.rho_x1x2 ** 2, m.rho_x2y ** 2
     num = c2 * a2 * 2.0 ** (-2.0 * r1) + c2 * (1.0 - a2)
     den = 2.0 ** (-2.0 * mu) - (1.0 - c2)
@@ -394,7 +384,7 @@ def cdib_x1x2y_critical_r1(m: GaussianCdibModel, mu: float) -> float | None:
     """Smallest R1 for which R2 = 0 suffices, or ``None`` when no finite rate
     does (relevance above I(Y;X1))."""
     _require_chain(m, "x1-x2-y")
-    mu = _check_x1x2y_mu(m, mu)
+    mu = _check_mu(mu, m.i_y_x2(), "I(Y;X2)=")
     e = m.rho_x1x2 ** 2 * m.rho_x2y ** 2
     limit = m.i_y_x1()
     if mu > limit + 1e-12:

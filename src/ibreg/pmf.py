@@ -263,13 +263,7 @@ def _clamped(v: float) -> float:
 
 def mutual_information(p: JointPmf, axes_a: Iterable[str], axes_b: Iterable[str]) -> float:
     """I(A;B) = H(A) + H(B) - H(A,B), in bits."""
-    a = _resolve(p, axes_a)
-    b = _resolve(p, axes_b)
-    if set(a) & set(b):
-        raise ArgumentError(f"axis sets overlap: {set(a) & set(b)}")
-    if not a or not b:
-        raise ArgumentError("mutual_information needs two nonempty axis sets")
-    return _clamped(entropy(p, a) + entropy(p, b) - entropy(p, a + b))
+    return conditional_mutual_information(p, axes_a, axes_b)
 
 
 def conditional_mutual_information(p: JointPmf, axes_a: Iterable[str],
@@ -284,10 +278,9 @@ def conditional_mutual_information(p: JointPmf, axes_a: Iterable[str],
             raise ArgumentError(f"axis sets overlap: {set(x) & set(y)}")
     if not a or not b:
         raise ArgumentError("conditional_mutual_information needs nonempty A and B")
-    if not c:
-        return mutual_information(p, a, b)
+    # H(C) = 0 for empty C, and x - 0.0 == x
     return _clamped(entropy(p, a + c) + entropy(p, b + c)
-                    - entropy(p, a + b + c) - entropy(p, c))
+                    - entropy(p, a + b + c) - (entropy(p, c) if c else 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bentropy import h2
+from .bentropy import _xlog2x, h2
 from .binary import BinaryModel, optimal_channel
 from .curves import RegionCurve
 from .errors import (
@@ -341,13 +341,6 @@ def _int_source(model: BinaryModel) -> JointPmf:
     return marginalize(model.twcib_source(), ["x1", "x2", "y1"])
 
 
-def _xlog2x(m: np.ndarray) -> np.ndarray:
-    # elementwise m log2 m with 0 log 0 = 0: baseline channels hold exact zeros
-    out = np.zeros_like(m)
-    np.log2(m, out=out, where=m > 0.0)
-    return m * out
-
-
 def _evaluate_v2_batch(q0: np.ndarray, chans: np.ndarray):
     """Rates/relevances for a batch of p(v2 | x2, v1) channel tables.
 
@@ -416,14 +409,22 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
     conditional slice.  Keeps the best relevance per rate bucket, adds the
     deterministic non-interactive baselines, and returns the upper concave
     envelope evaluated on ``r2_grid`` together with the per-bucket records.
-    ``seed`` must be a nonnegative integer; with ``threads`` unset the
-    worker count comes from ``IBREG_THREADS`` (unset or empty: 1).
+    ``seed`` must be a nonnegative integer and ``threads`` a positive one;
+    with ``threads`` unset the worker count comes from ``IBREG_THREADS``
+    (unset or empty: 1).
 
     Deterministic for a fixed seed; samples are drawn in fixed-size chunks
     keyed by (seed, chunk index), so enlarging the budget only adds samples.
     """
     budget = _as_count("budget", budget, 1)
     seed = _as_count("seed", seed, 0)
+    if threads is None:
+        env = os.environ.get("IBREG_THREADS", "")
+        try:
+            threads = int(env or 1)
+        except ValueError:
+            raise ArgumentError(f"IBREG_THREADS must be an integer, got {env!r}") from None
+    threads = _as_count("threads", threads, 1)
     grid = np.asarray(list(r2_grid), dtype=float)
     if grid.size < 1 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0.0):
         raise ArgumentError("r2_grid must be nonempty, finite and strictly increasing")
@@ -471,12 +472,6 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
                           np.array(base_chans[k0]) if keep_channels else None)
     kept.append((anchor.rate, anchor.relevance))
 
-    if threads is None:
-        env = os.environ.get("IBREG_THREADS", "")
-        try:
-            threads = int(env or 1)
-        except ValueError:
-            raise ArgumentError(f"IBREG_THREADS must be an integer, got {env!r}") from None
     n_chunks = (budget + _CHUNK - 1) // _CHUNK
 
     def run_chunk(j: int):
@@ -489,7 +484,7 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = sorted(pool.map(run_chunk, range(n_chunks)))
+            results = list(pool.map(run_chunk, range(n_chunks)))
     else:
         results = [run_chunk(j) for j in range(n_chunks)]
     for j, block, r, v in results:

@@ -2,11 +2,14 @@
 
 The solver settings (grids, tolerances, iteration counts, |V2|) are module
 constants, documented in the README; these tests keep them from coming back
-as arguments unnoticed, and keep the CLI's model kinds to those some
-quantity accepts.
+as arguments unnoticed, keep the CLI's model kinds to those some quantity
+accepts, and keep every function the benchmark's tracer wraps in place.
 """
 
+import importlib
+import importlib.util
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -38,3 +41,15 @@ def test_model_kinds_are_the_ones_quantities_accept():
     assert all(cli._KIND_QUANTITIES.values())
     with pytest.raises(ConfigError):
         cli.ModelConfig.from_dict({"kind": "discrete", "pmf": {}})
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer looks each (layer, name) up with a bare getattr,
+    # so deleting or renaming a traced function must fail here first
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [(layer, name) for layer, names in tracer.TRACED.items() for name in names
+               if not callable(getattr(importlib.import_module(f"ibreg.{layer}"), name, None))]
+    assert missing == []

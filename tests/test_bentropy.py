@@ -61,6 +61,33 @@ def test_h2_arr_matches_scalar():
     assert np.allclose(h2_arr(xs), [h2(x) for x in xs], atol=1e-15)
 
 
+def _ref_h2_arr(x):
+    # h2_arr before it was built on bentropy._xlog2x
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for v in (x, 1.0 - x):
+        m = v > 0.0
+        out -= np.where(m, v * np.log2(np.where(m, v, 1.0)), 0.0)
+    return out
+
+
+def test_h2_arr_equals_reference_bytes():
+    edges = [0.0, 1.0, 0.5, 5e-324, 1e-300, 1.0 - 2.0 ** -53]
+    xs = np.concatenate([edges, np.random.default_rng(8).uniform(0.0, 1.0, 2000)])
+    assert h2_arr(xs).tobytes() == _ref_h2_arr(xs).tobytes()
+    for x in edges:
+        got, ref = h2_arr(x), _ref_h2_arr(x)
+        assert got.shape == ref.shape == ()
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_h2_arr_nan_is_nan():
+    # the reference gave 0.0, a plausible entropy, for NaN
+    assert np.isnan(h2_arr(math.nan))
+    out = h2_arr([0.25, math.nan])
+    assert out[0] == h2_arr(0.25) and np.isnan(out[1])
+
+
 def test_h2_inv_round_trip():
     for x in np.linspace(0.0, 0.5, 57):
         assert h2_inv(h2(x)) == pytest.approx(x, abs=1e-9)

@@ -34,7 +34,7 @@ from ibreg import (
     star,
 )
 from ibreg import binary
-from ibreg.binary import _dual_grids, _f, _f_prime, _f_vec, _g, _g_prime, _g_vec
+from ibreg.binary import _curve_grids, _f, _f_prime, _f_vec, _g, _g_prime, _g_vec
 from ibreg.optimize import golden_max, golden_min
 from ibreg.pmf import compose_markov, conditional_mutual_information as cmi, \
     mutual_information as mi
@@ -352,7 +352,7 @@ def _ref_f(r, p, q):
 
 
 def _ref_mu_d_dual(rate, p, q, alpha_tol=1e-8, grid_n=4096):
-    rgrid, fg, gg = _dual_grids(p, q, grid_n)
+    rgrid, fg, gg = _curve_grids(p, q, grid_n)
 
     def objective(r, alpha):
         return _ref_f(r, p, q) - alpha * _ref_g(r, q)
@@ -425,6 +425,37 @@ def test_kernels_equal_reference_bits():
             assert _g(r, q) == _ref_g(r, q), (r, q)
 
 
+@pytest.mark.parametrize("p,q", [(0.1, 0.1), (0.05, 0.3), (0.3, 0.05), (0.45, 1e-3)])
+def test_derivative_array_kernels_match_scalar(p, q):
+    rs = np.linspace(1e-6, 0.5 - 1e-6, binary._SCAN_N)
+    fp = binary._f_prime_vec(rs, p, q)
+    gp = binary._g_prime_vec(rs, q)
+    np.testing.assert_allclose(fp, [_f_prime(float(r), p, q) for r in rs], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gp, [_g_prime(float(r), q) for r in rs], rtol=0, atol=1e-12)
+
+
+def test_derivative_array_kernels_equal_reference_bits():
+    # critical_point's scan computed f' and g' inline like this before the
+    # array kernels held them; the scan's sign changes depend on every bit
+    def h2p(x):
+        return np.log2((1.0 - x) / x)
+
+    rng = np.random.default_rng(31)
+    rs = np.linspace(1e-6, 0.5 - 1e-6, binary._SCAN_N)
+    for _ in range(20):
+        p, q = (float(v) for v in rng.uniform(0.005, 0.495, size=2))
+        one_m_2q = 1.0 - 2.0 * q
+        w = star(p, q)
+        gam = p * q / (1.0 - w)
+        dlt = p * (1.0 - q) / w
+        gp = one_m_2q * h2p(rs * one_m_2q + q) - h2p(rs)
+        fp = (one_m_2q * h2p(rs * one_m_2q + q)
+              - (1 - w) * (1 - 2 * gam) * h2p(rs * (1 - 2 * gam) + gam)
+              - w * (1 - 2 * dlt) * h2p(rs * (1 - 2 * dlt) + dlt))
+        assert binary._g_prime_vec(rs, q).tobytes() == gp.tobytes()
+        assert binary._f_prime_vec(rs, p, q).tobytes() == fp.tobytes()
+
+
 def test_mu_d_timeshare_oracle():
     assert mu_d_timeshare_oracle(0.0, P, Q) == pytest.approx(MU0, abs=1e-12)
     assert mu_d_timeshare_oracle(h2(Q), P, Q) == pytest.approx(TOP, abs=1e-12)
@@ -488,6 +519,32 @@ def test_mu_d_timeshare_oracle_equals_reference_bits():
 def test_mu_d_timeshare_oracle_equals_reference_bits_drawn(p, q, u):
     rate = u * h2(q)
     assert mu_d_timeshare_oracle(rate, p, q) == _ref_mu_d_timeshare_oracle(rate, p, q)
+
+
+@pytest.mark.parametrize("rate,p,q", [
+    (h2(0.1) + 1e-13, 0.2, 0.1),
+    (h2(0.3) + 5e-13, 0.2, 0.3),
+    (0.2059059333799176, 0.2, 0.03232195823057572),
+])
+def test_mu_d_timeshare_oracle_rate_in_slack_above_hq(rate, p, q):
+    # the guard accepts up to h2(q) + 1e-12; no grid pair reached such a
+    # rate, and the oracle returned -inf before the rate was clamped
+    assert h2(q) < rate <= h2(q) + 1e-12
+    v = mu_d_timeshare_oracle(rate, p, q)
+    assert v == mu_d_timeshare_oracle(h2(q), p, q)
+    assert abs(v - (1.0 - h2(p))) <= math.ulp(1.0 - h2(p))
+
+
+@pytest.mark.parametrize("p,q", [(0.1, 0.1), (0.2, 0.3), (0.45, 0.02)])
+def test_mu_d_timeshare_oracle_rate_in_slack_below_zero(p, q):
+    # a hair below 0 is the value at 0, as mu_d_dual accepts it; beyond the
+    # 1e-12 slack it is an error
+    at_zero = mu_d_timeshare_oracle(0.0, p, q)
+    for rate in (-1e-12, -1e-13, -5e-324):
+        assert mu_d_timeshare_oracle(rate, p, q) == at_zero
+        mu_d_dual(rate, p, q)
+    with pytest.raises(DomainError):
+        mu_d_timeshare_oracle(-2e-12, p, q)
 
 
 @pytest.mark.parametrize("fn,args", [

@@ -316,3 +316,16 @@ def test_compare_disjoint_ranges_exit_3(tmp_path, capsys):
                     "grid": {"min": 0.3, "max": 0.4, "n": 5}})
     assert main(["compare", a, b]) == 3
     assert "disjoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_curve_threads_env_below_one_exit_2(tmp_path, capsys, monkeypatch, value):
+    # IBREG_THREADS=0 ran the search serially with exit 0
+    monkeypatch.setenv("IBREG_THREADS", value)
+    path = write_json(tmp_path / "m.json", BINARY)
+    rc = main(["curve", "mu_int", "--model", path, "--grid", "0:0.4:3",
+               "--seed", "1", "--budget", "100"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("ibreg: ") and "threads" in err and "Traceback" not in err

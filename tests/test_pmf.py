@@ -156,6 +156,21 @@ def test_cmi_empty_conditioner_degenerates_to_mi(rng):
     assert cmi(p, ["a0"], ["a1"], []) == mi(p, ["a0"], ["a1"])
 
 
+def test_mi_equals_cmi_with_empty_conditioner(rng):
+    # mutual_information delegates to conditional_mutual_information; the
+    # values must be those of I(A;B) = H(A) + H(B) - H(A,B) bit for bit
+    for cards in ((2, 2), (2, 3, 2), (3, 1, 4), (2, 2, 2, 3)):
+        for _ in range(10):
+            p = random_pmf(rng, cards)
+            names = p.axis_names
+            a, b = names[:1], names[1:]
+            got = mi(p, a, b)
+            assert got == cmi(p, a, b, ())
+            raw = entropy(p, a) + entropy(p, b) - entropy(p, a + b)
+            assert got == (0.0 if -1e-10 < raw < 0.0 else raw)
+            assert mi(p, b, a) == cmi(p, b, a, ())
+
+
 def test_cmi_markov_chain_is_zero():
     p = binary_chain(0.1, 0.1)
     # x2 - x1 - y is a Markov chain

@@ -570,3 +570,16 @@ def test_search_empty_threads_env_is_serial(monkeypatch):
     monkeypatch.setenv("IBREG_THREADS", "")
     b = search_mu_int(MODEL, GRID, budget=1000, seed=3)
     assert [(p.x, p.y) for p in a] == [(p.x, p.y) for p in b]
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_search_rejects_threads_below_one(threads):
+    # both ran serially without a word
+    with pytest.raises(ArgumentError, match="threads"):
+        search_mu_int(MODEL, [0.0, 0.2], 100, 1, threads=threads)
+
+
+def test_search_rejects_zero_threads_env(monkeypatch):
+    monkeypatch.setenv("IBREG_THREADS", "0")
+    with pytest.raises(ArgumentError, match="threads"):
+        search_mu_int(MODEL, [0.0, 0.2], 100, 1)
