@@ -52,7 +52,12 @@ def h2(x: float) -> float:
 
 
 def _xlog2x(m: np.ndarray) -> np.ndarray:
-    # elementwise m log2 m with 0 log 0 = 0; NaN stays NaN
+    # elementwise m log2 m with 0 log 0 = 0; NaN stays NaN.  Without a zero
+    # (or a NaN, which fails the test) the mask selects every entry, so the
+    # plain product gives the same bytes and skips the mask.  An empty array
+    # has no min and takes the masked path
+    if m.size and m.min() > 0.0:
+        return m * np.log2(m)
     out = np.zeros_like(m)
     np.log2(m, out=out, where=m > 0.0)
     return m * out

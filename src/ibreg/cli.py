@@ -53,6 +53,7 @@ _KIND_QUANTITIES = {
     "gaussian-cdib-x1yx2": {"outer_frontier", "inner_bound"},
 }
 _STOCHASTIC = {"mu_int"}
+_GRID_MAX_N = 1_000_000   # 8 MB of grid; a larger n fails in np.linspace or exhausts memory
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class ModelConfig:
             raise ConfigError("model config must be an object with a 'kind' field")
         kind = d["kind"]
         try:
-            rho, sig = d.get("rho", {}), d.get("sigma", {})
+            rho, sig = _object(d, "rho"), _object(d, "sigma")
             if kind == "binary":
                 model = binary.BinaryModel(p=float(d["p"]), q=float(d["q"]))
             elif kind == "gaussian-twcib":
@@ -97,9 +98,18 @@ class ModelConfig:
                 raise ConfigError(f"unknown model kind {kind!r}")
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError, IbregError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, IbregError) as exc:
             raise ConfigError(f"invalid {kind!r} model config: {exc}") from exc
         return cls(kind=kind, raw=dict(d), model=model)
+
+
+def _object(d: dict, name: str) -> dict:
+    """Field ``name`` of ``d`` (default empty), or ``ConfigError`` if it is
+    not a JSON object."""
+    v = d.get(name, {})
+    if not isinstance(v, dict):
+        raise ConfigError(f"{name} must be an object, got {v!r}")
+    return v
 
 
 def _as_int(name: str, v) -> int:
@@ -129,6 +139,8 @@ class CurveRequest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CurveRequest":
+        if not isinstance(d, dict):
+            raise ConfigError(f"a curve request must be an object, got {d!r}")
         model = ModelConfig.from_dict(d.get("model", {}))
         quantity = d.get("quantity")
         if quantity not in QUANTITIES:
@@ -139,11 +151,11 @@ class CurveRequest:
         grid = d.get("grid", {})
         try:
             lo, hi, n = float(grid["min"]), float(grid["max"]), grid["n"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"grid must provide min/max/n: {exc}") from exc
         n = _as_int("grid n", n)
-        if n < 2:
-            raise ConfigError(f"grid n must be >= 2, got {n}")
+        if not 2 <= n <= _GRID_MAX_N:
+            raise ConfigError(f"grid n must be in [2, {_GRID_MAX_N}], got {n}")
         if not (isfinite(lo) and isfinite(hi)):
             raise ConfigError(f"grid min/max must be finite, got [{lo}, {hi}]")
         if not lo < hi:

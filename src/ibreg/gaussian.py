@@ -417,18 +417,26 @@ def _check_finite_rates(what: str, r1: float, r2: float) -> tuple[float, float]:
     return r1, r2
 
 
-def _outer_base(e1: float, e2: float, r1: float) -> float:
-    """The r2-free part 1 - e1 e2 - e1 (1 - e2) 2^(-2 r1) of the log argument
-    of :func:`_outer_mu`; a search over r2 at fixed r1 computes it once."""
-    return 1.0 - e1 * e2 - e1 * (1.0 - e2) * 2.0 ** (-2.0 * r1)
+def _outer_mu_at(e1: float, e2: float, r1: float):
+    """The outer-bound relevance at fixed ``r1`` as a function of ``r2``:
 
+        (1/2) log2((1 - e1 e2 - e1 (1 - e2) 2^(-2 r1) - e2 (1 - e1) 2^(-2 r2))
+                   / ((1 - e1)(1 - e2))),
 
-def _outer_mu(e1: float, e2: float, base: float, r2: float) -> float:
-    """Outer-bound relevance (1/2) log2((base - e2 (1 - e1) 2^(-2 r2)) /
-    ((1 - e1)(1 - e2))) with ``base`` from :func:`_outer_base`; the log is
-    ``np.log2`` on purpose (see :func:`cdib_x1yx2_outer_frontier`)."""
-    return 0.5 * float(np.log2((base - e2 * (1.0 - e1) * 2.0 ** (-2.0 * r2))
-                               / ((1.0 - e1) * (1.0 - e2))))
+    the only copy of this log argument.  Everything free of ``r2`` is
+    computed once, when the function is built; Python groups the products
+    left to right, so ``e2 * (1 - e1)`` taken out first gives the same
+    doubles.  The log is ``np.log2`` on purpose (see
+    :func:`cdib_x1yx2_outer_frontier`)."""
+    base = 1.0 - e1 * e2 - e1 * (1.0 - e2) * 2.0 ** (-2.0 * r1)
+    k2 = e2 * (1.0 - e1)
+    den = (1.0 - e1) * (1.0 - e2)
+    log2 = np.log2
+
+    def mu(r2: float) -> float:
+        return 0.5 * float(log2((base - k2 * 2.0 ** (-2.0 * r2)) / den))
+
+    return mu
 
 
 def cdib_x1yx2_outer_point(m: GaussianCdibModel, r1: float, r2: float, *,
@@ -443,12 +451,11 @@ def cdib_x1yx2_outer_point(m: GaussianCdibModel, r1: float, r2: float, *,
     """
     _require_chain(m, "x1-y-x2")
     r1, r2 = _check_finite_rates("auxiliary rates", r1, r2)
-    e1, e2 = m.rho_x1y ** 2, m.rho_x2y ** 2
-    base = _outer_base(e1, e2, r1)
-    mu = _outer_mu(e1, e2, base, r2)
+    mu_at = _outer_mu_at(m.rho_x1y ** 2, m.rho_x2y ** 2, r1)
+    mu = mu_at(r2)
     if not isfinite(mu):
         raise DegenerateModelError("log argument vanished in the outer bound")
-    l2 = mu if r2_term_decays else _outer_mu(e1, e2, base, 0.0)
+    l2 = mu if r2_term_decays else mu_at(0.0)
     i_y_x2 = m.i_y_x2()
     return OuterBoundPoint(
         r1=r1, r2=r2,
@@ -472,13 +479,18 @@ def cdib_x1yx2_outer_frontier(m: GaussianCdibModel, rate1: float, rate2: float, 
     evaluations, 57 at the default ``tol`` and R1 + R2 = 1.4, so a call
     evaluates the objective about 57 x 57 = 3,249 times (3,364 at
     R1 + R2 = 2).  Everything free of r2 (the r1 term of the log argument,
-    the R1 cap, the remaining sum-rate room, the r2-free R2 term) is
-    computed once per inner search; an evaluation is then a few float
-    operations and one ``np.log2`` call.  ``np.log2`` stays because
-    ``math.log2`` rounds differently in the last bit for about 0.2% of
-    arguments, and the 12-digit frontier depends on the exact
-    golden-section path.  ``tol`` must be positive and finite
+    its r2-free factors, the R1 cap, the remaining sum-rate room, the
+    r2-free R2 term and the choice of R2 term) is fixed once per inner
+    search; an evaluation is then one call of the relevance function, one
+    ``np.log2`` and three comparisons.  The comparisons take the four terms
+    in ``min``'s order and replace the current value only by a strictly
+    smaller term, so ties and NaN resolve as ``min`` resolves them.
+    ``np.log2`` stays because ``math.log2`` rounds differently in the last
+    bit for about 0.2% of arguments, and the 12-digit frontier depends on
+    the exact golden-section path.  ``tol`` must be positive and finite
     (``ArgumentError``): NaN would return 0.0 and 0 would never return.
+    Rates whose sum overflows to inf raise ``DomainError``: the search box
+    would be unbounded and the frontier read 0.0.
     """
     _require_chain(m, "x1-y-x2")
     rate1, rate2 = _check_finite_rates("rates", rate1, rate2)
@@ -486,22 +498,37 @@ def cdib_x1yx2_outer_frontier(m: GaussianCdibModel, rate1: float, rate2: float, 
     e1, e2 = m.rho_x1y ** 2, m.rho_x2y ** 2
     i_y_x2 = m.i_y_x2()
     span = rate1 + rate2
+    if not span < inf:
+        raise DomainError(f"rates ({rate1!r}, {rate2!r}) must have a finite sum")
     if span <= 0.0:
         return 0.0
 
     def best_over_r2(r1: float) -> float:
         # everything that does not depend on r2, once per inner search
-        base = _outer_base(e1, e2, r1)
+        mu_at = _outer_mu_at(e1, e2, r1)
         cap = rate1 - r1 + i_y_x2
         room = span - r1
-        l2 = None if r2_term_decays else _outer_mu(e1, e2, base, 0.0)
+        # min(mu, cap, R2 term, room - r2), written as comparisons in min's order
+        if r2_term_decays:
+            def admissible(r2: float) -> float:
+                mu = mu_at(r2)
+                v = cap if cap < mu else mu
+                t = rate2 - r2 + mu
+                if t < v:
+                    v = t
+                t = room - r2
+                return t if t < v else v
+        else:
+            l2 = mu_at(0.0)
 
-        def admissible(r2: float) -> float:
-            mu = _outer_mu(e1, e2, base, r2)
-            return min(mu,
-                       cap,
-                       rate2 - r2 + (mu if l2 is None else l2),
-                       room - r2)
+            def admissible(r2: float) -> float:
+                mu = mu_at(r2)
+                v = cap if cap < mu else mu
+                t = rate2 - r2 + l2
+                if t < v:
+                    v = t
+                t = room - r2
+                return t if t < v else v
 
         _, v = golden_max(admissible, 0.0, span, tol)
         return v

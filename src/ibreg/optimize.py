@@ -4,7 +4,10 @@ Only what the region computations need; no stochastic restarts.  Golden
 section assumes a (weakly) unimodal objective on the bracket, which every
 caller in this package guarantees by convexity/concavity arguments.  Its
 ``tol`` must be positive and finite: the loop runs while the bracket is wider
-than ``tol``, so 0 or less never ends and NaN or inf ends at once.
+than ``tol``, so 0 or less could never end it and NaN or inf would end it at
+once.  A positive ``tol`` below the float spacing near the maximiser (1e-11
+near 1e5, where the spacing is 1.5e-11) may not be reachable either; the
+loop then stops once the bracket can no longer shrink.
 """
 
 from __future__ import annotations
@@ -29,21 +32,38 @@ def _check_tol(tol: float) -> float:
 
 def golden_max(fun: Callable[[float], float], lo: float, hi: float,
                tol: float = 1e-10) -> tuple[float, float]:
-    """Maximise a unimodal function on [lo, hi]; returns (x, fun(x))."""
+    """Maximise a unimodal function on [lo, hi]; returns (x, fun(x)).
+
+    The loop ends when the bracket is at most ``tol`` wide, or when float
+    spacing keeps it wider for good: a step is a function of the state
+    (a, b, c, d), so a state that comes back after a step that did not
+    narrow the bracket would come back forever.  Only such a loop, which
+    would never end, stops early; ``fun`` must be deterministic.
+    """
     tol = _check_tol(tol)
     a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
+    w = b - a
+    c = b - _INVPHI * w
+    d = a + _INVPHI * w
     fc, fd = fun(c), fun(d)
-    while b - a > tol:
+    stalled = set()   # states after steps that left the bracket as wide
+    while w > tol:
         if fc > fd:
             b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
+            v = b - a
+            c = b - _INVPHI * v
             fc = fun(c)
         else:
             a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
+            v = b - a
+            d = a + _INVPHI * v
             fd = fun(d)
+        if not v < w:
+            state = (a, b, c, d)
+            if state in stalled:
+                break
+            stalled.add(state)
+        w = v
     x = 0.5 * (a + b)
     return x, fun(x)
 

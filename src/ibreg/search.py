@@ -332,6 +332,7 @@ class BucketRecord:
 
 
 _CHUNK = 8192
+_ROW_BLOCK = 1024   # kernel rows per block: 1,024 measured faster than 512 or 2,048
 _BUCKETS = 64
 _V2_CARD = 7   # single-letter bound 2 |V1| + 1; V1 is padded to 3 symbols
 
@@ -361,22 +362,44 @@ def _evaluate_v2_batch(q0: np.ndarray, chans: np.ndarray):
     needs the (B, x1, v2) marginal and the (B, x1 y1, v2) marginal, one
     matmul of ``q0`` as an (x1 y1, x2 v1) matrix against the channels as
     (B, x2 v1, v2) matrices.
+
+    Rows are independent, so the batch runs in blocks of ``_ROW_BLOCK`` rows
+    whose temporaries stay in a core's L2 cache (an 8,192-row temporary of
+    shape (B, 2, 3, 7) takes 2.75 MB, a 1,024-row one 344 KB).  Every row
+    goes through the same operations as in one pass over the whole batch,
+    and the sums over the v2 and v1 axes are written out left to right, the
+    order in which numpy reduces those short axes, so the result has the
+    same bytes.  The product of the row entropies with p(x2, v1) stays one
+    call over the whole batch: BLAS may sum a row in another order when the
+    batch has another length (a 1-row block becomes a dot product).
     """
     b = chans.shape[0]
     n_x1, n_x2, n_y1, n_v1 = q0.shape
     p_x1x2v1 = q0.sum(axis=2)
     h_x1v1 = -_xlog2x(p_x1x2v1.sum(axis=1)).sum()
     h_y1 = -_xlog2x(q0.sum(axis=(0, 1, 3))).sum()
-    m_x1v1v2 = np.einsum("acv,bcvw->bavw", p_x1x2v1, chans)
-    h_rows = -_xlog2x(chans).sum(axis=3).reshape(b, -1)
-    rate = (-_xlog2x(m_x1v1v2).reshape(b, -1).sum(axis=1) - h_x1v1
-            - h_rows @ p_x1x2v1.sum(axis=0).ravel())
-    m_x1y1v2 = np.matmul(
-        q0.transpose(0, 2, 1, 3).reshape(n_x1 * n_y1, n_x2 * n_v1),
-        chans.reshape(b, n_x2 * n_v1, -1))
-    m_x1v2 = m_x1v1v2.sum(axis=2)
-    rel = (h_y1 - _xlog2x(m_x1v2).reshape(b, -1).sum(axis=1)
-           + _xlog2x(m_x1y1v2).reshape(b, -1).sum(axis=1))
+    p_x2v1 = p_x1x2v1.sum(axis=0).ravel()
+    q_x1y1 = q0.transpose(0, 2, 1, 3).reshape(n_x1 * n_y1, n_x2 * n_v1)
+    rate = np.empty(b)
+    rel = np.empty(b)
+    h_rows = np.empty((b, n_x2 * n_v1))
+    for lo in range(0, b, _ROW_BLOCK):
+        c = chans[lo:lo + _ROW_BLOCK]
+        n = c.shape[0]
+        m_x1v1v2 = np.einsum("acv,bcvw->bavw", p_x1x2v1, c)
+        c_log = _xlog2x(c)
+        row_sum = c_log[..., 0]
+        for w in range(1, c.shape[3]):
+            row_sum = row_sum + c_log[..., w]
+        h_rows[lo:lo + n] = -row_sum.reshape(n, -1)
+        rate[lo:lo + n] = -_xlog2x(m_x1v1v2).reshape(n, -1).sum(axis=1) - h_x1v1
+        m_x1y1v2 = np.matmul(q_x1y1, c.reshape(n, n_x2 * n_v1, -1))
+        m_x1v2 = m_x1v1v2[:, :, 0]
+        for v in range(1, n_v1):
+            m_x1v2 = m_x1v2 + m_x1v1v2[:, :, v]
+        rel[lo:lo + n] = (h_y1 - _xlog2x(m_x1v2).reshape(n, -1).sum(axis=1)
+                          + _xlog2x(m_x1y1v2).reshape(n, -1).sum(axis=1))
+    rate -= h_rows @ p_x2v1
     return np.maximum(rate, 0.0), np.maximum(rel, 0.0)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ibreg import DomainError, gerber_bound, h2, h2_arr, h2_inv, star
-from ibreg.bentropy import _h2, _star
+from ibreg.bentropy import _h2, _star, _xlog2x
 
 H2_01 = 0.46899559358928122      # h2(0.1)
 H2_018 = 0.68007704572827984     # h2(0.18)
@@ -73,12 +73,46 @@ def _ref_h2_arr(x):
 
 def test_h2_arr_equals_reference_bytes():
     edges = [0.0, 1.0, 0.5, 5e-324, 1e-300, 1.0 - 2.0 ** -53]
-    xs = np.concatenate([edges, np.random.default_rng(8).uniform(0.0, 1.0, 2000)])
+    draws = np.random.default_rng(8).uniform(0.0, 1.0, 2000)
+    xs = np.concatenate([edges, draws])
     assert h2_arr(xs).tobytes() == _ref_h2_arr(xs).tobytes()
+    # no 0 or 1: x and 1 - x both take _xlog2x's unmasked path
+    assert 0.0 < draws.min() and draws.max() < 1.0
+    assert h2_arr(draws).tobytes() == _ref_h2_arr(draws).tobytes()
     for x in edges:
         got, ref = h2_arr(x), _ref_h2_arr(x)
         assert got.shape == ref.shape == ()
         assert got.tobytes() == ref.tobytes()
+
+
+def _masked_xlog2x(m):
+    # _xlog2x's masked path, which every input took before the unmasked one
+    out = np.zeros_like(m)
+    np.log2(m, out=out, where=m > 0.0)
+    return m * out
+
+
+def test_xlog2x_unmasked_path_equals_masked_bytes():
+    rng = np.random.default_rng(9)
+    arrays = [rng.uniform(1e-300, 1.0, n) for n in range(1, 70)]
+    arrays += [rng.dirichlet(np.ones(7), size=(50, 2, 3)),
+               np.array([5e-324, 1e-300, 0.5, 1.0, 3.0, np.inf]),
+               np.asarray(0.25)]
+    for m in arrays:
+        assert m.min() > 0.0
+        assert _xlog2x(m).tobytes() == _masked_xlog2x(m).tobytes()
+    # a zero or NaN keeps the masked path: 0 log 0 = 0, NaN stays NaN
+    m = np.array([0.0, 0.25, np.nan, 1.0])
+    out = _xlog2x(m)
+    assert out[0] == 0.0 and out[1] == -0.5 and np.isnan(out[2]) and out[3] == 0.0
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+def test_h2_arr_empty(shape):
+    # an empty array has no min; it takes the masked path
+    assert h2_arr(np.empty(shape)).shape == shape
+    assert _xlog2x(np.empty(shape)).shape == shape
+    assert h2_arr([]).shape == (0,)
 
 
 def test_h2_arr_nan_is_nan():

@@ -8,7 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ibreg.gaussian
+from ibreg.cli import main
 from ibreg.optimize import golden_max
 
 from ibreg import (
@@ -398,6 +401,64 @@ def test_outer_frontier_equals_numpy_scalar_oracle():
         tol = float(10.0 ** rng.uniform(-11.0, -7.0)) if rng.random() < 0.3 else 1e-11
         got = cdib_x1yx2_outer_frontier(m, rate1, rate2, r2_term_decays=decays, tol=tol)
         assert got == _oracle_outer_frontier(m, rate1, rate2, decays, tol)
+
+
+correlation = st.floats(0.05, 0.95) | st.floats(-0.95, -0.05)
+
+
+@pytest.mark.parametrize("decays", [True, False])
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(correlation, correlation, st.floats(0.0, 3.0), st.floats(0.0, 3.0),
+       st.sampled_from([1e-11, 1e-6]))
+def test_outer_frontier_equals_oracle_on_drawn_chains(decays, rho_x1y, rho_x2y,
+                                                      rate1, rate2, tol):
+    m = GaussianCdibModel.chain_x1_y_x2(rho_x1y, rho_x2y)
+    got = cdib_x1yx2_outer_frontier(m, rate1, rate2, r2_term_decays=decays, tol=tol)
+    assert got == _oracle_outer_frontier(m, rate1, rate2, decays, tol)
+
+
+def _bounded_golden(limit=5_000):
+    # golden_max whose objective raises after ``limit`` evaluations, so that a
+    # search that would never end fails instead of hanging the test run
+    def golden(fun, lo, hi, tol):
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            if calls[0] > limit:
+                raise RuntimeError("golden section did not stop")
+            return fun(x)
+
+        return golden_max(counted, lo, hi, tol)
+
+    return golden
+
+
+@pytest.mark.parametrize("rate", [5e4, 1e5, 1e6])
+@pytest.mark.parametrize("decays", [True, False])
+def test_outer_frontier_ends_at_large_rates(chain_b, monkeypatch, rate, decays):
+    # from 1e5 up the float spacing near the maximiser exceeds tol = 1e-11,
+    # and the golden sections never ended
+    monkeypatch.setattr(ibreg.gaussian, "golden_max", _bounded_golden())
+    got = cdib_x1yx2_outer_frontier(chain_b, rate, rate, r2_term_decays=decays)
+    assert got == pytest.approx(chain_b.i_y_x1x2(), abs=1e-9)
+
+
+@pytest.mark.parametrize("rates", [(1e308, 1e308), (1.7e308, 1e308)])
+def test_outer_frontier_rejects_infinite_rate_sum(chain_b, rates):
+    # the sum overflowed to inf and the frontier read 0.0
+    with pytest.raises(DomainError, match="finite sum"):
+        cdib_x1yx2_outer_frontier(chain_b, *rates)
+
+
+def test_cli_outer_frontier_large_grid_ends(tmp_path, monkeypatch, capsys):
+    # ``ibreg curve outer_frontier --grid 0:1e6:3`` never returned
+    monkeypatch.setattr(ibreg.gaussian, "golden_max", _bounded_golden())
+    path = tmp_path / "m.json"
+    path.write_text('{"kind": "gaussian-cdib-x1yx2", "rho": {"x1y": 0.8, "x2y": 0.6}}')
+    assert main(["curve", "outer_frontier", "--model", str(path), "--grid", "0:1e6:3"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [r.split(",")[1] for r in rows] == ["0", "0.869984041164", "0.869984041164"]
 
 
 def test_outer_point_equals_numpy_scalar_oracle():

@@ -35,7 +35,7 @@ from ibreg.pmf import (
     entropy,
     mutual_information as mi,
 )
-from ibreg.search import _baseline_channels, _evaluate_v2_batch, _int_source
+from ibreg.search import _ROW_BLOCK, _baseline_channels, _evaluate_v2_batch, _int_source
 from conftest import random_channel, random_pmf
 
 P = Q = 0.1
@@ -583,3 +583,62 @@ def test_search_rejects_zero_threads_env(monkeypatch):
     monkeypatch.setenv("IBREG_THREADS", "0")
     with pytest.raises(ArgumentError, match="threads"):
         search_mu_int(MODEL, [0.0, 0.2], 100, 1)
+
+
+def _ref_xlog2x(m):
+    # bentropy._xlog2x before its unmasked path
+    out = np.zeros_like(m)
+    np.log2(m, out=out, where=m > 0.0)
+    return m * out
+
+
+def _ref_evaluate_v2_batch(q0, chans):
+    # the kernel before it ran in row blocks: one pass over the whole batch
+    b = chans.shape[0]
+    n_x1, n_x2, n_y1, n_v1 = q0.shape
+    p_x1x2v1 = q0.sum(axis=2)
+    h_x1v1 = -_ref_xlog2x(p_x1x2v1.sum(axis=1)).sum()
+    h_y1 = -_ref_xlog2x(q0.sum(axis=(0, 1, 3))).sum()
+    m_x1v1v2 = np.einsum("acv,bcvw->bavw", p_x1x2v1, chans)
+    h_rows = -_ref_xlog2x(chans).sum(axis=3).reshape(b, -1)
+    rate = (-_ref_xlog2x(m_x1v1v2).reshape(b, -1).sum(axis=1) - h_x1v1
+            - h_rows @ p_x1x2v1.sum(axis=0).ravel())
+    m_x1y1v2 = np.matmul(
+        q0.transpose(0, 2, 1, 3).reshape(n_x1 * n_y1, n_x2 * n_v1),
+        chans.reshape(b, n_x2 * n_v1, -1))
+    m_x1v2 = m_x1v1v2.sum(axis=2)
+    rel = (h_y1 - _ref_xlog2x(m_x1v2).reshape(b, -1).sum(axis=1)
+           + _ref_xlog2x(m_x1y1v2).reshape(b, -1).sum(axis=1))
+    return np.maximum(rate, 0.0), np.maximum(rel, 0.0)
+
+
+def _sample_chunk(seed, j):
+    # the draws of search chunk j, as search_mu_int_detailed makes them
+    rng = np.random.default_rng([seed, j])
+    return rng.dirichlet(np.ones(7), size=(8192, 2, 3))
+
+
+@pytest.mark.parametrize("p, q", [(0.1, 0.1), (0.2, 0.05), (0.3, 0.3)])
+@pytest.mark.parametrize("share", [1.0, 0.5, 0.0])
+def test_search_kernel_equals_reference_bytes(p, q, share):
+    v1 = optimal_channel(share * h2(q), p, q).to_channel("x1", "v1", out_card=3)
+    q0 = compose_markov(_int_source(BinaryModel(p, q)), v1).table
+    full = _sample_chunk(20240917, 0)
+    zeros = _sample_chunk(7, 1)[:600].copy()    # channel rows with exact zeros
+    zeros[::3, ..., :4] = 0.0
+    zeros[1::3, 0, 1] = [1.0, 0, 0, 0, 0, 0, 0]
+    zeros /= zeros.sum(axis=-1, keepdims=True)
+    batches = [
+        full,                                   # a full chunk
+        _sample_chunk(20240917, 24)[:3392],     # the last chunk of a 200k budget
+        full[:1],
+        full[:1025],                            # the last row block has one row
+        _baseline_channels(3, 7)[1],
+        zeros,
+    ]
+    assert 3392 % _ROW_BLOCK and 200_000 - 24 * 8192 == 3392
+    for chans in batches:
+        rate, rel = _evaluate_v2_batch(q0, chans)
+        want_rate, want_rel = _ref_evaluate_v2_batch(q0, chans)
+        assert rate.tobytes() == want_rate.tobytes()
+        assert rel.tobytes() == want_rel.tobytes()
