@@ -24,16 +24,17 @@ min-max formulation (``mu_d_dual``) and a brute-force two-point time-sharing
 search (``mu_d_timeshare_oracle``).
 
 Kernel rule: one scalar kernel and one array kernel per formula.  The
-scalar kernels (``_g``, ``_f``, ``_g_prime``, ``_f_prime``, on
-``bentropy._h2``/``_star`` and ``math.log2``) and the array kernels (the same
-names ending in ``_vec``, on ``bentropy.h2_arr`` and ``np.log2``) assume
-in-domain floats and check nothing; ``_second_form`` alone holds the second
-form's constants.  The twins stay apart on purpose: folding them moves last
-bits, and the second-form array kernels keep both oracles independent of the
-primal kernels.  Each public function checks its arguments once, at entry,
-and from then on calls kernels, never the checking ``h2``, ``star``, ``f``
-or ``g``.  The one other copy of ``f`` and ``g`` is the dual oracle's flat
-objective in ``mu_d_dual``, which equals the scalar kernels bit for bit.
+scalar kernels (``_g``, ``_first_form``, ``_g_prime``, ``_f_prime``, on
+``bentropy._h2``/``_star`` and ``math.log2``) and the array kernels (``_g_vec``,
+``_f_vec``, ``_g_prime_vec``, ``_f_prime_vec``, on ``bentropy.h2_arr`` and
+``np.log2``) assume in-domain floats and check nothing; ``_second_form``
+alone holds the second form's constants.  The twins stay apart on purpose:
+folding them moves last bits, and the second-form array kernels keep both
+oracles independent of the primal kernels.  Each public function checks its
+arguments once, at entry, and from then on calls kernels, never the checking
+``h2``, ``star``, ``f`` or ``g``.  ``_first_form(p, q)`` is the one scalar
+copy of ``f``'s first form, ``r -> (f(r), g(r))``; ``_g`` keeps ``g`` alone
+for ``g_inverse``'s bisection, with the same bits.
 """
 
 from __future__ import annotations
@@ -147,19 +148,57 @@ def g(r: float, q: float) -> float:
     return _g(_check_r(r), _check_open_half("q", q))
 
 
+def _first_form(p: float, q: float):
+    # r -> (f(r), g(r)), f in its first algebraic form.  The binary
+    # convolutions a*b = a(1-b) + b(1-a) and the entropies are written out,
+    # operands in _star's and _h2's order, so that the values match them bit
+    # for bit; what depends on (p, q) alone is computed once, here
+    omq = 1.0 - q
+    omp = 1.0 - p
+    hpq = _h2(p * omq + q * omp)
+
+    def first(r: float) -> tuple[float, float]:
+        w = q * (1.0 - r) + r * omq   # star(q, r) == star(r, q)
+        a = q * r / (1.0 - w)
+        # near r = 1 rounding can put a an ulp above 1; on [0, 1/2] it stays
+        # below 1/2 and the clamp is a no-op
+        if a > 1.0:
+            a = 1.0
+        b = omq * r / w
+        # h2 of star(p, a), star(p, b), w and r, each as in _h2
+        x = p * (1.0 - a) + a * omp
+        ha = 0.0
+        if x > 0.0:
+            ha -= x * log2(x)
+        x = 1.0 - x
+        if x > 0.0:
+            ha -= x * log2(x)
+        x = p * (1.0 - b) + b * omp
+        hb = 0.0
+        if x > 0.0:
+            hb -= x * log2(x)
+        x = 1.0 - x
+        if x > 0.0:
+            hb -= x * log2(x)
+        hw = 0.0
+        if w > 0.0:
+            hw -= w * log2(w)
+        x = 1.0 - w
+        if x > 0.0:
+            hw -= x * log2(x)
+        hr = 0.0
+        if r > 0.0:
+            hr -= r * log2(r)
+        x = 1.0 - r
+        if x > 0.0:
+            hr -= x * log2(x)
+        return hpq - (1.0 - w) * ha - w * hb, hw - hr
+
+    return first
+
+
 def _f(r: float, p: float, q: float) -> float:
-    # the binary convolutions a*b = a(1-b) + b(1-a) are written out, operands
-    # in _star's order, so that the values match it bit for bit
-    w = q * (1.0 - r) + r * (1.0 - q)
-    a = q * r / (1.0 - w)
-    # near r = 1 rounding can put a an ulp above 1; on [0, 1/2] it stays
-    # below 1/2 and the clamp is a no-op
-    if a > 1.0:
-        a = 1.0
-    b = (1.0 - q) * r / w
-    return (_h2(p * (1.0 - q) + q * (1.0 - p))
-            - (1.0 - w) * _h2(p * (1.0 - a) + a * (1.0 - p))
-            - w * _h2(p * (1.0 - b) + b * (1.0 - p)))
+    return _first_form(p, q)(r)[0]
 
 
 def f(r: float, p: float, q: float) -> float:
@@ -296,16 +335,19 @@ def critical_point(p: float, q: float) -> CriticalPoint:
             "the relevance-rate curve has no time-sharing segment (R_c -> 0)")
     lo, hi = float(rs[hits[0]]), float(rs[hits[0] + 1])
 
+    first = _first_form(p, q)
+
     def phi_scalar(r: float) -> float:
-        return _f_prime(r, p, q) * _g(r, q) - _f(r, p, q) * _g_prime(r, q)
+        f_r, g_r = first(r)
+        return _f_prime(r, p, q) * g_r - f_r * _g_prime(r, q)
 
     r_c = bisect_root(phi_scalar, lo, hi)
     if r_c > 0.5 - 1e-3:
         raise SolverError(
             f"tangency found only at the boundary (r_c={r_c!r}); "
             "treating the time-sharing segment as empty (R_c -> 0)")
-    rate = _g(r_c, q)
-    return CriticalPoint(r_c, rate, _f(r_c, p, q) / rate)
+    f_c, rate = first(r_c)
+    return CriticalPoint(r_c, rate, f_c / rate)
 
 
 @lru_cache(maxsize=256)
@@ -368,76 +410,28 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
     already evaluated, because the searches for nearby alphas retrace the
     same bracket points.  923 of the 2,788 are distinct; on random interior
     rates 27-42% are, and at R = 0 and R = h2(q) 2-15% (34-224 distinct r).
-    So the objective is split into its alpha-free parts F(r) = f(r) and
-    G(r) = g(r), memoised by r in a dict that lives for this one call, and
-    an evaluation returns F - alpha * G.  Nothing outlives the call but the
-    r-grid and its f and g values, which are cached per ``(p, q)``.  A call
-    takes about 2 ms on a 2-vCPU x86-64 host (median item of the
-    ``binary-oracles`` benchmark), 3 ms without the memo.
-
-    The objective is flat because its cost is Python calls, not arithmetic:
-    composed from ``_f`` and ``_g`` an evaluation makes fourteen calls
-    (``_h2`` and ``_star`` five times each), which doubles the oracle's
-    time.  It is this oracle's own copy of the first algebraic form of
-    ``f`` together with ``g``, one function on floats with the binary
-    convolutions and entropies written out.  It performs ``_f``'s and
-    ``_g``'s floating-point operations in their order, with the same
-    ``math.log2``: F equals ``_f(r, p, q)`` and G equals ``_g(r, q)`` bit
-    for bit, and F - alpha * G is the double the unsplit expression gave.
+    So the objective is split into its alpha-free parts (F, G) = (f(r),
+    g(r)), read from ``_first_form`` (one Python call for both) and memoised
+    by r in a dict that lives for this one call; an evaluation returns
+    F - alpha * G, the double f(r) - alpha * g(r) gives.  Nothing outlives
+    the call but the r-grid and its f and g values, which are cached per
+    ``(p, q)``.  A call takes about 2 ms on a 2-vCPU x86-64 host (median
+    item of the ``binary-oracles`` benchmark), 3 ms without the memo.  The
+    oracle shares that kernel with ``mu_d`` but neither its algorithm (min-max
+    dual, not tangency plus inverse bisection) nor its grid (second form).
     """
     p, q = _check_pq(p, q)
     rate, _ = _check_rate_upto_hq(rate, q)
     rgrid, fg, gg = _curve_grids(p, q, _DUAL_GRID_N)
     hpq = _h2(_star(p, q))
-    omq = 1.0 - q
-    omp = 1.0 - p
-
+    first = _first_form(p, q)
     # r -> (F, G), the alpha-free parts of the objective F - alpha * G; it
     # lives for this call only
     terms: dict[float, tuple[float, float]] = {}
 
-    def split_objective(r: float) -> tuple[float, float]:
-        w = q * (1.0 - r) + r * omq   # star(q, r) == star(r, q)
-        a = q * r / (1.0 - w)
-        if a > 1.0:
-            a = 1.0
-        b = omq * r / w
-        # h2 of star(p, a), star(p, b), w and r, each as in _h2
-        x = p * (1.0 - a) + a * omp
-        ha = 0.0
-        if x > 0.0:
-            ha -= x * log2(x)
-        x = 1.0 - x
-        if x > 0.0:
-            ha -= x * log2(x)
-        x = p * (1.0 - b) + b * omp
-        hb = 0.0
-        if x > 0.0:
-            hb -= x * log2(x)
-        x = 1.0 - x
-        if x > 0.0:
-            hb -= x * log2(x)
-        hw = 0.0
-        if w > 0.0:
-            hw -= w * log2(w)
-        x = 1.0 - w
-        if x > 0.0:
-            hw -= x * log2(x)
-        hr = 0.0
-        if r > 0.0:
-            hr -= r * log2(r)
-        x = 1.0 - r
-        if x > 0.0:
-            hr -= x * log2(x)
-        # Python groups the unsplit hpq - (1.0 - w) * ha - w * hb
-        # - alpha * (hw - hr) as ((hpq - (1.0 - w) * ha) - w * hb)
-        # - alpha * (hw - hr), so F - alpha * G is the same double
-        t = terms[r] = (hpq - (1.0 - w) * ha - w * hb, hw - hr)
-        return t
-
     def inner_max(alpha: float) -> float:
         def objective(r: float) -> float:
-            t = terms.get(r) or split_objective(r)
+            t = terms.get(r) or terms.setdefault(r, first(r))
             return t[0] - alpha * t[1]
 
         vals = fg - alpha * gg
@@ -539,6 +533,10 @@ class TestChannelSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "identity", "direct", "timeshared"):
             raise ArgumentError(f"unknown channel kind {self.kind!r}")
+        if self.kind == "direct" and self.r is None:
+            raise ArgumentError("a direct channel needs its crossover r")
+        if self.kind == "timeshared" and (self.lam is None or self.r_c is None):
+            raise ArgumentError("a timeshared channel needs both lam and r_c")
         if self.r is not None and not 0.0 <= self.r <= 0.5:
             raise DomainError(f"crossover r={self.r!r} outside [0, 1/2]")
         if self.r_c is not None and not 0.0 <= self.r_c <= 0.5:

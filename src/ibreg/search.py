@@ -121,8 +121,6 @@ class RoundSchedule:
 
     rounds: int
     channels: tuple[Channel, ...]
-    x1_axis: str = "x1"
-    x2_axis: str = "x2"
     bound_rule: str = "twcib"
 
     def __post_init__(self) -> None:
@@ -136,7 +134,7 @@ class RoundSchedule:
         names = [ch.output.name for ch in self.channels]
         if len(set(names)) != len(names):
             raise AxisError(f"duplicate description names {names}")
-        if self.x1_axis in names or self.x2_axis in names:
+        if "x1" in names or "x2" in names:
             raise AxisError("description names collide with source axes")
         self._check_structure(k)
         self._check_bounds(k)
@@ -148,14 +146,14 @@ class RoundSchedule:
         history: list[str] = []
         for l in range(k):
             enc1 = self.channels[2 * l]
-            want1 = {self.x1_axis, *history}
+            want1 = {"x1", *history}
             if set(enc1.input_axes) != want1:
                 raise StructureError(
                     f"round {l + 1} encoder-1 channel conditions on "
                     f"{set(enc1.input_axes)}, expected {want1}")
             history.append(enc1.output.name)
             enc2 = self.channels[2 * l + 1]
-            want2 = {self.x2_axis, *history}
+            want2 = {"x2", *history}
             if set(enc2.input_axes) != want2:
                 raise StructureError(
                     f"round {l + 1} encoder-2 channel conditions on "
@@ -171,8 +169,8 @@ class RoundSchedule:
                         f"{self._input_card(ch, axis)}, description has {cards[axis]}")
 
     def _check_bounds(self, k: int) -> None:
-        x_cards = (self._input_card(self.channels[0], self.x1_axis),
-                   self._input_card(self.channels[1], self.x2_axis))
+        x_cards = (self._input_card(self.channels[0], "x1"),
+                   self._input_card(self.channels[1], "x2"))
         nonfinal = 3 if self.bound_rule == "twcib" else 4
         w = 1  # alphabet size of the accumulated description history
         for i, ch in enumerate(self.channels):
@@ -198,78 +196,72 @@ def _composed(source: JointPmf, sched: RoundSchedule, required_axes) -> JointPmf
     return q
 
 
-def evaluate_twcib(source: JointPmf, sched: RoundSchedule,
-                   y1_axis: str = "y1", y2_axis: str = "y2") -> RegionPoint:
+def evaluate_twcib(source: JointPmf, sched: RoundSchedule) -> RegionPoint:
     """Corner of the two-way achievable set for one channel stack.
 
     Returns R1 = I(X1;W|X2), R2 = I(X2;W|X1), mu1 = I(Y1;W,X1),
     mu2 = I(Y2;W,X2) where W is the full description history.
     """
-    x1, x2 = sched.x1_axis, sched.x2_axis
-    q = _composed(source, sched, (x1, x2, y1_axis, y2_axis))
+    q = _composed(source, sched, ("x1", "x2", "y1", "y2"))
     w = list(sched.description_names())
-    r1 = cmi(q, [x1], w, [x2])
-    r2 = cmi(q, [x2], w, [x1])
+    r1 = cmi(q, ["x1"], w, ["x2"])
+    r2 = cmi(q, ["x2"], w, ["x1"])
     return RegionPoint(
         r1=r1, r2=r2, sum_rate=r1 + r2,
-        mu1=mi(q, [y1_axis], w + [x1]),
-        mu2=mi(q, [y2_axis], w + [x2]),
+        mu1=mi(q, ["y1"], w + ["x1"]),
+        mu2=mi(q, ["y2"], w + ["x2"]),
         provenance=_stack_hash(sched.channels),
     )
 
 
-def evaluate_cdib_inner(source: JointPmf, sched: RoundSchedule,
-                        y_axis: str = "y") -> RegionPoint:
+def evaluate_cdib_inner(source: JointPmf, sched: RoundSchedule) -> RegionPoint:
     """Broadcast inner-bound tuple for one channel stack.
 
     R1 = I(X1;W|X2); R2 = I(X2;V_2K|W_2K) + I(X2;W_2K|X1) where V_2K is the
     final encoder-2 description and W_2K everything before it;
-    sum = I(X1,X2;W); mu = I(Y;W).
+    sum = I(X1,X2;W); mu = I(Y;W).  A schedule checked under either bound
+    rule is accepted: the ``cdib`` bounds are never tighter than the
+    ``twcib`` ones.
     """
-    if sched.bound_rule != "cdib":
-        sched = RoundSchedule(sched.rounds, sched.channels, sched.x1_axis,
-                              sched.x2_axis, bound_rule="cdib")
-    x1, x2 = sched.x1_axis, sched.x2_axis
-    q = _composed(source, sched, (x1, x2, y_axis))
+    q = _composed(source, sched, ("x1", "x2", "y"))
     w = list(sched.description_names())
     w2k, v2k = w[:-1], [w[-1]]
-    r1 = cmi(q, [x1], w, [x2])
-    r2 = cmi(q, [x2], v2k, w2k) + cmi(q, [x2], w2k, [x1])
+    r1 = cmi(q, ["x1"], w, ["x2"])
+    r2 = cmi(q, ["x2"], v2k, w2k) + cmi(q, ["x2"], w2k, ["x1"])
     return RegionPoint(
-        r1=r1, r2=r2, sum_rate=mi(q, [x1, x2], w),
-        mu=mi(q, [y_axis], w),
+        r1=r1, r2=r2, sum_rate=mi(q, ["x1", "x2"], w),
+        mu=mi(q, ["y"], w),
         provenance=_stack_hash(sched.channels),
     )
 
 
-def corner_points_outer(source: JointPmf, u1: Channel, u2: Channel,
-                        y_axis: str = "y", x1_axis: str = "x1",
-                        x2_axis: str = "x2") -> tuple[RegionPoint, ...]:
+def corner_points_outer(source: JointPmf, u1: Channel,
+                        u2: Channel) -> tuple[RegionPoint, ...]:
     """The four corner points induced by a fixed auxiliary pair (U1, U2).
 
     U1 must condition on X1 only; U2 on (U1, X2).  The relevance coordinates
     of the third and fourth corners are information differences and may be
     negative when the corner falls below the mu = 0 face.
     """
-    if set(u1.input_axes) != {x1_axis}:
-        raise StructureError(f"U1 must condition on {x1_axis!r} only, got {u1.input_axes}")
-    if set(u2.input_axes) != {u1.output.name, x2_axis}:
+    if set(u1.input_axes) != {"x1"}:
+        raise StructureError(f"U1 must condition on 'x1' only, got {u1.input_axes}")
+    if set(u2.input_axes) != {u1.output.name, "x2"}:
         raise StructureError(
-            f"U2 must condition on ({u1.output.name!r}, {x2_axis!r}), got {u2.input_axes}")
+            f"U2 must condition on ({u1.output.name!r}, 'x2'), got {u2.input_axes}")
     q = compose_markov(compose_markov(source, u1), u2)
     a, b = u1.output.name, u2.output.name
-    x1, x2, y = [x1_axis], [x2_axis], [y_axis]
     tag = _stack_hash((u1, u2))
-    mu12 = mi(q, y, [a, b])
-    q1 = RegionPoint(cmi(q, x1, [a], x2), mi(q, [a, b], x2),
-                     cmi(q, x1, [a], x2) + mi(q, [a, b], x2), mu=mu12, provenance=tag)
-    q2 = RegionPoint(mi(q, x1, [a]), cmi(q, x2, [b], [a]),
-                     mi(q, x1, [a]) + cmi(q, x2, [b], [a]), mu=mu12, provenance=tag)
-    q3 = RegionPoint(mi(q, x1, [a]), 0.0, mi(q, x1, [a]),
-                     mu=mi(q, y, [a]) - cmi(q, x2, [b], [a] + y), provenance=tag)
-    q4 = RegionPoint(cmi(q, x1, [a], x2), 0.0, cmi(q, x1, [a], x2),
-                     mu=cmi(q, x1, [a], x2) - cmi(q, [a, b], x1 + x2, y),
-                     provenance=tag)
+    mu12 = mi(q, ["y"], [a, b])
+    i_x1_a = mi(q, ["x1"], [a])                 # I(X1;U1)
+    i_x1_a_x2 = cmi(q, ["x1"], [a], ["x2"])     # I(X1;U1|X2)
+    i_x2_ab = mi(q, [a, b], ["x2"])             # I(U1,U2;X2)
+    i_x2_b_a = cmi(q, ["x2"], [b], [a])         # I(X2;U2|U1)
+    q1 = RegionPoint(i_x1_a_x2, i_x2_ab, i_x1_a_x2 + i_x2_ab, mu=mu12, provenance=tag)
+    q2 = RegionPoint(i_x1_a, i_x2_b_a, i_x1_a + i_x2_b_a, mu=mu12, provenance=tag)
+    q3 = RegionPoint(i_x1_a, 0.0, i_x1_a,
+                     mu=mi(q, ["y"], [a]) - cmi(q, ["x2"], [b], [a, "y"]), provenance=tag)
+    q4 = RegionPoint(i_x1_a_x2, 0.0, i_x1_a_x2,
+                     mu=i_x1_a_x2 - cmi(q, [a, b], ["x1", "x2"], ["y"]), provenance=tag)
     return q1, q2, q3, q4
 
 

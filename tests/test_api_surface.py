@@ -1,9 +1,11 @@
 """Pinned signatures of the solver entry points.
 
 The solver settings (grids, tolerances, iteration counts, |V2|) are module
-constants, documented in the README; these tests keep them from coming back
-as arguments unnoticed, keep the CLI's model kinds to those some quantity
-accepts, and keep every function the benchmark's tracer wraps in place.
+constants, documented in the README, and the source axis names are fixed by
+the modules that read them; these tests keep them from coming back as
+arguments or fields unnoticed, keep the CLI's model kinds to those some
+quantity accepts, and keep every function the benchmark's tracer wraps in
+place.
 """
 
 import importlib
@@ -24,6 +26,10 @@ SIGNATURES = [
     (optimize.bisect_root, ("fun", "lo", "hi")),
     (optimize.bisect_decreasing_inverse, ("fun", "target", "lo", "hi")),
     (optimize.golden_max, ("fun", "lo", "hi", "tol")),
+    (search.evaluate_twcib, ("source", "sched")),
+    (search.evaluate_cdib_inner, ("source", "sched")),
+    (search.corner_points_outer, ("source", "u1", "u2")),
+    (search.RoundSchedule, ("rounds", "channels", "bound_rule")),
     (search.search_mu_int, ("model", "r2_grid", "budget", "seed", "r1_rate", "threads")),
     (search.search_mu_int_detailed,
      ("model", "r2_grid", "budget", "seed", "r1_rate", "threads", "keep_channels")),

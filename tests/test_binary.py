@@ -34,7 +34,8 @@ from ibreg import (
     star,
 )
 from ibreg import binary
-from ibreg.binary import _curve_grids, _f, _f_prime, _f_vec, _g, _g_prime, _g_vec
+from ibreg.binary import (
+    _curve_grids, _f, _f_prime, _f_vec, _first_form, _g, _g_prime, _g_vec)
 from ibreg.optimize import golden_max, golden_min
 from ibreg.pmf import compose_markov, conditional_mutual_information as cmi, \
     mutual_information as mi
@@ -423,6 +424,7 @@ def test_kernels_equal_reference_bits():
         for p, q in ((0.1, 0.1), (0.3, 0.05), (0.45, 1e-4), (0.2, 1e-3)):
             assert _f(r, p, q) == _ref_f(r, p, q), (r, p, q)
             assert _g(r, q) == _ref_g(r, q), (r, q)
+            assert _first_form(p, q)(r) == (_ref_f(r, p, q), _ref_g(r, q)), (r, p, q)
 
 
 @pytest.mark.parametrize("p,q", [(0.1, 0.1), (0.05, 0.3), (0.3, 0.05), (0.45, 1e-3)])
@@ -637,3 +639,10 @@ def test_spec_validation():
         TestChannelSpec("timeshared", lam=1.4, r_c=0.1)
     with pytest.raises(ArgumentError):
         TestChannelSpec("noise")
+    # a kind that needs a parameter is rejected without it, not at to_channel
+    for kw in ({}, {"lam": 0.5}):
+        with pytest.raises(ArgumentError):
+            TestChannelSpec("direct", **kw)
+    for kw in ({}, {"lam": 0.5}, {"r_c": 0.1}, {"r": 0.1, "r_c": 0.1}):
+        with pytest.raises(ArgumentError):
+            TestChannelSpec("timeshared", **kw)

@@ -172,7 +172,7 @@ def test_cdib_constant_channels():
     src = MODEL.half_round_source()
     v1 = Channel.constant([("x1", 2)], "v1")
     v2 = Channel.constant([("x2", 2), ("v1", 1)], "v2")
-    # a schedule built under the two-way bound rule is revalidated internally
+    # a schedule checked under the two-way bound rule is accepted as it is
     pt = evaluate_cdib_inner(src, RoundSchedule(1, (v1, v2)))
     assert (pt.r1, pt.r2, pt.sum_rate, pt.mu) == (0.0, 0.0, 0.0, 0.0)
 
@@ -225,6 +225,38 @@ def test_corner_points_structure(rng):
     expect = (cmi(q, ["x1"], ["u1"], ["x2"])
               - cmi(q, ["u1", "u2"], ["x1", "x2"], ["y"]))
     assert q4.mu == pytest.approx(expect, abs=1e-9)
+
+
+def _ref_corner_points(source, u1, u2):
+    # the corner expressions as written before each term was computed once
+    q = compose_markov(compose_markov(source, u1), u2)
+    a, b = u1.output.name, u2.output.name
+    x1, x2, y = ["x1"], ["x2"], ["y"]
+    mu12 = mi(q, y, [a, b])
+    return (
+        (cmi(q, x1, [a], x2), mi(q, [a, b], x2),
+         cmi(q, x1, [a], x2) + mi(q, [a, b], x2), mu12),
+        (mi(q, x1, [a]), cmi(q, x2, [b], [a]),
+         mi(q, x1, [a]) + cmi(q, x2, [b], [a]), mu12),
+        (mi(q, x1, [a]), 0.0, mi(q, x1, [a]),
+         mi(q, y, [a]) - cmi(q, x2, [b], [a] + y)),
+        (cmi(q, x1, [a], x2), 0.0, cmi(q, x1, [a], x2),
+         cmi(q, x1, [a], x2) - cmi(q, [a, b], x1 + x2, y)),
+    )
+
+
+def test_corner_points_equal_reference_bits(rng):
+    for i in range(20):
+        if i % 2:
+            src = random_pmf(rng, (2, 2, 2), names=["x1", "x2", "y"])
+        else:
+            src = MODEL.half_round_source()
+        u1_card, u2_card = (int(k) for k in rng.integers(1, 5, size=2))
+        u1 = random_channel(rng, ["x1"], [2], "u1", u1_card)
+        u2 = random_channel(rng, ["u1", "x2"], [u1_card, 2], "u2", u2_card)
+        got = [(pt.r1, pt.r2, pt.sum_rate, pt.mu)
+               for pt in corner_points_outer(src, u1, u2)]
+        assert got == list(_ref_corner_points(src, u1, u2))
 
 
 def test_corner_points_reject_bad_structure(rng):
