@@ -45,7 +45,7 @@ from math import log2
 
 import numpy as np
 
-from .bentropy import _h2, _star, h2_arr, h2_inv
+from .bentropy import _check_range, _h2, _star, h2_arr, h2_inv
 from .errors import ArgumentError, DomainError, SolverError
 from .optimize import bisect_decreasing_inverse, bisect_root, golden_max, golden_min
 from .pmf import Axis, Channel, JointPmf
@@ -96,13 +96,6 @@ def _check_rate_upto_hq(rate: float, q: float) -> tuple[float, float]:
     return rate, hq
 
 
-def _check_r(r: float) -> float:
-    r = float(r)
-    if not -1e-12 <= r <= 1.0 + 1e-12:
-        raise DomainError(f"crossover r={r!r} outside [0, 1]")
-    return min(max(r, 0.0), 1.0)
-
-
 @dataclass(frozen=True)
 class BinaryModel:
     """Doubly symmetric binary source parameters.
@@ -145,7 +138,7 @@ def _g(r: float, q: float) -> float:
 
 def g(r: float, q: float) -> float:
     """Rate curve h2(r * q) - h2(r); decreasing from h2(q) to 0 on [0, 1/2]."""
-    return _g(_check_r(r), _check_open_half("q", q))
+    return _g(_check_range("crossover r", float(r), 0.0, 1.0), _check_open_half("q", q))
 
 
 def _first_form(p: float, q: float):
@@ -204,7 +197,7 @@ def _f(r: float, p: float, q: float) -> float:
 def f(r: float, p: float, q: float) -> float:
     """Relevance curve; first displayed algebraic form."""
     p, q = _check_pq(p, q)
-    return _f(_check_r(r), p, q)
+    return _f(_check_range("crossover r", float(r), 0.0, 1.0), p, q)
 
 
 def _second_form(p: float, q: float) -> tuple[float, float, float]:
@@ -216,7 +209,7 @@ def _second_form(p: float, q: float) -> tuple[float, float, float]:
 
 def f_alt(r: float, p: float, q: float) -> float:
     """Relevance curve; second displayed algebraic form (cross-check of ``f``)."""
-    r = _check_r(r)
+    r = _check_range("crossover r", float(r), 0.0, 1.0)
     p, q = _check_pq(p, q)
     w, gam, dlt = _second_form(p, q)
     return (_h2(_star(r, q))
@@ -251,7 +244,7 @@ def _f_prime(r: float, p: float, q: float) -> float:
 def f_prime(r: float, p: float, q: float) -> float:
     """Analytic derivative of ``f`` (via the second algebraic form)."""
     p, q = _check_pq(p, q)
-    return _f_prime(_check_r(r), p, q)
+    return _f_prime(_check_range("crossover r", float(r), 0.0, 1.0), p, q)
 
 
 def _g_vec(r: np.ndarray, q: float) -> np.ndarray:

@@ -12,7 +12,9 @@ Model configuration files are JSON objects with a ``kind`` of ``binary``,
 Curve requests pair a model with a ``quantity`` (one of
 ``mu_ed``, ``mu_d``, ``mu_int``, ``twcib_rate``, ``cdib_mu_surface``,
 ``outer_frontier``, ``inner_bound``), a grid, and -- for the stochastic
-``mu_int`` only -- a nonnegative seed and a budget.
+``mu_int`` only -- a nonnegative seed and a budget.  ``_MODELS`` (kind ->
+builder) and ``_QUANTITIES`` (quantity -> kind, evaluator) hold these rules
+once; ``QUANTITIES`` lists the quantities in table order.
 
 Deterministic quantities produce byte-identical outputs for identical
 requests; stochastic ones are keyed by (seed, budget).  Exit codes: 0 ok
@@ -44,15 +46,40 @@ from .errors import (
     SolverError,
 )
 
-QUANTITIES = ("mu_ed", "mu_d", "mu_int", "twcib_rate", "cdib_mu_surface",
-              "outer_frontier", "inner_bound")
-_KIND_QUANTITIES = {
-    "binary": {"mu_ed", "mu_d", "mu_int"},
-    "gaussian-twcib": {"twcib_rate"},
-    "gaussian-cdib-x1x2y": {"cdib_mu_surface"},
-    "gaussian-cdib-x1yx2": {"outer_frontier", "inner_bound"},
+
+def _sigmas(sig: dict, *names: str) -> dict:
+    """The variances ``sigma_<name>_sq`` read from ``sig``, each defaulting to 1."""
+    return {f"sigma_{n}_sq": float(sig.get(n, 1.0)) for n in names}
+
+
+# model kind -> model built from the config ``d`` and its ``rho``/``sigma`` objects
+_MODELS = {
+    "binary": lambda d, rho, sig: binary.BinaryModel(p=float(d["p"]), q=float(d["q"])),
+    "gaussian-twcib": lambda d, rho, sig: gaussian.GaussianTwcibModel(
+        **{f"rho_{k}": float(rho[k]) for k in ("x1x2", "x1y1", "x2y1", "x2y2", "x1y2")},
+        **_sigmas(sig, "x1", "x2", "y1", "y2")),
+    "gaussian-cdib-x1x2y": lambda d, rho, sig: gaussian.GaussianCdibModel.chain_x1_x2_y(
+        float(rho["x1x2"]), float(rho["x2y"]), **_sigmas(sig, "x1", "x2", "y")),
+    "gaussian-cdib-x1yx2": lambda d, rho, sig: gaussian.GaussianCdibModel.chain_x1_y_x2(
+        float(rho["x1y"]), float(rho["x2y"]), **_sigmas(sig, "x1", "x2", "y")),
 }
-_STOCHASTIC = {"mu_int"}
+# quantity -> (model kind, its value at grid point x given the model and the
+# request's ``which``); None marks ``mu_int``, the one stochastic quantity,
+# which is a single seeded search over the whole grid
+_QUANTITIES = {
+    "mu_ed": ("binary", lambda m, x, which: binary.mu_ed(x, m.p, m.q)),
+    "mu_d": ("binary", lambda m, x, which: binary.mu_d(x, m.p, m.q)),
+    "mu_int": ("binary", None),
+    "twcib_rate": ("gaussian-twcib",
+                   lambda m, x, which: gaussian.twcib_rate_for_relevance(m, which, x)),
+    "cdib_mu_surface": ("gaussian-cdib-x1x2y",
+                        lambda m, x, which: gaussian.cdib_x1x2y_mu(m, x, x)),
+    "outer_frontier": ("gaussian-cdib-x1yx2",
+                       lambda m, x, which: gaussian.cdib_x1yx2_outer_frontier(m, x, x)),
+    "inner_bound": ("gaussian-cdib-x1yx2",
+                    lambda m, x, which: gaussian.cdib_x1yx2_inner(m, x, x)),
+}
+QUANTITIES = tuple(_QUANTITIES)
 _GRID_MAX_N = 1_000_000   # 8 MB of grid; a larger n fails in np.linspace or exhausts memory
 
 
@@ -69,35 +96,12 @@ class ModelConfig:
         if not isinstance(d, dict) or "kind" not in d:
             raise ConfigError("model config must be an object with a 'kind' field")
         kind = d["kind"]
+        rho, sig = _object(d, "rho"), _object(d, "sigma")
+        # a non-string kind (a list is not even hashable) is unknown too
+        if not (isinstance(kind, str) and kind in _MODELS):
+            raise ConfigError(f"unknown model kind {kind!r}")
         try:
-            rho, sig = _object(d, "rho"), _object(d, "sigma")
-            if kind == "binary":
-                model = binary.BinaryModel(p=float(d["p"]), q=float(d["q"]))
-            elif kind == "gaussian-twcib":
-                model = gaussian.GaussianTwcibModel(
-                    rho_x1x2=float(rho["x1x2"]), rho_x1y1=float(rho["x1y1"]),
-                    rho_x2y1=float(rho["x2y1"]), rho_x2y2=float(rho["x2y2"]),
-                    rho_x1y2=float(rho["x1y2"]),
-                    sigma_x1_sq=float(sig.get("x1", 1.0)),
-                    sigma_x2_sq=float(sig.get("x2", 1.0)),
-                    sigma_y1_sq=float(sig.get("y1", 1.0)),
-                    sigma_y2_sq=float(sig.get("y2", 1.0)))
-            elif kind == "gaussian-cdib-x1x2y":
-                model = gaussian.GaussianCdibModel.chain_x1_x2_y(
-                    float(rho["x1x2"]), float(rho["x2y"]),
-                    sigma_x1_sq=float(sig.get("x1", 1.0)),
-                    sigma_x2_sq=float(sig.get("x2", 1.0)),
-                    sigma_y_sq=float(sig.get("y", 1.0)))
-            elif kind == "gaussian-cdib-x1yx2":
-                model = gaussian.GaussianCdibModel.chain_x1_y_x2(
-                    float(rho["x1y"]), float(rho["x2y"]),
-                    sigma_x1_sq=float(sig.get("x1", 1.0)),
-                    sigma_x2_sq=float(sig.get("x2", 1.0)),
-                    sigma_y_sq=float(sig.get("y", 1.0)))
-            else:
-                raise ConfigError(f"unknown model kind {kind!r}")
-        except ConfigError:
-            raise
+            model = _MODELS[kind](d, rho, sig)
         except (KeyError, TypeError, ValueError, OverflowError, IbregError) as exc:
             raise ConfigError(f"invalid {kind!r} model config: {exc}") from exc
         return cls(kind=kind, raw=dict(d), model=model)
@@ -145,7 +149,7 @@ class CurveRequest:
         quantity = d.get("quantity")
         if quantity not in QUANTITIES:
             raise ConfigError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
-        if quantity not in _KIND_QUANTITIES[model.kind]:
+        if _QUANTITIES[quantity][0] != model.kind:
             raise ConfigError(
                 f"quantity {quantity!r} does not apply to model kind {model.kind!r}")
         grid = d.get("grid", {})
@@ -161,7 +165,7 @@ class CurveRequest:
         if not lo < hi:
             raise ConfigError(f"grid needs min < max, got [{lo}, {hi}]")
         seed, budget = d.get("seed"), d.get("budget")
-        if quantity in _STOCHASTIC:
+        if _QUANTITIES[quantity][1] is None:
             if seed is None or budget is None:
                 raise ConfigError(f"quantity {quantity!r} requires seed and budget")
             seed, budget = _as_int("seed", seed), _as_int("budget", budget)
@@ -184,49 +188,37 @@ def evaluate_request(req: CurveRequest) -> tuple[np.ndarray, np.ndarray, RegionC
     xs = req.grid()
     m = req.model.model
     q = req.quantity
-    if q == "mu_ed":
-        ys = np.array([binary.mu_ed(x, m.p, m.q) for x in xs])
-    elif q == "mu_d":
-        ys = np.array([binary.mu_d(x, m.p, m.q) for x in xs])
-    elif q == "mu_int":
-        pts = search.search_mu_int(m, xs, req.budget, req.seed)
-        ys = np.array([p.y for p in pts])
-    elif q == "twcib_rate":
-        ys = np.array([gaussian.twcib_rate_for_relevance(m, req.which, x) for x in xs])
-    elif q == "cdib_mu_surface":
-        ys = np.array([gaussian.cdib_x1x2y_mu(m, x, x) for x in xs])
-    elif q == "outer_frontier":
-        ys = np.array([gaussian.cdib_x1yx2_outer_frontier(m, x, x) for x in xs])
-    else:  # inner_bound; CurveRequest admits no other quantity
-        ys = np.array([gaussian.cdib_x1yx2_inner(m, x, x) for x in xs])
-    if q == "twcib_rate":
-        points = tuple((float(r), float(mu)) for mu, r in zip(xs, ys))
+    at = _QUANTITIES[q][1]
+    if at is None:
+        ys = np.array([p.y for p in search.search_mu_int(m, xs, req.budget, req.seed)])
     else:
-        points = tuple((float(r), float(mu)) for r, mu in zip(xs, ys))
+        ys = np.array([at(m, x, req.which) for x in xs])
+    # twcib_rate's grid is the relevance and its value the rate
+    pairs = zip(ys, xs) if q == "twcib_rate" else zip(xs, ys)
+    points = tuple((float(r), float(mu)) for r, mu in pairs)
     curve = RegionCurve(model=req.model.raw, method=q, seed=req.seed, points=points)
     return xs, ys, curve
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when ``out`` is None."""
+    if out is None:
+        sys.stdout.write(text)
+        return
+    with open(out, "w") as fh:
+        fh.write(text)
 
 
 def _write_outputs(xs, ys, curve: RegionCurve, out: str | None, fmt: str) -> None:
     meta = curve.to_json()
     if fmt == "json":
-        if out is None:
-            sys.stdout.write(meta + "\n")
-        else:
-            with open(out, "w") as fh:
-                fh.write(meta + "\n")
+        _emit(meta + "\n", out)
         return
-    digest = hashlib.sha256(meta.encode()).hexdigest()
-    doc = csv_document(xs, ys, digest)
-    if out is None:
-        sys.stdout.write(doc)
-        return
-    with open(out, "w") as fh:
-        fh.write(doc)
-    root, ext = os.path.splitext(out)
-    sidecar = (root + ".json") if ext.lower() != ".json" else (out + ".meta.json")
-    with open(sidecar, "w") as fh:
-        fh.write(meta + "\n")
+    _emit(csv_document(xs, ys, hashlib.sha256(meta.encode()).hexdigest()), out)
+    if out is not None:
+        root, ext = os.path.splitext(out)
+        sidecar = (root + ".json") if ext.lower() != ".json" else (out + ".meta.json")
+        _emit(meta + "\n", sidecar)
 
 
 def _load_json(path: str) -> dict:
@@ -248,14 +240,10 @@ def _cmd_curve(args) -> int:
         "quantity": args.quantity,
         "grid": _parse_grid(args.grid),
     }
-    if args.seed is not None:
-        d["seed"] = args.seed
-    if args.budget is not None:
-        d["budget"] = args.budget
-    if args.which is not None:
-        d["which"] = args.which
-    req = CurveRequest.from_dict(d)
-    xs, ys, curve = evaluate_request(req)
+    for key in ("seed", "budget", "which"):
+        if getattr(args, key) is not None:
+            d[key] = getattr(args, key)
+    xs, ys, curve = evaluate_request(CurveRequest.from_dict(d))
     _write_outputs(xs, ys, curve, args.out, args.format)
     return 0
 
@@ -266,12 +254,7 @@ def _cmd_compare(args) -> int:
     _, _, curve_a = evaluate_request(req_a)
     _, _, curve_b = evaluate_request(req_b)
     verdict = search.check_inclusion(curve_a, curve_b, args.tol)
-    text = json.dumps(verdict.to_dict(), sort_keys=True, indent=2)
-    if args.out is None:
-        sys.stdout.write(text + "\n")
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    _emit(json.dumps(verdict.to_dict(), sort_keys=True, indent=2) + "\n", args.out)
     return 0 if verdict.holds else 1
 
 

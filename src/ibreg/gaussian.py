@@ -550,23 +550,23 @@ def cdib_x1yx2_inner(m: GaussianCdibModel, rate1: float, rate2: float) -> float:
 
     All four quantities reduce to cancellation-free determinant ratios, so
     the feasibility filter stays exact for noise variances across 26 orders
-    of magnitude.  Deterministic 110 x 110 log-variance grid on [1e-13, 1e13]
-    plus five 33 x 33 zoom rounds; the constraints carry a 1e-12 slack.
+    of magnitude.  Noise variances are searched relative to those of X1 and
+    X2, so the bound does not depend on the model's variances.  Deterministic
+    110 x 110 log-variance grid on [1e-13, 1e13] plus five 33 x 33 zoom
+    rounds; the constraints carry a 1e-12 slack.
     """
     _require_chain(m, "x1-y-x2")
     rate1, rate2 = _check_finite_rates("rates", rate1, rate2)
-    sx1, sx2, sy = m.sigma_x1_sq, m.sigma_x2_sq, m.sigma_y_sq
     e1, e2 = m.rho_x1y ** 2, m.rho_x2y ** 2
-    c12 = m.rho_x1x2 * sqrt(sx1 * sx2)
-    var_x1_given_x2 = sx1 * (1.0 - m.rho_x1x2 ** 2)
+    c12 = m.rho_x1x2
 
     def quantities(s1, s2):
-        i1 = 0.5 * np.log2((var_x1_given_x2 + s1) / s1)
-        var_x2_given_v1 = sx2 - c12 * c12 / (sx1 + s1)
+        i1 = 0.5 * np.log2((1.0 - c12 ** 2 + s1) / s1)
+        var_x2_given_v1 = 1.0 - c12 * c12 / (1.0 + s1)
         i2 = 0.5 * np.log2((var_x2_given_v1 + s2) / s2)
-        det_v = (sx1 + s1) * (sx2 + s2) - c12 * c12
+        det_v = (1.0 + s1) * (1.0 + s2) - c12 * c12
         isum = 0.5 * np.log2(det_v / (s1 * s2))
-        mu = 0.5 * np.log2(det_v / ((sx1 * (1.0 - e1) + s1) * (sx2 * (1.0 - e2) + s2)))
+        mu = 0.5 * np.log2(det_v / ((1.0 - e1 + s1) * (1.0 - e2 + s2)))
         return i1, i2, isum, mu
 
     g1 = np.linspace(-13.0, 13.0, _INNER_GRID_N)

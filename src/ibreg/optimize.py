@@ -7,7 +7,10 @@ caller in this package guarantees by convexity/concavity arguments.  Its
 than ``tol``, so 0 or less could never end it and NaN or inf would end it at
 once.  A positive ``tol`` below the float spacing near the maximiser (1e-11
 near 1e5, where the spacing is 1.5e-11) may not be reachable either; the
-loop then stops once the bracket can no longer shrink.
+loop then stops once the bracket can no longer shrink.  Every solver's
+bracket [lo, hi] must be finite with lo <= hi, else ``ArgumentError``: a
+reversed bracket gave a point no search had tried (the midpoint, or an end)
+and an infinite end gave NaN.
 """
 
 from __future__ import annotations
@@ -30,6 +33,12 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
+def _check_bracket(lo: float, hi: float) -> None:
+    # NaN fails the chained comparison too
+    if not -inf < lo <= hi < inf:
+        raise ArgumentError(f"bracket needs finite lo <= hi, got [{lo!r}, {hi!r}]")
+
+
 def golden_max(fun: Callable[[float], float], lo: float, hi: float,
                tol: float = 1e-10) -> tuple[float, float]:
     """Maximise a unimodal function on [lo, hi]; returns (x, fun(x)).
@@ -42,6 +51,7 @@ def golden_max(fun: Callable[[float], float], lo: float, hi: float,
     """
     tol = _check_tol(tol)
     a, b = float(lo), float(hi)
+    _check_bracket(a, b)
     w = b - a
     c = b - _INVPHI * w
     d = a + _INVPHI * w
@@ -77,6 +87,7 @@ def golden_min(fun: Callable[[float], float], lo: float, hi: float,
 
 def bisect_root(fun: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of ``fun`` on [lo, hi] given fun(lo) and fun(hi) of opposite sign."""
+    _check_bracket(lo, hi)
     flo, fhi = fun(lo), fun(hi)
     if flo == 0.0:
         return lo
@@ -99,6 +110,7 @@ def bisect_root(fun: Callable[[float], float], lo: float, hi: float) -> float:
 def bisect_decreasing_inverse(fun: Callable[[float], float], target: float,
                               lo: float, hi: float) -> float:
     """Solve fun(x) = target for a strictly decreasing ``fun`` on [lo, hi]."""
+    _check_bracket(lo, hi)
     for _ in range(_BISECT_ITERATIONS):
         mid = 0.5 * (lo + hi)
         if fun(mid) > target:

@@ -10,6 +10,9 @@ Conventions
 - Mutual informations are clamped to ``0`` when they land in ``(-1e-10, 0)``:
   the quantities are provably nonnegative, so anything in that band is
   floating-point noise.
+- ``JointPmf`` and ``Channel`` share one table check: entries finite and
+  nonnegative, unit mass within 1e-9 over the table (pmf) or over each
+  last-axis slice (channel), renormalised above a 1e-15 deviation.
 - Values are immutable after construction (tables are frozen read-only
   arrays); every operation is a pure function, safe to share across threads.
 - Alphabets here are small (cardinalities up to ~10 per axis), so dense
@@ -75,7 +78,20 @@ def _as_axes(axes: Iterable) -> tuple[Axis, ...]:
     return tuple(out)
 
 
-def _freeze(table: np.ndarray) -> np.ndarray:
+def _checked_table(table: np.ndarray, axis: int | None) -> np.ndarray:
+    """``table`` frozen read-only and contiguous, after the module's table
+    check with sums along ``axis`` (every entry for None).  Ulp-level sums
+    are left untouched, so rebuilding from an existing table is bit-stable."""
+    if not np.all(np.isfinite(table)):
+        raise DomainError("table contains non-finite entries")
+    if np.any(table < 0.0):
+        raise DomainError(f"negative probability entry (min {table.min()!r})")
+    sums = table.sum(axis=axis, keepdims=True)
+    worst = float(np.abs(sums - 1.0).max())
+    if worst > _SUM_TOL:
+        raise DomainError(f"table sums deviate from 1 by {worst!r}, more than {_SUM_TOL}")
+    if worst > 1e-15:
+        table = table / sums
     table = np.ascontiguousarray(table, dtype=float)
     table.flags.writeable = False
     return table
@@ -99,19 +115,8 @@ class JointPmf:
         shape = tuple(a.card for a in axes)
         if table.shape != shape:
             raise ArgumentError(f"table shape {table.shape} does not match axes {shape}")
-        if not np.all(np.isfinite(table)):
-            raise DomainError("table contains non-finite entries")
-        if np.any(table < 0.0):
-            raise DomainError(f"negative probability entry (min {table.min()!r})")
-        total = float(table.sum())
-        if abs(total - 1.0) > _SUM_TOL:
-            raise DomainError(f"table sums to {total!r}, more than {_SUM_TOL} away from 1")
-        if abs(total - 1.0) > 1e-15:
-            # renormalise real deviations; leave ulp-level sums untouched so
-            # that rebuilding from an existing table is bit-stable
-            table = table / total
         object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "table", _freeze(table))
+        object.__setattr__(self, "table", _checked_table(table, None))
 
     # -- axis bookkeeping -------------------------------------------------
 
@@ -177,19 +182,9 @@ class Channel:
         if table.shape[-1] != output.card:
             raise ArgumentError(
                 f"last table dim {table.shape[-1]} != output cardinality {output.card}")
-        if not np.all(np.isfinite(table)):
-            raise DomainError("channel table contains non-finite entries")
-        if np.any(table < 0.0):
-            raise DomainError(f"negative channel entry (min {table.min()!r})")
-        sums = table.sum(axis=-1)
-        worst = float(np.abs(sums - 1.0).max())
-        if worst > _SUM_TOL:
-            raise DomainError(f"conditional slice deviates from 1 by {worst!r}")
-        if worst > 1e-15:
-            table = table / sums[..., None]
         object.__setattr__(self, "input_axes", inputs)
         object.__setattr__(self, "output", output)
-        object.__setattr__(self, "table", _freeze(table))
+        object.__setattr__(self, "table", _checked_table(table, -1))
 
     @property
     def input_cards(self) -> tuple[int, ...]:

@@ -136,29 +136,21 @@ class RoundSchedule:
             raise AxisError(f"duplicate description names {names}")
         if "x1" in names or "x2" in names:
             raise AxisError("description names collide with source axes")
-        self._check_structure(k)
+        self._check_structure()
         self._check_bounds(k)
 
     def _input_card(self, ch: Channel, axis: str) -> int:
         return ch.input_cards[ch.input_axes.index(axis)]
 
-    def _check_structure(self, k: int) -> None:
+    def _check_structure(self) -> None:
         history: list[str] = []
-        for l in range(k):
-            enc1 = self.channels[2 * l]
-            want1 = {"x1", *history}
-            if set(enc1.input_axes) != want1:
+        for i, ch in enumerate(self.channels):
+            want = {("x1", "x2")[i % 2], *history}
+            if set(ch.input_axes) != want:
                 raise StructureError(
-                    f"round {l + 1} encoder-1 channel conditions on "
-                    f"{set(enc1.input_axes)}, expected {want1}")
-            history.append(enc1.output.name)
-            enc2 = self.channels[2 * l + 1]
-            want2 = {"x2", *history}
-            if set(enc2.input_axes) != want2:
-                raise StructureError(
-                    f"round {l + 1} encoder-2 channel conditions on "
-                    f"{set(enc2.input_axes)}, expected {want2}")
-            history.append(enc2.output.name)
+                    f"round {i // 2 + 1} encoder-{i % 2 + 1} channel conditions on "
+                    f"{set(ch.input_axes)}, expected {want}")
+            history.append(ch.output.name)
         # description alphabets must be quoted consistently downstream
         cards = {ch.output.name: ch.output.card for ch in self.channels}
         for ch in self.channels:

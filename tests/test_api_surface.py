@@ -42,9 +42,12 @@ def test_entry_point_parameters(fn, names):
 
 
 def test_model_kinds_are_the_ones_quantities_accept():
-    assert set(cli._KIND_QUANTITIES) == {
+    kinds = {kind for kind, _ in cli._QUANTITIES.values()}
+    assert set(cli._MODELS) == kinds == {
         "binary", "gaussian-twcib", "gaussian-cdib-x1x2y", "gaussian-cdib-x1yx2"}
-    assert all(cli._KIND_QUANTITIES.values())
+    # the order of argparse's choices and of the unknown-quantity error text
+    assert cli.QUANTITIES == ("mu_ed", "mu_d", "mu_int", "twcib_rate", "cdib_mu_surface",
+                              "outer_frontier", "inner_bound")
     with pytest.raises(ConfigError):
         cli.ModelConfig.from_dict({"kind": "discrete", "pmf": {}})
 

@@ -163,6 +163,18 @@ def test_curve_non_finite_grid_exit_2(tmp_path, capsys, model, quantity, grid):
     assert "grid min/max must be finite" in err
 
 
+def test_curve_inner_bound_scale_free(tmp_path, capsys):
+    # the inner bound printed 0 at every grid point for variances of 1e16
+    scaled = dict(CHAIN_B, sigma={"x1": 1e16, "x2": 1e16, "y": 1e16})
+    rows = []
+    for i, model in enumerate((CHAIN_B, scaled)):
+        path = write_json(tmp_path / f"m{i}.json", model)
+        assert main(["curve", "inner_bound", "--model", path, "--grid", "0:2.5:11"]) == 0
+        rows.append(capsys.readouterr().out.splitlines()[1:])
+    assert rows[0] == rows[1]
+    assert rows[1][-1] == "2.5,0.838627252843"
+
+
 def test_compare_inclusion(tmp_path, capsys):
     hq = h2(0.1)
     grid = {"min": 0.0, "max": hq, "n": 40}

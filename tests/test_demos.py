@@ -1,0 +1,23 @@
+"""Each script in ``demos/`` runs to the end without an error and prints
+its report.
+
+The demos run in this process with ``runpy`` and captured stdout, so the
+suite pays no interpreter start-up for them.
+"""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 4
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip()

@@ -480,6 +480,22 @@ def test_inner_limits(chain_b):
         cdib_x1yx2_inner(chain_b, -1.0, 0.0)
 
 
+def test_inner_is_scale_free(chain_b):
+    # mutual information does not see the variances, and neither does the
+    # inner bound, whose noise variances are searched relative to those of
+    # X1 and X2.  Searched absolutely, all variances at 1e16 gave 0 at
+    # R = 2.5 (unit model 0.8386) and at 1e-16 gave 0.8155 at R = 10
+    # (unit model 0.86998)
+    rates = ((0.0, 0.0), (0.5, 1.5), (2.5, 2.5), (10.0, 10.0), (4.0, 0.25))
+    unit = [cdib_x1yx2_inner(chain_b, r1, r2) for r1, r2 in rates]
+    assert unit[2] > 0.83
+    for k in range(-30, 31):
+        for scales in ((k, k, k), (k, -k, (7 * k) % 61 - 30)):
+            sigmas = {f"sigma_{n}_sq": 10.0 ** e for n, e in zip(("x1", "x2", "y"), scales)}
+            m = GaussianCdibModel.chain_x1_y_x2(0.8, 0.6, **sigmas)
+            assert [cdib_x1yx2_inner(m, r1, r2) for r1, r2 in rates] == unit, scales
+
+
 def test_inner_quantities_match_determinant_oracle(chain_b):
     # dual route: the reduced closed forms against generic log-det evaluation
     sx1 = sx2 = sy = 1.0

@@ -6,7 +6,13 @@ import random
 import pytest
 
 from ibreg import ArgumentError
-from ibreg.optimize import _INVPHI, golden_max, golden_min
+from ibreg.optimize import (
+    _INVPHI,
+    bisect_decreasing_inverse,
+    bisect_root,
+    golden_max,
+    golden_min,
+)
 
 
 def _bounded_parabola(limit=10_000):
@@ -39,6 +45,35 @@ def test_golden_rejects_bad_tol(solver, tol):
     # -1 never ended it
     with pytest.raises(ArgumentError, match="tol"):
         solver(_bounded_parabola(), 0.0, 1.0, tol=tol)
+
+
+_BAD_BRACKETS = [(2.0, 1.0), (math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0),
+                 (0.0, math.inf), (math.inf, math.inf), (-math.inf, math.inf)]
+_SOLVERS = {
+    "golden_max": lambda lo, hi: golden_max(_bounded_parabola(), lo, hi),
+    "golden_min": lambda lo, hi: golden_min(_bounded_parabola(), lo, hi),
+    "bisect_root": lambda lo, hi: bisect_root(lambda x: x - 0.3, lo, hi),
+    "bisect_decreasing_inverse":
+        lambda lo, hi: bisect_decreasing_inverse(lambda x: -x, -1.2, lo, hi),
+}
+
+
+@pytest.mark.parametrize("solver", list(_SOLVERS))
+@pytest.mark.parametrize("lo, hi", _BAD_BRACKETS)
+def test_solvers_reject_bad_bracket(solver, lo, hi):
+    # golden_max(f, 2.0, 1.0) returned (1.5, f(1.5)) and
+    # bisect_decreasing_inverse(lambda x: -x, -1.2, 2.0, 1.0) returned 2.0;
+    # an infinite end gave NaN
+    with pytest.raises(ArgumentError, match="bracket"):
+        _SOLVERS[solver](lo, hi)
+
+
+@pytest.mark.parametrize("solver", list(_SOLVERS))
+def test_solvers_accept_point_bracket(solver):
+    # lo == hi is a valid, if empty, search; bisect_root needs a root there
+    lo = hi = 0.3 if solver == "bisect_root" else 1.2
+    x = _SOLVERS[solver](lo, hi)
+    assert (x[0] if isinstance(x, tuple) else x) == lo
 
 
 def _ref_golden_max(fun, lo, hi, tol):

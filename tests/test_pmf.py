@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ibreg import (
     ArgumentError,
@@ -68,6 +69,71 @@ def test_construction_rejects_negative_and_bad_shape():
         JointPmf((Axis("a", 2),), np.array([1.1, -0.1]))
     with pytest.raises(ArgumentError):
         JointPmf((Axis("a", 3),), np.array([0.5, 0.5]))
+
+
+def _ref_joint_table(table):
+    # JointPmf's table check and renormalisation before JointPmf and Channel
+    # shared one helper
+    table = np.asarray(table, dtype=float)
+    total = float(table.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise DomainError("sum")
+    if abs(total - 1.0) > 1e-15:
+        table = table / total
+    return np.ascontiguousarray(table, dtype=float)
+
+
+def _ref_channel_table(table):
+    # Channel's, from the same commit
+    table = np.asarray(table, dtype=float)
+    sums = table.sum(axis=-1)
+    worst = float(np.abs(sums - 1.0).max())
+    if worst > 1e-9:
+        raise DomainError("sum")
+    if worst > 1e-15:
+        table = table / sums[..., None]
+    return np.ascontiguousarray(table, dtype=float)
+
+
+_ULP = math.ulp(1.0)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, _ULP, 1e-12, 1e-10, 1e-8]),
+       st.booleans())
+def test_table_check_equals_reference_bits(cards, seed, dev, transpose):
+    # the joint table's mass and each channel slice's mass are off by +-dev;
+    # transposed (non-contiguous) inputs, with the channel's output axis
+    # kept last, take the same path
+    rng = np.random.default_rng(seed)
+    cards = tuple(cards)
+    base = rng.dirichlet(np.ones(cards[-1]), size=cards[:-1])
+    raw = base * (1.0 + dev * rng.choice([-1.0, 1.0], size=cards[:-1] + (1,)))
+    joint = base * ((1.0 + dev * rng.choice([-1.0, 1.0])) / float(np.prod(cards[:-1])))
+    if transpose:
+        raw = raw.transpose(*range(raw.ndim - 2, -1, -1), raw.ndim - 1)
+        joint = joint.T
+    names = [f"a{i}" for i in range(raw.ndim)]
+    cases = [
+        (_ref_joint_table, lambda t: JointPmf(tuple(zip(names, t.shape)), t), joint),
+        (_ref_channel_table, lambda t: Channel(tuple(names[:-1]), (names[-1], t.shape[-1]), t),
+         raw),
+    ]
+    for ref, build, table in cases:
+        # the constructors freeze a contiguous input in place, so each build
+        # gets a copy, in the input's memory order
+        if dev > 1e-9:
+            with pytest.raises(DomainError):
+                build(table.copy(order="K"))
+            with pytest.raises(DomainError):
+                ref(table)
+            continue
+        got = build(table.copy(order="K")).table
+        want = ref(table)
+        assert got.shape == want.shape and not got.flags.writeable
+        assert got.tobytes() == want.tobytes()
 
 
 def test_duplicate_axis_names_rejected():

@@ -354,10 +354,17 @@ def test_search_deterministic_and_thread_invariant():
 
 
 def test_search_budget_monotone():
-    lo = search_mu_int(MODEL, GRID, budget=2000, seed=5)
-    hi = search_mu_int(MODEL, GRID, budget=4000, seed=5)
-    for a, b in zip(lo, hi):
-        assert b.y >= a.y - 1e-15
+    # a budget prefix keeps a subset of the sampled cloud, so its envelope
+    # never lies above the larger budget's; the budgets cross the edges of
+    # the 8,192-row sampling chunks
+    for p, q in ((P, Q), (0.05, 0.3), (0.2, 0.45)):
+        model, grid = BinaryModel(p, q), np.linspace(0.0, h2(q), 16)
+        prev = None
+        for budget in (1, 8191, 8193, 20_000, 50_001):
+            ys = [pt.y for pt in search_mu_int(model, grid, budget=budget, seed=5)]
+            if prev is not None:
+                assert all(b >= a - 1e-15 for a, b in zip(prev, ys)), (p, q, budget)
+            prev = ys
 
 
 def test_search_records(tmp_path):
