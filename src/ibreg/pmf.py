@@ -79,9 +79,13 @@ def _as_axes(axes: Iterable) -> tuple[Axis, ...]:
 
 
 def _checked_table(table: np.ndarray, axis: int | None) -> np.ndarray:
-    """``table`` frozen read-only and contiguous, after the module's table
+    """A frozen, contiguous copy of ``table``, after the module's table
     check with sums along ``axis`` (every entry for None).  Ulp-level sums
-    are left untouched, so rebuilding from an existing table is bit-stable."""
+    are left untouched, so rebuilding from an existing table is bit-stable;
+    the caller's array is never frozen or shared."""
+    if table.size == 0:
+        # only a channel input axis can be empty: ``Axis`` rejects card 0
+        raise DomainError(f"table of shape {table.shape} has a zero-length axis")
     if not np.all(np.isfinite(table)):
         raise DomainError("table contains non-finite entries")
     if np.any(table < 0.0):
@@ -91,8 +95,9 @@ def _checked_table(table: np.ndarray, axis: int | None) -> np.ndarray:
     if worst > _SUM_TOL:
         raise DomainError(f"table sums deviate from 1 by {worst!r}, more than {_SUM_TOL}")
     if worst > 1e-15:
-        table = table / sums
-    table = np.ascontiguousarray(table, dtype=float)
+        table = np.ascontiguousarray(table / sums)
+    else:
+        table = np.array(table, order="C")
     table.flags.writeable = False
     return table
 

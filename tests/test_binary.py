@@ -247,6 +247,24 @@ def test_critical_point_degenerate_configs_raise():
             critical_point(p, q)
 
 
+# q near 1e-10, where f at the tangency is rounding noise: the slope f/g came
+# out negative and CriticalPoint raised DomainError through mu_d and
+# optimal_channel
+TINY_Q = [(0.25, 1e-10), (0.1, 2e-10), (0.2, 2e-10), (0.35, 5e-10), (0.45, 5e-10),
+          (0.4, 5e-09)]
+
+
+@pytest.mark.parametrize("p, q", TINY_Q)
+def test_tiny_q_degenerate_tangency_uses_the_curved_branch(p, q):
+    with pytest.raises(SolverError, match="degenerate tangency"):
+        critical_point(p, q)
+    for frac in (0.01, 0.5, 0.9):
+        rate = frac * h2(q)
+        assert mu_d(rate, p, q) == pytest.approx(mu_d_dual(rate, p, q), abs=1e-6)
+        assert mu_d(rate, p, q) == 1.0 - h2(star(p, q)) + f(g_inverse(rate, q), p, q)
+        assert optimal_channel(rate, p, q).kind == "direct"
+
+
 # ---------------------------------------------------------------------------
 # relevance-rate curves
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
-"""Golden-section search: results, the tolerance check and the stop rule."""
+"""Golden-section search and bisection: results, the argument checks and the
+stop rules."""
 
 import math
 import random
 
 import pytest
 
-from ibreg import ArgumentError
+import ibreg.binary as binary
+from ibreg import ArgumentError, SolverError
+from ibreg.bentropy import h2
 from ibreg.optimize import (
+    _BISECT_ITERATIONS,
     _INVPHI,
     bisect_decreasing_inverse,
     bisect_root,
@@ -164,3 +168,205 @@ def test_golden_path_unchanged_where_the_loop_ended():
         assert xs == ref_xs
         checked += 1
     assert checked >= 300
+
+
+def _ref_bisect_root(fun, lo, hi):
+    # bisect_root before it stopped at adjacent floats: always 100 halvings
+    if not -math.inf < lo <= hi < math.inf:
+        raise ArgumentError(f"bracket needs finite lo <= hi, got [{lo!r}, {hi!r}]")
+    flo, fhi = fun(lo), fun(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise SolverError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        fm = fun(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (flo > 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _ref_bisect_decreasing_inverse(fun, target, lo, hi):
+    # bisect_decreasing_inverse before it stopped at adjacent floats
+    if not -math.inf < lo <= hi < math.inf:
+        raise ArgumentError(f"bracket needs finite lo <= hi, got [{lo!r}, {hi!r}]")
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if fun(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _outcome(solve, fun, *args):
+    # (result as hex, so -0.0 and 0.0 differ, or the error) and the points
+    # at which ``fun`` was evaluated
+    xs = []
+
+    def rec(x):
+        xs.append(x)
+        return fun(x)
+
+    try:
+        return float.hex(solve(rec, *args)), xs
+    except Exception as exc:
+        return (type(exc), str(exc)), xs
+
+
+def _assert_same_as_reference(solve, ref, fun, *args):
+    got, xs = _outcome(solve, fun, *args)
+    want, ref_xs = _outcome(ref, fun, *args)
+    assert got == want, args
+    # the early stop only drops evaluations off the end
+    assert xs == ref_xs[:len(xs)]
+    return len(xs), len(ref_xs)
+
+
+def _random_bracket(rng):
+    # ordinary, point, adjacent-float, few-ulp, subnormal and signed-zero
+    # brackets, plus a reversed one
+    kind = rng.randrange(8)
+    if kind == 0:
+        scale = 10.0 ** rng.uniform(-300.0, 300.0)
+        a, b = sorted(rng.uniform(-scale, scale) for _ in range(2))
+        return a, b
+    if kind <= 2:
+        # narrow enough, relative to its ends, to reach adjacent floats
+        a = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 300.0)
+        return a, a + abs(a) * 10.0 ** rng.uniform(-15.0, 0.0)
+    x = rng.choice([0.0, -0.0, 0.25, -3.0, 1e-300, 7e5, 1.7e308, -2.0 ** 1023]) * rng.uniform(0.5, 1.0)
+    if kind == 3:
+        return x, x
+    if kind == 4:
+        return x, math.nextafter(x, math.inf)
+    if kind == 5:
+        return x, x + rng.randint(2, 9) * math.ulp(x)
+    if kind == 6:
+        return rng.choice([(0.0, rng.randint(1, 4_000) * 5e-324),
+                           (-0.0, 0.0), (-0.0, 5e-324), (-5e-324, 0.0), (0.0, -0.0)])
+    return x + 1.0, x
+
+
+_CASES = 10_000
+
+
+def test_bisect_root_equals_fixed_count_loop():
+    # same bits or the same error on every case, and never more evaluations
+    rng = random.Random(20240917)
+    saved = 0
+    for _ in range(_CASES):
+        lo, hi = _random_bracket(rng)
+        root = rng.choice([lo, hi, 0.5 * (lo + hi), rng.uniform(0.0, 1e-300),
+                           rng.uniform(-1.0, 1.0)] + [rng.uniform(lo, hi)] * 5)
+        shape = rng.randrange(6)
+        if shape == 0:
+            def fun(x):
+                return x - root
+        elif shape == 1:
+            def fun(x):
+                return math.atan(root - x)
+        elif shape == 2:
+            def fun(x):
+                return math.tanh(1e3 * (x - root))
+        elif shape == 3:
+            def fun(x):
+                # a step: zero nowhere, sign change at ``root``
+                return 1.0 if x > root else -1.0
+        elif shape == 4:
+            def fun(x, nan_at=rng.choice([lo, hi])):
+                return math.nan if x == nan_at else x - root
+        else:
+            def fun(x):
+                return math.sin(0.5 * x - 0.5 * root)
+        new, old = _assert_same_as_reference(bisect_root, _ref_bisect_root, fun, lo, hi)
+        saved += old - new
+    assert saved > 0
+
+
+def test_bisect_decreasing_inverse_equals_fixed_count_loop():
+    rng = random.Random(7)
+    saved = 0
+    for _ in range(_CASES):
+        lo, hi = _random_bracket(rng)
+        if rng.random() < 0.2:
+            q = rng.uniform(0.01, 0.49)
+            lo, hi = 0.0, 0.5
+            target = h2(q) * rng.choice([rng.random(), 1e-12, 1.0 - 1e-12])
+
+            def fun(r):
+                return binary._g(r, q)
+        else:
+            root = rng.choice([lo, hi, rng.uniform(lo, hi), rng.uniform(0.0, 1e-300)])
+            target = -root
+            shape = rng.randrange(3)
+            if shape == 0:
+                def fun(x):
+                    return -x
+            elif shape == 1:
+                def fun(x):
+                    return -math.atan(x)
+                target = -math.atan(root)
+            else:
+                def fun(x):
+                    return -math.tanh(x - root) - root
+        new, old = _assert_same_as_reference(
+            bisect_decreasing_inverse, _ref_bisect_decreasing_inverse, fun, target, lo, hi)
+        saved += old - new
+    assert saved > 0
+
+
+def test_g_inverse_stops_at_adjacent_floats(monkeypatch):
+    # 53-61 evaluations of g on these rates; 100 before the early stop
+    q = 0.1
+    kernel = binary._g
+    calls = []
+
+    def counted(r, q_):
+        calls.append(r)
+        return kernel(r, q_)
+
+    monkeypatch.setattr(binary, "_g", counted)
+    for frac in [0.02 + 0.96 * k / 200 for k in range(1, 200)]:
+        rate = frac * h2(q)
+        calls.clear()
+        r = binary.g_inverse(rate, q)
+        assert len(calls) <= 70
+        assert r == _ref_bisect_decreasing_inverse(lambda x: kernel(x, q), rate, 0.0, 0.5)
+
+
+def test_critical_point_bisection_stops_at_adjacent_floats(monkeypatch):
+    # 39 evaluations, two of them the bracket's ends; 102 before
+    counts = []
+
+    def counted(fun, lo, hi):
+        xs = []
+
+        def rec(x):
+            xs.append(x)
+            return fun(x)
+
+        r = bisect_root(rec, lo, hi)
+        assert r == _ref_bisect_root(fun, lo, hi)
+        counts.append(len(xs))
+        return r
+
+    monkeypatch.setattr(binary, "bisect_root", counted)
+    binary.critical_point(0.1, 0.2)
+    assert len(counts) == 1 and counts[0] <= 60
+
+
+def test_bisection_cap_is_one_hundred_halvings():
+    # a root in the subnormals is more than 100 halvings from [0, 1/2]; the
+    # cap, not the adjacent-float stop, ends that search
+    assert _BISECT_ITERATIONS == 100
+    got, xs = _outcome(bisect_decreasing_inverse, lambda x: -x, -1e-310, 0.0, 0.5)
+    assert len(xs) == 100
+    assert got == _outcome(_ref_bisect_decreasing_inverse, lambda x: -x, -1e-310, 0.0, 0.5)[0]

@@ -122,8 +122,8 @@ def test_table_check_equals_reference_bits(cards, seed, dev, transpose):
          raw),
     ]
     for ref, build, table in cases:
-        # the constructors freeze a contiguous input in place, so each build
-        # gets a copy, in the input's memory order
+        # each build gets a copy in the input's memory order, so transposed
+        # inputs reach the constructors non-contiguous
         if dev > 1e-9:
             with pytest.raises(DomainError):
                 build(table.copy(order="K"))
@@ -134,6 +134,28 @@ def test_table_check_equals_reference_bits(cards, seed, dev, transpose):
         want = ref(table)
         assert got.shape == want.shape and not got.flags.writeable
         assert got.tobytes() == want.tobytes()
+
+
+def test_constructors_leave_the_callers_array_alone():
+    # the check froze a contiguous float input in place and kept it as the table
+    t = np.array([0.25, 0.75])
+    pmf = JointPmf((Axis("a", 2),), t)
+    c = np.array([[0.2, 0.8], [0.5, 0.5]])
+    ch = Channel(("a",), Axis("v", 2), c)
+    for mine, table in ((t, pmf.table), (c, ch.table)):
+        assert mine.flags.writeable and table is not mine
+        assert not table.flags.writeable
+        before = table.copy()
+        mine[...] = 0.0
+        assert table.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0, 3), (0, 0, 1)])
+def test_channel_rejects_zero_length_input_axis(shape):
+    # a zero-size table reached numpy's max of an empty array (ValueError)
+    inputs = tuple(f"a{i}" for i in range(len(shape) - 1))
+    with pytest.raises(DomainError, match="zero-length"):
+        Channel(inputs, Axis("v", shape[-1]), np.zeros(shape))
 
 
 def test_duplicate_axis_names_rejected():
