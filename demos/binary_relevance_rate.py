@@ -49,7 +49,7 @@ src = BinaryModel(p, q).half_round_source()
 print(f"\n{'R':>7} {'kind':>12} {'rate achieved':>14} {'relevance':>10}")
 for rate in (0.0, 0.15, 0.3, cp.rate + 0.02, hq):
     spec = optimal_channel(rate, p, q)
-    joint = compose_markov(src, spec.to_channel("x1", "u"))
+    joint = compose_markov(src, spec.to_channel("u"))
     got_rate = cmi(joint, ["x1"], ["u"], ["x2"])
     got_rel = mi(joint, ["y"], ["u", "x2"])
     print(f"{rate:7.4f} {spec.kind:>12} {got_rate:14.9f} {got_rel:10.6f}")

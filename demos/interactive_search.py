@@ -1,8 +1,8 @@
 """Interaction gain for the binary source by seeded random channel search.
 
-Fixes the first half-round description, samples random conditional pmfs for
-the second encoder (Dirichlet over each conditional slice, seven output
-symbols), and compares the resulting concave envelope with the two
+Fixes the first half-round description at a full description of X1 (rate
+h2(q)), samples random conditional pmfs for the second encoder (Dirichlet
+over each conditional slice, seven output symbols), and compares the resulting concave envelope with the two
 non-interactive curves.  A modest budget already separates the curves; the
 acceptance suite runs the full 200k-sample configuration.
 """
@@ -15,8 +15,7 @@ p = q = 0.1
 model = BinaryModel(p, q)
 grid = np.linspace(0.0, h2(q), 12)
 
-points, records = search_mu_int_detailed(model, grid, budget=20_000, seed=7,
-                                         keep_channels=False)
+points, records = search_mu_int_detailed(model, grid, budget=20_000, seed=7)
 
 print(f"{'R2':>7} {'mu_d':>9} {'mu_int':>9} {'mu_ed':>9} {'gain':>8}")
 for pt in points:

@@ -551,16 +551,15 @@ class TestChannelSpec:
         if self.lam is not None and not 0.0 <= self.lam <= 1.0:
             raise DomainError(f"lam={self.lam!r} outside [0, 1]")
 
-    def to_channel(self, input_axis: str = "x1", output_name: str = "u",
-                   out_card: int | None = None) -> Channel:
-        """Materialise as a :class:`Channel` (optionally padded with unused
-        output symbols up to ``out_card``)."""
+    def to_channel(self, output_name: str = "u", out_card: int | None = None) -> Channel:
+        """Materialise as a :class:`Channel` on ``x1`` (optionally padded with
+        unused output symbols up to ``out_card``)."""
         if self.kind == "constant":
-            return Channel.constant(((input_axis, 2),), output_name, out_card or 1)
+            return Channel.constant((("x1", 2),), output_name, out_card or 1)
         if self.kind == "identity":
-            return Channel.bsc(input_axis, output_name, 0.0, out_card or 2)
+            return Channel.bsc("x1", output_name, 0.0, out_card or 2)
         if self.kind == "direct":
-            return Channel.bsc(input_axis, output_name, float(self.r), out_card or 2)
+            return Channel.bsc("x1", output_name, float(self.r), out_card or 2)
         card = out_card or 3
         if card < 3:
             raise ArgumentError("timeshared channel needs at least 3 output symbols")
@@ -569,7 +568,7 @@ class TestChannelSpec:
         t[0, 0] = t[1, 1] = lam * (1.0 - rc)
         t[0, 1] = t[1, 0] = lam * rc
         t[:, 2] = 1.0 - lam
-        return Channel((input_axis,), Axis(output_name, card), t)
+        return Channel(("x1",), Axis(output_name, card), t)
 
 
 def optimal_channel(rate: float, p: float, q: float) -> TestChannelSpec:

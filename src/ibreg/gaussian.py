@@ -19,9 +19,8 @@ accurate for noise variances across many orders of magnitude.
 Argument rule: every guard is written ``not lo <= x`` (or ``not lo <= x <
 hi``), so NaN raises ``DomainError`` and never reaches the arithmetic.  An
 infinite rate saturates in the X1 - X2 - Y closed forms, where ``2^(-inf)``
-is the exact limit, and is rejected by the X1 - Y - X2 bounds, whose search
-box it would make unbounded.  An infinite relevance is at or above every
-validity limit and raises.
+is the exact limit, and is rejected by the X1 - Y - X2 bounds.  An infinite
+relevance is at or above every validity limit and raises.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from math import inf, isfinite, log2, sqrt
 import numpy as np
 
 from .errors import DegenerateModelError, DomainError
-from .optimize import _check_tol, golden_max
+from .optimize import golden_max
 
 __all__ = [
     "GaussianTwcibModel",
@@ -439,62 +438,62 @@ def _outer_mu_at(e1: float, e2: float, r1: float):
     return mu
 
 
-def cdib_x1yx2_outer_point(m: GaussianCdibModel, r1: float, r2: float, *,
-                           r2_term_decays: bool = True) -> OuterBoundPoint:
+def cdib_x1yx2_outer_point(m: GaussianCdibModel, r1: float, r2: float) -> OuterBoundPoint:
     """Evaluate the outer-bound displays at auxiliary rates (r1, r2).
 
-    ``r2_term_decays`` selects the reading of the R2 display: the default
-    puts the factor 2^(-2 r2) on its last term (consistent with the mu
-    display); ``False`` evaluates the r2-free variant that matches the
-    printed converse derivation.  Both are valid outer bounds; the default
-    is the weaker (larger) region.
+    The R2 display is read with the factor 2^(-2 r2) on its last term, as
+    in the mu display: the weaker (larger) of its two readings, so R2_min
+    is ``max(0, r2 - mu + mu)``, which in floats is not always r2.
     """
     _require_chain(m, "x1-y-x2")
     r1, r2 = _check_finite_rates("auxiliary rates", r1, r2)
-    mu_at = _outer_mu_at(m.rho_x1y ** 2, m.rho_x2y ** 2, r1)
-    mu = mu_at(r2)
+    mu = _outer_mu_at(m.rho_x1y ** 2, m.rho_x2y ** 2, r1)(r2)
     if not isfinite(mu):
         raise DegenerateModelError("log argument vanished in the outer bound")
-    l2 = mu if r2_term_decays else mu_at(0.0)
     i_y_x2 = m.i_y_x2()
     return OuterBoundPoint(
         r1=r1, r2=r2,
         R1_min=max(0.0, r1 - i_y_x2 + mu),
-        R2_min=max(0.0, r2 - l2 + mu),
+        R2_min=max(0.0, r2 - mu + mu),
         sum_min=r1 + r2 + mu,
         mu_max=mu,
     )
 
 
-def cdib_x1yx2_outer_frontier(m: GaussianCdibModel, rate1: float, rate2: float, *,
-                              r2_term_decays: bool = True, tol: float = 1e-11) -> float:
+_OUTER_TOL = 1e-11    # golden-section tolerance of both nested searches
+_OUTER_BOX = 128.0    # cap on each auxiliary rate searched, in bits
+
+
+def cdib_x1yx2_outer_frontier(m: GaussianCdibModel, rate1: float, rate2: float) -> float:
     """Largest relevance the outer bound admits at rates (R1, R2).
 
     Maximises over (r1, r2) the pointwise minimum of the four bound
     expressions.  Every term is concave in (r1, r2), so the objective is
     jointly concave and nested golden-section search is exact; the sum-rate
-    constraint confines the search box to r1 + r2 <= R1 + R2.
+    constraint confines the search box to r1 + r2 <= R1 + R2, and each
+    auxiliary rate is searched on [0, min(R1 + R2, 128)]: beyond r = 64,
+    2^(-2 r) is below the float spacing of the log argument, so more
+    auxiliary rate only lowers the R1 cap and the sum-rate room (which keep
+    the true rates), while a wider box's float spacing would swamp the
+    plateau.  The cap is 128 rather than 64 so that no box with
+    R1 + R2 <= 128 is cut, and those searches keep their steps.
 
-    Cost: each golden section takes about 3 + log((R1 + R2) / tol) / 0.48
-    evaluations, 57 at the default ``tol`` and R1 + R2 = 1.4, so a call
-    evaluates the objective about 57 x 57 = 3,249 times (3,364 at
-    R1 + R2 = 2).  Everything free of r2 (the r1 term of the log argument,
-    its r2-free factors, the R1 cap, the remaining sum-rate room, the
-    r2-free R2 term and the choice of R2 term) is fixed once per inner
-    search; an evaluation is then one call of the relevance function, one
-    ``np.log2`` and three comparisons.  The comparisons take the four terms
-    in ``min``'s order and replace the current value only by a strictly
-    smaller term, so ties and NaN resolve as ``min`` resolves them.
-    ``np.log2`` stays because ``math.log2`` rounds differently in the last
-    bit for about 0.2% of arguments, and the 12-digit frontier depends on
-    the exact golden-section path.  ``tol`` must be positive and finite
-    (``ArgumentError``): NaN would return 0.0 and 0 would never return.
-    Rates whose sum overflows to inf raise ``DomainError``: the search box
-    would be unbounded and the frontier read 0.0.
+    Cost: each golden section takes about 3 + log(min(R1 + R2, 128) / 1e-11)
+    / 0.48 evaluations, 57 at R1 + R2 = 1.4, so a call evaluates the
+    objective about 57 x 57 = 3,249 times (3,364 at R1 + R2 = 2).
+    Everything free of r2 (the r1 term of the log argument, its r2-free
+    factors, the R1 cap and the remaining sum-rate room) is fixed once per
+    inner search; an evaluation is then one call of the relevance function,
+    one ``np.log2`` and three comparisons.  The comparisons take the four
+    terms in ``min``'s order and replace the current value only by a
+    strictly smaller term, so ties and NaN resolve as ``min`` resolves
+    them.  ``np.log2`` stays because ``math.log2`` rounds differently in
+    the last bit for about 0.2% of arguments, and the 12-digit frontier
+    depends on the exact golden-section path.  Rates whose sum overflows to
+    inf raise ``DomainError``.
     """
     _require_chain(m, "x1-y-x2")
     rate1, rate2 = _check_finite_rates("rates", rate1, rate2)
-    tol = _check_tol(tol)
     e1, e2 = m.rho_x1y ** 2, m.rho_x2y ** 2
     i_y_x2 = m.i_y_x2()
     span = rate1 + rate2
@@ -502,38 +501,28 @@ def cdib_x1yx2_outer_frontier(m: GaussianCdibModel, rate1: float, rate2: float, 
         raise DomainError(f"rates ({rate1!r}, {rate2!r}) must have a finite sum")
     if span <= 0.0:
         return 0.0
+    box = min(span, _OUTER_BOX)
 
     def best_over_r2(r1: float) -> float:
         # everything that does not depend on r2, once per inner search
         mu_at = _outer_mu_at(e1, e2, r1)
         cap = rate1 - r1 + i_y_x2
         room = span - r1
-        # min(mu, cap, R2 term, room - r2), written as comparisons in min's order
-        if r2_term_decays:
-            def admissible(r2: float) -> float:
-                mu = mu_at(r2)
-                v = cap if cap < mu else mu
-                t = rate2 - r2 + mu
-                if t < v:
-                    v = t
-                t = room - r2
-                return t if t < v else v
-        else:
-            l2 = mu_at(0.0)
 
-            def admissible(r2: float) -> float:
-                mu = mu_at(r2)
-                v = cap if cap < mu else mu
-                t = rate2 - r2 + l2
-                if t < v:
-                    v = t
-                t = room - r2
-                return t if t < v else v
+        def admissible(r2: float) -> float:
+            # min(mu, cap, R2 term, room - r2), as comparisons in min's order
+            mu = mu_at(r2)
+            v = cap if cap < mu else mu
+            t = rate2 - r2 + mu
+            if t < v:
+                v = t
+            t = room - r2
+            return t if t < v else v
 
-        _, v = golden_max(admissible, 0.0, span, tol)
+        _, v = golden_max(admissible, 0.0, box, _OUTER_TOL)
         return v
 
-    _, value = golden_max(best_over_r2, 0.0, span, tol)
+    _, value = golden_max(best_over_r2, 0.0, box, _OUTER_TOL)
     return max(0.0, value)
 
 

@@ -8,9 +8,10 @@ than ``tol``, so 0 or less could never end it and NaN or inf would end it at
 once.  A positive ``tol`` below the float spacing near the maximiser (1e-11
 near 1e5, where the spacing is 1.5e-11) may not be reachable either; the
 loop then stops once the bracket can no longer shrink.  Every solver's
-bracket [lo, hi] must be finite with lo <= hi, else ``ArgumentError``: a
-reversed bracket gave a point no search had tried (the midpoint, or an end)
-and an infinite end gave NaN.
+bracket [lo, hi] must be finite with lo <= hi, and twice each end finite,
+else ``ArgumentError``: a reversed bracket gave a point no search had tried
+(the midpoint, or an end), an infinite end gave NaN, and an end within a
+factor 2 of the float limit let a midpoint's sum overflow to inf.
 
 The bisections halve at most ``_BISECT_ITERATIONS`` times and stop as soon
 as the bracket is two adjacent floats (or one), that is when its midpoint
@@ -46,6 +47,11 @@ def _check_bracket(lo: float, hi: float) -> None:
     # NaN fails the chained comparison too
     if not -inf < lo <= hi < inf:
         raise ArgumentError(f"bracket needs finite lo <= hi, got [{lo!r}, {hi!r}]")
+    # a midpoint sums two points of the bracket, so it lies between 2 lo and
+    # 2 hi: lo + hi alone would pass [0, 1.7e308], whose bisection reaches inf
+    if not (-inf < 2.0 * lo and 2.0 * hi < inf):
+        raise ArgumentError(
+            f"bracket [{lo!r}, {hi!r}] overflows: twice each end must be finite")
 
 
 def golden_max(fun: Callable[[float], float], lo: float, hi: float,

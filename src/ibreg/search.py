@@ -311,8 +311,7 @@ class BucketRecord:
 
     rate: float
     relevance: float
-    origin: str                      # "baseline:<r>" or "sample:<chunk>/<row>"
-    channel: np.ndarray | None = None
+    origin: str                      # "baseline:r=<r>" or "sample:<chunk>/<row>"
 
 
 _CHUNK = 8192
@@ -405,14 +404,13 @@ def _baseline_channels(v1_card: int, v2_card: int) -> tuple[np.ndarray, np.ndarr
 
 
 def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, *,
-                           r1_rate: float | None = None, threads: int | None = None,
-                           keep_channels: bool = False):
+                           threads: int | None = None):
     """Seeded random-channel search for the interactive relevance curve.
 
     Fixes the first half-round description V1 at the relevance-optimal test
-    channel for rate ``r1_rate`` (default: h2(q), a full first description),
-    then samples ``budget`` conditional pmfs p(v2 | x2, v1) with |V2| = 7,
-    the single-letter bound 2 |V1| + 1, from a symmetric Dirichlet(1) per
+    channel for rate h2(q), a full first description, then samples
+    ``budget`` conditional pmfs p(v2 | x2, v1) with |V2| = 7, the
+    single-letter bound 2 |V1| + 1, from a symmetric Dirichlet(1) per
     conditional slice.  Keeps the best relevance per rate bucket, adds the
     deterministic non-interactive baselines, and returns the upper concave
     envelope evaluated on ``r2_grid`` together with the per-bucket records.
@@ -422,6 +420,8 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
 
     Deterministic for a fixed seed; samples are drawn in fixed-size chunks
     keyed by (seed, chunk index), so enlarging the budget only adds samples.
+    A chunk's draws are dropped once evaluated; a record's origin names its
+    channel by chunk and row, which the seed regenerates.
     """
     budget = _as_count("budget", budget, 1)
     seed = _as_count("seed", seed, 0)
@@ -437,9 +437,7 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
         raise ArgumentError("r2_grid must be nonempty, finite and strictly increasing")
     p, q = model.p, model.q
     hq = h2(q)
-    if r1_rate is None:
-        r1_rate = hq
-    v1 = optimal_channel(r1_rate, p, q).to_channel("x1", "v1", out_card=3)
+    v1 = optimal_channel(hq, p, q).to_channel("v1", out_card=3)
     q0 = compose_markov(_int_source(model), v1).table
 
     edges = np.linspace(0.0, hq, _BUCKETS + 1)
@@ -449,7 +447,7 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
     # a replaced point may have supported the hull at lower rates
     kept: list[tuple[float, float]] = []
 
-    def absorb(rates, rels, origin, chans):
+    def absorb(rates, rels, origin):
         # sequential running-max semantics per bucket: every improvement event
         # is kept, so any budget prefix produces a subset of the kept cloud
         idx = np.clip(np.searchsorted(edges, rates, side="right") - 1, 0, _BUCKETS - 1)
@@ -463,20 +461,17 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
                 if rels[k] > seen:
                     seen = float(rels[k])
                     kept.append((float(rates[k]), float(rels[k])))
-                    best[b] = BucketRecord(
-                        float(rates[k]), float(rels[k]), origin(int(k)),
-                        np.array(chans[k]) if keep_channels else None)
+                    best[b] = BucketRecord(float(rates[k]), float(rels[k]), origin(int(k)))
 
     base_rs, base_chans = _baseline_channels(v1.output.card, _V2_CARD)
     rates, rels = _evaluate_v2_batch(q0, base_chans)
-    absorb(rates, rels, lambda k: f"baseline:r={base_rs[k]:.6g}", base_chans)
+    absorb(rates, rels, lambda k: f"baseline:r={base_rs[k]:.6g}")
     kept.extend(zip(map(float, rates), map(float, rels)))
     # the zero-rate point must survive bucketing: without it the envelope's
     # flat left extension would claim unachievable relevance at rate 0
     k0 = int(np.argmax(base_rs))  # r = 1/2 carries nothing
     anchor = BucketRecord(0.0 if rates[k0] < 1e-12 else float(rates[k0]),
-                          float(rels[k0]), "anchor:constant",
-                          np.array(base_chans[k0]) if keep_channels else None)
+                          float(rels[k0]), "anchor:constant")
     kept.append((anchor.rate, anchor.relevance))
 
     n_chunks = (budget + _CHUNK - 1) // _CHUNK
@@ -485,17 +480,16 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
         rng = np.random.default_rng([seed, j])
         block = rng.dirichlet(np.ones(_V2_CARD), size=(_CHUNK, 2, v1.output.card))
         take = min(_CHUNK, budget - j * _CHUNK)
-        block = block[:take]
-        r, v = _evaluate_v2_batch(q0, block)
-        return j, block, r, v
+        r, v = _evaluate_v2_batch(q0, block[:take])
+        return j, r, v
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_chunk, range(n_chunks)))
     else:
         results = [run_chunk(j) for j in range(n_chunks)]
-    for j, block, r, v in results:
-        absorb(r, v, lambda k, j=j: f"sample:{j}/{k}", block)
+    for j, r, v in results:
+        absorb(r, v, lambda k, j=j: f"sample:{j}/{k}")
 
     records = [anchor] + [b for b in best if b is not None]
     env = upper_concave_envelope(kept)
@@ -507,12 +501,10 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
 
 
 def search_mu_int(model: BinaryModel, r2_grid, budget: int, seed: int, *,
-                  r1_rate: float | None = None,
                   threads: int | None = None) -> list[EnvelopePoint]:
     """Envelope of the interactive-curve search on ``r2_grid`` (see
     :func:`search_mu_int_detailed` for the sampling protocol)."""
-    points, _ = search_mu_int_detailed(
-        model, r2_grid, budget, seed, r1_rate=r1_rate, threads=threads)
+    points, _ = search_mu_int_detailed(model, r2_grid, budget, seed, threads=threads)
     return points
 
 

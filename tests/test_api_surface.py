@@ -1,8 +1,9 @@
 """Pinned signatures of the solver entry points.
 
-The solver settings (grids, tolerances, iteration counts, |V2|) are module
-constants, documented in the README, and the source axis names are fixed by
-the modules that read them; these tests keep them from coming back as
+The solver settings (grids, tolerances, iteration counts, |V2|, the first
+search description and the outer bound's reading) are module constants or
+fixed choices, documented in the README, and the source axis names are fixed
+by the modules that read them; these tests keep them from coming back as
 arguments or fields unnoticed, keep the CLI's model kinds to those some
 quantity accepts, and keep every function the benchmark's tracer wraps in
 place.
@@ -21,8 +22,10 @@ from ibreg.errors import ConfigError
 SIGNATURES = [
     (binary.mu_d_dual, ("rate", "p", "q")),
     (binary.mu_d_timeshare_oracle, ("rate", "p", "q")),
+    (binary.TestChannelSpec.to_channel, ("self", "output_name", "out_card")),
     (gaussian.cdib_x1yx2_inner, ("m", "rate1", "rate2")),
-    (gaussian.cdib_x1yx2_outer_frontier, ("m", "rate1", "rate2", "r2_term_decays", "tol")),
+    (gaussian.cdib_x1yx2_outer_point, ("m", "r1", "r2")),
+    (gaussian.cdib_x1yx2_outer_frontier, ("m", "rate1", "rate2")),
     (optimize.bisect_root, ("fun", "lo", "hi")),
     (optimize.bisect_decreasing_inverse, ("fun", "target", "lo", "hi")),
     (optimize.golden_max, ("fun", "lo", "hi", "tol")),
@@ -30,9 +33,9 @@ SIGNATURES = [
     (search.evaluate_cdib_inner, ("source", "sched")),
     (search.corner_points_outer, ("source", "u1", "u2")),
     (search.RoundSchedule, ("rounds", "channels", "bound_rule")),
-    (search.search_mu_int, ("model", "r2_grid", "budget", "seed", "r1_rate", "threads")),
-    (search.search_mu_int_detailed,
-     ("model", "r2_grid", "budget", "seed", "r1_rate", "threads", "keep_channels")),
+    (search.BucketRecord, ("rate", "relevance", "origin")),
+    (search.search_mu_int, ("model", "r2_grid", "budget", "seed", "threads")),
+    (search.search_mu_int_detailed, ("model", "r2_grid", "budget", "seed", "threads")),
 ]
 
 

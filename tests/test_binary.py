@@ -603,7 +603,7 @@ def test_infinite_rate():
 
 def _evaluate_channel(spec):
     src = BinaryModel(P, Q).half_round_source()
-    q = compose_markov(src, spec.to_channel("x1", "u"))
+    q = compose_markov(src, spec.to_channel("u"))
     rate = cmi(q, ["x1"], ["u"], ["x2"])
     rel = mi(q, ["y"], ["u", "x2"])
     return rate, rel

@@ -15,7 +15,6 @@ from ibreg.cli import main
 from ibreg.optimize import golden_max
 
 from ibreg import (
-    ArgumentError,
     DegenerateModelError,
     DomainError,
     GaussianCdibModel,
@@ -288,11 +287,8 @@ def test_outer_point_structure(chain_b):
         pt = cdib_x1yx2_outer_point(chain_b, r1, r2)
         assert pt.sum_min == pytest.approx(r1 + r2 + pt.mu_max, abs=1e-12)
         assert min(pt.R1_min, pt.R2_min, pt.mu_max) >= 0.0
-        # default reading: the R2 bound term equals mu_max, so R2_min == r2
+        # the R2 bound term equals mu_max, so R2_min == r2
         assert pt.R2_min == pytest.approx(r2, abs=1e-12)
-        alt = cdib_x1yx2_outer_point(chain_b, r1, r2, r2_term_decays=False)
-        assert alt.R2_min >= pt.R2_min - 1e-12
-        assert alt.mu_max == pt.mu_max
 
 
 def test_outer_frontier_basics(chain_b):
@@ -316,73 +312,86 @@ def _numpy_scalar_outer_mu(e1, e2, r1, r2):
     return 0.5 * np.log2(num / ((1.0 - e1) * (1.0 - e2)))
 
 
-def _oracle_outer_frontier(m, rate1, rate2, r2_term_decays=True, tol=1e-11):
+def _oracle_outer_frontier(m, rate1, rate2):
     e1, e2 = m.rho_x1y ** 2, m.rho_x2y ** 2
     i_y_x2 = m.i_y_x2()
     span = rate1 + rate2
     if span <= 0.0:
         return 0.0
+    box = min(span, 128.0)
 
     def admissible(r1, r2):
         mu = float(_numpy_scalar_outer_mu(e1, e2, r1, r2))
-        l2 = mu if r2_term_decays else float(_numpy_scalar_outer_mu(e1, e2, r1, 0.0))
-        return min(mu, rate1 - r1 + i_y_x2, rate2 - r2 + l2, span - r1 - r2)
+        return min(mu, rate1 - r1 + i_y_x2, rate2 - r2 + mu, span - r1 - r2)
 
     def best_over_r2(r1):
-        return golden_max(lambda r2: admissible(r1, r2), 0.0, span, tol)[1]
+        return golden_max(lambda r2: admissible(r1, r2), 0.0, box, 1e-11)[1]
 
-    return max(0.0, golden_max(best_over_r2, 0.0, span, tol)[1])
+    return max(0.0, golden_max(best_over_r2, 0.0, box, 1e-11)[1])
 
 
-def _oracle_outer_point(m, r1, r2, r2_term_decays=True):
+def _oracle_outer_point(m, r1, r2):
     e1, e2 = m.rho_x1y ** 2, m.rho_x2y ** 2
     mu = float(_numpy_scalar_outer_mu(e1, e2, r1, r2))
-    l2 = mu if r2_term_decays else float(_numpy_scalar_outer_mu(e1, e2, r1, 0.0))
-    return (max(0.0, r1 - m.i_y_x2() + mu), max(0.0, r2 - l2 + mu), r1 + r2 + mu, mu)
+    return (max(0.0, r1 - m.i_y_x2() + mu), max(0.0, r2 - mu + mu), r1 + r2 + mu, mu)
 
 
-# repr values of the numpy-scalar implementation; (rho_x1y, rho_x2y), rates, kwargs
+# Explicit ids: the cases named "rhos<i>-..." keep the names the suite
+# printed for them while each row also held keyword settings of the outer
+# bound.
+
+# repr values of the numpy-scalar implementation; (rho_x1y, rho_x2y), rates
 FROZEN_FRONTIER = [
-    ((0.8, 0.6), 0.5, 0.5, {}, 0.4433599544966398),
-    ((0.8, 0.6), 1.0, 0.25, {}, 0.5398349248133129),
-    ((0.8, 0.6), 0.0, 1.5, {}, 0.29780369867576684),
-    ((0.8, 0.6), 2.0, 0.0, {}, 0.6609640474409202),
-    ((0.8, 0.6), 50.0, 50.0, {}, 0.8699840411638579),
-    ((0.8, 0.6), 0.7, 1.3, {"r2_term_decays": False}, 0.5793975018337141),
-    ((0.8, 0.6), 1.2, 0.4, {"tol": 1e-6}, 0.6109809469358123),
-    ((-0.3, 0.9), 0.3, 2.2, {"r2_term_decays": False, "tol": 1e-8}, 1.0733255420187746),
-    # two of 500 seeded random points whose last digit math.log2 would move
-    ((0.054549277061133494, 0.3816642787877603), 2.3258483991197174, 0.2534810102255938,
-     {"r2_term_decays": False}, 0.0338104507898256),
-    ((0.09496491268576385, 0.4035299150084481), 2.250390195892012, 0.7472762173278403,
-     {"r2_term_decays": False, "tol": 5.733013874964742e-12}, 0.08569163584266176),
+    pytest.param((0.8, 0.6), 0.5, 0.5, 0.4433599544966398,
+                 id="rhos0-0.5-0.5-kw0-0.4433599544966398"),
+    pytest.param((0.8, 0.6), 1.0, 0.25, 0.5398349248133129,
+                 id="rhos1-1.0-0.25-kw1-0.5398349248133129"),
+    pytest.param((0.8, 0.6), 0.0, 1.5, 0.29780369867576684,
+                 id="rhos2-0.0-1.5-kw2-0.29780369867576684"),
+    pytest.param((0.8, 0.6), 2.0, 0.0, 0.6609640474409202,
+                 id="rhos3-2.0-0.0-kw3-0.6609640474409202"),
+    pytest.param((0.8, 0.6), 50.0, 50.0, 0.8699840411638579,
+                 id="rhos4-50.0-50.0-kw4-0.8699840411638579"),
+    # two of 4,000 points drawn as in _random_x1yx2_case from
+    # default_rng(20240917) (the 594th and 770th) whose last digit
+    # math.log2 would move
+    pytest.param((-0.4863823928533405, 0.539765264369458), 0.9042769129917232, 0.0,
+                 0.1335686015124354, id="log2-a"),
+    pytest.param((0.7239948085391402, 0.2823167718854438), 0.06023572373493158,
+                 1.7828588913292567, 0.08698477822154926, id="log2-b"),
 ]
 
 # (R1_min, R2_min, sum_min, mu_max)
 FROZEN_POINT = [
-    ((0.8, 0.6), 0.0, 0.0, {}, (0.0, 0.0, 0.0, 0.0)),
-    ((0.8, 0.6), 0.1, 0.8, {},
-     (0.12029122234413389, 0.8, 1.2422193172314961, 0.34221931723149623)),
-    ((0.8, 0.6), 1.0, 0.3, {"r2_term_decays": False},
-     (1.3461340988615944, 0.35686598308073264, 1.9680621937489569, 0.6680621937489568)),
-    ((0.8, 0.6), 2.0, 2.0, {},
-     (2.515756414030861, 2.0, 4.837684508918223, 0.8376845089182231)),
-    ((-0.3, 0.9), 0.6, 0.0, {"r2_term_decays": False},
-     (0.0, 0.0, 0.6392037407315205, 0.039203740731520595)),
-    ((0.8, 0.6), 64.0, 64.0, {},
-     (64.5480559462765, 64.0, 128.86998404116386, 0.869984041163865)),
+    pytest.param((0.8, 0.6), 0.0, 0.0, (0.0, 0.0, 0.0, 0.0),
+                 id="rhos0-0.0-0.0-kw0-expected0"),
+    pytest.param((0.8, 0.6), 0.1, 0.8,
+                 (0.12029122234413389, 0.8, 1.2422193172314961, 0.34221931723149623),
+                 id="rhos1-0.1-0.8-kw1-expected1"),
+    pytest.param((0.8, 0.6), 2.0, 2.0,
+                 (2.515756414030861, 2.0, 4.837684508918223, 0.8376845089182231),
+                 id="rhos3-2.0-2.0-kw3-expected3"),
+    pytest.param((0.8, 0.6), 64.0, 64.0,
+                 (64.5480559462765, 64.0, 128.86998404116386, 0.869984041163865),
+                 id="rhos5-64.0-64.0-kw5-expected5"),
+    # R2_min = max(0, r2 - mu + mu) is not r2 here
+    pytest.param((0.8, 0.6), 1.65, 0.08,
+                 (2.0327879149266392, 0.07999999999999996, 2.4347160098140015,
+                  0.7047160098140015), id="r2-rounds"),
+    pytest.param((-0.3, 0.9), 0.6, 0.0, (0.0, 0.0, 0.6392037407315205, 0.039203740731520595),
+                 id="clamped"),
 ]
 
 
-@pytest.mark.parametrize("rhos, rate1, rate2, kw, expected", FROZEN_FRONTIER)
-def test_outer_frontier_frozen(rhos, rate1, rate2, kw, expected):
+@pytest.mark.parametrize("rhos, rate1, rate2, expected", FROZEN_FRONTIER)
+def test_outer_frontier_frozen(rhos, rate1, rate2, expected):
     m = GaussianCdibModel.chain_x1_y_x2(*rhos)
-    assert cdib_x1yx2_outer_frontier(m, rate1, rate2, **kw) == expected
+    assert cdib_x1yx2_outer_frontier(m, rate1, rate2) == expected
 
 
-@pytest.mark.parametrize("rhos, r1, r2, kw, expected", FROZEN_POINT)
-def test_outer_point_frozen(rhos, r1, r2, kw, expected):
-    pt = cdib_x1yx2_outer_point(GaussianCdibModel.chain_x1_y_x2(*rhos), r1, r2, **kw)
+@pytest.mark.parametrize("rhos, r1, r2, expected", FROZEN_POINT)
+def test_outer_point_frozen(rhos, r1, r2, expected):
+    pt = cdib_x1yx2_outer_point(GaussianCdibModel.chain_x1_y_x2(*rhos), r1, r2)
     assert (pt.R1_min, pt.R2_min, pt.sum_min, pt.mu_max) == expected
 
 
@@ -391,30 +400,26 @@ def _random_x1yx2_case(rng):
     m = GaussianCdibModel.chain_x1_y_x2(rho_x1y, float(rng.uniform(0.05, 0.97)))
     rate1 = float(rng.uniform(0.0, 3.0)) if rng.random() < 0.9 else 0.0
     rate2 = float(rng.uniform(0.0, 3.0)) if rng.random() < 0.9 else 0.0
-    return m, rate1, rate2, bool(rng.random() < 0.5)
+    return m, rate1, rate2
 
 
 def test_outer_frontier_equals_numpy_scalar_oracle():
     rng = np.random.default_rng(20240917)
     for _ in range(50):
-        m, rate1, rate2, decays = _random_x1yx2_case(rng)
-        tol = float(10.0 ** rng.uniform(-11.0, -7.0)) if rng.random() < 0.3 else 1e-11
-        got = cdib_x1yx2_outer_frontier(m, rate1, rate2, r2_term_decays=decays, tol=tol)
-        assert got == _oracle_outer_frontier(m, rate1, rate2, decays, tol)
+        m, rate1, rate2 = _random_x1yx2_case(rng)
+        assert cdib_x1yx2_outer_frontier(m, rate1, rate2) == \
+            _oracle_outer_frontier(m, rate1, rate2)
 
 
 correlation = st.floats(0.05, 0.95) | st.floats(-0.95, -0.05)
 
 
-@pytest.mark.parametrize("decays", [True, False])
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
-@given(correlation, correlation, st.floats(0.0, 3.0), st.floats(0.0, 3.0),
-       st.sampled_from([1e-11, 1e-6]))
-def test_outer_frontier_equals_oracle_on_drawn_chains(decays, rho_x1y, rho_x2y,
-                                                      rate1, rate2, tol):
+@given(correlation, correlation, st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+def test_outer_frontier_equals_oracle_on_drawn_chains(rho_x1y, rho_x2y, rate1, rate2):
     m = GaussianCdibModel.chain_x1_y_x2(rho_x1y, rho_x2y)
-    got = cdib_x1yx2_outer_frontier(m, rate1, rate2, r2_term_decays=decays, tol=tol)
-    assert got == _oracle_outer_frontier(m, rate1, rate2, decays, tol)
+    got = cdib_x1yx2_outer_frontier(m, rate1, rate2)
+    assert got == _oracle_outer_frontier(m, rate1, rate2)
 
 
 def _bounded_golden(limit=5_000):
@@ -434,14 +439,27 @@ def _bounded_golden(limit=5_000):
     return golden
 
 
-@pytest.mark.parametrize("rate", [5e4, 1e5, 1e6])
-@pytest.mark.parametrize("decays", [True, False])
-def test_outer_frontier_ends_at_large_rates(chain_b, monkeypatch, rate, decays):
-    # from 1e5 up the float spacing near the maximiser exceeds tol = 1e-11,
-    # and the golden sections never ended
+# the ids are the names these cases had while the test also ran the
+# outer bound's r2-free reading
+@pytest.mark.parametrize("rate", [5e4, 1e5, 1e6], ids=lambda rate: f"True-{rate}")
+def test_outer_frontier_ends_at_large_rates(chain_b, monkeypatch, rate):
+    # from 1e5 up the float spacing near the maximiser exceeded tol = 1e-11
+    # while the search box spanned R1 + R2, and the golden sections never
+    # ended
     monkeypatch.setattr(ibreg.gaussian, "golden_max", _bounded_golden())
-    got = cdib_x1yx2_outer_frontier(chain_b, rate, rate, r2_term_decays=decays)
+    got = cdib_x1yx2_outer_frontier(chain_b, rate, rate)
     assert got == pytest.approx(chain_b.i_y_x1x2(), abs=1e-9)
+
+
+def test_outer_frontier_ladder_beyond_saturation(chain_b):
+    # with the search box as wide as R1 + R2, float spacing on the plateau
+    # moved the frontier off I(Y;X1,X2): 0.869984041157295 at 5e4,
+    # 0.8699836730957031 at 1e10 and 0.0 at 1e300
+    rates = [20.0, 40.0, 64.0, 100.0, 128.1, 5e4, 1e10, 1e100, 1e300]
+    got = [cdib_x1yx2_outer_frontier(chain_b, r, r) for r in rates]
+    assert all(a <= b for a, b in zip(got, got[1:])), got
+    for rate, value in zip(rates[1:], got[1:]):
+        assert abs(value - chain_b.i_y_x1x2()) <= 1e-12, rate
 
 
 @pytest.mark.parametrize("rates", [(1e308, 1e308), (1.7e308, 1e308)])
@@ -464,10 +482,9 @@ def test_cli_outer_frontier_large_grid_ends(tmp_path, monkeypatch, capsys):
 def test_outer_point_equals_numpy_scalar_oracle():
     rng = np.random.default_rng(7)
     for _ in range(400):
-        m, r1, r2, decays = _random_x1yx2_case(rng)
-        pt = cdib_x1yx2_outer_point(m, r1, r2, r2_term_decays=decays)
-        assert (pt.R1_min, pt.R2_min, pt.sum_min, pt.mu_max) == \
-            _oracle_outer_point(m, r1, r2, decays)
+        m, r1, r2 = _random_x1yx2_case(rng)
+        pt = cdib_x1yx2_outer_point(m, r1, r2)
+        assert (pt.R1_min, pt.R2_min, pt.sum_min, pt.mu_max) == _oracle_outer_point(m, r1, r2)
 
 
 def test_inner_limits(chain_b):
@@ -533,17 +550,6 @@ def test_x1yx2_rejects_non_finite_rates(chain_b, fun, rates):
     # or an unbounded point; every one now raises
     with pytest.raises(DomainError):
         fun(chain_b, *rates)
-
-
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
-def test_outer_frontier_rejects_bad_tol(chain_b, tol):
-    # tol=nan gave 0.0 instead of 0.6403281992393299 at (1, 1) and tol=0
-    # never returned.  At (0, 0) no golden section runs, so only the
-    # frontier's own check can raise; it comes first, so that a frontier
-    # without that check fails there instead of searching with tol=0
-    for rates in ((0.0, 0.0), (1.0, 1.0)):
-        with pytest.raises(ArgumentError):
-            cdib_x1yx2_outer_frontier(chain_b, *rates, tol=tol)
 
 
 def test_outer_dominates_inner_small_grid(chain_b):

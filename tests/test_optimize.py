@@ -52,7 +52,8 @@ def test_golden_rejects_bad_tol(solver, tol):
 
 
 _BAD_BRACKETS = [(2.0, 1.0), (math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0),
-                 (0.0, math.inf), (math.inf, math.inf), (-math.inf, math.inf)]
+                 (0.0, math.inf), (math.inf, math.inf), (-math.inf, math.inf),
+                 (1e308, 1.7e308), (-1.7e308, 1.7e308), (0.0, 1.7e308), (-1.7e308, 0.0)]
 _SOLVERS = {
     "golden_max": lambda lo, hi: golden_max(_bounded_parabola(), lo, hi),
     "golden_min": lambda lo, hi: golden_min(_bounded_parabola(), lo, hi),
@@ -67,7 +68,9 @@ _SOLVERS = {
 def test_solvers_reject_bad_bracket(solver, lo, hi):
     # golden_max(f, 2.0, 1.0) returned (1.5, f(1.5)) and
     # bisect_decreasing_inverse(lambda x: -x, -1.2, 2.0, 1.0) returned 2.0;
-    # an infinite end gave NaN
+    # an infinite end gave NaN, and an end within a factor 2 of the float
+    # limit gave inf, as bisect_root(lambda x: x - 1.5e308, 1e308, 1.7e308)
+    # and golden_max(f, -1.7e308, 1.7e308, tol=1e300) did
     with pytest.raises(ArgumentError, match="bracket"):
         _SOLVERS[solver](lo, hi)
 
@@ -170,10 +173,19 @@ def test_golden_path_unchanged_where_the_loop_ended():
     assert checked >= 300
 
 
-def _ref_bisect_root(fun, lo, hi):
-    # bisect_root before it stopped at adjacent floats: always 100 halvings
+def _ref_check_bracket(lo, hi):
+    # the solvers' entry rule: the fixed-count loops below overflow on the
+    # same brackets, so the references refuse them too
     if not -math.inf < lo <= hi < math.inf:
         raise ArgumentError(f"bracket needs finite lo <= hi, got [{lo!r}, {hi!r}]")
+    if not (-math.inf < 2.0 * lo and 2.0 * hi < math.inf):
+        raise ArgumentError(
+            f"bracket [{lo!r}, {hi!r}] overflows: twice each end must be finite")
+
+
+def _ref_bisect_root(fun, lo, hi):
+    # bisect_root before it stopped at adjacent floats: always 100 halvings
+    _ref_check_bracket(lo, hi)
     flo, fhi = fun(lo), fun(hi)
     if flo == 0.0:
         return lo
@@ -195,8 +207,7 @@ def _ref_bisect_root(fun, lo, hi):
 
 def _ref_bisect_decreasing_inverse(fun, target, lo, hi):
     # bisect_decreasing_inverse before it stopped at adjacent floats
-    if not -math.inf < lo <= hi < math.inf:
-        raise ArgumentError(f"bracket needs finite lo <= hi, got [{lo!r}, {hi!r}]")
+    _ref_check_bracket(lo, hi)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if fun(mid) > target:

@@ -1,5 +1,7 @@
 """Channel-stack evaluators, corner points, envelope, and the seeded search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -367,15 +369,41 @@ def test_search_budget_monotone():
             prev = ys
 
 
-def test_search_records(tmp_path):
-    pts, recs = search_mu_int_detailed(MODEL, GRID, budget=2000, seed=5,
-                                       keep_channels=True)
+def test_search_records():
+    # a record's origin names its channel: evaluating the batch it came from
+    # again gives the record's rate and relevance bit for bit
+    budget = 10_000
+    pts, recs = search_mu_int_detailed(MODEL, GRID, budget=budget, seed=5)
     assert recs[0].origin == "anchor:constant"
-    assert any(r.origin.startswith("sample:") for r in recs)
-    for r in recs:
-        assert r.channel is not None
-        assert r.channel.shape[-1] == 7
-        assert np.allclose(r.channel.sum(axis=-1), 1.0, atol=1e-12)
+    v1 = optimal_channel(h2(Q), P, Q).to_channel("v1", out_card=3)
+    q0 = compose_markov(_int_source(MODEL), v1).table
+    base_rs, base_chans = _baseline_channels(3, 7)
+    chunks = {}
+    for r in recs[1:]:
+        kind, _, where = r.origin.partition(":")
+        if kind == "sample":
+            j, k = map(int, where.split("/"))
+            if j not in chunks:
+                chunks[j] = _evaluate_v2_batch(q0, _sample_chunk(5, j)[:budget - j * 8192])
+            rates, rels = chunks[j]
+        else:
+            assert kind == "baseline"
+            k = [f"r={x:.6g}" for x in base_rs].index(where)
+            rates, rels = _evaluate_v2_batch(q0, base_chans)
+        assert (rates[k], rels[k]) == (r.rate, r.relevance)
+    assert sorted(chunks) == [0, 1]
+
+
+def test_search_frees_each_chunk_once_evaluated():
+    # keeping every 2.75 MB chunk of draws until the end of the search
+    # peaked at 24.2 MiB here
+    tracemalloc.start()
+    try:
+        search_mu_int(MODEL, GRID, budget=8 * 8192, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
 
 
 def test_search_argument_errors():
@@ -421,14 +449,14 @@ def _assert_kernel_matches_oracle(v1, chans):
 
 @pytest.mark.parametrize("r1_rate", [h2(Q), 0.2])
 def test_search_kernel_random_channels(rng, r1_rate):
-    v1 = optimal_channel(r1_rate, P, Q).to_channel("x1", "v1", out_card=3)
+    v1 = optimal_channel(r1_rate, P, Q).to_channel("v1", out_card=3)
     chans = rng.dirichlet(np.ones(7), size=(64, 2, 3))
     _assert_kernel_matches_oracle(v1, chans)
 
 
 def test_search_kernel_baseline_channels():
     # r = 0 holds exact zeros (0 log 0 = 0), r = 1/2 carries nothing
-    v1 = optimal_channel(h2(Q), P, Q).to_channel("x1", "v1", out_card=3)
+    v1 = optimal_channel(h2(Q), P, Q).to_channel("v1", out_card=3)
     rs, chans = _baseline_channels(3, 7)
     assert rs[0] == 0.0 and rs[-1] == 0.5
     _assert_kernel_matches_oracle(v1, chans)
@@ -551,14 +579,6 @@ def test_two_round_cdib_rate_decomposition(rng):
     assert pt.sum_rate == pytest.approx(mi(q, ["x1", "x2"], w2k + ["v22"]), abs=1e-12)
 
 
-def test_search_with_partial_first_round():
-    # an interior first half-round uses the 3-symbol time-shared description
-    pts = search_mu_int(MODEL, GRID, budget=2000, seed=5, r1_rate=0.2)
-    assert pts[0].y == pytest.approx(MU0, abs=1e-12)
-    for pt in pts:
-        assert pt.y <= mu_ed(pt.x, P, Q) + 1e-9
-
-
 def test_search_threads_env(monkeypatch):
     a = search_mu_int(MODEL, GRID, budget=3000, seed=9)
     monkeypatch.setenv("IBREG_THREADS", "4")
@@ -660,7 +680,7 @@ def _sample_chunk(seed, j):
 @pytest.mark.parametrize("p, q", [(0.1, 0.1), (0.2, 0.05), (0.3, 0.3)])
 @pytest.mark.parametrize("share", [1.0, 0.5, 0.0])
 def test_search_kernel_equals_reference_bytes(p, q, share):
-    v1 = optimal_channel(share * h2(q), p, q).to_channel("x1", "v1", out_card=3)
+    v1 = optimal_channel(share * h2(q), p, q).to_channel("v1", out_card=3)
     q0 = compose_markov(_int_source(BinaryModel(p, q)), v1).table
     full = _sample_chunk(20240917, 0)
     zeros = _sample_chunk(7, 1)[:600].copy()    # channel rows with exact zeros
