@@ -378,6 +378,7 @@ def test_search_records():
     v1 = optimal_channel(h2(Q), P, Q).to_channel("v1", out_card=3)
     q0 = compose_markov(_int_source(MODEL), v1).table
     base_rs, base_chans = _baseline_channels(3, 7)
+    baseline = _evaluate_v2_batch(q0, base_chans)
     chunks = {}
     for r in recs[1:]:
         kind, _, where = r.origin.partition(":")
@@ -389,14 +390,14 @@ def test_search_records():
         else:
             assert kind == "baseline"
             k = [f"r={x:.6g}" for x in base_rs].index(where)
-            rates, rels = _evaluate_v2_batch(q0, base_chans)
+            rates, rels = baseline
         assert (rates[k], rels[k]) == (r.rate, r.relevance)
     assert sorted(chunks) == [0, 1]
 
 
 def test_search_frees_each_chunk_once_evaluated():
     # keeping every 2.75 MB chunk of draws until the end of the search
-    # peaked at 24.2 MiB here
+    # peaked at 25.8 MiB here
     tracemalloc.start()
     try:
         search_mu_int(MODEL, GRID, budget=8 * 8192, seed=5)
