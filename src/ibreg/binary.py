@@ -301,11 +301,7 @@ class CriticalPoint:
 
     crossover: float    # r_c
     rate: float         # R_c = g(r_c)
-    alpha_star: float   # envelope slope f(r_c) / R_c
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha_star < 1.0:
-            raise DomainError(f"alpha_star={self.alpha_star!r} outside (0, 1)")
+    alpha_star: float   # envelope slope f(r_c) / R_c, in (0, 1)
 
 
 _SCAN_N = 2048            # critical_point's sign-change scan
@@ -554,21 +550,23 @@ class TestChannelSpec:
     def to_channel(self, output_name: str = "u", out_card: int | None = None) -> Channel:
         """Materialise as a :class:`Channel` on ``x1`` (optionally padded with
         unused output symbols up to ``out_card``)."""
+        if out_card is None:
+            out_card = {"constant": 1, "timeshared": 3}.get(self.kind, 2)
         if self.kind == "constant":
-            return Channel.constant((("x1", 2),), output_name, out_card or 1)
+            return Channel.constant((("x1", 2),), output_name, out_card)
         if self.kind == "identity":
-            return Channel.bsc("x1", output_name, 0.0, out_card or 2)
+            return Channel.bsc("x1", output_name, 0.0, out_card)
         if self.kind == "direct":
-            return Channel.bsc("x1", output_name, float(self.r), out_card or 2)
-        card = out_card or 3
-        if card < 3:
+            return Channel.bsc("x1", output_name, float(self.r), out_card)
+        output = Axis(output_name, out_card)
+        if output.card < 3:
             raise ArgumentError("timeshared channel needs at least 3 output symbols")
-        t = np.zeros((2, card))
+        t = np.zeros((2, output.card))
         lam, rc = float(self.lam), float(self.r_c)
         t[0, 0] = t[1, 1] = lam * (1.0 - rc)
         t[0, 1] = t[1, 0] = lam * rc
         t[:, 2] = 1.0 - lam
-        return Channel(("x1",), Axis(output_name, card), t)
+        return Channel(("x1",), output, t)
 
 
 def optimal_channel(rate: float, p: float, q: float) -> TestChannelSpec:

@@ -11,10 +11,12 @@ Three source models:
   by auxiliary rates ``r1, r2``, plus the additive inner bound
   ``V1 = X1 + P1``, ``V2 = X2 + V1 + P2``).
 
-Every mutual information here is a log-ratio of covariance determinants.
-The generic determinant evaluator :func:`gaussian_mi` is the test oracle;
-the region functions use algebraically reduced determinant ratios which stay
-accurate for noise variances across many orders of magnitude.
+Every mutual information here is a log-ratio of covariance determinants, so
+it depends on the correlations only, and rescaling a model's variances moves
+no output and no model check.  The generic determinant evaluator
+:func:`gaussian_mi` is the test oracle; the region functions use
+algebraically reduced determinant ratios which stay accurate for noise
+variances across many orders of magnitude.
 
 Argument rule: every guard is written ``not lo <= x`` (or ``not lo <= x <
 hi``), so NaN raises ``DomainError`` and never reaches the arithmetic.  An
@@ -100,7 +102,9 @@ class GaussianTwcibModel:
     ``Y1`` couples to the pair through ``rho_x1y1, rho_x2y1`` and ``Y2``
     through ``rho_x2y2, rho_x1y2``.  The derived quantities ``beta`` and
     ``delta`` (the 3x3 correlation determinants of ``(X1, X2, Y1)`` and
-    ``(X1, X2, Y2)``) must be strictly positive.
+    ``(X1, X2, Y2)``) must be strictly positive.  With every |rho| < 1 that
+    makes both correlation blocks, and so the 4x4 :meth:`covariance` that
+    joins them through independent Y-noises, positive definite.
     """
 
     rho_x1x2: float
@@ -122,10 +126,6 @@ class GaussianTwcibModel:
             raise DegenerateModelError(f"beta={self.beta!r} must be positive")
         if self.delta <= 0.0:
             raise DegenerateModelError(f"delta={self.delta!r} must be positive")
-        evals = np.linalg.eigvalsh(self.covariance())
-        if evals.min() < -1e-10:
-            raise DegenerateModelError(
-                f"implied covariance not PSD (min eigenvalue {evals.min()!r})")
 
     @property
     def beta(self) -> float:
@@ -291,7 +291,7 @@ class GaussianCdibModel:
 
     Use :meth:`chain_x1_x2_y` (provide ``rho_x1x2`` and ``rho_x2y``) or
     :meth:`chain_x1_y_x2` (provide ``rho_x1y`` and ``rho_x2y``); the chain
-    fixes the remaining pairwise correlation.
+    fixes the third correlation, which if passed must be 0 or that product.
     """
 
     chain: str
@@ -312,7 +312,12 @@ class GaussianCdibModel:
         first, second, implied = chains[self.chain]
         for name in (first, second):
             object.__setattr__(self, name, _check_rho(name, getattr(self, name), allow_zero=False))
-        object.__setattr__(self, implied, getattr(self, first) * getattr(self, second))
+        product = getattr(self, first) * getattr(self, second)
+        given = getattr(self, implied)
+        if given != 0.0 and given != product:
+            raise DomainError(f"{implied}={given!r} contradicts the {self.chain} chain, "
+                              f"which implies {first} * {second} = {product!r}")
+        object.__setattr__(self, implied, product)
 
     @classmethod
     def chain_x1_x2_y(cls, rho_x1x2: float, rho_x2y: float, **sigmas) -> "GaussianCdibModel":

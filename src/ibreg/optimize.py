@@ -20,7 +20,11 @@ it onto that midpoint, so running on to the cap returned the same midpoint:
 the early stop only saves evaluations of ``fun``.  A zero midpoint is the
 exception, since later steps can still flip its sign; those brackets run on.
 From [0, 1/2] the stop comes after 53 halvings for a root near 0.4, 65 near
-1e-4 and 98 near 1e-14; roots below about 3e-15 still take all 100.
+1e-4 and 98 near 1e-14; roots below about 3e-15 still take all 100.  When
+the cap ends the halvings with the bracket still wider than
+``2**-52 * max(1, |lo|, |hi|)``, the midpoint need not be near a root, and
+``SolverError`` names the bracket instead: 100 halvings narrow [0, 1/2] to
+3.9e-31, but not [0, 8.9e307].
 """
 
 from __future__ import annotations
@@ -52,6 +56,15 @@ def _check_bracket(lo: float, hi: float) -> None:
     if not (-inf < 2.0 * lo and 2.0 * hi < inf):
         raise ArgumentError(
             f"bracket [{lo!r}, {hi!r}] overflows: twice each end must be finite")
+
+
+def _capped_midpoint(lo: float, hi: float) -> float:
+    # the bracket the cap left; twice each end is finite, so hi - lo is too
+    if hi - lo > 2.0 ** -52 * max(1.0, abs(lo), abs(hi)):
+        raise SolverError(
+            f"bisection unconverged after {_BISECT_ITERATIONS} halvings: "
+            f"bracket [{lo!r}, {hi!r}] is wider than 2**-52 * max(1, |lo|, |hi|)")
+    return 0.5 * (lo + hi)
 
 
 def golden_max(fun: Callable[[float], float], lo: float, hi: float,
@@ -121,7 +134,7 @@ def bisect_root(fun: Callable[[float], float], lo: float, hi: float) -> float:
             lo, flo = mid, fm
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return _capped_midpoint(lo, hi)
 
 
 def bisect_decreasing_inverse(fun: Callable[[float], float], target: float,
@@ -136,4 +149,4 @@ def bisect_decreasing_inverse(fun: Callable[[float], float], target: float,
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return _capped_midpoint(lo, hi)

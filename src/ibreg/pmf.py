@@ -205,22 +205,23 @@ class Channel:
         r = float(crossover)
         if not 0.0 <= r <= 1.0:
             raise DomainError(f"crossover {r!r} outside [0, 1]")
-        if out_card < 2:
+        output = Axis(output_name, out_card)
+        if output.card < 2:
             raise DomainError("bsc needs at least two output symbols")
-        t = np.zeros((2, out_card))
+        t = np.zeros((2, output.card))
         t[0, 0] = t[1, 1] = 1.0 - r
         t[0, 1] = t[1, 0] = r
-        return cls((input_axis,), Axis(output_name, out_card), t)
+        return cls((input_axis,), output, t)
 
     @classmethod
     def constant(cls, inputs: Sequence[tuple[str, int]], output_name: str,
                  out_card: int = 1) -> "Channel":
         """Channel whose output is the fixed symbol 0 whatever the inputs."""
-        names = tuple(n for n, _ in inputs)
-        cards = tuple(c for _, c in inputs)
-        t = np.zeros(cards + (out_card,))
+        axes = _as_axes(inputs)
+        output = Axis(output_name, out_card)
+        t = np.zeros(tuple(a.card for a in axes) + (output.card,))
         t[..., 0] = 1.0
-        return cls(names, Axis(output_name, out_card), t)
+        return cls(tuple(a.name for a in axes), output, t)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ observer's source axis plus every previously generated description.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -61,8 +60,7 @@ class RegionPoint:
     """One evaluated tuple of the achievable set.
 
     Two-way evaluations fill ``mu1``/``mu2``; broadcast evaluations fill
-    ``mu``.  ``provenance`` hashes the channel stack (plus seed for points
-    produced by a stochastic search).
+    ``mu``.
     """
 
     r1: float
@@ -71,14 +69,14 @@ class RegionPoint:
     mu: float | None = None
     mu1: float | None = None
     mu2: float | None = None
-    provenance: str = ""
 
 
 @dataclass(frozen=True)
 class EnvelopePoint:
+    """One point (x, y) of an upper concave envelope or of its evaluation."""
+
     x: float
     y: float
-    is_vertex: bool = True
 
 
 def _as_count(name: str, v, lo: int) -> int:
@@ -88,17 +86,6 @@ def _as_count(name: str, v, lo: int) -> int:
     if not v % 1 == 0:
         raise ArgumentError(f"{name} must be an integer, got {v!r}")
     return int(v)
-
-
-def _stack_hash(channels, seed=None) -> str:
-    h = hashlib.sha256()
-    for ch in channels:
-        h.update(repr(ch.input_axes).encode())
-        h.update(repr((ch.output.name, ch.output.card)).encode())
-        h.update(np.ascontiguousarray(ch.table).tobytes())
-    if seed is not None:
-        h.update(f"seed={seed}".encode())
-    return h.hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +189,6 @@ def evaluate_twcib(source: JointPmf, sched: RoundSchedule) -> RegionPoint:
         r1=r1, r2=r2, sum_rate=r1 + r2,
         mu1=mi(q, ["y1"], w + ["x1"]),
         mu2=mi(q, ["y2"], w + ["x2"]),
-        provenance=_stack_hash(sched.channels),
     )
 
 
@@ -223,7 +209,6 @@ def evaluate_cdib_inner(source: JointPmf, sched: RoundSchedule) -> RegionPoint:
     return RegionPoint(
         r1=r1, r2=r2, sum_rate=mi(q, ["x1", "x2"], w),
         mu=mi(q, ["y"], w),
-        provenance=_stack_hash(sched.channels),
     )
 
 
@@ -242,18 +227,17 @@ def corner_points_outer(source: JointPmf, u1: Channel,
             f"U2 must condition on ({u1.output.name!r}, 'x2'), got {u2.input_axes}")
     q = compose_markov(compose_markov(source, u1), u2)
     a, b = u1.output.name, u2.output.name
-    tag = _stack_hash((u1, u2))
     mu12 = mi(q, ["y"], [a, b])
     i_x1_a = mi(q, ["x1"], [a])                 # I(X1;U1)
     i_x1_a_x2 = cmi(q, ["x1"], [a], ["x2"])     # I(X1;U1|X2)
     i_x2_ab = mi(q, [a, b], ["x2"])             # I(U1,U2;X2)
     i_x2_b_a = cmi(q, ["x2"], [b], [a])         # I(X2;U2|U1)
-    q1 = RegionPoint(i_x1_a_x2, i_x2_ab, i_x1_a_x2 + i_x2_ab, mu=mu12, provenance=tag)
-    q2 = RegionPoint(i_x1_a, i_x2_b_a, i_x1_a + i_x2_b_a, mu=mu12, provenance=tag)
+    q1 = RegionPoint(i_x1_a_x2, i_x2_ab, i_x1_a_x2 + i_x2_ab, mu=mu12)
+    q2 = RegionPoint(i_x1_a, i_x2_b_a, i_x1_a + i_x2_b_a, mu=mu12)
     q3 = RegionPoint(i_x1_a, 0.0, i_x1_a,
-                     mu=mi(q, ["y"], [a]) - cmi(q, ["x2"], [b], [a, "y"]), provenance=tag)
+                     mu=mi(q, ["y"], [a]) - cmi(q, ["x2"], [b], [a, "y"]))
     q4 = RegionPoint(i_x1_a_x2, 0.0, i_x1_a_x2,
-                     mu=i_x1_a_x2 - cmi(q, [a, b], ["x1", "x2"], ["y"]), provenance=tag)
+                     mu=i_x1_a_x2 - cmi(q, [a, b], ["x1", "x2"], ["y"]))
     return q1, q2, q3, q4
 
 
@@ -290,7 +274,7 @@ def upper_concave_envelope(points) -> list[EnvelopePoint]:
             else:
                 break
         hull.append(p)
-    return [EnvelopePoint(x, y, True) for x, y in hull]
+    return [EnvelopePoint(x, y) for x, y in hull]
 
 
 def envelope_value(envelope, x) -> np.ndarray:
@@ -416,7 +400,8 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
     envelope evaluated on ``r2_grid`` together with the per-bucket records.
     ``seed`` must be a nonnegative integer and ``threads`` a positive one;
     with ``threads`` unset the worker count comes from ``IBREG_THREADS``
-    (unset or empty: 1).
+    (unset or empty: 1).  Chunks run on a pool of that many workers and
+    are absorbed in chunk order, so the result does not depend on it.
 
     Deterministic for a fixed seed; samples are drawn in fixed-size chunks
     keyed by (seed, chunk index), so enlarging the budget only adds samples.
@@ -483,20 +468,13 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
         r, v = _evaluate_v2_batch(q0, block[:take])
         return j, r, v
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_chunk, range(n_chunks)))
-    else:
-        results = [run_chunk(j) for j in range(n_chunks)]
-    for j, r, v in results:
-        absorb(r, v, lambda k, j=j: f"sample:{j}/{k}")
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for j, r, v in pool.map(run_chunk, range(n_chunks)):
+            absorb(r, v, lambda k, j=j: f"sample:{j}/{k}")
 
     records = [anchor] + [b for b in best if b is not None]
-    env = upper_concave_envelope(kept)
-    vx = {round(pt.x, 12) for pt in env}
-    ys = envelope_value(env, grid)
-    points = [EnvelopePoint(float(x), float(y), round(float(x), 12) in vx)
-              for x, y in zip(grid, ys)]
+    ys = envelope_value(upper_concave_envelope(kept), grid)
+    points = [EnvelopePoint(float(x), float(y)) for x, y in zip(grid, ys)]
     return points, records
 
 
@@ -515,13 +493,17 @@ def search_mu_int(model: BinaryModel, r2_grid, budget: int, seed: int, *,
 
 @dataclass(frozen=True)
 class InclusionVerdict:
+    """Outcome of :func:`check_inclusion`: whether inner <= outer + tol held
+    at the ``checked`` common rates, and the rate, inner and outer
+    relevances where the gap inner - outer is largest."""
+
     holds: bool
     tol: float
     checked: int
     worst_gap: float
-    worst_rate: float | None = None
-    worst_inner: float | None = None
-    worst_outer: float | None = None
+    worst_rate: float
+    worst_inner: float
+    worst_outer: float
 
     def to_dict(self) -> dict:
         return {
@@ -529,7 +511,7 @@ class InclusionVerdict:
             "tol": self.tol,
             "checked": self.checked,
             "worst_gap": self.worst_gap,
-            "worst": None if self.worst_rate is None else {
+            "worst": {
                 "R": self.worst_rate,
                 "inner_mu": self.worst_inner,
                 "outer_mu": self.worst_outer,

@@ -3,8 +3,9 @@
 The solver settings (grids, tolerances, iteration counts, |V2|, the first
 search description and the outer bound's reading) are module constants or
 fixed choices, documented in the README, and the source axis names are fixed
-by the modules that read them; these tests keep them from coming back as
-arguments or fields unnoticed, keep the CLI's model kinds to those some
+by the modules that read them; the result records carry only fields some
+caller reads.  These tests keep settings and unread fields from coming back
+as arguments or fields unnoticed, keep the CLI's model kinds to those some
 quantity accepts, and keep every function the benchmark's tracer wraps in
 place.
 """
@@ -23,6 +24,7 @@ SIGNATURES = [
     (binary.mu_d_dual, ("rate", "p", "q")),
     (binary.mu_d_timeshare_oracle, ("rate", "p", "q")),
     (binary.TestChannelSpec.to_channel, ("self", "output_name", "out_card")),
+    (binary.CriticalPoint, ("crossover", "rate", "alpha_star")),
     (gaussian.cdib_x1yx2_inner, ("m", "rate1", "rate2")),
     (gaussian.cdib_x1yx2_outer_point, ("m", "r1", "r2")),
     (gaussian.cdib_x1yx2_outer_frontier, ("m", "rate1", "rate2")),
@@ -34,6 +36,10 @@ SIGNATURES = [
     (search.corner_points_outer, ("source", "u1", "u2")),
     (search.RoundSchedule, ("rounds", "channels", "bound_rule")),
     (search.BucketRecord, ("rate", "relevance", "origin")),
+    (search.RegionPoint, ("r1", "r2", "sum_rate", "mu", "mu1", "mu2")),
+    (search.EnvelopePoint, ("x", "y")),
+    (search.InclusionVerdict, ("holds", "tol", "checked", "worst_gap", "worst_rate",
+                               "worst_inner", "worst_outer")),
     (search.search_mu_int, ("model", "r2_grid", "budget", "seed", "threads")),
     (search.search_mu_int_detailed, ("model", "r2_grid", "budget", "seed", "threads")),
 ]

@@ -664,3 +664,19 @@ def test_spec_validation():
     for kw in ({}, {"lam": 0.5}, {"r_c": 0.1}, {"r": 0.1, "r_c": 0.1}):
         with pytest.raises(ArgumentError):
             TestChannelSpec("timeshared", **kw)
+    with pytest.raises(DomainError):
+        TestChannelSpec("timeshared", lam=0.5, r_c=0.6)
+    with pytest.raises(ArgumentError):
+        TestChannelSpec("timeshared", lam=0.5, r_c=0.1).to_channel(out_card=2)
+
+
+@pytest.mark.parametrize("out_card", [2.5, math.nan, math.inf, 0, -1])
+@pytest.mark.parametrize("kind, kw", [
+    ("constant", {}), ("identity", {}), ("direct", {"r": 0.1}),
+    ("timeshared", {"lam": 0.5, "r_c": 0.1}),
+])
+def test_to_channel_rejects_bad_out_card(kind, kw, out_card):
+    # 2.5 raised TypeError, and 0 fell back to the default cardinality
+    from ibreg import TestChannelSpec
+    with pytest.raises(DomainError, match="cardinality"):
+        TestChannelSpec(kind, **kw).to_channel(out_card=out_card)

@@ -8,7 +8,7 @@ import pytest
 
 from ibreg import RegionCurve, h2, mu_d
 from ibreg.cli import CurveRequest, ModelConfig, main
-from ibreg.errors import ConfigError, DomainError
+from ibreg.errors import ArgumentError, ConfigError, DomainError
 
 MU0 = 0.31992295427172016
 TOP = 0.53100440641071878
@@ -289,6 +289,11 @@ def test_region_curve_round_trip():
     e = RegionCurve.from_json(d.to_json())
     assert e == d
     assert d.points[0][1] == pytest.approx(MU0, abs=1e-11)
+
+
+def test_region_curve_needs_a_point():
+    with pytest.raises(ArgumentError, match="at least one point"):
+        RegionCurve(BINARY, "mu_d", None, ())
 
 
 @pytest.mark.parametrize("point", [(0.0, math.nan), (math.inf, 0.3), (math.nan, math.nan)])

@@ -5,6 +5,7 @@ expressions.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -60,6 +61,9 @@ def test_twcib_model_validation():
         # beta < 0: strongly inconsistent correlation triple
         GaussianTwcibModel(rho_x1x2=0.9, rho_x1y1=0.9, rho_x2y1=-0.9,
                            rho_x2y2=0.0, rho_x1y2=0.0)
+    with pytest.raises(DegenerateModelError, match="delta"):
+        GaussianTwcibModel(rho_x1x2=0.9, rho_x1y1=0.0, rho_x2y1=0.0,
+                           rho_x2y2=0.9, rho_x1y2=-0.9)
 
 
 def test_twcib_coefficients_identity_case():
@@ -151,6 +155,40 @@ def test_twcib_round_trip():
         assert pt["mu2"] == pytest.approx(mu2, abs=1e-9)
         assert pt["R1"] == pytest.approx(twcib_rate_for_relevance(m, 1, mu2), abs=1e-9)
         assert pt["R2"] == pytest.approx(twcib_rate_for_relevance(m, 2, mu1), abs=1e-9)
+
+
+def _twcib_round_trip(m, mu1, mu2):
+    v = twcib_test_channel_variances(m, mu1, mu2)
+    return twcib_point_for_variances(m, v["sigma_p1_sq"], v["sigma_p2_sq"])
+
+
+def test_twcib_round_trip_is_scale_free():
+    # every relevance and rate depends on the correlations only.  A second,
+    # eigenvalue check of the covariance, with an absolute -1e-10 bound,
+    # rejected 14% of these models (minimum eigenvalue -2.4e-06 at
+    # sigma_x^2 = 1e-10, sigma_y^2 = 1e10) that beta, delta > 0 make valid
+    rng = random.Random(7)
+    names = ("x1", "x2", "y1", "y2")
+    cases = [((0.5, 0.4, 0.8, 0.7, 0.55), (-10, -10, 10, 10))]
+    while len(cases) < 400:
+        rhos = tuple(rng.uniform(-0.95, 0.95) for _ in range(5))
+        try:
+            GaussianTwcibModel(*rhos)
+        except DegenerateModelError:
+            continue
+        cases.append((rhos, tuple(rng.uniform(-20.0, 20.0) for _ in names)))
+    for rhos, exps in cases:
+        unit = GaussianTwcibModel(*rhos)
+        m = GaussianTwcibModel(*rhos, **{f"sigma_{n}_sq": 10.0 ** e
+                                         for n, e in zip(names, exps)})
+        side1 = -0.5 * math.log2(1.0 - unit.rho_x1y1 ** 2)
+        side2 = -0.5 * math.log2(1.0 - unit.rho_x2y2 ** 2)
+        mu1 = side1 + rng.uniform(0.05, 0.95) * (twcib_relevance_limit(unit, 2) - side1)
+        mu2 = side2 + rng.uniform(0.05, 0.95) * (twcib_relevance_limit(unit, 1) - side2)
+        want = _twcib_round_trip(unit, mu1, mu2)
+        got = _twcib_round_trip(m, mu1, mu2)
+        for key in want:
+            assert got[key] == pytest.approx(want[key], abs=1e-9), (rhos, exps, key)
 
 
 @pytest.mark.parametrize("call", [
@@ -252,6 +290,20 @@ def test_wrong_chain_rejected(chain_a):
         cdib_x1yx2_outer_frontier(chain_a, 0.5, 0.5)
     with pytest.raises(DomainError):
         GaussianCdibModel("x2-x1-y", rho_x1x2=0.5, rho_x2y=0.5)
+
+
+@pytest.mark.parametrize("chain, kw, implied", [
+    ("x1-y-x2", {"rho_x1y": 0.8, "rho_x2y": 0.6}, "rho_x1x2"),
+    ("x1-x2-y", {"rho_x1x2": 0.8, "rho_x2y": 0.6}, "rho_x1y"),
+], ids=["x1-y-x2", "x1-x2-y"])
+def test_chain_implied_correlation(chain, kw, implied):
+    # a contradicting implied correlation was replaced by the product silently
+    product = 0.8 * 0.6
+    for given in (0.0, product):
+        assert getattr(GaussianCdibModel(chain, **kw, **{implied: given}), implied) == product
+    for given in (0.9, -product, math.nan):
+        with pytest.raises(DomainError, match=implied):
+            GaussianCdibModel(chain, **kw, **{implied: given})
 
 
 # ---------------------------------------------------------------------------
@@ -576,3 +628,5 @@ def test_gaussian_mi_properties(rng):
         lhs = gaussian_mi(cov, [0], [1, 2])
         rhs = gaussian_mi(cov, [0], [2]) + gaussian_mi(cov, [0], [1], [2])
         assert lhs == pytest.approx(rhs, abs=1e-9)
+    with pytest.raises(DegenerateModelError, match="not positive definite"):
+        gaussian_mi(np.ones((3, 3)), [0], [1], [2])

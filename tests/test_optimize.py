@@ -183,6 +183,16 @@ def _ref_check_bracket(lo, hi):
             f"bracket [{lo!r}, {hi!r}] overflows: twice each end must be finite")
 
 
+def _ref_capped_midpoint(lo, hi):
+    # the solvers' rule at the cap: a bracket the halvings left wide holds no
+    # point to report
+    if hi - lo > 2.0 ** -52 * max(1.0, abs(lo), abs(hi)):
+        raise SolverError(
+            f"bisection unconverged after 100 halvings: "
+            f"bracket [{lo!r}, {hi!r}] is wider than 2**-52 * max(1, |lo|, |hi|)")
+    return 0.5 * (lo + hi)
+
+
 def _ref_bisect_root(fun, lo, hi):
     # bisect_root before it stopped at adjacent floats: always 100 halvings
     _ref_check_bracket(lo, hi)
@@ -202,7 +212,7 @@ def _ref_bisect_root(fun, lo, hi):
             lo, flo = mid, fm
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return _ref_capped_midpoint(lo, hi)
 
 
 def _ref_bisect_decreasing_inverse(fun, target, lo, hi):
@@ -214,7 +224,7 @@ def _ref_bisect_decreasing_inverse(fun, target, lo, hi):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return _ref_capped_midpoint(lo, hi)
 
 
 def _outcome(solve, fun, *args):
@@ -381,3 +391,14 @@ def test_bisection_cap_is_one_hundred_halvings():
     got, xs = _outcome(bisect_decreasing_inverse, lambda x: -x, -1e-310, 0.0, 0.5)
     assert len(xs) == 100
     assert got == _outcome(_ref_bisect_decreasing_inverse, lambda x: -x, -1e-310, 0.0, 0.5)[0]
+
+
+@pytest.mark.parametrize("solve, args", [
+    (bisect_root, (lambda x: x - 0.3, 0.0, 8.9e307)),
+    (bisect_decreasing_inverse, (lambda x: -x, -0.3, 0.0, 8.9e307)),
+], ids=["bisect_root", "bisect_decreasing_inverse"])
+def test_unconverged_bisection_raises(solve, args):
+    # 100 halvings leave [0, 8.9e307] about 7e277 wide; the midpoint
+    # 3.5104310282335026e+277 is no root of either function
+    with pytest.raises(SolverError, match=r"unconverged after 100 halvings: bracket \[0.0, "):
+        solve(*args)

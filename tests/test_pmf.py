@@ -413,3 +413,45 @@ def test_condition_accepts_integral_value():
     ref = condition(p, "a", 1)
     for value in (1.0, np.int64(1)):
         assert np.array_equal(condition(p, "a", value).table, ref.table)
+
+
+def _many_axes(n):
+    return JointPmf(tuple(Axis(f"a{i}", 1) for i in range(n)), np.ones((1,) * n))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Axis("", 2), AxisError, "nonempty string"),
+    (lambda: JointPmf((Axis("a", 2),), np.array([math.nan, 1.0])), DomainError, "non-finite"),
+    (lambda: Channel(("a", "a"), Axis("v", 2), np.full((2, 2, 2), 0.5)), AxisError,
+     "duplicate channel input"),
+    (lambda: Channel(("a",), Axis("v", 2), np.full((2, 2, 2), 0.5)), ArgumentError, "dims"),
+    (lambda: Channel(("a",), Axis("v", 3), np.full((2, 2), 0.5)), ArgumentError,
+     "last table dim"),
+    (lambda: Channel.bsc("a", "v", 1.5), DomainError, "crossover"),
+    (lambda: Channel.bsc("a", "v", 0.1, 1), DomainError, "at least two"),
+    (lambda: entropy(dsbs(0.2), ["a", "a"]), ArgumentError, "repeated axis"),
+    (lambda: cmi(dsbs(0.2), [], ["b"]), ArgumentError, "nonempty A"),
+    (lambda: compose_markov(JointPmf((Axis("a", 3),), np.full(3, 1 / 3)),
+                            Channel.bsc("a", "v", 0.1)), ArgumentError, "channel expects"),
+    (lambda: compose_markov(_many_axes(52), Channel.constant([("a0", 1)], "v")),
+     ArgumentError, "too many axes"),
+    (lambda: marginalize(dsbs(0.2), []), ArgumentError, "nonempty axis subset"),
+], ids=["empty-axis-name", "non-finite-table", "duplicate-channel-inputs",
+        "channel-table-ndim", "channel-last-dim", "bsc-crossover", "bsc-one-symbol",
+        "repeated-axis", "cmi-empty-a", "compose-card-mismatch", "compose-too-many-axes",
+        "marginalize-empty"])
+def test_malformed_input_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("out_card", [2.5, math.nan, math.inf, 0, -1])
+@pytest.mark.parametrize("make", [
+    lambda c: Channel.bsc("x1", "v", 0.1, out_card=c),
+    lambda c: Channel.constant([("x1", 2)], "v", out_card=c),
+], ids=["bsc", "constant"])
+def test_channel_constructors_reject_bad_out_card(make, out_card):
+    # the table was sized before the output axis was checked: 2.5 and NaN
+    # raised TypeError, 0 an IndexError
+    with pytest.raises(DomainError, match="cardinality"):
+        make(out_card)

@@ -94,10 +94,29 @@ def test_schedule_cardinality_bounds(rng):
 
 
 def test_duplicate_description_names_rejected(rng):
-    # a repeated description name always collides with the conditioning set
-    # of the later channel, so the error surfaces at channel construction
+    # a repeated description name collides with the conditioning set of a
+    # later channel that sees it, so the error surfaces at channel construction
     with pytest.raises(AxisError):
         random_channel(rng, ["x2", "v"], [2, 2], "v", 2)
+
+
+_V1 = Channel.constant([("x1", 2)], "v1")
+
+
+@pytest.mark.parametrize("channels, kw, error, message", [
+    ((_V1, Channel.constant([("x2", 2), ("v1", 1)], "v2")), {"bound_rule": "other"},
+     ArgumentError, "bound_rule"),
+    ((_V1,), {}, ArgumentError, "2K"),
+    ((Channel.constant([("x1", 2)], "v"), Channel.constant([("x2", 2)], "v")), {},
+     AxisError, "duplicate"),
+    ((_V1, Channel.constant([("x2", 2), ("v1", 1)], "x1")), {}, AxisError, "collide"),
+    ((_V1, Channel.constant([("x2", 2), ("v1", 3)], "v2")), {}, StructureError,
+     r"expects \|v1\| = 3"),
+], ids=["unknown-bound-rule", "channel-count", "duplicate-names", "source-axis-name",
+        "description-card"])
+def test_schedule_rejects_malformed(channels, kw, error, message):
+    with pytest.raises(error, match=message):
+        RoundSchedule(1, channels, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +282,19 @@ def test_corner_points_equal_reference_bits(rng):
 
 def test_corner_points_reject_bad_structure(rng):
     src = MODEL.half_round_source()
-    u1 = random_channel(rng, ["x2"], [2], "u1", 2)
-    u2 = random_channel(rng, ["u1", "x2"], [2, 2], "u2", 2)
-    with pytest.raises(StructureError):
-        corner_points_outer(src, u1, u2)
+    # U1 on x2, then a U2 on x2 alone
+    for u1_inputs, u2_inputs in ((["x2"], ["u1", "x2"]), (["x1"], ["x2"])):
+        u1 = random_channel(rng, u1_inputs, [2], "u1", 2)
+        u2 = random_channel(rng, u2_inputs, [2] * len(u2_inputs), "u2", 2)
+        with pytest.raises(StructureError):
+            corner_points_outer(src, u1, u2)
+
+
+def test_evaluators_reject_a_source_without_their_axes():
+    # the half-round source has axes (x1, x2, y): no y1/y2 for the two-way
+    # evaluator
+    with pytest.raises(AxisError, match="y1"):
+        evaluate_twcib(MODEL.half_round_source(), bsc_stack(0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +558,14 @@ def test_inclusion_disjoint_ranges():
     b = _curve("mu_d", lambda r: mu_d(r, P, Q), [0.3, 0.4])
     with pytest.raises(ComparisonError):
         check_inclusion(a, b, tol=0.0)
+    # a one-point outer curve, and overlapping ranges with no inner sample
+    # inside the common one, [4, 5]
+    for inner_rates, outer_rates, message in (([0.0, 0.1], [0.05], "two points"),
+                                              ([0.0, 10.0], [4.0, 5.0], "no inner sample")):
+        a = _curve("flat", lambda r: 0.1, inner_rates)
+        b = _curve("flat", lambda r: 0.2, outer_rates)
+        with pytest.raises(ComparisonError, match=message):
+            check_inclusion(a, b, tol=0.0)
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
