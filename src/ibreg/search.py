@@ -398,10 +398,9 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
     conditional slice.  Keeps the best relevance per rate bucket, adds the
     deterministic non-interactive baselines, and returns the upper concave
     envelope evaluated on ``r2_grid`` together with the per-bucket records.
-    ``seed`` must be a nonnegative integer and ``threads`` a positive one;
-    with ``threads`` unset the worker count comes from ``IBREG_THREADS``
-    (unset or empty: 1).  Chunks run on a pool of that many workers and
-    are absorbed in chunk order, so the result does not depend on it.
+    ``seed`` must be a nonnegative integer and ``threads`` a positive one
+    (unset: ``IBREG_THREADS``, else 1).  More than one thread samples on a
+    pool; chunks are absorbed in chunk order, so the result does not vary.
 
     Deterministic for a fixed seed; samples are drawn in fixed-size chunks
     keyed by (seed, chunk index), so enlarging the budget only adds samples.
@@ -468,9 +467,10 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
         r, v = _evaluate_v2_batch(q0, block[:take])
         return j, r, v
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for j, r, v in pool.map(run_chunk, range(n_chunks)):
-            absorb(r, v, lambda k, j=j: f"sample:{j}/{k}")
+    with ThreadPoolExecutor(max_workers=threads) as pool:  # one thread: chunks run here
+        results = list((pool.map if threads > 1 else map)(run_chunk, range(n_chunks)))
+    for j, r, v in results:
+        absorb(r, v, lambda k, j=j: f"sample:{j}/{k}")
 
     records = [anchor] + [b for b in best if b is not None]
     ys = envelope_value(upper_concave_envelope(kept), grid)
