@@ -27,14 +27,13 @@ Kernel rule: one scalar kernel and one array kernel per formula.  The
 scalar kernels (``_g``, ``_first_form``, ``_g_prime``, ``_f_prime``, on
 ``bentropy._h2``/``_star`` and ``math.log2``) and the array kernels (``_g_vec``,
 ``_f_vec``, ``_g_prime_vec``, ``_f_prime_vec``, on ``bentropy.h2_arr`` and
-``np.log2``) assume in-domain floats and check nothing; ``_second_form``
-alone holds the second form's constants.  The twins stay apart on purpose:
-folding them moves last bits, and the second-form array kernels keep both
-oracles independent of the primal kernels.  Each public function checks its
-arguments once, at entry, and from then on calls kernels, never the checking
-``h2``, ``star``, ``f`` or ``g``.  ``_first_form(p, q)`` is the one scalar
-copy of ``f``'s first form, ``r -> (f(r), g(r))``; ``_g`` keeps ``g`` alone
-for ``g_inverse``'s bisection, with the same bits.
+``np.log2``) check nothing; ``_second_form`` alone holds the second form's
+constants.  The twins stay apart on purpose: folding them moves last bits,
+and the second-form array kernels keep both oracles independent of the
+primal kernels.  Public functions check their arguments by ``guards``, once.
+``_first_form(p, q)`` is the one scalar copy of ``f``'s first form,
+``r -> (f(r), g(r))``; ``_g`` keeps ``g`` alone for the bisection of
+``g_inverse``, with the same bits.
 """
 
 from __future__ import annotations
@@ -45,7 +44,8 @@ from math import log2
 
 import numpy as np
 
-from .bentropy import _check_range, _h2, _star, h2_arr, h2_inv
+from . import guards
+from .bentropy import _h2, _star, h2_arr, h2_inv
 from .errors import ArgumentError, DomainError, SolverError
 from .optimize import bisect_decreasing_inverse, bisect_root, golden_max, golden_min
 from .pmf import Axis, Channel, JointPmf
@@ -69,33 +69,6 @@ __all__ = [
 ]
 
 
-def _check_open_half(name: str, v: float) -> float:
-    v = float(v)
-    if not 0.0 < v < 0.5:
-        raise DomainError(f"{name}={v!r} must lie strictly inside (0, 1/2)")
-    return v
-
-
-def _check_pq(p: float, q: float) -> tuple[float, float]:
-    return _check_open_half("p", p), _check_open_half("q", q)
-
-
-def _check_rate(rate: float) -> float:
-    rate = float(rate)
-    if not rate >= 0.0:
-        raise DomainError(f"rate must be nonnegative, got {rate!r}")
-    return rate
-
-
-def _check_rate_upto_hq(rate: float, q: float) -> tuple[float, float]:
-    # rate in [0, h2(q)] up to 1e-12, not clamped; returns (rate, h2(q)); q checked
-    rate = float(rate)
-    hq = _h2(q)
-    if not -1e-12 <= rate <= hq + 1e-12:
-        raise DomainError(f"rate {rate!r} outside [0, h2(q)={hq!r}]")
-    return rate, hq
-
-
 @dataclass(frozen=True)
 class BinaryModel:
     """Doubly symmetric binary source parameters.
@@ -108,8 +81,8 @@ class BinaryModel:
     q: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _check_open_half("p", self.p))
-        object.__setattr__(self, "q", _check_open_half("q", self.q))
+        object.__setattr__(self, "p", guards.crossover("p", self.p))
+        object.__setattr__(self, "q", guards.crossover("q", self.q))
 
     def half_round_source(self) -> JointPmf:
         """Joint pmf over axes (x1, x2, y) with Y = X1 xor Bern(p)."""
@@ -138,7 +111,7 @@ def _g(r: float, q: float) -> float:
 
 def g(r: float, q: float) -> float:
     """Rate curve h2(r * q) - h2(r); decreasing from h2(q) to 0 on [0, 1/2]."""
-    return _g(_check_range("crossover r", float(r), 0.0, 1.0), _check_open_half("q", q))
+    return _g(guards.prob("crossover r", r), guards.crossover("q", q))
 
 
 def _first_form(p: float, q: float):
@@ -196,8 +169,8 @@ def _f(r: float, p: float, q: float) -> float:
 
 def f(r: float, p: float, q: float) -> float:
     """Relevance curve; first displayed algebraic form."""
-    p, q = _check_pq(p, q)
-    return _f(_check_range("crossover r", float(r), 0.0, 1.0), p, q)
+    p, q = guards.crossover("p", p), guards.crossover("q", q)
+    return _f(guards.prob("crossover r", r), p, q)
 
 
 def _second_form(p: float, q: float) -> tuple[float, float, float]:
@@ -209,8 +182,8 @@ def _second_form(p: float, q: float) -> tuple[float, float, float]:
 
 def f_alt(r: float, p: float, q: float) -> float:
     """Relevance curve; second displayed algebraic form (cross-check of ``f``)."""
-    r = _check_range("crossover r", float(r), 0.0, 1.0)
-    p, q = _check_pq(p, q)
+    r = guards.prob("crossover r", r)
+    p, q = guards.crossover("p", p), guards.crossover("q", q)
     w, gam, dlt = _second_form(p, q)
     return (_h2(_star(r, q))
             - (1.0 - w) * _h2(_star(r, gam))
@@ -227,8 +200,8 @@ def _g_prime(r: float, q: float) -> float:
 
 def g_prime(r: float, q: float) -> float:
     """Analytic derivative of ``g``; valid for r strictly inside (0, 1)."""
-    q = _check_open_half("q", q)
-    r = float(r)
+    q = guards.crossover("q", q)
+    r = guards.real("r", r)
     if not 0.0 < r < 1.0:
         raise DomainError(f"g_prime needs r in (0, 1), got {r!r}")
     return _g_prime(r, q)
@@ -243,8 +216,8 @@ def _f_prime(r: float, p: float, q: float) -> float:
 
 def f_prime(r: float, p: float, q: float) -> float:
     """Analytic derivative of ``f`` (via the second algebraic form)."""
-    p, q = _check_pq(p, q)
-    return _f_prime(_check_range("crossover r", float(r), 0.0, 1.0), p, q)
+    p, q = guards.crossover("p", p), guards.crossover("q", q)
+    return _f_prime(guards.prob("crossover r", r), p, q)
 
 
 def _g_vec(r: np.ndarray, q: float) -> np.ndarray:
@@ -274,16 +247,13 @@ def _f_prime_vec(r: np.ndarray, p: float, q: float) -> np.ndarray:
 
 
 def g_inverse(rate: float, q: float) -> float:
-    """Unique r in [0, 1/2] with g(r) = rate; bisection on the decreasing branch.
+    """Unique r in [0, 1/2] with g(r) = rate, for a rate in [0, h2(q)], the
+    range of g; bisection on the decreasing branch, to adjacent floats."""
+    q = guards.crossover("q", q)
+    return _g_inverse(guards.prob("rate", rate, _h2(q)), q)
 
-    The bisection stops once its bracket is two adjacent floats: 53 to 61
-    evaluations of g at q = 0.1 for rates between 0.02 h2(q) and 0.98 h2(q),
-    where it used to take 100.  The cap of 100 still ends it for roots below
-    about 3e-15.  The result is the same double either way.
-    """
-    q = _check_open_half("q", q)
-    rate, hq = _check_rate_upto_hq(rate, q)
-    rate = min(max(rate, 0.0), hq)
+
+def _g_inverse(rate: float, q: float) -> float:
     if rate == 0.0:
         # g is quadratically flat at 1/2; bisection stalls on the float plateau
         return 0.5
@@ -320,7 +290,7 @@ def critical_point(p: float, q: float) -> CriticalPoint:
     So does a tangency past r = 1/2 - 1e-3, and one whose slope f(r_c)/R_c
     is not in (0, 1), which rounding gives for q near 1e-10.
     """
-    p, q = _check_pq(p, q)
+    p, q = guards.crossover("p", p), guards.crossover("q", q)
     rs = np.linspace(1e-6, 0.5 - 1e-6, _SCAN_N)
     phi = _f_prime_vec(rs, p, q) * _g_vec(rs, q) - _f_vec(rs, p, q) * _g_prime_vec(rs, q)
 
@@ -370,10 +340,10 @@ def mu_ed(rate: float, p: float, q: float) -> float:
     """Relevance-rate function with side information at encoder and decoder.
 
     Equals ``1 - h2(h2_inv([h2(q) - R]^+) * p)``; constant ``1 - h2(p)`` for
-    R >= h2(q).
+    R >= h2(q), an unlimited rate included.
     """
-    p, q = _check_pq(p, q)
-    rate = _check_rate(rate)
+    p, q = guards.crossover("p", p), guards.crossover("q", q)
+    rate = guards.rate("rate", rate)
     residual = max(_h2(q) - rate, 0.0)
     # exact inverse: the residual entropy is reached at crossover s
     return 1.0 - _h2(_star(h2_inv(residual), p))
@@ -383,17 +353,18 @@ def mu_d(rate: float, p: float, q: float) -> float:
     """Relevance-rate function with side information only at the decoder.
 
     Piecewise: linear with slope ``alpha*`` on [0, R_c], then
-    ``1 - h2(p*q) + f(g^{-1}(R))`` up to h2(q), constant ``1 - h2(p)`` beyond.
+    ``1 - h2(p*q) + f(g^{-1}(R))`` up to h2(q), constant ``1 - h2(p)`` beyond,
+    an unlimited rate included.
     """
-    p, q = _check_pq(p, q)
-    rate = _check_rate(rate)
+    p, q = guards.crossover("p", p), guards.crossover("q", q)
+    rate = guards.rate("rate", rate)
     if rate >= _h2(q):
         return 1.0 - _h2(p)
     base = 1.0 - _h2(_star(p, q))
     cp = _critical_or_none(p, q)
     if cp is not None and rate <= cp.rate:
         return base + cp.alpha_star * rate
-    return base + _f(g_inverse(rate, q), p, q)
+    return base + _f(_g_inverse(rate, q), p, q)
 
 
 def mu_d_dual(rate: float, p: float, q: float) -> float:
@@ -406,25 +377,19 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
     refinement (tol 1e-10) of the two highest interior local maxima and of
     the left edge.
 
-    Cost: about 40 outer steps, each refining two or three grid brackets with
-    about 34 objective evaluations apiece, so roughly 2,800 objective
-    evaluations per call (2,788 at p = q = 0.1, R = 0.2; about 1,500 at
-    R = 0 and R = h2(q)).  Most of them repeat an r that the same call has
-    already evaluated, because the searches for nearby alphas retrace the
-    same bracket points.  923 of the 2,788 are distinct; on random interior
-    rates 27-42% are, and at R = 0 and R = h2(q) 2-15% (34-224 distinct r).
-    So the objective is split into its alpha-free parts (F, G) = (f(r),
-    g(r)), read from ``_first_form`` (one Python call for both) and memoised
-    by r in a dict that lives for this one call; an evaluation returns
-    F - alpha * G, the double f(r) - alpha * g(r) gives.  Nothing outlives
-    the call but the r-grid and its f and g values, which are cached per
-    ``(p, q)``.  A call takes about 2 ms on a 2-vCPU x86-64 host (median
-    item of the ``binary-oracles`` benchmark), 3 ms without the memo.  The
-    oracle shares that kernel with ``mu_d`` but neither its algorithm (min-max
-    dual, not tangency plus inverse bisection) nor its grid (second form).
+    Cost: roughly 2,800 objective evaluations per call, most of them at an
+    r the call has already tried (923 of 2,788 distinct at p = q = 0.1,
+    R = 0.2).  So the alpha-free parts (F, G) = (f(r), g(r)), read from
+    ``_first_form``, are memoised by r for this one call, and an evaluation
+    returns F - alpha * G, the double f(r) - alpha * g(r) gives.  The r-grid
+    and its f and g values are cached per ``(p, q)``.  The oracle shares
+    that kernel with ``mu_d`` but neither its algorithm (min-max dual, not
+    tangency plus inverse bisection) nor its grid (second form).  A rate
+    above h2(q), an unlimited one included, reads as h2(q), where ``mu_d``
+    saturates.
     """
-    p, q = _check_pq(p, q)
-    rate, _ = _check_rate_upto_hq(rate, q)
+    p, q = guards.crossover("p", p), guards.crossover("q", q)
+    rate = min(guards.rate("rate", rate), _h2(q))
     rgrid, fg, gg = _curve_grids(p, q, _DUAL_GRID_N)
     hpq = _h2(_star(p, q))
     first = _first_form(p, q)
@@ -469,25 +434,18 @@ def mu_d_timeshare_oracle(rate: float, p: float, q: float) -> float:
     Maximises ``1 - h2(p*q) + lam f(r1) + (1-lam) f(r2)`` subject to
     ``lam g(r1) + (1-lam) g(r2) = rate`` with lam solved from the constraint.
     Lower-bounds ``mu_d`` by construction; accuracy is limited by the grid.
-    A rate within the 1e-12 slack outside [0, h2(q)] that ``mu_d_dual``
-    accepts is clamped to the nearer end.  The grid and f, g on it are
-    cached per (p, q), as for the dual oracle.
+    A rate above h2(q) is read as h2(q), as in ``mu_d_dual``.  The grid and
+    f, g on it are cached per (p, q), as for the dual oracle.
 
-    Only two blocks of the grid's pairs are evaluated: r1 with
+    Only two blocks of the grid's pairs are evaluated, exactly: r1 with
     g(r1) >= rate - 1e-12 against r2 with g(r2) <= rate + 1e-12, and the
-    mirror block.  This is exact, not an approximation.  lam =
-    (rate - g(r2)) / (g(r1) - g(r2)) lies in [0, 1] only if rate lies
-    between g(r1) and g(r2), and the relative rounding of the differences
-    and the quotient (a few 1e-16) is far below the 1e-12 margin, so the
-    blocks hold every pair the full 512 x 512 grid would accept.  Each kept
-    pair does the same float operations as on the full grid, and the max
-    over a superset of the valid pairs is the same number.  The blocks have
-    k (512 - k) pairs each, k the grid points with g(r) >= rate, which is
-    small for most rates since g falls steeply near r = 0.
+    mirror block.  lam lies in [0, 1] only if rate lies between g(r1) and
+    g(r2), and its rounding (a few 1e-16) is far below the 1e-12 margin, so
+    the blocks hold every pair the full 512 x 512 grid would accept, each
+    computed with the same float operations.
     """
-    p, q = _check_pq(p, q)
-    rate, hq = _check_rate_upto_hq(rate, q)
-    rate = min(max(rate, 0.0), hq)
+    p, q = guards.crossover("p", p), guards.crossover("q", q)
+    rate = min(guards.rate("rate", rate), _h2(q))
     _, fv, gv = _curve_grids(p, q, _TIMESHARE_GRID_N)
 
     def best_pair(rows: np.ndarray, cols: np.ndarray) -> float:
@@ -534,18 +492,16 @@ class TestChannelSpec:
     r_c: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("constant", "identity", "direct", "timeshared"):
+        if not (isinstance(self.kind, str)
+                and self.kind in ("constant", "identity", "direct", "timeshared")):
             raise ArgumentError(f"unknown channel kind {self.kind!r}")
         if self.kind == "direct" and self.r is None:
             raise ArgumentError("a direct channel needs its crossover r")
         if self.kind == "timeshared" and (self.lam is None or self.r_c is None):
             raise ArgumentError("a timeshared channel needs both lam and r_c")
-        if self.r is not None and not 0.0 <= self.r <= 0.5:
-            raise DomainError(f"crossover r={self.r!r} outside [0, 1/2]")
-        if self.r_c is not None and not 0.0 <= self.r_c <= 0.5:
-            raise DomainError(f"crossover r_c={self.r_c!r} outside [0, 1/2]")
-        if self.lam is not None and not 0.0 <= self.lam <= 1.0:
-            raise DomainError(f"lam={self.lam!r} outside [0, 1]")
+        for name, v, hi in (("r", self.r, 0.5), ("r_c", self.r_c, 0.5), ("lam", self.lam, 1.0)):
+            if v is not None and guards.prob(name, v, hi) != v:   # clamped from the slack
+                object.__setattr__(self, name, guards.prob(name, v, hi))
 
     def to_channel(self, output_name: str = "u", out_card: int | None = None) -> Channel:
         """Materialise as a :class:`Channel` on ``x1`` (optionally padded with
@@ -575,13 +531,13 @@ def optimal_channel(rate: float, p: float, q: float) -> TestChannelSpec:
     Identity beyond h2(q), a direct BSC(g^{-1}(R)) on the curved branch, and
     a time-shared BSC(r_c) with weight R/R_c on the linear segment.
     """
-    p, q = _check_pq(p, q)
-    rate = _check_rate(rate)
+    p, q = guards.crossover("p", p), guards.crossover("q", q)
+    rate = guards.rate("rate", rate)
     if rate == 0.0:
         return TestChannelSpec("constant")
     if rate > _h2(q):
         return TestChannelSpec("identity")
     cp = _critical_or_none(p, q)
     if cp is None or rate > cp.rate:
-        return TestChannelSpec("direct", r=g_inverse(rate, q))
+        return TestChannelSpec("direct", r=_g_inverse(rate, q))
     return TestChannelSpec("timeshared", lam=rate / cp.rate, r_c=cp.crossover)

@@ -31,14 +31,15 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 
 import numpy as np
 
-from . import binary, gaussian, search
+from . import binary, gaussian, guards, search
 from .bentropy import h2
 from .curves import RegionCurve, csv_document
 from .errors import (
+    ArgumentError,
     ComparisonError,
     ConfigError,
     DegenerateEventError,
@@ -117,15 +118,12 @@ def _object(d: dict, name: str) -> dict:
 
 
 def _as_int(name: str, v) -> int:
-    """``v`` as an int, or ``ConfigError`` naming the field: a non-numeric
-    string, a non-integral float, NaN and +-inf are rejected, not truncated."""
+    """``v``, or the digits of a string, as an int by the count rule of
+    ``guards``, or ``ConfigError`` naming the field."""
     try:
-        n = int(v)
-    except (TypeError, ValueError, OverflowError) as exc:
+        return guards.count(name, int(v) if isinstance(v, str) else v, -inf)
+    except (ValueError, ArgumentError) as exc:
         raise ConfigError(f"{name} must be an integer, got {v!r}") from exc
-    if not isinstance(v, str) and n != v:
-        raise ConfigError(f"{name} must be an integer, got {v!r}")
-    return n
 
 
 @dataclass(frozen=True)

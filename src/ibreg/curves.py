@@ -13,19 +13,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError
+from . import guards
+from .errors import ArgumentError
 
 __all__ = ["RegionCurve", "sig12", "csv_document"]
 
 
 def sig12(x: float) -> float:
-    """Round to 12 significant digits (the emission precision for bits)."""
-    return float(f"{float(x):.12g}")
+    """Round a finite number to 12 significant digits (the emission precision
+    for bits)."""
+    return float(f"{guards.finite('x', x):.12g}")
 
 
 @dataclass(frozen=True)
 class RegionCurve:
-    """A sampled frontier: points are finite (rate, relevance) pairs in bits."""
+    """A sampled frontier: points are finite (rate, relevance) pairs in bits,
+    and the seed, if any, a nonnegative integer."""
 
     model: dict
     method: str
@@ -33,14 +36,14 @@ class RegionCurve:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        pts = tuple((float(r), float(mu)) for r, mu in self.points)
+        pts = tuple(guards.pairs("points", self.points, guards.finite))   # JSON has no NaN
         if not pts:
             raise ArgumentError("a RegionCurve needs at least one point")
-        if not np.isfinite(pts).all():  # JSON has no NaN or Infinity
-            raise DomainError("RegionCurve points must be finite")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "model", dict(self.model))
-        object.__setattr__(self, "seed", None if self.seed is None else int(self.seed))
+        object.__setattr__(self, "model", dict(guards.instance("model", self.model, dict)))
+        guards.instance("method", self.method, str)
+        if self.seed is not None:
+            object.__setattr__(self, "seed", guards.count("seed", self.seed, 0))
 
     def rates(self) -> np.ndarray:
         return np.array([r for r, _ in self.points])
@@ -70,8 +73,12 @@ class RegionCurve:
 
 
 def csv_document(xs, ys, meta_hash: str) -> str:
-    """Two-column CSV with a self-describing metadata-hash header line."""
-    lines = [f"# json-meta: sha256:{meta_hash}", "x,y"]
+    """Two-column CSV of the finite numbers ``xs`` and ``ys``, with a
+    self-describing metadata-hash header line."""
+    xs, ys = guards.reals("xs", xs), guards.reals("ys", ys)
+    if xs.shape != ys.shape or xs.ndim != 1:
+        raise ArgumentError(f"xs and ys must be 1-d of one length, got {xs.shape}, {ys.shape}")
+    lines = [f"# json-meta: sha256:{guards.instance('meta_hash', meta_hash, str)}", "x,y"]
     for x, y in zip(xs, ys):
         lines.append(f"{sig12(x):.12g},{sig12(y):.12g}")
     return "\n".join(lines) + "\n"

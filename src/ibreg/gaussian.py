@@ -18,11 +18,9 @@ no output and no model check.  The generic determinant evaluator
 algebraically reduced determinant ratios which stay accurate for noise
 variances across many orders of magnitude.
 
-Argument rule: every guard is written ``not lo <= x`` (or ``not lo <= x <
-hi``), so NaN raises ``DomainError`` and never reaches the arithmetic.  An
-infinite rate saturates in the X1 - X2 - Y closed forms, where ``2^(-inf)``
-is the exact limit, and is rejected by the X1 - Y - X2 bounds.  An infinite
-relevance is at or above every validity limit and raises.
+Arguments follow the rules of ``guards``.  An infinite rate is an
+unlimited one in every function here: ``2^(-inf)`` is the exact limit in the
+closed forms, and the X1 - Y - X2 bounds give the same value as at 1e300.
 """
 
 from __future__ import annotations
@@ -32,7 +30,8 @@ from math import inf, isfinite, log2, sqrt
 
 import numpy as np
 
-from .errors import DegenerateModelError, DomainError
+from . import guards
+from .errors import ArgumentError, DegenerateModelError, DomainError
 from .optimize import golden_max
 
 __all__ = [
@@ -54,33 +53,30 @@ __all__ = [
 ]
 
 
-def _check_var(name: str, v: float) -> float:
-    v = float(v)
-    if not (isfinite(v) and v > 0.0):
-        raise DomainError(f"{name}={v!r} must be a positive finite variance")
-    return v
-
-
-def _check_rho(name: str, v: float, allow_zero: bool = True) -> float:
-    v = float(v)
-    if not isfinite(v) or abs(v) >= 1.0 or (not allow_zero and v == 0.0):
-        lo = "|rho| < 1" if allow_zero else "0 < |rho| < 1"
-        raise DomainError(f"{name}={v!r} must satisfy {lo}")
-    return v
-
-
 def gaussian_mi(cov: np.ndarray, a, b, c=()) -> float:
     """I(A;B|C) in bits for jointly Gaussian variables with covariance ``cov``.
 
-    ``a``, ``b``, ``c`` are disjoint index lists into ``cov``.  Computed as
-    the log-det ratio  0.5 * log2( |S_AC| |S_BC| / (|S_ABC| |S_C|) ).
+    ``a``, ``b``, ``c`` are disjoint index lists into ``cov``, a finite
+    square matrix.  Computed as the log-det ratio
+    0.5 * log2( |S_AC| |S_BC| / (|S_ABC| |S_C|) ).
     """
-    a, b, c = list(a), list(b), list(c)
+    cov = guards.reals("cov", cov)
+    n = len(cov) if cov.ndim == 2 and cov.shape == cov.shape[::-1] else 0
+    if not (n and np.isfinite(cov).all()):
+        raise ArgumentError(f"cov must be a finite square matrix, got {cov!r}")
+
+    def indices(name, v):
+        idx = [guards.count(name, i, 0) for i in guards.reals(name, v).ravel()]
+        if any(i >= n for i in idx):
+            raise ArgumentError(f"{name}={v!r} indexes past the {n} variables")
+        return idx
+
+    a, b, c = indices("a", a), indices("b", b), indices("c", c)
 
     def ld(idx):
         if not idx:
             return 0.0
-        sub = np.asarray(cov)[np.ix_(idx, idx)]
+        sub = cov[np.ix_(idx, idx)]
         sign, val = np.linalg.slogdet(sub)
         if sign <= 0:
             raise DegenerateModelError(f"covariance submatrix {idx} not positive definite")
@@ -119,9 +115,9 @@ class GaussianTwcibModel:
 
     def __post_init__(self) -> None:
         for name in ("rho_x1x2", "rho_x1y1", "rho_x2y1", "rho_x2y2", "rho_x1y2"):
-            object.__setattr__(self, name, _check_rho(name, getattr(self, name)))
+            object.__setattr__(self, name, guards.correlation(name, getattr(self, name)))
         for name in ("sigma_x1_sq", "sigma_x2_sq", "sigma_y1_sq", "sigma_y2_sq"):
-            object.__setattr__(self, name, _check_var(name, getattr(self, name)))
+            object.__setattr__(self, name, guards.variance(name, getattr(self, name)))
         if self.beta <= 0.0:
             raise DegenerateModelError(f"beta={self.beta!r} must be positive")
         if self.delta <= 0.0:
@@ -165,7 +161,7 @@ class GaussianTwcibModel:
 def twcib_coefficients(m: GaussianTwcibModel) -> dict:
     """Regression coefficients and noise variances of the two-way model."""
     # the model's __post_init__ guarantees beta, delta > 0
-    beta, delta = m.beta, m.delta
+    beta, delta = guards.instance("m", m, GaussianTwcibModel).beta, m.delta
     den = 1.0 - m.rho_x1x2 ** 2
     return {
         "a12": sqrt(m.sigma_y1_sq / m.sigma_x2_sq)
@@ -185,21 +181,10 @@ def _twcib_side(m: GaussianTwcibModel, which: int) -> tuple[float, float, float]
     ``which=1`` is the rate R1 as a function of mu2 (encoder 1 describes X1
     for the hidden Y2); ``which=2`` is R2 as a function of mu1.
     """
-    if which == 1:
+    guards.instance("m", m, GaussianTwcibModel)
+    if guards.which(which) == 1:
         return m.delta, m.rho_x2y2, m.sigma_x1_sq
-    if which == 2:
-        return m.beta, m.rho_x1y1, m.sigma_x2_sq
-    raise DomainError(f"which must be 1 or 2, got {which!r}")
-
-
-def _check_mu(mu: float, limit: float, what: str) -> float:
-    # relevance in [0, limit); ``what`` names the limit in the message
-    mu = float(mu)
-    if not 0.0 <= mu:
-        raise DomainError(f"mu must be nonnegative, got {mu!r}")
-    if mu >= limit:
-        raise DomainError(f"mu={mu!r} at or above {what}{limit!r}")
-    return mu
+    return m.beta, m.rho_x1y1, m.sigma_x2_sq
 
 
 def twcib_relevance_limit(m: GaussianTwcibModel, which: int) -> float:
@@ -216,7 +201,7 @@ def twcib_rate_for_relevance(m: GaussianTwcibModel, which: int, mu: float) -> fl
     limit in its message) at or above the limit.
     """
     d, other_rho, _ = _twcib_side(m, which)
-    mu = _check_mu(mu, twcib_relevance_limit(m, which), "the validity limit ")
+    mu = guards.relevance("mu", mu, twcib_relevance_limit(m, which), "the validity limit ")
     one_m_r2 = 1.0 - m.rho_x1x2 ** 2
     num = one_m_r2 * (1.0 - other_rho ** 2) - d
     den = 2.0 ** (-2.0 * mu) * one_m_r2 - d
@@ -240,7 +225,7 @@ def twcib_test_channel_variances(m: GaussianTwcibModel, mu1: float, mu2: float) 
     out = {}
     for key, which, mu in (("sigma_p1_sq", 1, mu2), ("sigma_p2_sq", 2, mu1)):
         d, other_rho, sx_sq = _twcib_side(m, which)
-        mu = _check_mu(mu, twcib_relevance_limit(m, which), "the validity limit ")
+        mu = guards.relevance("mu", mu, twcib_relevance_limit(m, which), "the validity limit ")
         c2 = other_rho ** 2
         if mu <= -0.5 * log2(1.0 - c2) + 1e-15:
             # side information alone already delivers mu: useless description
@@ -260,9 +245,9 @@ def twcib_point_for_variances(m: GaussianTwcibModel, sigma_p1_sq: float,
     covariance; serves as the independent round-trip check of the closed
     forms.
     """
-    s1 = _check_var("sigma_p1_sq", sigma_p1_sq)
-    s2 = _check_var("sigma_p2_sq", sigma_p2_sq)
-    base = m.covariance()
+    s1 = guards.variance("sigma_p1_sq", sigma_p1_sq)
+    s2 = guards.variance("sigma_p2_sq", sigma_p2_sq)
+    base = guards.instance("m", m, GaussianTwcibModel).covariance()
     c = np.zeros((6, 6))
     c[:4, :4] = base
     # v1 = x1 + p1 at index 4, v2 = x2 + p2 at index 5
@@ -304,16 +289,17 @@ class GaussianCdibModel:
 
     def __post_init__(self) -> None:
         for name in ("sigma_x1_sq", "sigma_x2_sq", "sigma_y_sq"):
-            object.__setattr__(self, name, _check_var(name, getattr(self, name)))
+            object.__setattr__(self, name, guards.variance(name, getattr(self, name)))
         chains = {"x1-x2-y": ("rho_x1x2", "rho_x2y", "rho_x1y"),
                   "x1-y-x2": ("rho_x1y", "rho_x2y", "rho_x1x2")}
-        if self.chain not in chains:
+        if not (isinstance(self.chain, str) and self.chain in chains):
             raise DomainError(f"chain must be 'x1-x2-y' or 'x1-y-x2', got {self.chain!r}")
         first, second, implied = chains[self.chain]
         for name in (first, second):
-            object.__setattr__(self, name, _check_rho(name, getattr(self, name), allow_zero=False))
+            object.__setattr__(self, name,
+                               guards.correlation(name, getattr(self, name), allow_zero=False))
         product = getattr(self, first) * getattr(self, second)
-        given = getattr(self, implied)
+        given = guards.correlation(implied, getattr(self, implied))
         if given != 0.0 and given != product:
             raise DomainError(f"{implied}={given!r} contradicts the {self.chain} chain, "
                               f"which implies {first} * {second} = {product!r}")
@@ -350,7 +336,7 @@ class GaussianCdibModel:
 
 
 def _require_chain(m: GaussianCdibModel, chain: str) -> None:
-    if m.chain != chain:
+    if guards.instance("m", m, GaussianCdibModel).chain != chain:
         raise DomainError(f"operation requires a {chain!r} model, got {m.chain!r}")
 
 
@@ -363,9 +349,7 @@ def cdib_x1x2y_mu(m: GaussianCdibModel, rate1: float, rate2: float) -> float:
     rates.
     """
     _require_chain(m, "x1-x2-y")
-    r1, r2 = float(rate1), float(rate2)
-    if not (0.0 <= r1 and 0.0 <= r2):
-        raise DomainError(f"rates must be nonnegative, got ({rate1!r}, {rate2!r})")
+    r1, r2 = guards.rate("rate1", rate1), guards.rate("rate2", rate2)
     a2, c2 = m.rho_x1x2 ** 2, m.rho_x2y ** 2
     d = 1.0 - c2 + c2 * 2.0 ** (-2.0 * r2) * (1.0 - a2 + a2 * 2.0 ** (-2.0 * r1))
     return 0.5 * log2(1.0 / d)
@@ -374,10 +358,8 @@ def cdib_x1x2y_mu(m: GaussianCdibModel, rate1: float, rate2: float) -> float:
 def cdib_x1x2y_r2(m: GaussianCdibModel, rate1: float, mu: float) -> float:
     """Rate R2 needed for relevance ``mu`` at a given R1 (chain X1 - X2 - Y)."""
     _require_chain(m, "x1-x2-y")
-    r1 = float(rate1)
-    if not 0.0 <= r1:
-        raise DomainError(f"rate1 must be nonnegative, got {rate1!r}")
-    mu = _check_mu(mu, m.i_y_x2(), "I(Y;X2)=")
+    r1 = guards.rate("rate1", rate1)
+    mu = guards.relevance("mu", mu, m.i_y_x2(), "I(Y;X2)=")
     a2, c2 = m.rho_x1x2 ** 2, m.rho_x2y ** 2
     num = c2 * a2 * 2.0 ** (-2.0 * r1) + c2 * (1.0 - a2)
     den = 2.0 ** (-2.0 * mu) - (1.0 - c2)
@@ -388,7 +370,7 @@ def cdib_x1x2y_critical_r1(m: GaussianCdibModel, mu: float) -> float | None:
     """Smallest R1 for which R2 = 0 suffices, or ``None`` when no finite rate
     does (relevance above I(Y;X1))."""
     _require_chain(m, "x1-x2-y")
-    mu = _check_mu(mu, m.i_y_x2(), "I(Y;X2)=")
+    mu = guards.relevance("mu", mu, m.i_y_x2(), "I(Y;X2)=")
     e = m.rho_x1x2 ** 2 * m.rho_x2y ** 2
     limit = m.i_y_x1()
     if mu > limit + 1e-12:
@@ -412,13 +394,6 @@ class OuterBoundPoint:
     R2_min: float
     sum_min: float
     mu_max: float
-
-
-def _check_finite_rates(what: str, r1: float, r2: float) -> tuple[float, float]:
-    r1, r2 = float(r1), float(r2)
-    if not (0.0 <= r1 < inf and 0.0 <= r2 < inf):
-        raise DomainError(f"{what} must be finite and nonnegative, got ({r1!r}, {r2!r})")
-    return r1, r2
 
 
 def _outer_mu_at(e1: float, e2: float, r1: float):
@@ -448,10 +423,11 @@ def cdib_x1yx2_outer_point(m: GaussianCdibModel, r1: float, r2: float) -> OuterB
 
     The R2 display is read with the factor 2^(-2 r2) on its last term, as
     in the mu display: the weaker (larger) of its two readings, so R2_min
-    is ``max(0, r2 - mu + mu)``, which in floats is not always r2.
+    is ``max(0, r2 - mu + mu)``, which in floats is not always r2.  An
+    unlimited auxiliary rate gives unlimited rate bounds.
     """
     _require_chain(m, "x1-y-x2")
-    r1, r2 = _check_finite_rates("auxiliary rates", r1, r2)
+    r1, r2 = guards.rate("r1", r1), guards.rate("r2", r2)
     mu = _outer_mu_at(m.rho_x1y ** 2, m.rho_x2y ** 2, r1)(r2)
     if not isfinite(mu):
         raise DegenerateModelError("log argument vanished in the outer bound")
@@ -483,27 +459,21 @@ def cdib_x1yx2_outer_frontier(m: GaussianCdibModel, rate1: float, rate2: float) 
     plateau.  The cap is 128 rather than 64 so that no box with
     R1 + R2 <= 128 is cut, and those searches keep their steps.
 
-    Cost: each golden section takes about 3 + log(min(R1 + R2, 128) / 1e-11)
-    / 0.48 evaluations, 57 at R1 + R2 = 1.4, so a call evaluates the
-    objective about 57 x 57 = 3,249 times (3,364 at R1 + R2 = 2).
-    Everything free of r2 (the r1 term of the log argument, its r2-free
-    factors, the R1 cap and the remaining sum-rate room) is fixed once per
-    inner search; an evaluation is then one call of the relevance function,
-    one ``np.log2`` and three comparisons.  The comparisons take the four
-    terms in ``min``'s order and replace the current value only by a
-    strictly smaller term, so ties and NaN resolve as ``min`` resolves
-    them.  ``np.log2`` stays because ``math.log2`` rounds differently in
-    the last bit for about 0.2% of arguments, and the 12-digit frontier
-    depends on the exact golden-section path.  Rates whose sum overflows to
-    inf raise ``DomainError``.
+    Cost: about 57 x 57 = 3,249 objective evaluations at R1 + R2 = 1.4.
+    Everything free of r2 is fixed once per inner search; an evaluation is
+    one call of the relevance function and three comparisons, which take
+    the four terms in ``min``'s order and replace the current value only by
+    a strictly smaller term, so ties and NaN resolve as ``min`` resolves
+    them.  ``np.log2`` stays because ``math.log2`` rounds differently in the
+    last bit for about 0.2% of arguments.  An unlimited rate, or a sum that
+    overflows to inf, leaves the box at 128 and the cap and room infinite,
+    where 1e300 leaves them beyond every relevance: the same double.
     """
     _require_chain(m, "x1-y-x2")
-    rate1, rate2 = _check_finite_rates("rates", rate1, rate2)
+    rate1, rate2 = guards.rate("rate1", rate1), guards.rate("rate2", rate2)
     e1, e2 = m.rho_x1y ** 2, m.rho_x2y ** 2
     i_y_x2 = m.i_y_x2()
     span = rate1 + rate2
-    if not span < inf:
-        raise DomainError(f"rates ({rate1!r}, {rate2!r}) must have a finite sum")
     if span <= 0.0:
         return 0.0
     box = min(span, _OUTER_BOX)
@@ -547,10 +517,11 @@ def cdib_x1yx2_inner(m: GaussianCdibModel, rate1: float, rate2: float) -> float:
     of magnitude.  Noise variances are searched relative to those of X1 and
     X2, so the bound does not depend on the model's variances.  Deterministic
     110 x 110 log-variance grid on [1e-13, 1e13] plus five 33 x 33 zoom
-    rounds; the constraints carry a 1e-12 slack.
+    rounds; the constraints carry a 1e-12 slack, and an unlimited rate leaves
+    its constraint slack.
     """
     _require_chain(m, "x1-y-x2")
-    rate1, rate2 = _check_finite_rates("rates", rate1, rate2)
+    rate1, rate2 = guards.rate("rate1", rate1), guards.rate("rate2", rate2)
     e1, e2 = m.rho_x1y ** 2, m.rho_x2y ** 2
     c12 = m.rho_x1x2
 

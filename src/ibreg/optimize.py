@@ -3,28 +3,18 @@
 Only what the region computations need; no stochastic restarts.  Golden
 section assumes a (weakly) unimodal objective on the bracket, which every
 caller in this package guarantees by convexity/concavity arguments.  Its
-``tol`` must be positive and finite: the loop runs while the bracket is wider
-than ``tol``, so 0 or less could never end it and NaN or inf would end it at
-once.  A positive ``tol`` below the float spacing near the maximiser (1e-11
-near 1e5, where the spacing is 1.5e-11) may not be reachable either; the
-loop then stops once the bracket can no longer shrink.  Every solver's
-bracket [lo, hi] must be finite with lo <= hi, and twice each end finite,
-else ``ArgumentError``: a reversed bracket gave a point no search had tried
-(the midpoint, or an end), an infinite end gave NaN, and an end within a
-factor 2 of the float limit let a midpoint's sum overflow to inf.
+``tol`` must be positive and finite, and every bracket [lo, hi] finite with
+lo <= hi and twice each end finite, so that no midpoint overflows; anything
+else raises ``ArgumentError``.  These two settings are the only arguments
+checked here rather than by ``guards``: no other module reads them.
 
 The bisections halve at most ``_BISECT_ITERATIONS`` times and stop as soon
 as the bracket is two adjacent floats (or one), that is when its midpoint
-rounds to an end.  From there a step can only keep the bracket or collapse
-it onto that midpoint, so running on to the cap returned the same midpoint:
-the early stop only saves evaluations of ``fun``.  A zero midpoint is the
-exception, since later steps can still flip its sign; those brackets run on.
-From [0, 1/2] the stop comes after 53 halvings for a root near 0.4, 65 near
-1e-4 and 98 near 1e-14; roots below about 3e-15 still take all 100.  When
-the cap ends the halvings with the bracket still wider than
+rounds to an end: running on to the cap would return the same midpoint.  A
+zero midpoint is the exception, since later steps can still flip its sign.
+When the cap ends the halvings with the bracket still wider than
 ``2**-52 * max(1, |lo|, |hi|)``, the midpoint need not be near a root, and
-``SolverError`` names the bracket instead: 100 halvings narrow [0, 1/2] to
-3.9e-31, but not [0, 8.9e307].
+``SolverError`` names the bracket instead.
 """
 
 from __future__ import annotations

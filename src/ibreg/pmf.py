@@ -27,6 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import guards
 from .errors import (
     ArgumentError,
     AxisError,
@@ -61,21 +62,20 @@ class Axis:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise AxisError(f"axis name must be a nonempty string, got {self.name!r}")
-        # NaN fails both tests and inf % 1 is NaN
-        if not (self.card >= 1 and self.card % 1 == 0):
-            raise DomainError(f"axis {self.name!r} needs a positive integer cardinality, "
-                              f"got {self.card!r}")
-        object.__setattr__(self, "card", int(self.card))
+        object.__setattr__(self, "card",
+                           guards.count(f"axis {self.name!r} cardinality", self.card, 1))
 
 
 def _as_axes(axes: Iterable) -> tuple[Axis, ...]:
-    out = []
-    for a in axes:
-        out.append(a if isinstance(a, Axis) else Axis(*a))
+    try:
+        out = tuple(a if isinstance(a, Axis) else Axis(*a) for a in axes)
+    except TypeError:   # not iterable, or an entry that is no (name, card) pair
+        raise ArgumentError(f"axes must be Axis objects or (name, card) pairs, "
+                            f"got {axes!r}") from None
     names = [a.name for a in out]
     if len(set(names)) != len(names):
         raise AxisError(f"duplicate axis names in {names}")
-    return tuple(out)
+    return out
 
 
 def _checked_table(table: np.ndarray, axis: int | None) -> np.ndarray:
@@ -116,7 +116,7 @@ class JointPmf:
 
     def __post_init__(self) -> None:
         axes = _as_axes(self.axes)
-        table = np.asarray(self.table, dtype=float)
+        table = guards.reals("table", self.table, allow_nan=True)
         shape = tuple(a.card for a in axes)
         if table.shape != shape:
             raise ArgumentError(f"table shape {table.shape} does not match axes {shape}")
@@ -130,10 +130,9 @@ class JointPmf:
         return tuple(a.name for a in self.axes)
 
     def axis_index(self, name: str) -> int:
-        try:
+        if isinstance(name, str) and name in self.axis_names:
             return self.axis_names.index(name)
-        except ValueError:
-            raise AxisError(f"unknown axis {name!r}; have {self.axis_names}") from None
+        raise AxisError(f"unknown axis {name!r}; have {self.axis_names}")
 
     def card(self, name: str) -> int:
         return self.axes[self.axis_index(name)].card
@@ -174,13 +173,13 @@ class Channel:
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        inputs = tuple(self.input_axes)
+        inputs = guards.sequence("input_axes", self.input_axes, str)
         if len(set(inputs)) != len(inputs):
             raise AxisError(f"duplicate channel input axes {inputs}")
-        output = self.output if isinstance(self.output, Axis) else Axis(*self.output)
+        output, = _as_axes((self.output,))
         if output.name in inputs:
             raise AxisError(f"channel output {output.name!r} collides with its inputs")
-        table = np.asarray(self.table, dtype=float)
+        table = guards.reals("table", self.table, allow_nan=True)
         if table.ndim != len(inputs) + 1:
             raise ArgumentError(
                 f"channel table has {table.ndim} dims for {len(inputs)} inputs + output")
@@ -202,9 +201,7 @@ class Channel:
             out_card: int = 2) -> "Channel":
         """Binary symmetric channel on a binary input axis, optionally padded
         with never-used output symbols up to ``out_card``."""
-        r = float(crossover)
-        if not 0.0 <= r <= 1.0:
-            raise DomainError(f"crossover {r!r} outside [0, 1]")
+        r = guards.prob("crossover", crossover)
         output = Axis(output_name, out_card)
         if output.card < 2:
             raise DomainError("bsc needs at least two output symbols")
@@ -230,7 +227,8 @@ class Channel:
 
 
 def _resolve(p: JointPmf, names: Iterable[str]) -> tuple[str, ...]:
-    names = tuple(names)
+    guards.instance("p", p, JointPmf)
+    names = guards.sequence("axes", names, str)
     for n in names:
         p.axis_index(n)
     if len(set(names)) != len(names):
@@ -298,7 +296,8 @@ def compose_markov(p: JointPmf, ch: Channel) -> JointPmf:
     non-input axis given the inputs, and the marginal of the result on
     ``p``'s axes equals ``p`` up to float-summation error (<= a few ulp).
     """
-    for n in ch.input_axes:
+    guards.instance("p", p, JointPmf)
+    for n in guards.instance("ch", ch, Channel).input_axes:
         p.axis_index(n)
     if ch.output.name in p.axis_names:
         raise AxisError(f"output axis {ch.output.name!r} already present in the pmf")
@@ -327,7 +326,8 @@ def marginalize(p: JointPmf, keep: Iterable[str]) -> JointPmf:
 
 def condition(p: JointPmf, axis: str, value: int) -> JointPmf:
     """Renormalised conditional of ``p`` given ``axis == value``."""
-    i = p.axis_index(axis)
+    i = guards.instance("p", p, JointPmf).axis_index(axis)
+    value = guards.real("value", value)
     if not (value % 1 == 0 and 0 <= value < p.axes[i].card):
         raise DomainError(f"value {value!r} outside alphabet of axis {axis!r}")
     slab = np.take(p.table, int(value), axis=i)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import guards
 from .bentropy import _xlog2x, h2
 from .binary import BinaryModel, optimal_channel
 from .curves import RegionCurve
@@ -79,15 +80,6 @@ class EnvelopePoint:
     y: float
 
 
-def _as_count(name: str, v, lo: int) -> int:
-    # NaN fails both comparisons and inf % 1 is NaN; nothing is truncated
-    if not v >= lo:
-        raise ArgumentError(f"{name} must be >= {lo}, got {v!r}")
-    if not v % 1 == 0:
-        raise ArgumentError(f"{name} must be an integer, got {v!r}")
-    return int(v)
-
-
 # ---------------------------------------------------------------------------
 # round schedules
 # ---------------------------------------------------------------------------
@@ -111,9 +103,9 @@ class RoundSchedule:
     bound_rule: str = "twcib"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "channels", tuple(self.channels))
-        k = _as_count("rounds", self.rounds, 1)
-        if self.bound_rule not in ("twcib", "cdib"):
+        object.__setattr__(self, "channels", guards.sequence("channels", self.channels, Channel))
+        k = guards.count("rounds", self.rounds, 1)
+        if not (isinstance(self.bound_rule, str) and self.bound_rule in ("twcib", "cdib")):
             raise ArgumentError(f"bound_rule must be 'twcib' or 'cdib', got {self.bound_rule!r}")
         if len(self.channels) != 2 * k:
             raise ArgumentError(
@@ -166,6 +158,8 @@ class RoundSchedule:
 
 
 def _composed(source: JointPmf, sched: RoundSchedule, required_axes) -> JointPmf:
+    guards.instance("source", source, JointPmf)
+    guards.instance("sched", sched, RoundSchedule)
     for axis in required_axes:
         if axis not in source.axis_names:
             raise AxisError(f"source lacks required axis {axis!r}")
@@ -220,7 +214,8 @@ def corner_points_outer(source: JointPmf, u1: Channel,
     of the third and fourth corners are information differences and may be
     negative when the corner falls below the mu = 0 face.
     """
-    if set(u1.input_axes) != {"x1"}:
+    guards.instance("u2", u2, Channel)
+    if set(guards.instance("u1", u1, Channel).input_axes) != {"x1"}:
         raise StructureError(f"U1 must condition on 'x1' only, got {u1.input_axes}")
     if set(u2.input_axes) != {u1.output.name, "x2"}:
         raise StructureError(
@@ -252,7 +247,7 @@ def upper_concave_envelope(points) -> list[EnvelopePoint]:
     Vertices come out strictly increasing in x with strictly decreasing chord
     slopes; collinear interior points are dropped.
     """
-    pts = [(float(x), float(y)) for x, y in points]
+    pts = guards.pairs("points", points)
     if len(pts) < 2:
         raise ArgumentError("the envelope needs at least two points")
     if not all(np.isfinite(x) and np.isfinite(y) for x, y in pts):
@@ -278,10 +273,18 @@ def upper_concave_envelope(points) -> list[EnvelopePoint]:
 
 
 def envelope_value(envelope, x) -> np.ndarray:
-    """Piecewise-linear envelope evaluation (flat extension beyond the ends)."""
+    """Piecewise-linear evaluation of an envelope at ``x``, a number or an
+    array of them.
+
+    Beyond the hull's ends the envelope is extended flat: for the hull of
+    (0, 0), (1, 1) and (2, 1), x = -5 gives 0.0 and x = 7 gives 1.0, and so
+    do -inf and +inf.  A NaN ``x`` raises ``DomainError``.
+    """
+    if not guards.sequence("envelope", envelope, EnvelopePoint):
+        raise ArgumentError("the envelope needs at least one point")
     xs = np.array([p.x for p in envelope])
     ys = np.array([p.y for p in envelope])
-    return np.interp(np.asarray(x, dtype=float), xs, ys)
+    return np.interp(guards.reals("x", x), xs, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +302,9 @@ class BucketRecord:
 
 
 _CHUNK = 8192
+# budget ceiling: the search holds each sample's rate and relevance (16 B of
+# float64) until every chunk is absorbed, so 2**26 samples take 1 GiB
+_BUDGET_MAX = 2 ** 26
 _ROW_BLOCK = 1024   # kernel rows per block: 1,024 measured faster than 512 or 2,048
 _BUCKETS = 64
 _V2_CARD = 7   # single-letter bound 2 |V1| + 1; V1 is padded to 3 symbols
@@ -398,8 +404,9 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
     conditional slice.  Keeps the best relevance per rate bucket, adds the
     deterministic non-interactive baselines, and returns the upper concave
     envelope evaluated on ``r2_grid`` together with the per-bucket records.
-    ``seed`` must be a nonnegative integer and ``threads`` a positive one
-    (unset: ``IBREG_THREADS``, else 1).  More than one thread samples on a
+    ``budget`` must be an integer in [1, 2**26], ``seed`` a nonnegative
+    integer and ``threads`` a positive one (unset: ``IBREG_THREADS``, else
+    1).  More than one thread samples on a
     pool; chunks are absorbed in chunk order, so the result does not vary.
 
     Deterministic for a fixed seed; samples are drawn in fixed-size chunks
@@ -407,19 +414,20 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
     A chunk's draws are dropped once evaluated; a record's origin names its
     channel by chunk and row, which the seed regenerates.
     """
-    budget = _as_count("budget", budget, 1)
-    seed = _as_count("seed", seed, 0)
+    budget = guards.count("budget", budget, 1)
+    if budget > _BUDGET_MAX:
+        raise ArgumentError(f"budget must be at most 2**26 = {_BUDGET_MAX}, got {budget!r}")
+    seed = guards.count("seed", seed, 0)
+    name = "threads"
     if threads is None:
-        env = os.environ.get("IBREG_THREADS", "")
-        try:
-            threads = int(env or 1)
-        except ValueError:
-            raise ArgumentError(f"IBREG_THREADS must be an integer, got {env!r}") from None
-    threads = _as_count("threads", threads, 1)
-    grid = np.asarray(list(r2_grid), dtype=float)
-    if grid.size < 1 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0.0):
+        name, env = "threads from IBREG_THREADS", os.environ.get("IBREG_THREADS") or "1"
+        threads = int(env) if env.strip().isdecimal() else env
+    threads = guards.count(name, threads, 1)
+    grid = guards.reals("r2_grid", r2_grid, allow_nan=True)
+    if grid.ndim != 1 or grid.size < 1 or not np.all(np.isfinite(grid)) \
+            or np.any(np.diff(grid) <= 0.0):
         raise ArgumentError("r2_grid must be nonempty, finite and strictly increasing")
-    p, q = model.p, model.q
+    p, q = guards.instance("model", model, BinaryModel).p, model.q
     hq = h2(q)
     v1 = optimal_channel(hq, p, q).to_channel("v1", out_card=3)
     q0 = compose_markov(_int_source(model), v1).table
@@ -526,9 +534,9 @@ def check_inclusion(inner: RegionCurve, outer: RegionCurve, tol: float) -> Inclu
     inside both rate ranges; the verdict carries the worst-violation point.
     A non-finite ``tol`` raises :class:`ArgumentError`.
     """
-    if not np.isfinite(tol):
-        raise ArgumentError(f"tol must be finite, got {tol!r}")
-    if len(outer.points) < 2:
+    tol = guards.finite("tol", tol, ArgumentError)
+    guards.instance("inner", inner, RegionCurve)
+    if len(guards.instance("outer", outer, RegionCurve).points) < 2:
         raise ComparisonError("outer curve needs at least two points to interpolate")
     o = sorted(outer.points)
     oxs = np.array([r for r, _ in o])

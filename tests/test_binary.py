@@ -323,8 +323,10 @@ def test_mu_d_dual_endpoints_and_agreement():
     assert mu_d_dual(h2(Q), P, Q) == pytest.approx(TOP, abs=1e-6)
     mid = h2(Q) / 2
     assert mu_d_dual(mid, P, Q) == pytest.approx(mu_d(mid, P, Q), abs=1e-6)
+    # a rate above h2(q) reads as h2(q); a negative one beyond the slack raises
+    assert mu_d_dual(h2(Q) + 0.01, P, Q) == mu_d_dual(h2(Q), P, Q)
     with pytest.raises(DomainError):
-        mu_d_dual(h2(Q) + 0.01, P, Q)
+        mu_d_dual(-0.01, P, Q)
 
 
 def test_mu_d_dual_frozen_bits():
@@ -586,14 +588,17 @@ def test_nan_rejected(fn, args):
 
 
 def test_infinite_rate():
-    # beyond h2(q) the curves saturate; the solvers bounded by h2(q) reject
+    # beyond h2(q) the curves saturate, and both oracles read such a rate as
+    # h2(q); only g_inverse, the inverse of g on [0, h2(q)], rejects it
     assert mu_d(INF, P, Q) == 1.0 - h2(P)
     assert mu_ed(INF, P, Q) == 1.0 - h2(P)
     assert optimal_channel(INF, P, Q).kind == "identity"
-    for fn, args in ((g_inverse, (INF, Q)), (mu_d_dual, (INF, P, Q)),
-                     (mu_d_timeshare_oracle, (INF, P, Q))):
-        with pytest.raises(DomainError):
-            fn(*args)
+    for fn in (mu_d_dual, mu_d_timeshare_oracle):
+        at_hq = fn(h2(Q), P, Q)
+        assert fn(2.0, P, Q) == fn(INF, P, Q) == at_hq
+        assert abs(at_hq - mu_d(INF, P, Q)) <= 1e-9
+    with pytest.raises(DomainError):
+        g_inverse(INF, Q)
 
 
 # ---------------------------------------------------------------------------
@@ -678,5 +683,5 @@ def test_spec_validation():
 def test_to_channel_rejects_bad_out_card(kind, kw, out_card):
     # 2.5 raised TypeError, and 0 fell back to the default cardinality
     from ibreg import TestChannelSpec
-    with pytest.raises(DomainError, match="cardinality"):
+    with pytest.raises(ArgumentError, match="cardinality"):
         TestChannelSpec(kind, **kw).to_channel(out_card=out_card)

@@ -303,6 +303,33 @@ def test_region_curve_rejects_non_finite_points(point):
         RegionCurve(BINARY, "mu_d", None, ((0.1, 0.4), point))
 
 
+@pytest.mark.parametrize("seed", [2.5, math.nan, math.inf, -1, "7", True])
+def test_region_curve_seed_follows_count_rule(seed):
+    # 2.5 silently became 2 and NaN raised a bare ValueError; the JSON
+    # reader goes through the same rule
+    with pytest.raises(ArgumentError, match="seed"):
+        RegionCurve(BINARY, "mu_int", seed, ((0.0, 0.4),))
+    text = json.dumps({"model": BINARY, "method": "mu_int", "seed": seed,
+                       "points": [{"R": 0.0, "mu": 0.4}]})
+    with pytest.raises(ArgumentError, match="seed"):
+        RegionCurve.from_json(text)
+
+
+def test_region_curve_integral_seed():
+    for seed in (7, 7.0):
+        curve = RegionCurve.from_json(RegionCurve(BINARY, "mu_int", seed, ((0.0, 0.4),)).to_json())
+        assert curve.seed == 7 and type(curve.seed) is int
+
+
+def test_curve_budget_above_ceiling_exit_2(tmp_path, capsys):
+    # a budget of 1e308 was accepted and the search ran until memory ran out
+    model = write_json(tmp_path / "m.json", BINARY)
+    for budget in (str(2 ** 26 + 1), "1" + "0" * 308):
+        assert main(["curve", "mu_int", "--model", model, "--grid", "0:0.4:3",
+                     "--seed", "1", "--budget", budget]) == 2
+        assert "budget must be at most" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case", ["negative seed", "bad IBREG_THREADS", "discrete model"])
 def test_curve_bad_input_exit_2(tmp_path, capsys, monkeypatch, case):
     # the first two ended in a traceback with exit 1; "discrete" validated

@@ -515,10 +515,12 @@ def test_outer_frontier_ladder_beyond_saturation(chain_b):
 
 
 @pytest.mark.parametrize("rates", [(1e308, 1e308), (1.7e308, 1e308)])
-def test_outer_frontier_rejects_infinite_rate_sum(chain_b, rates):
-    # the sum overflowed to inf and the frontier read 0.0
-    with pytest.raises(DomainError, match="finite sum"):
-        cdib_x1yx2_outer_frontier(chain_b, *rates)
+def test_outer_frontier_infinite_rate_sum_saturates(chain_b, rates):
+    # the sum overflows to inf, an unlimited rate: the frontier reads
+    # I(Y;X1,X2) as at 1e300 (it read 0.0 before the sum was rejected)
+    got = cdib_x1yx2_outer_frontier(chain_b, *rates)
+    assert got == cdib_x1yx2_outer_frontier(chain_b, 1e300, 1e300)
+    assert abs(got - chain_b.i_y_x1x2()) <= 1e-12
 
 
 def test_cli_outer_frontier_large_grid_ends(tmp_path, monkeypatch, capsys):
@@ -598,10 +600,26 @@ def test_inner_quantities_match_determinant_oracle(chain_b):
 @pytest.mark.parametrize("rates", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
                                    (1.0, math.inf), (-math.inf, 1.0)])
 def test_x1yx2_rejects_non_finite_rates(chain_b, fun, rates):
-    # NaN and infinite rates used to give 0.0 (outer frontier, inner with NaN)
-    # or an unbounded point; every one now raises
-    with pytest.raises(DomainError):
-        fun(chain_b, *rates)
+    # NaN and -inf used to give 0.0 (outer frontier, inner with NaN) and now
+    # raise.  +inf is an unlimited rate: the bounds give their value at 1e300
+    # and the outer point its unlimited rate bounds
+    if math.inf not in rates:
+        with pytest.raises(DomainError):
+            fun(chain_b, *rates)
+    elif fun is cdib_x1yx2_outer_point:
+        pt = fun(chain_b, *rates)
+        assert pt.sum_min == math.inf and math.isfinite(pt.mu_max)
+    else:
+        assert fun(chain_b, *rates) == fun(chain_b, *(min(r, 1e300) for r in rates))
+
+
+@pytest.mark.parametrize("fun", [cdib_x1yx2_outer_frontier, cdib_x1yx2_inner])
+@pytest.mark.parametrize("rates", [(math.inf, math.inf), (1e308, 1e308), (math.inf, 0.0),
+                                   (0.0, math.inf)])
+def test_x1yx2_unlimited_rate_equals_1e300(chain_b, fun, rates):
+    # an infinite rate, or a rate sum that overflows, is an unlimited rate
+    # and gives the same double as 1e300 in each inf's place
+    assert fun(chain_b, *rates) == fun(chain_b, *(min(r, 1e300) for r in rates))
 
 
 def test_outer_dominates_inner_small_grid(chain_b):

@@ -13,6 +13,7 @@ from ibreg import (
     CardinalityError,
     Channel,
     ComparisonError,
+    DomainError,
     RegionCurve,
     RoundSchedule,
     StructureError,
@@ -350,6 +351,16 @@ def test_envelope_idempotent(rng):
     assert [(p.x, p.y) for p in env1] == [(p.x, p.y) for p in env2]
 
 
+def test_envelope_value_flat_beyond_ends_and_nan_rejected():
+    env = upper_concave_envelope([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0)])
+    assert envelope_value(env, -5.0) == 0.0 and envelope_value(env, 7.0) == 1.0
+    assert list(envelope_value(env, [-np.inf, 0.5, np.inf])) == [0.0, 0.5, 1.0]
+    # NaN passed through as NaN
+    for x in (np.nan, [0.5, np.nan]):
+        with pytest.raises(DomainError):
+            envelope_value(env, x)
+
+
 def test_envelope_argument_errors():
     with pytest.raises(ArgumentError):
         upper_concave_envelope([(0.0, 0.0)])
@@ -447,6 +458,14 @@ def test_search_rejects_bad_budget(budget):
     # NaN passed `budget < 1` and a non-integral budget reached range():
     # both raised TypeError instead of an ArgumentError
     with pytest.raises(ArgumentError, match="budget"):
+        search_mu_int(MODEL, [0.0, 0.2], budget, 1)
+
+
+@pytest.mark.parametrize("budget", [2 ** 26 + 1, 1e308, 10 ** 400])
+def test_search_rejects_budget_above_ceiling(budget):
+    # 16 B per sample are held until every chunk is absorbed: 1e308 was
+    # accepted and ran until memory ran out
+    with pytest.raises(ArgumentError, match="at most"):
         search_mu_int(MODEL, [0.0, 0.2], budget, 1)
 
 
