@@ -118,6 +118,13 @@ NAN = float("nan")
 INF = float("inf")
 
 
+@pytest.fixture(autouse=True)
+def _fresh_dual_memo():
+    # mu_d_dual's memo outlives a call: start every test without it, so that
+    # no test's evaluation counts depend on which tests ran before
+    binary._dual_memo.cache_clear()
+
+
 def test_model_validation():
     BinaryModel(0.1, 0.49)
     for bad in (0.0, 0.5, 0.6, -0.1):
@@ -433,6 +440,59 @@ def test_mu_d_dual_objective_equals_reference_bits(monkeypatch):
         mu_d_dual(float(rng.uniform(0.0, h2(q))), p, q)
     assert evaluations[0] > 30000
     assert mismatches == []
+
+
+def test_mu_d_dual_memo_keeps_bits(monkeypatch):
+    # 60 calls in blocks of three on one of three models, rates drawn from
+    # four per model so that rates repeat; each result must equal the same
+    # call made with the memo cleared.  The second sweep's cap is below the
+    # distinct r of one call, so its memos are cleared inside calls too
+    rng = np.random.default_rng(17)
+    models = [(0.1, 0.1), (0.3, 0.05), (0.2, 0.3)]
+    rates = {m: [float(v) for v in rng.uniform(0.0, h2(m[1]), 4)] for m in models}
+    calls = []
+    for i in rng.integers(3, size=20):
+        p, q = models[i]
+        calls += [(rates[p, q][j], p, q) for j in rng.integers(4, size=3)]
+    fresh = []
+    for args in calls:
+        binary._dual_memo.cache_clear()
+        fresh.append(mu_d_dual(*args))
+    for cap in (binary._DUAL_MEMO_CAP, 64):
+        monkeypatch.setattr(binary, "_DUAL_MEMO_CAP", cap)
+        binary._dual_memo.cache_clear()
+        assert [mu_d_dual(*args) for args in calls] == fresh
+        terms, peaks = binary._dual_memo(*calls[-1][1:])
+        assert 0 < len(terms) <= cap and 0 < len(peaks) <= cap
+
+
+def test_mu_d_dual_memo_holds_one_capped_model(monkeypatch):
+    # _DUAL_MEMO_CAP = 2**15 = 32,768 entries in each dict; on CPython 3.11 a
+    # full r -> (F, G) dict takes about 5.5 MB (168 B an entry) and a full
+    # alpha -> inner max dict 2.9 MB (88 B), so at most about 8.4 MB in all.
+    # The sweep inserts more r than the cap, so the clear runs
+    inserts, kernel = [0], binary._first_form
+
+    def counting_first_form(p, q):
+        first = kernel(p, q)
+
+        def counted(r):
+            inserts[0] += 1
+            return first(r)
+
+        return counted
+
+    monkeypatch.setattr(binary, "_first_form", counting_first_form)
+    mu_d_dual(0.2, 0.2, 0.2)
+    for rate in np.linspace(0.0, h2(0.3), 50):
+        mu_d_dual(rate, 0.1, 0.3)
+    assert inserts[0] > binary._DUAL_MEMO_CAP
+    info = binary._dual_memo.cache_info()
+    assert info.currsize == 1
+    terms, peaks = binary._dual_memo(0.1, 0.3)
+    assert binary._dual_memo.cache_info().hits == info.hits + 1
+    assert 0 < len(terms) <= binary._DUAL_MEMO_CAP
+    assert 0 < len(peaks) <= binary._DUAL_MEMO_CAP
 
 
 def test_kernels_equal_reference_bits():
