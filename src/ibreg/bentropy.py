@@ -5,13 +5,13 @@ convolution ``a*b = a(1-b) + b(1-a)``, i.e. the crossover probability of two
 cascaded binary symmetric channels.
 
 Validation rule: each public function checks and clamps its arguments by
-the probability rule of ``guards``, then calls a private kernel of the same
-name with a leading underscore (``_h2``, ``_star``).  The kernel holds the
-only copy of the formula, assumes in-domain floats and checks nothing;
-besides its public twin, only functions that validated their own inputs at
-entry call it (``h2_inv`` and ``gerber_bound`` here, the curve solvers in
-``binary``).  The one array kernel is
-``_xlog2x``: ``h2_arr`` and the search kernel in ``search`` build on it.
+the probability rule of ``guards`` (``h2_arr`` entry by entry), then calls a
+private kernel of the same name with a leading underscore (``_h2``,
+``_star``, ``_h2_arr``).  The kernel holds the only copy of the formula,
+assumes in-domain floats and checks nothing; besides its public twin, only
+functions that validated their inputs at entry call it (``h2_inv`` and
+``gerber_bound`` here, the curve solvers in ``binary``).  ``_xlog2x``
+(m log2 m) underlies ``_h2_arr``, ``pmf``'s entropies and ``search``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from math import log2
 
 import numpy as np
 
-from .guards import prob, reals
+from .guards import prob, probs
 
 __all__ = ["h2", "h2_inv", "star", "gerber_bound", "h2_arr"]
 
@@ -54,12 +54,14 @@ def _xlog2x(m: np.ndarray) -> np.ndarray:
     return m * out
 
 
-def h2_arr(x) -> np.ndarray:
-    """Vectorised binary entropy, 0*log(0) = 0.  Entries must be numbers;
-    their range is not checked, and NaN gives NaN."""
-    x = reals("x", x, allow_nan=True)
+def _h2_arr(x: np.ndarray) -> np.ndarray:
     # asarray keeps a 0-d input a 0-d array, not a numpy scalar
     return np.asarray(0.0 - _xlog2x(x) - _xlog2x(1.0 - x))
+
+
+def h2_arr(x) -> np.ndarray:
+    """Vectorised binary entropy of probabilities, 0*log(0) = 0."""
+    return _h2_arr(probs("x", x))
 
 
 def h2_inv(y: float) -> float:

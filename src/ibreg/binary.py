@@ -26,7 +26,7 @@ search (``mu_d_timeshare_oracle``).
 Kernel rule: one scalar kernel and one array kernel per formula.  The
 scalar kernels (``_g``, ``_first_form``, ``_g_prime``, ``_f_prime``, on
 ``bentropy._h2``/``_star`` and ``math.log2``) and the array kernels (``_g_vec``,
-``_f_vec``, ``_g_prime_vec``, ``_f_prime_vec``, on ``bentropy.h2_arr`` and
+``_f_vec``, ``_g_prime_vec``, ``_f_prime_vec``, on ``bentropy._h2_arr`` and
 ``np.log2``) check nothing; ``_second_form`` alone holds the second form's
 constants.  The twins stay apart on purpose: folding them moves last bits,
 and the second-form array kernels keep both oracles independent of the
@@ -45,7 +45,7 @@ from math import log2
 import numpy as np
 
 from . import guards
-from .bentropy import _h2, _star, h2_arr, h2_inv
+from .bentropy import _h2, _h2_arr, _star, h2_inv
 from .errors import ArgumentError, DomainError, SolverError
 from .optimize import bisect_decreasing_inverse, bisect_root, golden_max, golden_min
 from .pmf import Axis, Channel, JointPmf
@@ -221,14 +221,14 @@ def f_prime(r: float, p: float, q: float) -> float:
 
 
 def _g_vec(r: np.ndarray, q: float) -> np.ndarray:
-    return h2_arr(r * (1 - 2 * q) + q) - h2_arr(r)
+    return _h2_arr(r * (1 - 2 * q) + q) - _h2_arr(r)
 
 
 def _f_vec(r: np.ndarray, p: float, q: float) -> np.ndarray:
     w, gam, dlt = _second_form(p, q)
-    return (h2_arr(r * (1 - 2 * q) + q)
-            - (1.0 - w) * h2_arr(r * (1 - 2 * gam) + gam)
-            - w * h2_arr(r * (1 - 2 * dlt) + dlt))
+    return (_h2_arr(r * (1 - 2 * q) + q)
+            - (1.0 - w) * _h2_arr(r * (1 - 2 * gam) + gam)
+            - w * _h2_arr(r * (1 - 2 * dlt) + dlt))
 
 
 def _h2p_vec(x: np.ndarray) -> np.ndarray:

@@ -9,12 +9,12 @@ Subcommands
 
 Model configuration files are JSON objects with a ``kind`` of ``binary``,
 ``gaussian-twcib``, ``gaussian-cdib-x1x2y`` or ``gaussian-cdib-x1yx2``.
-Curve requests pair a model with a ``quantity`` (one of
-``mu_ed``, ``mu_d``, ``mu_int``, ``twcib_rate``, ``cdib_mu_surface``,
-``outer_frontier``, ``inner_bound``), a grid, and -- for the stochastic
-``mu_int`` only -- a nonnegative seed and a budget.  ``_MODELS`` (kind ->
-builder) and ``_QUANTITIES`` (quantity -> kind, evaluator) hold these rules
-once; ``QUANTITIES`` lists the quantities in table order.
+Curve requests pair a model with a ``quantity`` (one of ``mu_ed``,
+``mu_d``, ``mu_int``, ``twcib_rate``, ``cdib_mu_surface``, ``outer_frontier``,
+``inner_bound``), a grid, a nonnegative seed and a budget for the stochastic
+``mu_int`` only, and the rate side ``which`` for ``twcib_rate`` only.
+``_MODELS`` (kind -> builder) and ``_QUANTITIES`` (quantity -> kind,
+evaluator) hold these rules once; ``QUANTITIES`` lists them in table order.
 
 Deterministic quantities produce byte-identical outputs for identical
 requests; stochastic ones are keyed by (seed, budget).  Exit codes: 0 ok
@@ -173,6 +173,8 @@ class CurveRequest:
                 raise ConfigError(f"budget must be >= 1, got {budget}")
         elif seed is not None or budget is not None:
             raise ConfigError(f"quantity {quantity!r} is deterministic; drop seed/budget")
+        if quantity != "twcib_rate" and "which" in d:
+            raise ConfigError(f"which applies to twcib_rate only, not {quantity!r}")
         return cls(model=model, quantity=quantity, grid_min=lo, grid_max=hi,
                    grid_n=n, seed=seed, budget=budget,
                    which=_as_int("which", d.get("which", 2)))

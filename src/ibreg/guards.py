@@ -53,6 +53,14 @@ def prob(name: str, v, hi: float = 1.0) -> float:
     return 0.0 if v < 0.0 else hi
 
 
+def probs(name: str, v) -> np.ndarray:
+    """``reals`` whose every entry is a probability by the rule of ``prob``."""
+    a = reals(name, v)
+    if not np.all((-_SLACK <= a) & (a <= 1.0 + _SLACK)):
+        raise DomainError(f"{name} has an entry outside [0, 1]: {v!r}")
+    return np.asarray(a.clip(0.0, 1.0))
+
+
 def crossover(name: str, v) -> float:
     """A model crossover, strictly inside (0, 1/2)."""
     if type(v) is not float:

@@ -28,6 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import guards
+from .bentropy import _xlog2x
 from .errors import (
     ArgumentError,
     AxisError,
@@ -243,8 +244,7 @@ def _marginal_table(p: JointPmf, keep: Sequence[str]) -> np.ndarray:
 
 def _table_entropy(t: np.ndarray) -> float:
     flat = t.reshape(-1)
-    nz = flat[flat > 0.0]
-    h = float(-(nz * np.log2(nz)).sum())
+    h = float(-_xlog2x(flat[flat > 0.0]).sum())
     return 0.0 if -1e-12 < h < 0.0 else h
 
 
@@ -254,10 +254,6 @@ def entropy(p: JointPmf, axes: Iterable[str]) -> float:
     if not names:
         raise ArgumentError("entropy needs a nonempty axis subset")
     return _table_entropy(_marginal_table(p, names))
-
-
-def _clamped(v: float) -> float:
-    return 0.0 if -_MI_CLAMP < v < 0.0 else v
 
 
 def mutual_information(p: JointPmf, axes_a: Iterable[str], axes_b: Iterable[str]) -> float:
@@ -277,9 +273,10 @@ def conditional_mutual_information(p: JointPmf, axes_a: Iterable[str],
             raise ArgumentError(f"axis sets overlap: {set(x) & set(y)}")
     if not a or not b:
         raise ArgumentError("conditional_mutual_information needs nonempty A and B")
+    h = [_table_entropy(_marginal_table(p, x)) for x in (a + c, b + c, a + b + c)]
     # H(C) = 0 for empty C, and x - 0.0 == x
-    return _clamped(entropy(p, a + c) + entropy(p, b + c)
-                    - entropy(p, a + b + c) - (entropy(p, c) if c else 0.0))
+    v = h[0] + h[1] - h[2] - (_table_entropy(_marginal_table(p, c)) if c else 0.0)
+    return 0.0 if -_MI_CLAMP < v < 0.0 else v
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Single-letter region evaluation over explicit auxiliary-channel stacks.
 
 Evaluators for the two-way and broadcast regions of arbitrary discrete
-sources (given a :class:`RoundSchedule` of auxiliary channels), the four
-corner points induced by a fixed pair of auxiliaries, the seeded stochastic
-search for the interactive binary curve, upper concave envelopes, and curve
-inclusion checks.
+sources, each checking a :class:`RoundSchedule` of auxiliary channels
+against its own region's cardinality bound; the four corner points induced
+by a fixed pair of auxiliaries, the seeded stochastic search for the
+interactive binary curve, upper concave envelopes, and curve inclusion checks.
 
 Axis conventions: sources for the two-way evaluator carry axes
 ``x1, x2, y1, y2``; broadcast sources carry ``x1, x2, y``.  A schedule's
@@ -91,22 +91,19 @@ class RoundSchedule:
 
     The l-th encoder-1 channel must condition on ``x1`` plus all previously
     generated descriptions; the l-th encoder-2 channel on ``x2`` plus all
-    previous descriptions including the current encoder-1 one.  Output
-    cardinalities are checked against the single-letter bounds
-    (``bound_rule='twcib'``: |X| * |history| + 3, last encoder-2 output + 1;
-    ``bound_rule='cdib'``: + 4 on non-final rounds, + 3 / + 1 on the final
-    encoder-1 / encoder-2 outputs).
+    previous descriptions including the current encoder-1 one.  The schedule
+    checks this structure; each evaluator checks the output cardinalities
+    against its region's single-letter bound, |X| * |history| + 3 (two-way)
+    or + 4 (broadcast) on non-final rounds, + 3 / + 1 on the final encoder-1
+    / encoder-2 outputs.
     """
 
     rounds: int
     channels: tuple[Channel, ...]
-    bound_rule: str = "twcib"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "channels", guards.sequence("channels", self.channels, Channel))
         k = guards.count("rounds", self.rounds, 1)
-        if not (isinstance(self.bound_rule, str) and self.bound_rule in ("twcib", "cdib")):
-            raise ArgumentError(f"bound_rule must be 'twcib' or 'cdib', got {self.bound_rule!r}")
         if len(self.channels) != 2 * k:
             raise ArgumentError(
                 f"need 2K = {2 * k} channels, got {len(self.channels)}")
@@ -115,21 +112,12 @@ class RoundSchedule:
             raise AxisError(f"duplicate description names {names}")
         if "x1" in names or "x2" in names:
             raise AxisError("description names collide with source axes")
-        self._check_structure()
-        self._check_bounds(k)
-
-    def _input_card(self, ch: Channel, axis: str) -> int:
-        return ch.input_cards[ch.input_axes.index(axis)]
-
-    def _check_structure(self) -> None:
-        history: list[str] = []
         for i, ch in enumerate(self.channels):
-            want = {("x1", "x2")[i % 2], *history}
+            want = {("x1", "x2")[i % 2], *names[:i]}
             if set(ch.input_axes) != want:
                 raise StructureError(
                     f"round {i // 2 + 1} encoder-{i % 2 + 1} channel conditions on "
                     f"{set(ch.input_axes)}, expected {want}")
-            history.append(ch.output.name)
         # description alphabets must be quoted consistently downstream
         cards = {ch.output.name: ch.output.card for ch in self.channels}
         for ch in self.channels:
@@ -139,14 +127,15 @@ class RoundSchedule:
                         f"channel for {ch.output.name!r} expects |{axis}| = "
                         f"{self._input_card(ch, axis)}, description has {cards[axis]}")
 
-    def _check_bounds(self, k: int) -> None:
+    def _input_card(self, ch: Channel, axis: str) -> int:
+        return ch.input_cards[ch.input_axes.index(axis)]
+
+    def _check_bounds(self, nonfinal: int) -> None:
         x_cards = (self._input_card(self.channels[0], "x1"),
                    self._input_card(self.channels[1], "x2"))
-        nonfinal = 3 if self.bound_rule == "twcib" else 4
         w = 1  # alphabet size of the accumulated description history
         for i, ch in enumerate(self.channels):
-            # the final round's encoder-1 / encoder-2 outputs get + 3 / + 1
-            slack = (3, 1)[i % 2] if i >= 2 * k - 2 else nonfinal
+            slack = (3, 1)[i % 2] if i >= len(self.channels) - 2 else nonfinal
             bound = x_cards[i % 2] * w + slack
             if ch.output.card > bound:
                 raise CardinalityError(
@@ -173,9 +162,11 @@ def evaluate_twcib(source: JointPmf, sched: RoundSchedule) -> RegionPoint:
     """Corner of the two-way achievable set for one channel stack.
 
     Returns R1 = I(X1;W|X2), R2 = I(X2;W|X1), mu1 = I(Y1;W,X1),
-    mu2 = I(Y2;W,X2) where W is the full description history.
+    mu2 = I(Y2;W,X2) where W is the full description history.  A schedule
+    past the two-way cardinality bound raises :class:`CardinalityError`.
     """
     q = _composed(source, sched, ("x1", "x2", "y1", "y2"))
+    sched._check_bounds(3)
     w = list(sched.description_names())
     r1 = cmi(q, ["x1"], w, ["x2"])
     r2 = cmi(q, ["x2"], w, ["x1"])
@@ -191,11 +182,11 @@ def evaluate_cdib_inner(source: JointPmf, sched: RoundSchedule) -> RegionPoint:
 
     R1 = I(X1;W|X2); R2 = I(X2;V_2K|W_2K) + I(X2;W_2K|X1) where V_2K is the
     final encoder-2 description and W_2K everything before it;
-    sum = I(X1,X2;W); mu = I(Y;W).  A schedule checked under either bound
-    rule is accepted: the ``cdib`` bounds are never tighter than the
-    ``twcib`` ones.
+    sum = I(X1,X2;W); mu = I(Y;W).  A schedule past the broadcast
+    cardinality bound raises :class:`CardinalityError`.
     """
     q = _composed(source, sched, ("x1", "x2", "y"))
+    sched._check_bounds(4)
     w = list(sched.description_names())
     w2k, v2k = w[:-1], [w[-1]]
     r1 = cmi(q, ["x1"], w, ["x2"])
@@ -210,17 +201,12 @@ def corner_points_outer(source: JointPmf, u1: Channel,
                         u2: Channel) -> tuple[RegionPoint, ...]:
     """The four corner points induced by a fixed auxiliary pair (U1, U2).
 
-    U1 must condition on X1 only; U2 on (U1, X2).  The relevance coordinates
-    of the third and fourth corners are information differences and may be
-    negative when the corner falls below the mu = 0 face.
+    U1 must condition on X1 only; U2 on (U1, X2); their alphabets are not
+    bounded.  The relevance coordinates of the third and fourth corners are
+    information differences and may be negative when the corner falls below
+    the mu = 0 face.
     """
-    guards.instance("u2", u2, Channel)
-    if set(guards.instance("u1", u1, Channel).input_axes) != {"x1"}:
-        raise StructureError(f"U1 must condition on 'x1' only, got {u1.input_axes}")
-    if set(u2.input_axes) != {u1.output.name, "x2"}:
-        raise StructureError(
-            f"U2 must condition on ({u1.output.name!r}, 'x2'), got {u2.input_axes}")
-    q = compose_markov(compose_markov(source, u1), u2)
+    q = _composed(source, RoundSchedule(1, (u1, u2)), ("x1", "x2", "y"))
     a, b = u1.output.name, u2.output.name
     mu12 = mi(q, ["y"], [a, b])
     i_x1_a = mi(q, ["x1"], [a])                 # I(X1;U1)

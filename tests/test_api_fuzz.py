@@ -75,7 +75,7 @@ CASES = [
     (bentropy.h2_inv, (0.3,), ("prob",)),
     (bentropy.star, (0.1, 0.2), ("prob", "prob")),
     (bentropy.gerber_bound, (0.5, 0.1), ("prob", "half")),
-    (bentropy.h2_arr, ([0.1, 0.3],), ("kernel_array",)),
+    (bentropy.h2_arr, ([0.1, 0.3],), ("prob_array",)),
     (binary.BinaryModel, (0.1, 0.2), ("crossover", "crossover")),
     (binary.TestChannelSpec, ("direct", 0.1), ("option", "half")),
     (binary.TestChannelSpec, ("timeshared", None, 0.5, 0.1), ("option", "half?", "prob", "half")),
@@ -116,7 +116,7 @@ CASES = [
     (pmf.compose_markov, (P2, pmf.Channel.bsc("a", "v", 0.1)), ("object", "object")),
     (pmf.marginalize, (P2, ["a"]), ("object", "object")),
     (pmf.condition, (P2, "a", 1), ("object", "object", "symbol")),
-    (search.RoundSchedule, (1, (U1, U2), "twcib"), ("any", "object", "option")),
+    (search.RoundSchedule, (1, (U1, U2)), ("any", "object")),
     (search.evaluate_twcib, (BM.twcib_source(), SCHED), ("object", "object")),
     (search.evaluate_cdib_inner, (SRC3, SCHED), ("object", "object")),
     (search.corner_points_outer, (SRC3, U1, U2), ("object",) * 3),
@@ -147,13 +147,15 @@ def expected_error(kind: str, v):
     if kind == "string":
         return None if isinstance(v, str) else ArgumentError
     number = isinstance(v, _NUMBER) and not isinstance(v, bool)
-    if kind in ("x_array", "kernel_array", "vector"):
+    if kind in ("x_array", "prob_array", "vector"):
         if not (number or isinstance(v, np.ndarray)) or (isinstance(v, int) and
                                                           abs(v) > sys.float_info.max):
             return ArgumentError   # numpy holds str, None, bool and huge ints apart
         if kind == "vector":   # a 1-d array; a scalar raises
             return None if np.ndim(v) == 1 else IbregError
-        return DomainError if kind == "x_array" and np.isnan(v).any() else None
+        if kind == "prob_array":   # the probability rule, entry by entry
+            return None if all(RANGES["prob"](x) for x in np.ravel(v)) else DomainError
+        return DomainError if np.isnan(v).any() else None
     if kind in COUNT_FLOORS:
         if not (number and v >= COUNT_FLOORS[kind] and v % 1 == 0):
             return ArgumentError
@@ -190,9 +192,7 @@ def check_call(case: int, pos: int, probe) -> None:
     call[pos] = probe
     want = "any" if kinds[pos] == "any" else expected_error(kinds[pos], probe)
     try:
-        # h2_arr does not check its range: 1e308 or inf warns in numpy
-        with np.errstate(**({"all": "ignore"} if kinds[pos] == "kernel_array" else {})):
-            got = fn(*call)
+        got = fn(*call)
     except IbregError as exc:
         if want is None:
             # an accepted argument may still meet a model or solver error
@@ -201,9 +201,6 @@ def check_call(case: int, pos: int, probe) -> None:
             assert isinstance(exc, want), (fn, pos, probe, exc)
         return
     assert want in (None, "any"), (fn.__name__, pos, probe, got)
-    if kinds[pos] == "kernel_array":
-        assert isinstance(got, np.ndarray)
-        return
     assert not any(math.isnan(x) for x in _values(got)), (fn.__name__, pos, probe, got)
     if kinds[pos] == "rate" and probe == INF:
         # an unlimited rate: the value at 1e300, save the outer point's rate bounds

@@ -34,7 +34,7 @@ SIGNATURES = [
     (search.evaluate_twcib, ("source", "sched")),
     (search.evaluate_cdib_inner, ("source", "sched")),
     (search.corner_points_outer, ("source", "u1", "u2")),
-    (search.RoundSchedule, ("rounds", "channels", "bound_rule")),
+    (search.RoundSchedule, ("rounds", "channels")),
     (search.BucketRecord, ("rate", "relevance", "origin")),
     (search.RegionPoint, ("r1", "r2", "sum_rate", "mu", "mu1", "mu2")),
     (search.EnvelopePoint, ("x", "y")),

@@ -115,11 +115,21 @@ def test_h2_arr_empty(shape):
     assert h2_arr([]).shape == (0,)
 
 
-def test_h2_arr_nan_is_nan():
-    # the reference gave 0.0, a plausible entropy, for NaN
-    assert np.isnan(h2_arr(math.nan))
-    out = h2_arr([0.25, math.nan])
-    assert out[0] == h2_arr(0.25) and np.isnan(out[1])
+@pytest.mark.parametrize("x", [math.nan, [0.25, math.nan], 2.0, -1.0, math.inf, -math.inf,
+                               [0.25, 1.0 + 1e-11]],
+                         ids=["nan", "nan-entry", "2", "-1", "inf", "-inf", "past-spill"])
+def test_h2_arr_rejects_non_probabilities(x):
+    # NaN gave NaN, 2.0 and -1.0 gave -2.0, inf gave NaN with a numpy warning
+    with pytest.raises(DomainError):
+        h2_arr(x)
+
+
+def test_h2_arr_clamps_rounding_spill():
+    # the probability rule of h2: a spill of up to 1e-12 is clamped
+    assert h2_arr(1.0 + 1e-13) == h2_arr(-1e-13) == 0.0
+    got = h2_arr([-1e-13, 0.25, 1.0 + 1e-12])
+    assert got.tobytes() == h2_arr([0.0, 0.25, 1.0]).tobytes()
+    assert got[1] == h2(0.25)
 
 
 def test_h2_inv_round_trip():

@@ -16,6 +16,8 @@ TOP = 0.53100440641071878
 BINARY = {"kind": "binary", "p": 0.1, "q": 0.1}
 CHAIN_A = {"kind": "gaussian-cdib-x1x2y", "rho": {"x1x2": 0.8, "x2y": 0.8}}
 CHAIN_B = {"kind": "gaussian-cdib-x1yx2", "rho": {"x1y": 0.8, "x2y": 0.6}}
+TWCIB = {"kind": "gaussian-twcib",
+         "rho": {"x1x2": 0.5, "x1y1": 0.4, "x2y1": 0.8, "x2y2": 0.7, "x1y2": 0.55}}
 
 
 def write_json(path, obj):
@@ -29,10 +31,7 @@ def write_json(path, obj):
 
 
 def test_model_config_kinds():
-    for cfg in (BINARY, CHAIN_A, CHAIN_B,
-                {"kind": "gaussian-twcib",
-                 "rho": {"x1x2": 0.5, "x1y1": 0.4, "x2y1": 0.8,
-                         "x2y2": 0.7, "x1y2": 0.55}}):
+    for cfg in (BINARY, CHAIN_A, CHAIN_B, TWCIB):
         assert ModelConfig.from_dict(cfg).kind == cfg["kind"]
     # no quantity accepts a discrete pmf, so the kind is not offered
     with pytest.raises(ConfigError, match="unknown model kind"):
@@ -221,6 +220,8 @@ def test_compare_request_integers_exit_2(tmp_path, capsys, field, value):
     req = {"model": BINARY, "quantity": "mu_d", "grid": {"min": 0.0, "max": 0.4, "n": 3}}
     if field in ("seed", "budget"):
         req.update(quantity="mu_int", seed=1, budget=100)
+    if field == "which":
+        req.update(model=TWCIB, quantity="twcib_rate")
     if field == "n":
         req["grid"]["n"] = value
     else:
@@ -242,9 +243,24 @@ def test_request_rejects_negative_seed():
 def test_request_integral_values_accepted():
     req = CurveRequest.from_dict({"model": BINARY, "quantity": "mu_int",
                                   "grid": {"min": 0.0, "max": 0.4, "n": 3.0},
-                                  "seed": 7.0, "budget": "1500", "which": 1.0})
-    assert (req.grid_n, req.seed, req.budget, req.which) == (3, 7, 1500, 1)
-    assert all(type(v) is int for v in (req.grid_n, req.seed, req.budget, req.which))
+                                  "seed": 7.0, "budget": "1500"})
+    assert (req.grid_n, req.seed, req.budget) == (3, 7, 1500)
+    assert all(type(v) is int for v in (req.grid_n, req.seed, req.budget))
+    req = CurveRequest.from_dict({"model": TWCIB, "quantity": "twcib_rate",
+                                  "grid": {"min": 0.0, "max": 0.4, "n": 3}, "which": 1.0})
+    assert req.which == 1 and type(req.which) is int
+
+
+@pytest.mark.parametrize("quantity", ["mu_ed", "mu_d", "mu_int"])
+def test_which_outside_twcib_rate_exit_2(tmp_path, capsys, quantity):
+    # --which 7 on mu_d exited 0 and the flag was ignored
+    model = write_json(tmp_path / "m.json", BINARY)
+    extra = ["--seed", "1", "--budget", "64"] if quantity == "mu_int" else []
+    for which in ("7", "2"):
+        argv = ["curve", quantity, "--model", model, "--grid", "0:0.4:3", "--which", which]
+        assert main(argv + extra) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "which applies to twcib_rate only" in err
 
 
 def test_figures(tmp_path):

@@ -81,19 +81,6 @@ def test_schedule_rejects_missing_history(rng):
         RoundSchedule(1, (v1, v2))
 
 
-def test_schedule_cardinality_bounds(rng):
-    # K=1: |v1| <= |x1| + 3 = 5 and |v2| <= |x2||v1| + 1
-    v1 = random_channel(rng, ["x1"], [2], "v1", 6)
-    v2 = random_channel(rng, ["x2", "v1"], [2, 6], "v2", 2)
-    with pytest.raises(CardinalityError):
-        RoundSchedule(1, (v1, v2))
-    v1 = random_channel(rng, ["x1"], [2], "v1", 2)
-    v2 = random_channel(rng, ["x2", "v1"], [2, 2], "v2", 6)
-    with pytest.raises(CardinalityError):
-        RoundSchedule(1, (v1, v2))
-    RoundSchedule(1, (v1, random_channel(rng, ["x2", "v1"], [2, 2], "v2", 5)))
-
-
 def test_duplicate_description_names_rejected(rng):
     # a repeated description name collides with the conditioning set of a
     # later channel that sees it, so the error surfaces at channel construction
@@ -104,20 +91,54 @@ def test_duplicate_description_names_rejected(rng):
 _V1 = Channel.constant([("x1", 2)], "v1")
 
 
-@pytest.mark.parametrize("channels, kw, error, message", [
-    ((_V1, Channel.constant([("x2", 2), ("v1", 1)], "v2")), {"bound_rule": "other"},
-     ArgumentError, "bound_rule"),
-    ((_V1,), {}, ArgumentError, "2K"),
-    ((Channel.constant([("x1", 2)], "v"), Channel.constant([("x2", 2)], "v")), {},
+@pytest.mark.parametrize("channels, error, message", [
+    ((_V1,), ArgumentError, "2K"),
+    ((Channel.constant([("x1", 2)], "v"), Channel.constant([("x2", 2)], "v")),
      AxisError, "duplicate"),
-    ((_V1, Channel.constant([("x2", 2), ("v1", 1)], "x1")), {}, AxisError, "collide"),
-    ((_V1, Channel.constant([("x2", 2), ("v1", 3)], "v2")), {}, StructureError,
+    ((_V1, Channel.constant([("x2", 2), ("v1", 1)], "x1")), AxisError, "collide"),
+    ((_V1, Channel.constant([("x2", 2), ("v1", 3)], "v2")), StructureError,
      r"expects \|v1\| = 3"),
-], ids=["unknown-bound-rule", "channel-count", "duplicate-names", "source-axis-name",
-        "description-card"])
-def test_schedule_rejects_malformed(channels, kw, error, message):
+], ids=["channel-count", "duplicate-names", "source-axis-name", "description-card"])
+def test_schedule_rejects_malformed(channels, error, message):
     with pytest.raises(error, match=message):
-        RoundSchedule(1, channels, **kw)
+        RoundSchedule(1, channels)
+
+
+def test_evaluator_cardinality_bounds(rng):
+    # K=1: |v1| <= |x1| + 3 = 5 and |v2| <= |x2||v1| + 1 in both regions.
+    # The schedule is built either way; the evaluator applies the bound
+    tw, bc = MODEL.twcib_source(), MODEL.half_round_source()
+    v1 = random_channel(rng, ["x1"], [2], "v1", 6)
+    sched = RoundSchedule(1, (v1, random_channel(rng, ["x2", "v1"], [2, 6], "v2", 2)))
+    for evaluate, src in ((evaluate_twcib, tw), (evaluate_cdib_inner, bc)):
+        with pytest.raises(CardinalityError, match=r"\|v1\| = 6 exceeds bound 5"):
+            evaluate(src, sched)
+    v1 = random_channel(rng, ["x1"], [2], "v1", 2)
+    sched = RoundSchedule(1, (v1, random_channel(rng, ["x2", "v1"], [2, 2], "v2", 6)))
+    for evaluate, src in ((evaluate_twcib, tw), (evaluate_cdib_inner, bc)):
+        with pytest.raises(CardinalityError, match=r"\|v2\| = 6 exceeds bound 5"):
+            evaluate(src, sched)
+    sched = RoundSchedule(1, (v1, random_channel(rng, ["x2", "v1"], [2, 2], "v2", 5)))
+    evaluate_twcib(tw, sched)
+    evaluate_cdib_inner(bc, sched)
+
+
+def test_each_evaluator_applies_its_own_bound(rng):
+    # K=2: a first-round |v11| = 6 is past the two-way bound |x1| + 3 = 5 and
+    # within the broadcast bound |x1| + 4 = 6
+    v11 = random_channel(rng, ["x1"], [2], "v11", 6)
+    v21 = random_channel(rng, ["x2", "v11"], [2, 6], "v21", 2)
+    v12 = random_channel(rng, ["x1", "v11", "v21"], [2, 6, 2], "v12", 2)
+    v22 = random_channel(rng, ["x2", "v11", "v21", "v12"], [2, 6, 2, 2], "v22", 2)
+    sched = RoundSchedule(2, (v11, v21, v12, v22))
+    with pytest.raises(CardinalityError, match=r"\|v11\| = 6 exceeds bound 5"):
+        evaluate_twcib(MODEL.twcib_source(), sched)
+    src = MODEL.half_round_source()
+    pt = evaluate_cdib_inner(src, sched)
+    q = src
+    for ch in sched.channels:
+        q = compose_markov(q, ch)
+    assert pt.mu == mi(q, ["y"], ["v11", "v21", "v12", "v22"])
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +215,6 @@ def test_cdib_constant_channels():
     src = MODEL.half_round_source()
     v1 = Channel.constant([("x1", 2)], "v1")
     v2 = Channel.constant([("x2", 2), ("v1", 1)], "v2")
-    # a schedule checked under the two-way bound rule is accepted as it is
     pt = evaluate_cdib_inner(src, RoundSchedule(1, (v1, v2)))
     assert (pt.r1, pt.r2, pt.sum_rate, pt.mu) == (0.0, 0.0, 0.0, 0.0)
 
@@ -204,7 +224,7 @@ def test_cdib_k1_matches_remark_form(rng):
     for _ in range(10):
         v1 = random_channel(rng, ["x1"], [2], "v1", 3)
         v2 = random_channel(rng, ["x2", "v1"], [2, 3], "v2", 4)
-        pt = evaluate_cdib_inner(src, RoundSchedule(1, (v1, v2), bound_rule="cdib"))
+        pt = evaluate_cdib_inner(src, RoundSchedule(1, (v1, v2)))
         q = compose_markov(compose_markov(src, v1), v2)
         assert pt.r2 == pytest.approx(cmi(q, ["x2"], ["v2"], ["v1"]), abs=1e-10)
         assert pt.r1 == pytest.approx(cmi(q, ["x1"], ["v1", "v2"], ["x2"]), abs=1e-10)
@@ -217,7 +237,7 @@ def test_cdib_sum_rate_dominates_on_random_sources(rng):
         src = random_pmf(rng, (2, 2, 2), names=["x1", "x2", "y"])
         v1 = random_channel(rng, ["x1"], [2], "v1", 2)
         v2 = random_channel(rng, ["x2", "v1"], [2, 2], "v2", 2)
-        pt = evaluate_cdib_inner(src, RoundSchedule(1, (v1, v2), bound_rule="cdib"))
+        pt = evaluate_cdib_inner(src, RoundSchedule(1, (v1, v2)))
         assert pt.sum_rate >= pt.r1 - 1e-10
 
 
@@ -279,6 +299,16 @@ def test_corner_points_equal_reference_bits(rng):
         got = [(pt.r1, pt.r2, pt.sum_rate, pt.mu)
                for pt in corner_points_outer(src, u1, u2)]
         assert got == list(_ref_corner_points(src, u1, u2))
+
+
+def test_corner_points_take_unbounded_auxiliaries(rng):
+    # |u1| = 7 and |u2| = 20 are past both regions' one-round bounds,
+    # |x1| + 3 = 5 and |x2| |u1| + 1 = 15
+    src = MODEL.half_round_source()
+    u1 = random_channel(rng, ["x1"], [2], "u1", 7)
+    u2 = random_channel(rng, ["u1", "x2"], [7, 2], "u2", 20)
+    got = [(pt.r1, pt.r2, pt.sum_rate, pt.mu) for pt in corner_points_outer(src, u1, u2)]
+    assert got == list(_ref_corner_points(src, u1, u2))
 
 
 def test_corner_points_reject_bad_structure(rng):
@@ -624,7 +654,7 @@ def test_two_round_cdib_rate_decomposition(rng):
     v21 = random_channel(rng, ["x2", "v11"], [2, 2], "v21", 2)
     v12 = random_channel(rng, ["x1", "v11", "v21"], [2, 2, 2], "v12", 2)
     v22 = random_channel(rng, ["x2", "v11", "v21", "v12"], [2, 2, 2, 2], "v22", 2)
-    sched = RoundSchedule(2, (v11, v21, v12, v22), bound_rule="cdib")
+    sched = RoundSchedule(2, (v11, v21, v12, v22))
     pt = evaluate_cdib_inner(src, sched)
     q = src
     for ch in sched.channels:
