@@ -43,15 +43,15 @@ def h2(x: float) -> float:
 
 
 def _xlog2x(m: np.ndarray) -> np.ndarray:
-    # elementwise m log2 m with 0 log 0 = 0; NaN stays NaN.  Without a zero
-    # (or a NaN, which fails the test) the mask selects every entry, so the
-    # plain product gives the same bytes and skips the mask.  An empty array
-    # has no min and takes the masked path
+    # elementwise m log2 m with 0 log 0 = 0; NaN stays NaN.  An entry that is
+    # not positive (zero, negative or NaN) is multiplied by log2(1) = 0, as
+    # by the 0 a masked log2 would leave there, so -0.0, negatives and NaN
+    # keep their bytes too.  Without such an entry the plain product gives
+    # the same bytes and skips the where.  An empty array has no min and
+    # takes the where path
     if m.size and m.min() > 0.0:
         return m * np.log2(m)
-    out = np.zeros_like(m)
-    np.log2(m, out=out, where=m > 0.0)
-    return m * out
+    return m * np.log2(np.where(m > 0.0, m, 1.0))
 
 
 def _h2_arr(x: np.ndarray) -> np.ndarray:

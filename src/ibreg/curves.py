@@ -64,12 +64,20 @@ class RegionCurve:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegionCurve":
-        return cls(model=d["model"], method=d["method"], seed=d.get("seed"),
-                   points=tuple((p["R"], p["mu"]) for p in d["points"]))
+        """The curve :meth:`to_dict` wrote; a malformed document raises
+        :class:`ArgumentError` naming the field."""
+        points = guards.field(d, "points")
+        try:
+            points = tuple((p["R"], p["mu"]) for p in points)
+        except (KeyError, TypeError):   # not a list, or an entry without R and mu
+            raise ArgumentError(f"points must be a list of {{'R', 'mu'}} objects, "
+                                f"got {points!r}") from None
+        return cls(model=guards.field(d, "model"), method=guards.field(d, "method"),
+                   seed=d.get("seed"), points=points)
 
     @classmethod
     def from_json(cls, s: str) -> "RegionCurve":
-        return cls.from_dict(json.loads(s))
+        return cls.from_dict(guards.document("the curve document", s))
 
 
 def csv_document(xs, ys, meta_hash: str) -> str:

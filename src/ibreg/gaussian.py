@@ -26,6 +26,7 @@ closed forms, and the X1 - Y - X2 bounds give the same value as at 1e300.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import inf, isfinite, log2, sqrt
 
 import numpy as np
@@ -396,26 +397,39 @@ class OuterBoundPoint:
     mu_max: float
 
 
-def _outer_mu_at(e1: float, e2: float, r1: float):
-    """The outer-bound relevance at fixed ``r1`` as a function of ``r2``:
+def _outer_objective(e1: float, e2: float, r1: float, cap: float, rate2: float,
+                     room: float):
+    """The outer frontier's objective at fixed ``r1`` as a function of
+    ``r2``: the minimum of the relevance
 
-        (1/2) log2((1 - e1 e2 - e1 (1 - e2) 2^(-2 r1) - e2 (1 - e1) 2^(-2 r2))
-                   / ((1 - e1)(1 - e2))),
+        mu = (1/2) log2((1 - e1 e2 - e1 (1 - e2) 2^(-2 r1) - e2 (1 - e1) 2^(-2 r2))
+                        / ((1 - e1)(1 - e2))),
 
-    the only copy of this log argument.  Everything free of ``r2`` is
-    computed once, when the function is built; Python groups the products
-    left to right, so ``e2 * (1 - e1)`` taken out first gives the same
-    doubles.  The log is ``np.log2`` on purpose (see
-    :func:`cdib_x1yx2_outer_frontier`)."""
+    the R1 cap ``cap``, the R2 term ``rate2 - r2 + mu`` and the sum-rate
+    room ``room - r2``, taken as comparisons in ``min``'s order that replace
+    the current value only by a strictly smaller term, so ties and NaN
+    resolve as ``min`` resolves them.  This is the only copy of the log
+    argument; with ``cap``, ``rate2`` and ``room`` all infinite no term
+    replaces mu (at r2 = inf the R2 term is NaN, which never wins), so the
+    objective is mu itself.  Everything free of ``r2`` is computed once,
+    when the function is built; Python groups the products left to right,
+    so ``e2 * (1 - e1)`` taken out first gives the same doubles.  The log is
+    ``np.log2`` on purpose (see :func:`cdib_x1yx2_outer_frontier`)."""
     base = 1.0 - e1 * e2 - e1 * (1.0 - e2) * 2.0 ** (-2.0 * r1)
     k2 = e2 * (1.0 - e1)
     den = (1.0 - e1) * (1.0 - e2)
     log2 = np.log2
 
-    def mu(r2: float) -> float:
-        return 0.5 * float(log2((base - k2 * 2.0 ** (-2.0 * r2)) / den))
+    def objective(r2: float) -> float:
+        mu = 0.5 * float(log2((base - k2 * 2.0 ** (-2.0 * r2)) / den))
+        v = cap if cap < mu else mu
+        t = rate2 - r2 + mu
+        if t < v:
+            v = t
+        t = room - r2
+        return t if t < v else v
 
-    return mu
+    return objective
 
 
 def cdib_x1yx2_outer_point(m: GaussianCdibModel, r1: float, r2: float) -> OuterBoundPoint:
@@ -428,7 +442,7 @@ def cdib_x1yx2_outer_point(m: GaussianCdibModel, r1: float, r2: float) -> OuterB
     """
     _require_chain(m, "x1-y-x2")
     r1, r2 = guards.rate("r1", r1), guards.rate("r2", r2)
-    mu = _outer_mu_at(m.rho_x1y ** 2, m.rho_x2y ** 2, r1)(r2)
+    mu = _outer_objective(m.rho_x1y ** 2, m.rho_x2y ** 2, r1, inf, inf, inf)(r2)
     if not isfinite(mu):
         raise DegenerateModelError("log argument vanished in the outer bound")
     i_y_x2 = m.i_y_x2()
@@ -460,12 +474,12 @@ def cdib_x1yx2_outer_frontier(m: GaussianCdibModel, rate1: float, rate2: float) 
     R1 + R2 <= 128 is cut, and those searches keep their steps.
 
     Cost: about 57 x 57 = 3,249 objective evaluations at R1 + R2 = 1.4.
-    Everything free of r2 is fixed once per inner search; an evaluation is
-    one call of the relevance function and three comparisons, which take
-    the four terms in ``min``'s order and replace the current value only by
-    a strictly smaller term, so ties and NaN resolve as ``min`` resolves
-    them.  ``np.log2`` stays because ``math.log2`` rounds differently in the
-    last bit for about 0.2% of arguments.  An unlimited rate, or a sum that
+    Everything free of r2 is fixed once per inner search, when its
+    :func:`_outer_objective` closure is built; an evaluation is one call of
+    that closure, which computes the relevance inline and takes the four
+    terms by three comparisons in ``min``'s order.  ``np.log2`` stays
+    because ``math.log2`` rounds differently in the last bit for about 0.2%
+    of arguments.  An unlimited rate, or a sum that
     overflows to inf, leaves the box at 128 and the cap and room infinite,
     where 1e300 leaves them beyond every relevance: the same double.
     """
@@ -479,22 +493,8 @@ def cdib_x1yx2_outer_frontier(m: GaussianCdibModel, rate1: float, rate2: float) 
     box = min(span, _OUTER_BOX)
 
     def best_over_r2(r1: float) -> float:
-        # everything that does not depend on r2, once per inner search
-        mu_at = _outer_mu_at(e1, e2, r1)
-        cap = rate1 - r1 + i_y_x2
-        room = span - r1
-
-        def admissible(r2: float) -> float:
-            # min(mu, cap, R2 term, room - r2), as comparisons in min's order
-            mu = mu_at(r2)
-            v = cap if cap < mu else mu
-            t = rate2 - r2 + mu
-            if t < v:
-                v = t
-            t = room - r2
-            return t if t < v else v
-
-        _, v = golden_max(admissible, 0.0, box, _OUTER_TOL)
+        objective = _outer_objective(e1, e2, r1, rate1 - r1 + i_y_x2, rate2, span - r1)
+        _, v = golden_max(objective, 0.0, box, _OUTER_TOL)
         return v
 
     _, value = golden_max(best_over_r2, 0.0, box, _OUTER_TOL)
@@ -503,6 +503,32 @@ def cdib_x1yx2_outer_frontier(m: GaussianCdibModel, rate1: float, rate2: float) 
 
 _INNER_GRID_N = 110    # points per log-variance axis in the first round (12,100 in all)
 _INNER_SLACK = 1e-12   # rate slack of the feasibility filter
+
+
+def _inner_quantities(e1: float, e2: float, c12: float, g1: np.ndarray, g2: np.ndarray):
+    """I(X1;V1|X2), I(X2;V2|V1), I(X1 X2;V1 V2) and I(Y;V1 V2) on the grid of
+    relative noise variances 10^g1 (rows) x 10^g2 (columns)."""
+    s1 = 10.0 ** g1[:, None]
+    s2 = 10.0 ** g2[None, :]
+    i1 = 0.5 * np.log2((1.0 - c12 ** 2 + s1) / s1)
+    var_x2_given_v1 = 1.0 - c12 * c12 / (1.0 + s1)
+    i2 = 0.5 * np.log2((var_x2_given_v1 + s2) / s2)
+    det_v = (1.0 + s1) * (1.0 + s2) - c12 * c12
+    isum = 0.5 * np.log2(det_v / (s1 * s2))
+    mu = 0.5 * np.log2(det_v / ((1.0 - e1 + s1) * (1.0 - e2 + s2)))
+    return i1, i2, isum, mu
+
+
+@lru_cache(maxsize=1)
+def _inner_first_round(e1: float, e2: float, c12: float):
+    # the first round's grid and quantities depend on the model alone, not on
+    # the rates: kept for the last model called (about 0.4 MB), read-only
+    # because every call shares them
+    g = np.linspace(-13.0, 13.0, _INNER_GRID_N)
+    values = _inner_quantities(e1, e2, c12, g, g)
+    for a in (g, *values):
+        a.flags.writeable = False
+    return g, values
 
 
 def cdib_x1yx2_inner(m: GaussianCdibModel, rate1: float, rate2: float) -> float:
@@ -518,29 +544,23 @@ def cdib_x1yx2_inner(m: GaussianCdibModel, rate1: float, rate2: float) -> float:
     X2, so the bound does not depend on the model's variances.  Deterministic
     110 x 110 log-variance grid on [1e-13, 1e13] plus five 33 x 33 zoom
     rounds; the constraints carry a 1e-12 slack, and an unlimited rate leaves
-    its constraint slack.
+    its constraint slack.  The first round's four quantities do not depend
+    on the rates, so they are computed once per model and kept for the last
+    model called; each call filters them by its rates and runs its own
+    zooms.
     """
     _require_chain(m, "x1-y-x2")
     rate1, rate2 = guards.rate("rate1", rate1), guards.rate("rate2", rate2)
     e1, e2 = m.rho_x1y ** 2, m.rho_x2y ** 2
     c12 = m.rho_x1x2
 
-    def quantities(s1, s2):
-        i1 = 0.5 * np.log2((1.0 - c12 ** 2 + s1) / s1)
-        var_x2_given_v1 = 1.0 - c12 * c12 / (1.0 + s1)
-        i2 = 0.5 * np.log2((var_x2_given_v1 + s2) / s2)
-        det_v = (1.0 + s1) * (1.0 + s2) - c12 * c12
-        isum = 0.5 * np.log2(det_v / (s1 * s2))
-        mu = 0.5 * np.log2(det_v / ((1.0 - e1 + s1) * (1.0 - e2 + s2)))
-        return i1, i2, isum, mu
-
-    g1 = np.linspace(-13.0, 13.0, _INNER_GRID_N)
-    g2 = g1.copy()
+    g1, values = _inner_first_round(e1, e2, c12)
+    g2 = g1
     best = 0.0
     for round_idx in range(6):
-        s1 = 10.0 ** g1[:, None]
-        s2 = 10.0 ** g2[None, :]
-        i1, i2, isum, mu = quantities(s1, s2)
+        if round_idx:
+            values = _inner_quantities(e1, e2, c12, g1, g2)
+        i1, i2, isum, mu = values
         feasible = ((i1 <= rate1 + _INNER_SLACK) & (i2 <= rate2 + _INNER_SLACK)
                     & (isum <= rate1 + rate2 + _INNER_SLACK))
         mu = np.where(feasible, mu, -np.inf)

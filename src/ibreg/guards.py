@@ -9,6 +9,7 @@ computes with it.  Every range test is written so that NaN fails it.
 
 from __future__ import annotations
 
+import json
 from math import inf
 
 import numpy as np
@@ -138,9 +139,10 @@ def reals(name: str, v, allow_nan: bool = False) -> np.ndarray:
 
 
 def sequence(name: str, v, cls) -> tuple:
-    """An iterable of ``cls`` instances, possibly empty, as a tuple."""
+    """An iterable of ``cls`` instances, possibly empty, as a tuple.  A
+    string is one value, not a sequence of its characters."""
     try:
-        items = tuple(v)
+        items = (None,) if isinstance(v, str) else tuple(v)
     except TypeError:
         items = (None,)
     if not all(isinstance(x, cls) for x in items):
@@ -160,3 +162,19 @@ def instance(name: str, v, cls):
     if not isinstance(v, cls):
         raise ArgumentError(f"{name} must be a {cls.__name__}, got {v!r}")
     return v
+
+
+def document(name: str, s) -> dict:
+    """A JSON text whose top level is an object, parsed."""
+    try:
+        d = json.loads(s)
+    except (TypeError, ValueError) as exc:   # not text, or not JSON
+        raise ArgumentError(f"{name} is not a JSON text: {exc}") from None
+    return instance(name, d, dict)
+
+
+def field(d, key: str):
+    """The required entry ``key`` of a parsed document object ``d``."""
+    if key not in instance("document", d, dict):
+        raise ArgumentError(f"the document lacks the field {key!r}")
+    return d[key]

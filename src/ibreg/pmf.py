@@ -22,6 +22,7 @@ Conventions
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -148,17 +149,28 @@ class JointPmf:
 
     @classmethod
     def from_dict(cls, d: dict) -> "JointPmf":
-        axes = _as_axes((a["name"], a["card"]) for a in d["axes"])
+        """The pmf :meth:`to_dict` wrote; a malformed document raises
+        :class:`ArgumentError` naming the field."""
+        axes = guards.field(d, "axes")
+        try:
+            pairs = [(a["name"], a["card"]) for a in axes]
+        except (KeyError, TypeError):   # not a list, or an entry without name and card
+            raise ArgumentError(f"axes must be a list of {{'name', 'card'}} objects, "
+                                f"got {axes!r}") from None
+        axes = _as_axes(pairs)
         shape = tuple(a.card for a in axes)
-        table = np.asarray(d["table"], dtype=float).reshape(shape)
-        return cls(axes, table)
+        table = guards.reals("table", guards.field(d, "table"), allow_nan=True)
+        if table.size != math.prod(shape):
+            raise ArgumentError(f"table has {table.size} entries, axes {shape} need "
+                                f"{math.prod(shape)}")
+        return cls(axes, table.reshape(shape))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, s: str) -> "JointPmf":
-        return cls.from_dict(json.loads(s))
+        return cls.from_dict(guards.document("the pmf document", s))
 
 
 @dataclass(frozen=True)

@@ -331,10 +331,18 @@ def _evaluate_v2_batch(q0: np.ndarray, chans: np.ndarray):
     same bytes.  The product of the row entropies with p(x2, v1) stays one
     call over the whole batch: BLAS may sum a row in another order when the
     batch has another length (a 1-row block becomes a dot product).
+
+    The (x1, v1, v2) marginal sums p(x1, x2, v1) c[x2, v1, v2] over x2 as
+    whole-row products of contiguous (v1 v2) rows, p(x1, x2, v1) repeated
+    along v2 once per call, added in place from x2 = 0 up.  That is
+    ``einsum("acv,bcvw->bavw")``'s arithmetic: each product rounded, then
+    summed in x2 order, so the bytes are the same, with no 4-d temporary.
     """
     b = chans.shape[0]
     n_x1, n_x2, n_y1, n_v1 = q0.shape
+    n_v2 = chans.shape[3]
     p_x1x2v1 = q0.sum(axis=2)
+    p_rep = np.repeat(p_x1x2v1, n_v2, axis=2)    # (x1, x2, v1 v2)
     h_x1v1 = -_xlog2x(p_x1x2v1.sum(axis=1)).sum()
     h_y1 = -_xlog2x(q0.sum(axis=(0, 1, 3))).sum()
     p_x2v1 = p_x1x2v1.sum(axis=0).ravel()
@@ -345,10 +353,14 @@ def _evaluate_v2_batch(q0: np.ndarray, chans: np.ndarray):
     for lo in range(0, b, _ROW_BLOCK):
         c = chans[lo:lo + _ROW_BLOCK]
         n = c.shape[0]
-        m_x1v1v2 = np.einsum("acv,bcvw->bavw", p_x1x2v1, c)
+        c_flat = c.reshape(n, 1, n_x2, n_v1 * n_v2)
+        m = c_flat[:, :, 0] * p_rep[:, 0]
+        for x2 in range(1, n_x2):
+            m += c_flat[:, :, x2] * p_rep[:, x2]
+        m_x1v1v2 = m.reshape(n, n_x1, n_v1, n_v2)
         c_log = _xlog2x(c)
         row_sum = c_log[..., 0]
-        for w in range(1, c.shape[3]):
+        for w in range(1, n_v2):
             row_sum = row_sum + c_log[..., w]
         h_rows[lo:lo + n] = -row_sum.reshape(n, -1)
         rate[lo:lo + n] = -_xlog2x(m_x1v1v2).reshape(n, -1).sum(axis=1) - h_x1v1
@@ -420,6 +432,7 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
 
     edges = np.linspace(0.0, hq, _BUCKETS + 1)
     best: list[BucketRecord | None] = [None] * _BUCKETS
+    best_rel = np.full(_BUCKETS, -np.inf)   # best[b].relevance, -inf while empty
     # append-only point cloud: keeping every bucket-max improvement (rather
     # than only the final best) makes the envelope monotone in the budget --
     # a replaced point may have supported the hull at lower rates
@@ -427,17 +440,20 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
 
     def absorb(rates, rels, origin):
         # sequential running-max semantics per bucket: every improvement event
-        # is kept, so any budget prefix produces a subset of the kept cloud
+        # is kept, so any budget prefix produces a subset of the kept cloud.
+        # A bucket has an event only if some relevance in it beats its best,
+        # so only buckets whose top does are scanned.  fmax skips NaN, which
+        # ends a bucket's events (the running max turns NaN), and a bucket
+        # with an event before its NaN still has a top above its best
         idx = np.clip(np.searchsorted(edges, rates, side="right") - 1, 0, _BUCKETS - 1)
-        for b in np.unique(idx):
+        top = np.full(_BUCKETS, -np.inf)
+        np.fmax.at(top, idx, rels)
+        for b in np.nonzero(top > best_rel)[0]:
             rows = np.nonzero(idx == b)[0]
-            current = -np.inf if best[b] is None else best[b].relevance
             run = np.maximum.accumulate(rels[rows])
-            events = rows[(rels[rows] == run) & (run > current)]
-            seen = current
-            for k in events:
-                if rels[k] > seen:
-                    seen = float(rels[k])
+            for k in rows[(rels[rows] == run) & (run > best_rel[b])]:
+                if rels[k] > best_rel[b]:
+                    best_rel[b] = rels[k]
                     kept.append((float(rates[k]), float(rels[k])))
                     best[b] = BucketRecord(float(rates[k]), float(rels[k]), origin(int(k)))
 

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from ibreg import Axis, Channel, JointPmf
+from ibreg import Axis, Channel, JointPmf, binary, gaussian
+
+
+@pytest.fixture(autouse=True)
+def _fresh_model_memos():
+    # mu_d_dual's memo and the inner bound's first round outlive a call:
+    # start every test without them, so that no test's evaluation counts or
+    # values depend on which tests ran before
+    binary._dual_memo.cache_clear()
+    gaussian._inner_first_round.cache_clear()
 
 
 @pytest.fixture

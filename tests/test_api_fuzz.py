@@ -244,3 +244,46 @@ def test_random_value_in_each_argument(position, value):
     assume(not (CASES[case][2][pos] == "budget" and expected_error("budget", value) is None
                 and value > 4096))
     check_call(case, pos, value)
+
+
+_AXIS_A = '"axes": [{"name": "a", "card": 2}]'
+_CURVE_HEAD = '"model": {}, "method": "m"'
+
+
+@pytest.mark.parametrize("cls, text, field", [
+    (curves.RegionCurve, "{}", "points"),
+    (curves.RegionCurve, "[1]", "document"),
+    (curves.RegionCurve, "x", "JSON"),
+    (curves.RegionCurve, "", "JSON"),
+    (curves.RegionCurve, None, "JSON"),
+    (curves.RegionCurve, '{"points": [], "method": "m"}', "model"),
+    (curves.RegionCurve, '{"points": [], "model": {}}', "method"),
+    (curves.RegionCurve, '{' + _CURVE_HEAD + ', "points": 3}', "points"),
+    (curves.RegionCurve, '{' + _CURVE_HEAD + ', "points": [[0, 1]]}', "points"),
+    (curves.RegionCurve, '{' + _CURVE_HEAD + ', "points": [{"R": 0}]}', "points"),
+    (pmf.JointPmf, "{}", "axes"),
+    (pmf.JointPmf, "[1]", "document"),
+    (pmf.JointPmf, "x", "JSON"),
+    (pmf.JointPmf, '{' + _AXIS_A + '}', "table"),
+    (pmf.JointPmf, '{' + _AXIS_A + ', "table": [0.5]}', "table"),
+    (pmf.JointPmf, '{' + _AXIS_A + ', "table": "x"}', "table"),
+    (pmf.JointPmf, '{"axes": [["a", 2]], "table": [0.5, 0.5]}', r"axes .*\[\['a', 2\]\]"),
+    (pmf.JointPmf, '{"axes": [{"name": "a"}], "table": [0.5, 0.5]}', "axes"),
+    (pmf.JointPmf, '{"axes": 5, "table": [1]}', "axes"),
+])
+def test_malformed_document_raises_argument_error(cls, text, field):
+    # these leaked KeyError, TypeError, JSONDecodeError or a numpy ValueError
+    with pytest.raises(ArgumentError, match=field):
+        cls.from_json(text)
+
+
+def test_documents_round_trip():
+    back = pmf.JointPmf.from_json(P2.to_json())
+    assert back.axes == P2.axes and back.table.tobytes() == P2.table.tobytes()
+    assert curves.RegionCurve.from_json(CURVE.to_json()) == CURVE
+
+
+def test_a_string_is_not_a_sequence_of_axes():
+    # Channel("a0", ...) conditioned on the axes "a" and "0"
+    with pytest.raises(ArgumentError, match="input_axes"):
+        pmf.Channel("a0", pmf.Axis("v", 2), [[[0.5, 0.5]] * 2] * 2)

@@ -86,7 +86,8 @@ def test_h2_arr_equals_reference_bytes():
 
 
 def _masked_xlog2x(m):
-    # _xlog2x's masked path, which every input took before the unmasked one
+    # _xlog2x as it stood before its unmasked and where paths: a log2 masked
+    # to the positive entries, 0 elsewhere
     out = np.zeros_like(m)
     np.log2(m, out=out, where=m > 0.0)
     return m * out
@@ -101,15 +102,25 @@ def test_xlog2x_unmasked_path_equals_masked_bytes():
     for m in arrays:
         assert m.min() > 0.0
         assert _xlog2x(m).tobytes() == _masked_xlog2x(m).tobytes()
-    # a zero or NaN keeps the masked path: 0 log 0 = 0, NaN stays NaN
+    # an entry that is not positive takes the where path: 0 log 0 = 0, NaN
+    # stays NaN, and -0.0 and negatives keep the masked path's bytes
     m = np.array([0.0, 0.25, np.nan, 1.0])
     out = _xlog2x(m)
     assert out[0] == 0.0 and out[1] == -0.5 and np.isnan(out[2]) and out[3] == 0.0
+    edges = [0.0, -0.0, -0.5, -5e-324, np.nan, np.inf, 5e-324, 2.2e-308, 1e-300, 0.5, 3.0]
+    arrays = [np.array(edges), np.array([[0.0, -0.0], [np.nan, 5e-324]]), np.asarray(0.0),
+              np.asarray(-0.0), np.empty(0), np.empty((2, 0)),
+              rng.dirichlet(np.ones(7), size=(50, 2, 3)) * (rng.random((50, 2, 3, 7)) < 0.7)]
+    arrays += [np.array([x]) for x in edges if not x > 0.0]
+    for m in arrays:
+        assert not m.size or not m.min() > 0.0
+        assert _xlog2x(m).tobytes() == _masked_xlog2x(m).tobytes()
+        assert _xlog2x(m).shape == m.shape
 
 
 @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
 def test_h2_arr_empty(shape):
-    # an empty array has no min; it takes the masked path
+    # an empty array has no min; it takes the where path
     assert h2_arr(np.empty(shape)).shape == shape
     assert _xlog2x(np.empty(shape)).shape == shape
     assert h2_arr([]).shape == (0,)

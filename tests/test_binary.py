@@ -118,13 +118,6 @@ NAN = float("nan")
 INF = float("inf")
 
 
-@pytest.fixture(autouse=True)
-def _fresh_dual_memo():
-    # mu_d_dual's memo outlives a call: start every test without it, so that
-    # no test's evaluation counts depend on which tests ran before
-    binary._dual_memo.cache_clear()
-
-
 def test_model_validation():
     BinaryModel(0.1, 0.49)
     for bad in (0.0, 0.5, 0.6, -0.1):

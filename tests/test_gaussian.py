@@ -539,6 +539,15 @@ def test_outer_point_equals_numpy_scalar_oracle():
         m, r1, r2 = _random_x1yx2_case(rng)
         pt = cdib_x1yx2_outer_point(m, r1, r2)
         assert (pt.R1_min, pt.R2_min, pt.sum_min, pt.mu_max) == _oracle_outer_point(m, r1, r2)
+    # the point reads mu through the frontier's objective with an infinite
+    # cap, R2 and room: at r2 = inf its R2 term is inf - inf = NaN, which
+    # must not replace mu
+    ends = (0.0, math.inf, 1e300)
+    for _ in range(400):
+        m, r1, r2 = _random_x1yx2_case(rng)
+        r1, r2 = (ends[k] if k < 3 else r for k, r in zip(rng.integers(0, 4, 2), (r1, r2)))
+        pt = cdib_x1yx2_outer_point(m, r1, r2)
+        assert (pt.R1_min, pt.R2_min, pt.sum_min, pt.mu_max) == _oracle_outer_point(m, r1, r2)
 
 
 def test_inner_limits(chain_b):
@@ -620,6 +629,25 @@ def test_x1yx2_unlimited_rate_equals_1e300(chain_b, fun, rates):
     # an infinite rate, or a rate sum that overflows, is an unlimited rate
     # and gives the same double as 1e300 in each inf's place
     assert fun(chain_b, *rates) == fun(chain_b, *(min(r, 1e300) for r in rates))
+
+
+def test_inner_first_round_kept_for_one_model():
+    # the inner bound keeps the first round's grid values of the last model:
+    # calls on models A, B, A equal the same calls with nothing kept, and
+    # what is kept holds one model, read-only
+    a = GaussianCdibModel.chain_x1_y_x2(0.8, 0.6)
+    b = GaussianCdibModel.chain_x1_y_x2(-0.3, 0.9)
+    calls = [(a, 0.5, 0.5), (a, 0.0, 1.5), (b, 1.0, 0.2), (a, 2.0, 0.0), (a, 0.5, 0.5)]
+    fresh = []
+    for call in calls:
+        ibreg.gaussian._inner_first_round.cache_clear()
+        fresh.append(cdib_x1yx2_inner(*call))
+    ibreg.gaussian._inner_first_round.cache_clear()
+    assert [cdib_x1yx2_inner(*call) for call in calls] == fresh
+    info = ibreg.gaussian._inner_first_round.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1 and info.hits == 2
+    g, values = ibreg.gaussian._inner_first_round(a.rho_x1y ** 2, a.rho_x2y ** 2, a.rho_x1x2)
+    assert not any(v.flags.writeable for v in (g, *values))
 
 
 def test_outer_dominates_inner_small_grid(chain_b):

@@ -5,6 +5,11 @@ once with ``IBREG_THREADS=1`` and once with 2, and so does one small
 ``ibreg curve`` request per quantity, written as CSV (with its JSON sidecar)
 and as JSON.  Every output must match the digests below byte for byte.
 
+At budget 200,000 the figures do not pin the search's sampling (one chunk
+drawn with another seed leaves ``fig6_mu_int`` unchanged), so the records
+and envelope of ``search_mu_int_detailed`` are digested too, at budgets of
+one sample, one chunk and a row, and five chunks.
+
 Last bits can differ under another numpy build or on another CPU (numpy's
 ``exp2``/``power`` and Python's ``**`` disagree on some arguments, and the
 outputs are rounded from them to 12 digits).  So the digests are tied to the
@@ -21,7 +26,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from ibreg import BinaryModel
 from ibreg.cli import main
+from ibreg.search import search_mu_int_detailed
 
 RECORDED_ENV = ("2.4.6", "x86_64")   # numpy.__version__, platform.machine()
 
@@ -136,12 +143,38 @@ def output_digests(tmp_path) -> dict:
     return out
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_outputs_match_recorded_digests(tmp_path, threads):
+def _skip_unless_recorded_env() -> None:
     here = (np.__version__, platform.machine())
     if here != RECORDED_ENV:
         pytest.skip(f"digests recorded under numpy {RECORDED_ENV[0]} on {RECORDED_ENV[1]}; "
                     f"this is numpy {here[0]} on {here[1]}")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_outputs_match_recorded_digests(tmp_path, threads):
+    _skip_unless_recorded_env()
     with mock.patch.dict(os.environ, {"IBREG_THREADS": threads}):
         got = output_digests(tmp_path)
     assert got == DIGESTS
+
+
+# budget -> (records, records from samples, sha256 of the records' rate,
+# relevance (float.hex) and origin, one line each, then the envelope's
+# values on the grid); binary model p = q = 0.1 at the figures seed
+SEARCH_DIGESTS = {
+    1: (61, 1, "6bed456ecb94b4f2a537498e36f46cb1b9057bf9687a55d226d6e21bf8977e32"),
+    8193: (62, 31, "9e7fb8f789a5e883f20189b100230477cd5fe0b3bf75677ee30ce60fadd22944"),
+    40000: (62, 38, "61901db405edc4a4cf26bbc1b1d44d97f2e4b43d100c0b667d17d6b6ff75baa3"),
+}
+
+
+@pytest.mark.parametrize("budget", sorted(SEARCH_DIGESTS))
+def test_search_records_match_recorded_digests(budget):
+    _skip_unless_recorded_env()
+    points, records = search_mu_int_detailed(BinaryModel(0.1, 0.1), np.linspace(0.0, 0.469, 64),
+                                             budget, 20240917)
+    text = "".join(f"{r.rate.hex()} {r.relevance.hex()} {r.origin}\n" for r in records)
+    text += "".join(f"{p.y.hex()}\n" for p in points)
+    samples = sum(r.origin.startswith("sample:") for r in records)
+    assert (len(records), samples, hashlib.sha256(text.encode()).hexdigest()) == \
+        SEARCH_DIGESTS[budget]

@@ -738,7 +738,9 @@ def _ref_xlog2x(m):
 
 
 def _ref_evaluate_v2_batch(q0, chans):
-    # the kernel before it ran in row blocks: one pass over the whole batch
+    # the kernel before it ran in row blocks and summed the (x1, v1, v2)
+    # marginal as contiguous products: one pass and one einsum over the
+    # whole batch
     b = chans.shape[0]
     n_x1, n_x2, n_y1, n_v1 = q0.shape
     p_x1x2v1 = q0.sum(axis=2)
@@ -768,6 +770,20 @@ def _sample_chunk(seed, j):
 def test_search_kernel_equals_reference_bytes(p, q, share):
     v1 = optimal_channel(share * h2(q), p, q).to_channel("v1", out_card=3)
     q0 = compose_markov(_int_source(BinaryModel(p, q)), v1).table
+    _assert_kernel_equals_reference_bytes(q0)
+
+
+@pytest.mark.parametrize("table", [
+    [[0.7, 0.3, 0.0], [0.2, 0.8, 0.0]],   # v1 = 2 has no mass
+    [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]],   # v1 = 1 and 2 only from x1 = 1
+    [[0.5, 0.25, 0.25], [0.25, 0.25, 0.5]],
+])
+def test_search_kernel_equals_reference_bytes_any_v1(table):
+    v1 = Channel(("x1",), Axis("v1", 3), np.array(table))
+    _assert_kernel_equals_reference_bytes(compose_markov(_int_source(MODEL), v1).table)
+
+
+def _assert_kernel_equals_reference_bytes(q0):
     full = _sample_chunk(20240917, 0)
     zeros = _sample_chunk(7, 1)[:600].copy()    # channel rows with exact zeros
     zeros[::3, ..., :4] = 0.0
