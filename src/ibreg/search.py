@@ -291,7 +291,10 @@ _CHUNK = 8192
 # budget ceiling: the search holds each sample's rate and relevance (16 B of
 # float64) until every chunk is absorbed, so 2**26 samples take 1 GiB
 _BUDGET_MAX = 2 ** 26
-_ROW_BLOCK = 1024   # kernel rows per block: 1,024 measured faster than 512 or 2,048
+# kernel rows per block: the 25 chunks of a 200,000 budget took 141 ms at 1,024,
+# 166 ms at 512, 208 ms at 4,096 and 132 ms at 2,048, which adds 2.5 MB to
+# `ibreg figures`' peak RSS (medians of 7; 2-vCPU x86-64, numpy 2.4.6, OpenBLAS)
+_ROW_BLOCK = 1024
 _BUCKETS = 64
 _V2_CARD = 7   # single-letter bound 2 |V1| + 1; V1 is padded to 3 symbols
 
@@ -301,76 +304,72 @@ def _int_source(model: BinaryModel) -> JointPmf:
     return marginalize(model.twcib_source(), ["x1", "x2", "y1"])
 
 
+def _pairwise_sum(a: np.ndarray) -> np.ndarray:
+    # a.T.sum(axis=1) of an (L, n) array, L <= 128, bit for bit: numpy adds a
+    # contiguous row as eight partial sums r[j] += a[i + j], then ((r0 + r1) +
+    # (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in order (a row of
+    # fewer than 8 only in order) and last its initial 0.0 (-0.0 becomes +0.0)
+    head = len(a) - len(a) % 8
+    r = sum((a[i:i + 8] for i in range(8, head, 8)), a[:8])
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])) if head else 0.0
+    return 0.0 + sum(a[head:], res)
+
+
 def _evaluate_v2_batch(q0: np.ndarray, chans: np.ndarray):
     """Rates/relevances for a batch of p(v2 | x2, v1) channel tables.
 
     ``q0`` is the composed (x1, x2, y1, v1) table; ``chans`` has shape
-    (B, |x2|, |v1|, |v2|).  Returns (I(X2;V2|X1,V1), I(Y1;V2,X1)).
-
-    The (x1, x2, y1, v1, v2) joint is never formed.  H(X1,V1) and H(Y1) do
-    not depend on the channel and are computed once per call from ``q0``.
-    Since V2 - (X2,V1) - (X1,Y1) is a Markov chain,
+    (B, |x2|, |v1|, |v2|).  Returns (I(X2;V2|X1,V1), I(Y1;V2,X1)).  Since
+    V2 - (X2,V1) - (X1,Y1) is a Markov chain, the joint is never formed:
 
         I(X2;V2|X1,V1) = H(X1,V1,V2) - H(X1,V1) - sum p(x2,v1) H(c[x2,v1,:]),
+        I(Y1;V2,X1) = H(Y1) + H(X1,V2) - H(X1,Y1,V2).
 
-    which needs the (B, x1, v1, v2) marginal and the entropies of the
-    channel rows.  The relevance
+    Each block of ``_ROW_BLOCK`` rows is transposed once to a batch-last
+    (x2, v1, v2, rows) layout, so every later step is a whole-row vector op.
+    The (x1, v1, v2) marginal adds the rounded products p(x1, x2, v1)
+    c[x2, v1, v2] from x2 = 0 up, only over the span of V1 symbols with
+    mass: outside it every entry is +0.0, whose x log2 x stays 0.0 unlogged,
+    as do the row entropies there (weight p(x2, v1) = 0.0).  The (x1 y1, v2)
+    marginal is one (x1 y1, x2 v1) @ (x2 v1, v2 rows) gemm.  Numpy adds sums
+    of fewer than 8 entries in order; longer ones follow :func:`_pairwise_sum`.
+    The row entropies meet p(x2, v1) in one gemv over the whole batch, since
+    BLAS may sum a row in another order for another batch length.
 
-        I(Y1;V2,X1) = H(Y1) + H(X1,V2) - H(X1,Y1,V2)
-
-    needs the (B, x1, v2) marginal and the (B, x1 y1, v2) marginal, one
-    matmul of ``q0`` as an (x1 y1, x2 v1) matrix against the channels as
-    (B, x2 v1, v2) matrices.
-
-    Rows are independent, so the batch runs in blocks of ``_ROW_BLOCK`` rows
-    whose temporaries stay in a core's L2 cache (an 8,192-row temporary of
-    shape (B, 2, 3, 7) takes 2.75 MB, a 1,024-row one 344 KB).  Every row
-    goes through the same operations as in one pass over the whole batch,
-    and the sums over the v2 and v1 axes are written out left to right, the
-    order in which numpy reduces those short axes, so the result has the
-    same bytes.  The product of the row entropies with p(x2, v1) stays one
-    call over the whole batch: BLAS may sum a row in another order when the
-    batch has another length (a 1-row block becomes a dot product).
-
-    The (x1, v1, v2) marginal sums p(x1, x2, v1) c[x2, v1, v2] over x2 as
-    whole-row products of contiguous (v1 v2) rows, p(x1, x2, v1) repeated
-    along v2 once per call, added in place from x2 = 0 up.  That is
-    ``einsum("acv,bcvw->bavw")``'s arithmetic: each product rounded, then
-    summed in x2 order, so the bytes are the same, with no 4-d temporary.
+    Each row gets the bytes of one einsum pass over the whole batch,
+    ``tests/test_search.py::_ref_evaluate_v2_batch``
+    (``test_search_kernel_equals_reference_bytes*``).  The bits rely on
+    numpy's pairwise reduction (``test_pairwise_sum_equals_numpy_sum_bytes``)
+    and on BLAS giving one gemm the same sum per entry as stacked gemms
+    (``test_one_gemm_equals_stacked_matmul_bytes``); the skipped zeros move
+    no sum, as no term or partial sum is -0.0.
     """
-    b = chans.shape[0]
+    b, n_v2 = chans.shape[0], chans.shape[3]
     n_x1, n_x2, n_y1, n_v1 = q0.shape
-    n_v2 = chans.shape[3]
     p_x1x2v1 = q0.sum(axis=2)
-    p_rep = np.repeat(p_x1x2v1, n_v2, axis=2)    # (x1, x2, v1 v2)
     h_x1v1 = -_xlog2x(p_x1x2v1.sum(axis=1)).sum()
     h_y1 = -_xlog2x(q0.sum(axis=(0, 1, 3))).sum()
     p_x2v1 = p_x1x2v1.sum(axis=0).ravel()
     q_x1y1 = q0.transpose(0, 2, 1, 3).reshape(n_x1 * n_y1, n_x2 * n_v1)
-    rate = np.empty(b)
-    rel = np.empty(b)
-    h_rows = np.empty((b, n_x2 * n_v1))
+    mass = np.nonzero(p_x1x2v1.any(axis=(0, 1)))[0]
+    live = slice(mass[0], mass[-1] + 1)
+    p_live = p_x1x2v1[:, :, live, None, None]
+    rate, rel = np.empty(b), np.empty(b)
+    h_rows = np.zeros((b, n_x2, n_v1))
+    m_log = np.zeros((n_x1, n_v1, n_v2, min(b, _ROW_BLOCK)))
     for lo in range(0, b, _ROW_BLOCK):
-        c = chans[lo:lo + _ROW_BLOCK]
-        n = c.shape[0]
-        c_flat = c.reshape(n, 1, n_x2, n_v1 * n_v2)
-        m = c_flat[:, :, 0] * p_rep[:, 0]
+        n = min(b - lo, _ROW_BLOCK)
+        c = np.ascontiguousarray(chans[lo:lo + n].transpose(1, 2, 3, 0))  # batch last
+        m = p_live[:, 0] * c[0, live]
         for x2 in range(1, n_x2):
-            m += c_flat[:, :, x2] * p_rep[:, x2]
-        m_x1v1v2 = m.reshape(n, n_x1, n_v1, n_v2)
-        c_log = _xlog2x(c)
-        row_sum = c_log[..., 0]
-        for w in range(1, n_v2):
-            row_sum = row_sum + c_log[..., w]
-        h_rows[lo:lo + n] = -row_sum.reshape(n, -1)
-        rate[lo:lo + n] = -_xlog2x(m_x1v1v2).reshape(n, -1).sum(axis=1) - h_x1v1
-        m_x1y1v2 = np.matmul(q_x1y1, c.reshape(n, n_x2 * n_v1, -1))
-        m_x1v2 = m_x1v1v2[:, :, 0]
-        for v in range(1, n_v1):
-            m_x1v2 = m_x1v2 + m_x1v1v2[:, :, v]
-        rel[lo:lo + n] = (h_y1 - _xlog2x(m_x1v2).reshape(n, -1).sum(axis=1)
-                          + _xlog2x(m_x1y1v2).reshape(n, -1).sum(axis=1))
-    rate -= h_rows @ p_x2v1
+            m += p_live[:, x2] * c[x2, live]
+        h_rows[lo:lo + n, :, live] = -_xlog2x(c[:, live]).sum(axis=2).transpose(2, 0, 1)
+        m_log[:, live, :, :n] = _xlog2x(m)     # the rest stays 0.0 from the start
+        rate[lo:lo + n] = -_pairwise_sum(m_log[..., :n].reshape(-1, n)) - h_x1v1
+        m_x1y1v2 = q_x1y1 @ c.reshape(n_x2 * n_v1, -1)
+        rel[lo:lo + n] = (h_y1 - _pairwise_sum(_xlog2x(m.sum(axis=1)).reshape(-1, n))
+                          + _pairwise_sum(_xlog2x(m_x1y1v2).reshape(-1, n)))
+    rate -= h_rows.reshape(b, -1) @ p_x2v1
     return np.maximum(rate, 0.0), np.maximum(rel, 0.0)
 
 
@@ -407,10 +406,11 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
     1).  More than one thread samples on a
     pool; chunks are absorbed in chunk order, so the result does not vary.
 
-    Deterministic for a fixed seed; samples are drawn in fixed-size chunks
-    keyed by (seed, chunk index), so enlarging the budget only adds samples.
-    A chunk's draws are dropped once evaluated; a record's origin names its
-    channel by chunk and row, which the seed regenerates.
+    Deterministic for a fixed seed; samples are drawn in chunks of 8,192
+    rows keyed by (seed, chunk index), the last chunk only the rows the
+    budget uses (Dirichlet draws fill rows in order, so a budget prefix is a
+    sample prefix).  A chunk's draws are dropped once evaluated; a record's
+    origin names its channel by chunk and row, which the seed regenerates.
     """
     budget = guards.count("budget", budget, 1)
     if budget > _BUDGET_MAX:
@@ -472,9 +472,9 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
 
     def run_chunk(j: int):
         rng = np.random.default_rng([seed, j])
-        block = rng.dirichlet(np.ones(_V2_CARD), size=(_CHUNK, 2, v1.output.card))
         take = min(_CHUNK, budget - j * _CHUNK)
-        r, v = _evaluate_v2_batch(q0, block[:take])
+        block = rng.dirichlet(np.ones(_V2_CARD), size=(take, 2, v1.output.card))
+        r, v = _evaluate_v2_batch(q0, block)
         return j, r, v
 
     with ThreadPoolExecutor(max_workers=threads) as pool:  # one thread: chunks run here

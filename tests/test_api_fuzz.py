@@ -11,15 +11,24 @@ the value at 1e300.  Runs are derandomized and keep no example database.
 """
 
 import dataclasses
+import importlib
 import math
+import pkgutil
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import ibreg
 from ibreg import bentropy, binary, curves, gaussian, pmf, search
 from ibreg.errors import ArgumentError, DomainError, IbregError
+
+# hypothesis mixes the literals of every loaded module outside the tests into
+# its draws.  Loading all of ibreg (a full run also loads ibreg.cli) gives the
+# same examples whether this file runs alone or with the whole suite
+for _module in pkgutil.iter_modules(ibreg.__path__):
+    importlib.import_module(f"ibreg.{_module.name}")
 
 NAN, INF = math.nan, math.inf
 PROBES = (NAN, INF, -INF, 1e308, 5e-324, "0.1", None, True, 10 ** 400, np.array([0.1, 0.2]))

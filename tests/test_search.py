@@ -38,7 +38,13 @@ from ibreg.pmf import (
     entropy,
     mutual_information as mi,
 )
-from ibreg.search import _ROW_BLOCK, _baseline_channels, _evaluate_v2_batch, _int_source
+from ibreg.search import (
+    _ROW_BLOCK,
+    _baseline_channels,
+    _evaluate_v2_batch,
+    _int_source,
+    _pairwise_sum,
+)
 from conftest import random_channel, random_pmf
 
 P = Q = 0.1
@@ -760,12 +766,53 @@ def _ref_evaluate_v2_batch(q0, chans):
 
 
 def _sample_chunk(seed, j):
-    # the draws of search chunk j, as search_mu_int_detailed makes them
+    # the draws of a full search chunk j; a last chunk of `take` rows draws
+    # the first `take` of them
     rng = np.random.default_rng([seed, j])
     return rng.dirichlet(np.ones(7), size=(8192, 2, 3))
 
 
-@pytest.mark.parametrize("p, q", [(0.1, 0.1), (0.2, 0.05), (0.3, 0.3)])
+@pytest.mark.parametrize("take", [1, 100, 3392, 8191])
+def test_search_last_chunk_draws_a_prefix(take):
+    # the search draws only the rows a partial last chunk uses; Dirichlet
+    # draws fill rows in order, so those are the full chunk's first rows
+    # (test_search_records evaluates them through the search)
+    for seed, j in ((20240917, 24), (5, 1)):
+        rng = np.random.default_rng([seed, j])
+        part = rng.dirichlet(np.ones(7), size=(take, 2, 3))
+        assert part.tobytes() == _sample_chunk(seed, j)[:take].tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 1025])
+def test_pairwise_sum_equals_numpy_sum_bytes(width):
+    # the kernel's written-out reduction order against numpy's own, for every
+    # row length it covers, on magnitudes from 1e-300 to 1e3 of both signs,
+    # exact zeros and -0.0; rows of -0.0 alone sum to +0.0
+    rng = np.random.default_rng(20240917)
+    for n in range(1, 129):
+        rows = rng.choice([-1.0, 1.0], (width, n)) * 10.0 ** rng.uniform(-300, 3, (width, n))
+        rows[rng.random((width, n)) < 0.1] = 0.0
+        rows[rng.random((width, n)) < 0.1] = -0.0
+        rows[rng.random((width, n)) < 0.05] = 1e-300
+        for a in (rows, np.full((width, n), -0.0)):
+            assert _pairwise_sum(a.T).tobytes() == a.sum(axis=1).tobytes(), n
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1024, 2048])
+def test_one_gemm_equals_stacked_matmul_bytes(n):
+    # the kernel forms the (x1 y1, v2) marginal of a block as one gemm on
+    # the batch-last channels instead of one matmul per row
+    v1 = optimal_channel(h2(Q), P, Q).to_channel("v1", out_card=3)
+    q0 = compose_markov(_int_source(MODEL), v1).table
+    q = q0.transpose(0, 2, 1, 3).reshape(4, 6)
+    c = _sample_chunk(3, 0)[:n]
+    one = q @ np.ascontiguousarray(c.transpose(1, 2, 3, 0)).reshape(6, -1)
+    stacked = np.matmul(q, c.reshape(n, 6, 7))
+    assert one.reshape(4, 7, n).tobytes() == np.ascontiguousarray(
+        stacked.transpose(1, 2, 0)).tobytes()
+
+
+@pytest.mark.parametrize("p, q", [(0.1, 0.1), (0.2, 0.05), (0.3, 0.3), (0.45, 0.01)])
 @pytest.mark.parametrize("share", [1.0, 0.5, 0.0])
 def test_search_kernel_equals_reference_bytes(p, q, share):
     v1 = optimal_channel(share * h2(q), p, q).to_channel("v1", out_card=3)
@@ -793,6 +840,7 @@ def _assert_kernel_equals_reference_bytes(q0):
         full,                                   # a full chunk
         _sample_chunk(20240917, 24)[:3392],     # the last chunk of a 200k budget
         full[:1],
+        full[:2],
         full[:1025],                            # the last row block has one row
         _baseline_channels(3, 7)[1],
         zeros,
