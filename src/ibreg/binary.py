@@ -115,10 +115,8 @@ def g(r: float, q: float) -> float:
 
 
 def _first_form(p: float, q: float):
-    # r -> (f(r), g(r)), f in its first algebraic form.  The binary
-    # convolutions a*b = a(1-b) + b(1-a) and the entropies are written out,
-    # operands in _star's and _h2's order, so that the values match them bit
-    # for bit; what depends on (p, q) alone is computed once, here
+    # r -> (f(r), g(r)), f in its first algebraic form, with _star and _h2
+    # written out (README, "Speed never moves a bit"); (p, q) parts once, here
     omq = 1.0 - q
     omp = 1.0 - p
     hpq = _h2(p * omq + q * omp)
@@ -381,20 +379,15 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
     Cost: roughly 2,800 objective evaluations per call, most of them at an
     r the call has already tried (923 of 2,788 distinct at p = q = 0.1,
     R = 0.2), and calls on one model at other rates try many of the same r
-    and alpha.  So the alpha-free parts (F, G) = (f(r), g(r)), read from
-    ``_first_form``, are memoised by r, and an evaluation returns
-    F - alpha * G, the double f(r) - alpha * g(r) gives.  The inner max is
-    memoised by alpha: it does not depend on the rate, and every rate's
-    golden section on alpha starts from the same two points.  Each entry is
-    a pure function of ``(p, q)`` and its key, so the memos move no bit.
-    They outlive the call but hold the last ``(p, q)`` only, and each is
-    cleared when it reaches ``_DUAL_MEMO_CAP`` = 32,768 entries: on CPython
-    3.11 at most 5.5 MB of (F, G) and 2.9 MB of inner maxima.  The r-grid
-    and its f and g values are cached per ``(p, q)``.  The oracle shares
-    that kernel with ``mu_d`` but neither its algorithm (min-max dual, not
-    tangency plus inverse bisection) nor its grid (second form).  A rate
-    above h2(q), an unlimited one included, reads as h2(q), where ``mu_d``
-    saturates.
+    and alpha.  So (f(r), g(r)), read from ``_first_form``, is memoised by
+    r and the inner max by alpha, for the last ``(p, q)`` only, each memo
+    cleared at ``_DUAL_MEMO_CAP`` = 32,768 entries (at most 5.5 MB and
+    2.9 MB on CPython 3.11); for their bits see README, "Speed never moves a
+    bit".  The r-grid and its f and g values are cached per ``(p, q)``.
+    The oracle shares that kernel with ``mu_d`` but neither its algorithm
+    (min-max dual, not tangency plus inverse bisection) nor its grid (second
+    form).  A rate above h2(q), an unlimited one included, reads as h2(q),
+    where ``mu_d`` saturates.
     """
     p, q = guards.crossover("p", p), guards.crossover("q", q)
     rate = min(guards.rate("rate", rate), _h2(q))
@@ -458,14 +451,9 @@ def mu_d_timeshare_oracle(rate: float, p: float, q: float) -> float:
     ``lam g(r1) + (1-lam) g(r2) = rate`` with lam solved from the constraint.
     Lower-bounds ``mu_d`` by construction; accuracy is limited by the grid.
     A rate above h2(q) is read as h2(q), as in ``mu_d_dual``.  The grid and
-    f, g on it are cached per (p, q), as for the dual oracle.
-
-    Only two blocks of the grid's pairs are evaluated, exactly: r1 with
-    g(r1) >= rate - 1e-12 against r2 with g(r2) <= rate + 1e-12, and the
-    mirror block.  lam lies in [0, 1] only if rate lies between g(r1) and
-    g(r2), and its rounding (a few 1e-16) is far below the 1e-12 margin, so
-    the blocks hold every pair the full 512 x 512 grid would accept, each
-    computed with the same float operations.
+    f, g on it are cached per (p, q), as for the dual oracle.  Only the two
+    blocks of pairs that can meet the constraint are evaluated (README,
+    "Speed never moves a bit").
     """
     p, q = guards.crossover("p", p), guards.crossover("q", q)
     rate = min(guards.rate("rate", rate), _h2(q))

@@ -305,10 +305,8 @@ def _int_source(model: BinaryModel) -> JointPmf:
 
 
 def _pairwise_sum(a: np.ndarray) -> np.ndarray:
-    # a.T.sum(axis=1) of an (L, n) array, L <= 128, bit for bit: numpy adds a
-    # contiguous row as eight partial sums r[j] += a[i + j], then ((r0 + r1) +
-    # (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in order (a row of
-    # fewer than 8 only in order) and last its initial 0.0 (-0.0 becomes +0.0)
+    # a.T.sum(axis=1) of an (L, n) array, L <= 128, in numpy's pairwise order
+    # (README, "Speed never moves a bit")
     head = len(a) - len(a) % 8
     r = sum((a[i:i + 8] for i in range(8, head, 8)), a[:8])
     res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])) if head else 0.0
@@ -326,23 +324,8 @@ def _evaluate_v2_batch(q0: np.ndarray, chans: np.ndarray):
         I(Y1;V2,X1) = H(Y1) + H(X1,V2) - H(X1,Y1,V2).
 
     Each block of ``_ROW_BLOCK`` rows is transposed once to a batch-last
-    (x2, v1, v2, rows) layout, so every later step is a whole-row vector op.
-    The (x1, v1, v2) marginal adds the rounded products p(x1, x2, v1)
-    c[x2, v1, v2] from x2 = 0 up, only over the span of V1 symbols with
-    mass: outside it every entry is +0.0, whose x log2 x stays 0.0 unlogged,
-    as do the row entropies there (weight p(x2, v1) = 0.0).  The (x1 y1, v2)
-    marginal is one (x1 y1, x2 v1) @ (x2 v1, v2 rows) gemm.  Numpy adds sums
-    of fewer than 8 entries in order; longer ones follow :func:`_pairwise_sum`.
-    The row entropies meet p(x2, v1) in one gemv over the whole batch, since
-    BLAS may sum a row in another order for another batch length.
-
-    Each row gets the bytes of one einsum pass over the whole batch,
-    ``tests/test_search.py::_ref_evaluate_v2_batch``
-    (``test_search_kernel_equals_reference_bytes*``).  The bits rely on
-    numpy's pairwise reduction (``test_pairwise_sum_equals_numpy_sum_bytes``)
-    and on BLAS giving one gemm the same sum per entry as stacked gemms
-    (``test_one_gemm_equals_stacked_matmul_bytes``); the skipped zeros move
-    no sum, as no term or partial sum is -0.0.
+    (x2, v1, v2, rows) layout, so every later step is a whole-row vector op;
+    for its bits see README, "Speed never moves a bit".
     """
     b, n_v2 = chans.shape[0], chans.shape[3]
     n_x1, n_x2, n_y1, n_v1 = q0.shape
@@ -403,8 +386,8 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
     envelope evaluated on ``r2_grid`` together with the per-bucket records.
     ``budget`` must be an integer in [1, 2**26], ``seed`` a nonnegative
     integer and ``threads`` a positive one (unset: ``IBREG_THREADS``, else
-    1).  More than one thread samples on a
-    pool; chunks are absorbed in chunk order, so the result does not vary.
+    1).  More than one thread samples on a pool; chunks are absorbed in
+    chunk order, so the result does not vary.
 
     Deterministic for a fixed seed; samples are drawn in chunks of 8,192
     rows keyed by (seed, chunk index), the last chunk only the rows the

@@ -474,21 +474,61 @@ def test_outer_frontier_equals_oracle_on_drawn_chains(rho_x1y, rho_x2y, rate1, r
     assert got == _oracle_outer_frontier(m, rate1, rate2)
 
 
-def _bounded_golden(limit=5_000):
-    # golden_max whose objective raises after ``limit`` evaluations, so that a
-    # search that would never end fails instead of hanging the test run
-    def golden(fun, lo, hi, tol):
-        calls = [0]
+# the written-out inner search against golden_max on the objective's
+# reference copy, off the [0, 3] rates the oracle tests draw from: the same
+# result and the same log arguments in the same order, so each inline
+# evaluation is pinned, not only the comparisons that steer the search
+EDGE_RATES = [(20.0, 0.0), (0.0, 20.0), (128.1, 128.1), (5e4, 5e4), (1e300, 1e300),
+              (math.inf, 1.0), (1.0, math.inf), (5e-324, 5e-324)]
 
-        def counted(x):
-            calls[0] += 1
-            if calls[0] > limit:
-                raise RuntimeError("golden section did not stop")
-            return fun(x)
 
-        return golden_max(counted, lo, hi, tol)
+@pytest.mark.parametrize("rhos", [(0.8, 0.6), (-0.5, 0.5), (0.999999, 0.999999)])
+@pytest.mark.parametrize("rates", EDGE_RATES)
+def test_outer_inner_search_equals_golden_max(rhos, rates, monkeypatch):
+    m = GaussianCdibModel.chain_x1_y_x2(*rhos)
+    rate1, rate2 = rates
+    e1, e2 = m.rho_x1y ** 2, m.rho_x2y ** 2
+    span = rate1 + rate2
+    box = min(span, 128.0)
 
-    return golden
+    def reference(r1):
+        objective = ibreg.gaussian._outer_objective(
+            e1, e2, r1, rate1 - r1 + m.i_y_x2(), rate2, span - r1)
+        return golden_max(objective, 0.0, box, 1e-11)[1]
+
+    def inline(r1):
+        return ibreg.gaussian._outer_best_over_r2(
+            e1, e2, r1, rate1 - r1 + m.i_y_x2(), rate2, span - r1, box)
+
+    def traced(search, r1):
+        seen = []
+        monkeypatch.setattr(np, "log2", lambda x: seen.append(x.hex()) or log2(x))
+        value = search(r1)
+        monkeypatch.setattr(np, "log2", log2)
+        return value.hex(), seen
+
+    log2 = np.log2
+    for r1 in (0.0, box / 3.0, 0.5 * box, box):
+        assert traced(inline, r1) == traced(reference, r1), r1
+    expected = max(0.0, golden_max(reference, 0.0, box, 1e-11)[1])
+    assert cdib_x1yx2_outer_frontier(m, rate1, rate2).hex() == expected.hex()
+
+
+def _bounded_log2(monkeypatch, limit=50_000):
+    # np.log2, which each of the frontier's searches looks up when it starts,
+    # raising after ``limit`` calls: every step of either search takes one,
+    # so a search that would never end fails instead of hanging the test run
+    calls = [0]
+    log2 = np.log2
+
+    def counted(x):
+        calls[0] += 1
+        if calls[0] > limit:
+            raise RuntimeError("golden section did not stop")
+        return log2(x)
+
+    monkeypatch.setattr(np, "log2", counted)
+    return calls
 
 
 # the ids are the names these cases had while the test also ran the
@@ -498,8 +538,9 @@ def test_outer_frontier_ends_at_large_rates(chain_b, monkeypatch, rate):
     # from 1e5 up the float spacing near the maximiser exceeded tol = 1e-11
     # while the search box spanned R1 + R2, and the golden sections never
     # ended
-    monkeypatch.setattr(ibreg.gaussian, "golden_max", _bounded_golden())
+    calls = _bounded_log2(monkeypatch)
     got = cdib_x1yx2_outer_frontier(chain_b, rate, rate)
+    assert calls[0] > 0   # the bound reached the searches
     assert got == pytest.approx(chain_b.i_y_x1x2(), abs=1e-9)
 
 
@@ -525,10 +566,11 @@ def test_outer_frontier_infinite_rate_sum_saturates(chain_b, rates):
 
 def test_cli_outer_frontier_large_grid_ends(tmp_path, monkeypatch, capsys):
     # ``ibreg curve outer_frontier --grid 0:1e6:3`` never returned
-    monkeypatch.setattr(ibreg.gaussian, "golden_max", _bounded_golden())
+    calls = _bounded_log2(monkeypatch)
     path = tmp_path / "m.json"
     path.write_text('{"kind": "gaussian-cdib-x1yx2", "rho": {"x1y": 0.8, "x2y": 0.6}}')
     assert main(["curve", "outer_frontier", "--model", str(path), "--grid", "0:1e6:3"]) == 0
+    assert calls[0] > 0
     rows = capsys.readouterr().out.splitlines()[2:]
     assert [r.split(",")[1] for r in rows] == ["0", "0.869984041164", "0.869984041164"]
 

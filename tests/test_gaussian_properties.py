@@ -1,23 +1,81 @@
-"""Property check of the Gaussian X1 - Y - X2 bounds over random models.
+"""Property checks of the Gaussian bounds over random models.
 
 Criterion 6 and the frozen cases check the outer bound against the additive
 inner bound on one chain (correlations 0.8 and 0.6); here hypothesis draws
-both correlations, signs included, and the rate pair.  Runs are derandomized
-(same examples every run) and keep no example database.
+both correlations, signs included, and the rate pair.  The outer frontier
+and the X1 - X2 - Y relevance are also drawn for two invariants: each is
+nondecreasing in each rate, and neither moves a bit when the model's three
+variances are rescaled.  Runs are derandomized (same examples every run)
+and keep no example database.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from ibreg import GaussianCdibModel, cdib_x1yx2_inner, cdib_x1yx2_outer_frontier
+from ibreg import (
+    GaussianCdibModel,
+    cdib_x1x2y_mu,
+    cdib_x1yx2_inner,
+    cdib_x1yx2_outer_frontier,
+)
 
 correlation = st.floats(0.05, 0.95) | st.floats(-0.95, -0.05)
 rate = st.floats(0.0, 2.5)
+step = st.floats(0.0, 1.0)
+variance = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)   # 1e-6 to 1e6
+derandomized = settings(max_examples=25, derandomize=True, deadline=None, database=None)
+
+# each quantity with the chain constructor of its models
+BOUNDS = {
+    "outer": (cdib_x1yx2_outer_frontier, GaussianCdibModel.chain_x1_y_x2),
+    "x1x2y": (cdib_x1x2y_mu, GaussianCdibModel.chain_x1_x2_y),
+}
 
 
-@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@derandomized
 @given(correlation, correlation, rate, rate)
 def test_outer_frontier_dominates_inner(rho_x1y, rho_x2y, rate1, rate2):
     m = GaussianCdibModel.chain_x1_y_x2(rho_x1y, rho_x2y)
     outer = cdib_x1yx2_outer_frontier(m, rate1, rate2)
     inner = cdib_x1yx2_inner(m, rate1, rate2)
     assert outer >= inner - 1e-9
+
+
+def _nondecreasing(name, rho_a, rho_b, rate1, rate2, step1, step2):
+    fun, chain = BOUNDS[name]
+    m = chain(rho_a, rho_b)
+    here = fun(m, rate1, rate2)
+    assert fun(m, rate1 + step1, rate2) >= here - 1e-9
+    assert fun(m, rate1, rate2 + step2) >= here - 1e-9
+
+
+def _scale_free(name, rho_a, rho_b, rate1, rate2, variances):
+    fun, chain = BOUNDS[name]
+    sigmas = dict(zip(("sigma_x1_sq", "sigma_x2_sq", "sigma_y_sq"), variances))
+    unit = fun(chain(rho_a, rho_b), rate1, rate2)
+    assert fun(chain(rho_a, rho_b, **sigmas), rate1, rate2).hex() == unit.hex()
+
+
+@derandomized
+@given(correlation, correlation, rate, rate, step, step)
+def test_outer_frontier_nondecreasing_in_each_rate(rho_x1y, rho_x2y, rate1, rate2,
+                                                   step1, step2):
+    _nondecreasing("outer", rho_x1y, rho_x2y, rate1, rate2, step1, step2)
+
+
+@derandomized
+@given(correlation, correlation, rate, rate, st.tuples(variance, variance, variance))
+def test_outer_frontier_scale_free(rho_x1y, rho_x2y, rate1, rate2, variances):
+    _scale_free("outer", rho_x1y, rho_x2y, rate1, rate2, variances)
+
+
+@derandomized
+@given(correlation, correlation, rate, rate, step, step)
+def test_x1x2y_mu_nondecreasing_in_each_rate(rho_x1x2, rho_x2y, rate1, rate2,
+                                             step1, step2):
+    _nondecreasing("x1x2y", rho_x1x2, rho_x2y, rate1, rate2, step1, step2)
+
+
+@derandomized
+@given(correlation, correlation, rate, rate, st.tuples(variance, variance, variance))
+def test_x1x2y_mu_scale_free(rho_x1x2, rho_x2y, rate1, rate2, variances):
+    _scale_free("x1x2y", rho_x1x2, rho_x2y, rate1, rate2, variances)
