@@ -6,11 +6,11 @@ cascaded binary symmetric channels.
 
 Validation rule: each public function checks and clamps its arguments by
 the probability rule of ``guards`` (``h2_arr`` entry by entry), then calls a
-private kernel of the same name with a leading underscore (``_h2``,
-``_star``, ``_h2_arr``).  The kernel holds the only copy of the formula,
-assumes in-domain floats and checks nothing; besides its public twin, only
-functions that validated their inputs at entry call it (``h2_inv`` and
-``gerber_bound`` here, the curve solvers in ``binary``).  ``_xlog2x``
+private kernel with a leading underscore (``_h2``, ``_star``, ``_h2_arr``,
+``_gerber``).  The kernel holds the only copy of the formula, assumes
+in-domain floats and checks nothing; besides its public twin, only
+functions that validated their inputs at entry call it (``h2_inv`` here,
+the curve solvers and ``mu_ed`` in ``binary``).  ``_xlog2x``
 (m log2 m) underlies ``_h2_arr``, ``pmf``'s entropies and ``search``.
 """
 
@@ -93,12 +93,14 @@ def star(a: float, b: float) -> float:
     return _star(prob("a", a), prob("b", b))
 
 
+def _gerber(h: float, p: float) -> float:
+    return _h2(_star(h2_inv(h), p))
+
+
 def gerber_bound(entropy_bits: float, p: float) -> float:
     """Mrs. Gerber lower bound h2(h2_inv(H) * p) on the output conditional entropy.
 
     ``entropy_bits`` is the conditional input entropy H in [0, 1]; ``p`` is the
     crossover of the binary symmetric channel, in [0, 1/2].
     """
-    h = prob("entropy_bits", entropy_bits)
-    p = prob("p", p, 0.5)
-    return _h2(_star(h2_inv(h), p))
+    return _gerber(prob("entropy_bits", entropy_bits), prob("p", p, 0.5))

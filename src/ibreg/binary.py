@@ -45,7 +45,7 @@ from math import log2
 import numpy as np
 
 from . import guards
-from .bentropy import _h2, _h2_arr, _star, h2_inv
+from .bentropy import _gerber, _h2, _h2_arr, _star
 from .errors import ArgumentError, DomainError, SolverError
 from .optimize import bisect_decreasing_inverse, bisect_root, golden_max, golden_min
 from .pmf import Axis, Channel, JointPmf
@@ -338,14 +338,13 @@ def _critical_or_none(p: float, q: float) -> CriticalPoint | None:
 def mu_ed(rate: float, p: float, q: float) -> float:
     """Relevance-rate function with side information at encoder and decoder.
 
-    Equals ``1 - h2(h2_inv([h2(q) - R]^+) * p)``; constant ``1 - h2(p)`` for
+    Equals ``1 - gerber_bound([h2(q) - R]^+, p)``, that is
+    ``1 - h2(h2_inv([h2(q) - R]^+) * p)``; constant ``1 - h2(p)`` for
     R >= h2(q), an unlimited rate included.
     """
     p, q = guards.crossover("p", p), guards.crossover("q", q)
     rate = guards.rate("rate", rate)
-    residual = max(_h2(q) - rate, 0.0)
-    # exact inverse: the residual entropy is reached at crossover s
-    return 1.0 - _h2(_star(h2_inv(residual), p))
+    return 1.0 - _gerber(max(_h2(q) - rate, 0.0), p)
 
 
 def mu_d(rate: float, p: float, q: float) -> float:
@@ -511,7 +510,7 @@ class TestChannelSpec:
         if self.kind == "timeshared" and (self.lam is None or self.r_c is None):
             raise ArgumentError("a timeshared channel needs both lam and r_c")
         for name, v, hi in (("r", self.r, 0.5), ("r_c", self.r_c, 0.5), ("lam", self.lam, 1.0)):
-            if v is not None and guards.prob(name, v, hi) != v:   # clamped from the slack
+            if v is not None:   # a spill past an end is clamped onto it
                 object.__setattr__(self, name, guards.prob(name, v, hi))
 
     def to_channel(self, output_name: str = "u", out_card: int | None = None) -> Channel:

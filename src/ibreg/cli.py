@@ -19,8 +19,10 @@ evaluator) hold these rules once; ``QUANTITIES`` lists them in table order.
 Deterministic quantities produce byte-identical outputs for identical
 requests; stochastic ones are keyed by (seed, budget).  Exit codes: 0 ok
 (or inclusion holds), 1 inclusion violated, 2 configuration error,
-3 numeric/solver error.  ``IBREG_THREADS``, a positive integer, caps worker
-parallelism of the stochastic search.
+3 numeric/solver error.  ``IBREG_THREADS`` is the worker count of the
+``mu_int`` search, read by the rule of integer request fields; unset or
+empty, it is 1.  This module is the only one of ``ibreg`` that reads the
+environment: the library computes from its arguments alone.
 """
 
 from __future__ import annotations
@@ -190,7 +192,9 @@ def evaluate_request(req: CurveRequest) -> tuple[np.ndarray, np.ndarray, RegionC
     q = req.quantity
     at = _QUANTITIES[q][1]
     if at is None:
-        ys = np.array([p.y for p in search.search_mu_int(m, xs, req.budget, req.seed)])
+        threads = _as_int("IBREG_THREADS", os.environ.get("IBREG_THREADS") or 1)
+        ys = np.array([p.y for p in search.search_mu_int(m, xs, req.budget, req.seed,
+                                                         threads=threads)])
     else:
         ys = np.array([at(m, x, req.which) for x in xs])
     # twcib_rate's grid is the relevance and its value the rate

@@ -66,12 +66,7 @@ class RegionCurve:
     def from_dict(cls, d: dict) -> "RegionCurve":
         """The curve :meth:`to_dict` wrote; a malformed document raises
         :class:`ArgumentError` naming the field."""
-        points = guards.field(d, "points")
-        try:
-            points = tuple((p["R"], p["mu"]) for p in points)
-        except (KeyError, TypeError):   # not a list, or an entry without R and mu
-            raise ArgumentError(f"points must be a list of {{'R', 'mu'}} objects, "
-                                f"got {points!r}") from None
+        points = guards.records(d, "points", "R", "mu")
         return cls(model=guards.field(d, "model"), method=guards.field(d, "method"),
                    seed=d.get("seed"), points=points)
 

@@ -467,7 +467,9 @@ def _outer_best_over_r2(e1: float, e2: float, r1: float, cap: float, rate2: floa
     c = b - invphi * w
     d = a + invphi * w
     fc, fd = objective(c), objective(d)
-    stalled = set()   # states after steps that left the bracket as wide
+    # no stall guard: every point lies in [0, box], box <= _OUTER_BOX, where
+    # floats are at most 2^-45 apart, so a step from w > _OUTER_TOL leaves
+    # v <= 0.6181 w + 6e-14 < w and the bracket always narrows
     while w > tol:
         if fc > fd:
             b, d, fd = d, c, fc
@@ -493,11 +495,6 @@ def _outer_best_over_r2(e1: float, e2: float, r1: float, cap: float, rate2: floa
             t = room - d
             if t < fd:
                 fd = t
-        if not v < w:
-            state = (a, b, c, d)
-            if state in stalled:
-                break
-            stalled.add(state)
         w = v
     return objective(0.5 * (a + b))
 

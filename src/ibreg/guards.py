@@ -178,3 +178,14 @@ def field(d, key: str):
     if key not in instance("document", d, dict):
         raise ArgumentError(f"the document lacks the field {key!r}")
     return d[key]
+
+
+def records(d, key: str, *names: str) -> list[tuple]:
+    """The required entry ``key`` of ``d``, a list of objects, as the tuples
+    of each object's entries ``names``."""
+    v = field(d, key)
+    try:
+        return [tuple(x[n] for n in names) for x in v]
+    except (KeyError, TypeError):   # not a list, or an entry without the names
+        raise ArgumentError(f"{key} must be a list of {{{', '.join(map(repr, names))}}} "
+                            f"objects, got {v!r}") from None

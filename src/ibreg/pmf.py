@@ -151,13 +151,7 @@ class JointPmf:
     def from_dict(cls, d: dict) -> "JointPmf":
         """The pmf :meth:`to_dict` wrote; a malformed document raises
         :class:`ArgumentError` naming the field."""
-        axes = guards.field(d, "axes")
-        try:
-            pairs = [(a["name"], a["card"]) for a in axes]
-        except (KeyError, TypeError):   # not a list, or an entry without name and card
-            raise ArgumentError(f"axes must be a list of {{'name', 'card'}} objects, "
-                                f"got {axes!r}") from None
-        axes = _as_axes(pairs)
+        axes = _as_axes(guards.records(d, "axes", "name", "card"))
         shape = tuple(a.card for a in axes)
         table = guards.reals("table", guards.field(d, "table"), allow_nan=True)
         if table.size != math.prod(shape):

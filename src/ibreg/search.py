@@ -14,7 +14,6 @@ observer's source axis plus every previously generated description.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -374,7 +373,7 @@ def _baseline_channels(v1_card: int, v2_card: int) -> tuple[np.ndarray, np.ndarr
 
 
 def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, *,
-                           threads: int | None = None):
+                           threads: int = 1):
     """Seeded random-channel search for the interactive relevance curve.
 
     Fixes the first half-round description V1 at the relevance-optimal test
@@ -385,9 +384,9 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
     deterministic non-interactive baselines, and returns the upper concave
     envelope evaluated on ``r2_grid`` together with the per-bucket records.
     ``budget`` must be an integer in [1, 2**26], ``seed`` a nonnegative
-    integer and ``threads`` a positive one (unset: ``IBREG_THREADS``, else
-    1).  More than one thread samples on a pool; chunks are absorbed in
-    chunk order, so the result does not vary.
+    integer and ``threads`` a positive one.  More than one thread samples on
+    a pool; chunks are absorbed in chunk order, so the result does not vary.
+    Only the CLI reads ``IBREG_THREADS``; it passes the value in as ``threads``.
 
     Deterministic for a fixed seed; samples are drawn in chunks of 8,192
     rows keyed by (seed, chunk index), the last chunk only the rows the
@@ -399,11 +398,7 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
     if budget > _BUDGET_MAX:
         raise ArgumentError(f"budget must be at most 2**26 = {_BUDGET_MAX}, got {budget!r}")
     seed = guards.count("seed", seed, 0)
-    name = "threads"
-    if threads is None:
-        name, env = "threads from IBREG_THREADS", os.environ.get("IBREG_THREADS") or "1"
-        threads = int(env) if env.strip().isdecimal() else env
-    threads = guards.count(name, threads, 1)
+    threads = guards.count("threads", threads, 1)
     grid = guards.reals("r2_grid", r2_grid, allow_nan=True)
     if grid.ndim != 1 or grid.size < 1 or not np.all(np.isfinite(grid)) \
             or np.any(np.diff(grid) <= 0.0):
@@ -472,7 +467,7 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
 
 
 def search_mu_int(model: BinaryModel, r2_grid, budget: int, seed: int, *,
-                  threads: int | None = None) -> list[EnvelopePoint]:
+                  threads: int = 1) -> list[EnvelopePoint]:
     """Envelope of the interactive-curve search on ``r2_grid`` (see
     :func:`search_mu_int_detailed` for the sampling protocol)."""
     points, _ = search_mu_int_detailed(model, r2_grid, budget, seed, threads=threads)

@@ -131,7 +131,7 @@ CASES = [
     (search.corner_points_outer, (SRC3, U1, U2), ("object",) * 3),
     (search.upper_concave_envelope, ([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0)],), ("object",)),
     (search.envelope_value, (ENV, 0.5), ("object", "x_array")),
-    *[(fn, (BM, [0.0, 0.3], 64, 1, 1), ("object", "vector", "budget", "count0", "count1?"))
+    *[(fn, (BM, [0.0, 0.3], 64, 1, 1), ("object", "vector", "budget", "count0", "count1"))
       for fn in map(_threads_keyword, (search.search_mu_int, search.search_mu_int_detailed))],
     (search.check_inclusion, (CURVE, CURVE, 1e-9), ("object", "object", "tolerance")),
     (curves.RegionCurve, ({}, "m", None, ((0.0, 0.1), (1.0, 0.5))),

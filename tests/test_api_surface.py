@@ -6,8 +6,8 @@ fixed choices, documented in the README, and the source axis names are fixed
 by the modules that read them; the result records carry only fields some
 caller reads.  These tests keep settings and unread fields from coming back
 as arguments or fields unnoticed, keep the CLI's model kinds to those some
-quantity accepts, and keep every function the benchmark's tracer wraps in
-place.
+quantity accepts, keep every function the benchmark's tracer wraps in
+place, and keep the environment out of the library: only the CLI reads it.
 """
 
 import importlib
@@ -71,3 +71,10 @@ def test_traced_names_resolve():
     missing = [(layer, name) for layer, names in tracer.TRACED.items() for name in names
                if not callable(getattr(importlib.import_module(f"ibreg.{layer}"), name, None))]
     assert missing == []
+
+
+def test_only_the_cli_reads_the_environment():
+    src = Path(cli.__file__).parent
+    readers = sorted(path.name for path in src.glob("*.py")
+                     if "environ" in path.read_text() or "getenv" in path.read_text())
+    assert readers == ["cli.py"]

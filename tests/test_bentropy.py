@@ -45,6 +45,7 @@ def test_h2_endpoints_and_midpoint():
     assert h2(0.5) == 1.0
     assert h2(0.0) == 0.0
     assert h2(1.0) == 0.0
+    assert h2(1.0 + 1e-13) == h2(-1e-13) == 0.0   # a rounding spill is clamped
     assert h2(0.1) == pytest.approx(H2_01, abs=1e-15)
     assert h2(0.9) == pytest.approx(H2_01, abs=1e-15)  # symmetry
 

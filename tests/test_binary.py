@@ -726,6 +726,10 @@ def test_spec_validation():
         TestChannelSpec("timeshared", lam=0.5, r_c=0.6)
     with pytest.raises(ArgumentError):
         TestChannelSpec("timeshared", lam=0.5, r_c=0.1).to_channel(out_card=2)
+    # a rounding spill past an end is clamped onto it
+    assert TestChannelSpec("direct", r=0.5 + 1e-13).r == 0.5
+    spec = TestChannelSpec("timeshared", lam=1.0 + 1e-13, r_c=-1e-13)
+    assert (spec.lam, spec.r_c) == (1.0, 0.0)
 
 
 @pytest.mark.parametrize("out_card", [2.5, math.nan, math.inf, 0, -1])

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from ibreg import RegionCurve, h2, mu_d
+from ibreg import RegionCurve, h2, mu_d, search
 from ibreg.cli import CurveRequest, ModelConfig, main
 from ibreg.errors import ArgumentError, ConfigError, DomainError
 
@@ -389,3 +389,47 @@ def test_curve_threads_env_below_one_exit_2(tmp_path, capsys, monkeypatch, value
     assert rc == 2
     assert out == ""
     assert err.startswith("ibreg: ") and "threads" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value, threads", [("", 1), ("2", 2), ("4", 4), ("+2", 2)],
+                         ids=["empty", "2", "4", "+2"])
+def test_curve_threads_env_keeps_bytes(tmp_path, capsys, monkeypatch, value, threads):
+    # the CLI reads IBREG_THREADS, by the rule of integer request fields, and
+    # passes it to the search; any thread count gives the unset output
+    path = write_json(tmp_path / "m.json", BINARY)
+    argv = ["curve", "mu_int", "--model", path, "--grid", "0:0.4:9",
+            "--seed", "3", "--budget", "20000"]
+    monkeypatch.delenv("IBREG_THREADS", raising=False)
+    assert main(argv) == 0
+    unset = capsys.readouterr().out
+    seen, search_mu_int = [], search.search_mu_int
+
+    def spy(*args, threads):
+        seen.append(threads)
+        return search_mu_int(*args, threads=threads)
+
+    monkeypatch.setattr(search, "search_mu_int", spy)
+    monkeypatch.setenv("IBREG_THREADS", value)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == unset
+    assert seen == [threads]
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", " ", "1e3"],
+                         ids=["abc", "2.5", "space", "1e3"])
+def test_curve_threads_env_not_integer_exit_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("IBREG_THREADS", value)
+    path = write_json(tmp_path / "m.json", BINARY)
+    rc = main(["curve", "mu_int", "--model", path, "--grid", "0:0.4:3",
+               "--seed", "1", "--budget", "100"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err == f"ibreg: IBREG_THREADS must be an integer, got {value!r}\n"
+
+
+def test_deterministic_curve_ignores_threads_env(tmp_path, capsys, monkeypatch):
+    # only the mu_int search reads IBREG_THREADS
+    monkeypatch.setenv("IBREG_THREADS", "abc")
+    path = write_json(tmp_path / "m.json", BINARY)
+    assert main(["curve", "mu_d", "--model", path, "--grid", "0:0.4:3"]) == 0

@@ -219,6 +219,10 @@ def chain_a():
 def test_cdib_x1x2y_endpoints(chain_a):
     assert cdib_x1x2y_mu(chain_a, 0.0, 0.0) == pytest.approx(0.0, abs=1e-15)
     assert cdib_x1x2y_mu(chain_a, 40.0, 40.0) == pytest.approx(LIMIT_YX2_08, abs=1e-9)
+    # X1 adds nothing about Y once X2 is known
+    assert chain_a.i_y_x1x2() == chain_a.i_y_x2() == pytest.approx(LIMIT_YX2_08, abs=1e-15)
+    assert gaussian_mi(chain_a.covariance(), [2], [0, 1]) == pytest.approx(
+        LIMIT_YX2_08, abs=1e-12)
     with pytest.raises(DomainError):
         cdib_x1x2y_mu(chain_a, -0.1, 0.2)
 

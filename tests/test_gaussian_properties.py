@@ -2,11 +2,12 @@
 
 Criterion 6 and the frozen cases check the outer bound against the additive
 inner bound on one chain (correlations 0.8 and 0.6); here hypothesis draws
-both correlations, signs included, and the rate pair.  The outer frontier
-and the X1 - X2 - Y relevance are also drawn for two invariants: each is
-nondecreasing in each rate, and neither moves a bit when the model's three
-variances are rescaled.  Runs are derandomized (same examples every run)
-and keep no example database.
+both correlations, signs included, and the rate pair.  The outer frontier,
+the inner bound and the X1 - X2 - Y relevance are each nondecreasing in
+each rate, and neither the frontier nor that relevance moves a bit when the
+model's three variances are rescaled.  The X1 - X2 - Y rate R2 needed for a
+relevance falls as R1 grows and rises with the relevance.  Runs are
+derandomized (same examples every run) and keep no example database.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from ibreg import (
     GaussianCdibModel,
     cdib_x1x2y_mu,
+    cdib_x1x2y_r2,
     cdib_x1yx2_inner,
     cdib_x1yx2_outer_frontier,
 )
@@ -28,6 +30,7 @@ derandomized = settings(max_examples=25, derandomize=True, deadline=None, databa
 BOUNDS = {
     "outer": (cdib_x1yx2_outer_frontier, GaussianCdibModel.chain_x1_y_x2),
     "x1x2y": (cdib_x1x2y_mu, GaussianCdibModel.chain_x1_x2_y),
+    "inner": (cdib_x1yx2_inner, GaussianCdibModel.chain_x1_y_x2),
 }
 
 
@@ -79,3 +82,20 @@ def test_x1x2y_mu_nondecreasing_in_each_rate(rho_x1x2, rho_x2y, rate1, rate2,
 @given(correlation, correlation, rate, rate, st.tuples(variance, variance, variance))
 def test_x1x2y_mu_scale_free(rho_x1x2, rho_x2y, rate1, rate2, variances):
     _scale_free("x1x2y", rho_x1x2, rho_x2y, rate1, rate2, variances)
+
+
+@derandomized
+@given(correlation, correlation, rate, rate, step, step)
+def test_inner_nondecreasing_in_each_rate(rho_x1y, rho_x2y, rate1, rate2, step1, step2):
+    _nondecreasing("inner", rho_x1y, rho_x2y, rate1, rate2, step1, step2)
+
+
+@derandomized
+@given(correlation, correlation, rate, step, st.floats(0.0, 0.999), st.floats(0.0, 1.0))
+def test_x1x2y_r2_falls_with_r1_and_rises_with_mu(rho_x1x2, rho_x2y, rate1, step1, u, t):
+    # relevances u * I(Y;X2) and a larger one, both below the limit
+    m = GaussianCdibModel.chain_x1_x2_y(rho_x1x2, rho_x2y)
+    mu = u * m.i_y_x2()
+    here = cdib_x1x2y_r2(m, rate1, mu)
+    assert cdib_x1x2y_r2(m, rate1 + step1, mu) <= here + 1e-12
+    assert cdib_x1x2y_r2(m, rate1, mu + t * (0.999 * m.i_y_x2() - mu)) >= here - 1e-12
