@@ -33,7 +33,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from math import inf, isfinite
+from math import isfinite
 
 import numpy as np
 
@@ -119,13 +119,13 @@ def _object(d: dict, name: str) -> dict:
     return v
 
 
-def _as_int(name: str, v) -> int:
-    """``v``, or the digits of a string, as an int by the count rule of
-    ``guards``, or ``ConfigError`` naming the field."""
+def _as_int(name: str, v, lo: int) -> int:
+    """``v``, or the digits of a string, as an int ``>= lo`` by the count
+    rule of ``guards``, or ``ConfigError`` naming the field."""
     try:
-        return guards.count(name, int(v) if isinstance(v, str) else v, -inf)
+        return guards.count(name, int(v) if isinstance(v, str) else v, lo)
     except (ValueError, ArgumentError) as exc:
-        raise ConfigError(f"{name} must be an integer, got {v!r}") from exc
+        raise ConfigError(f"{name} must be an integer >= {lo}, got {v!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -157,8 +157,8 @@ class CurveRequest:
             lo, hi, n = float(grid["min"]), float(grid["max"]), grid["n"]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"grid must provide min/max/n: {exc}") from exc
-        n = _as_int("grid n", n)
-        if not 2 <= n <= _GRID_MAX_N:
+        n = _as_int("grid n", n, 2)
+        if n > _GRID_MAX_N:
             raise ConfigError(f"grid n must be in [2, {_GRID_MAX_N}], got {n}")
         if not (isfinite(lo) and isfinite(hi)):
             raise ConfigError(f"grid min/max must be finite, got [{lo}, {hi}]")
@@ -168,18 +168,14 @@ class CurveRequest:
         if _QUANTITIES[quantity][1] is None:
             if seed is None or budget is None:
                 raise ConfigError(f"quantity {quantity!r} requires seed and budget")
-            seed, budget = _as_int("seed", seed), _as_int("budget", budget)
-            if seed < 0:
-                raise ConfigError(f"seed must be >= 0, got {seed}")
-            if budget < 1:
-                raise ConfigError(f"budget must be >= 1, got {budget}")
+            seed, budget = _as_int("seed", seed, 0), _as_int("budget", budget, 1)
         elif seed is not None or budget is not None:
             raise ConfigError(f"quantity {quantity!r} is deterministic; drop seed/budget")
         if quantity != "twcib_rate" and "which" in d:
             raise ConfigError(f"which applies to twcib_rate only, not {quantity!r}")
         return cls(model=model, quantity=quantity, grid_min=lo, grid_max=hi,
                    grid_n=n, seed=seed, budget=budget,
-                   which=_as_int("which", d.get("which", 2)))
+                   which=_as_int("which", d.get("which", 2), 1))
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.grid_min, self.grid_max, self.grid_n)
@@ -192,7 +188,7 @@ def evaluate_request(req: CurveRequest) -> tuple[np.ndarray, np.ndarray, RegionC
     q = req.quantity
     at = _QUANTITIES[q][1]
     if at is None:
-        threads = _as_int("IBREG_THREADS", os.environ.get("IBREG_THREADS") or 1)
+        threads = _as_int("IBREG_THREADS", os.environ.get("IBREG_THREADS") or 1, 1)
         ys = np.array([p.y for p in search.search_mu_int(m, xs, req.budget, req.seed,
                                                          threads=threads)])
     else:

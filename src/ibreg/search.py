@@ -287,8 +287,10 @@ class BucketRecord:
 
 
 _CHUNK = 8192
-# budget ceiling: the search holds each sample's rate and relevance (16 B of
-# float64) until every chunk is absorbed, so 2**26 samples take 1 GiB
+# budget ceiling for outside input: run time grows with the budget, about
+# 10.4 ms a chunk on one thread, so 85 s for the 8,192 chunks of 2**26
+# (2-vCPU x86-64, numpy 2.4.6); above one thread memory grows too, as the
+# pool queues one task per chunk and holds results finished ahead of absorb
 _BUDGET_MAX = 2 ** 26
 # kernel rows per block: the 25 chunks of a 200,000 budget took 141 ms at 1,024,
 # 166 ms at 512, 208 ms at 4,096 and 132 ms at 2,048, which adds 2.5 MB to
@@ -391,8 +393,10 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
     Deterministic for a fixed seed; samples are drawn in chunks of 8,192
     rows keyed by (seed, chunk index), the last chunk only the rows the
     budget uses (Dirichlet draws fill rows in order, so a budget prefix is a
-    sample prefix).  A chunk's draws are dropped once evaluated; a record's
-    origin names its channel by chunk and row, which the seed regenerates.
+    sample prefix).  Each chunk is absorbed as it is drawn, so one thread
+    holds one chunk's draws, rates and relevances and the kept points,
+    whatever the budget; a record's origin names its channel by chunk and
+    row, which the seed regenerates.
     """
     budget = guards.count("budget", budget, 1)
     if budget > _BUDGET_MAX:
@@ -452,13 +456,12 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
         rng = np.random.default_rng([seed, j])
         take = min(_CHUNK, budget - j * _CHUNK)
         block = rng.dirichlet(np.ones(_V2_CARD), size=(take, 2, v1.output.card))
-        r, v = _evaluate_v2_batch(q0, block)
-        return j, r, v
+        return _evaluate_v2_batch(q0, block)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:  # one thread: chunks run here
-        results = list((pool.map if threads > 1 else map)(run_chunk, range(n_chunks)))
-    for j, r, v in results:
-        absorb(r, v, lambda k, j=j: f"sample:{j}/{k}")
+        chunks = (pool.map if threads > 1 else map)(run_chunk, range(n_chunks))
+        for j, (r, v) in enumerate(chunks):
+            absorb(r, v, lambda k: f"sample:{j}/{k}")
 
     records = [anchor] + [b for b in best if b is not None]
     ys = envelope_value(upper_concave_envelope(kept), grid)

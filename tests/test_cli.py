@@ -234,7 +234,7 @@ def test_compare_request_integers_exit_2(tmp_path, capsys, field, value):
 
 
 def test_request_rejects_negative_seed():
-    with pytest.raises(ConfigError, match="seed must be >= 0"):
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0, got -1"):
         CurveRequest.from_dict({"model": BINARY, "quantity": "mu_int",
                                 "grid": {"min": 0.0, "max": 0.4, "n": 3},
                                 "seed": -1, "budget": 100})
@@ -380,7 +380,8 @@ def test_compare_disjoint_ranges_exit_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_curve_threads_env_below_one_exit_2(tmp_path, capsys, monkeypatch, value):
-    # IBREG_THREADS=0 ran the search serially with exit 0
+    # IBREG_THREADS=0 ran the search serially with exit 0, then was
+    # rejected under the search's keyword name, threads
     monkeypatch.setenv("IBREG_THREADS", value)
     path = write_json(tmp_path / "m.json", BINARY)
     rc = main(["curve", "mu_int", "--model", path, "--grid", "0:0.4:3",
@@ -388,7 +389,7 @@ def test_curve_threads_env_below_one_exit_2(tmp_path, capsys, monkeypatch, value
     out, err = capsys.readouterr()
     assert rc == 2
     assert out == ""
-    assert err.startswith("ibreg: ") and "threads" in err and "Traceback" not in err
+    assert err.startswith("ibreg: ") and "IBREG_THREADS" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("value, threads", [("", 1), ("2", 2), ("4", 4), ("+2", 2)],
@@ -425,7 +426,7 @@ def test_curve_threads_env_not_integer_exit_2(tmp_path, capsys, monkeypatch, val
     out, err = capsys.readouterr()
     assert rc == 2
     assert out == ""
-    assert err == f"ibreg: IBREG_THREADS must be an integer, got {value!r}\n"
+    assert err == f"ibreg: IBREG_THREADS must be an integer >= 1, got {value!r}\n"
 
 
 def test_deterministic_curve_ignores_threads_env(tmp_path, capsys, monkeypatch):
