@@ -47,7 +47,7 @@ import numpy as np
 from . import guards
 from .bentropy import _gerber, _h2, _h2_arr, _star
 from .errors import ArgumentError, DomainError, SolverError
-from .optimize import bisect_decreasing_inverse, bisect_root, golden_max, golden_min
+from .optimize import _INVPHI, bisect_decreasing_inverse, bisect_root, golden_min
 from .pmf import Axis, Channel, JointPmf
 
 __all__ = [
@@ -375,14 +375,11 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
     refinement (tol 1e-10) of the two highest interior local maxima and of
     the left edge.
 
-    Cost: roughly 2,800 objective evaluations per call, most of them at an
-    r the call has already tried (923 of 2,788 distinct at p = q = 0.1,
-    R = 0.2), and calls on one model at other rates try many of the same r
-    and alpha.  So (f(r), g(r)), read from ``_first_form``, is memoised by
-    r and the inner max by alpha, for the last ``(p, q)`` only, each memo
-    cleared at ``_DUAL_MEMO_CAP`` = 32,768 entries (at most 5.5 MB and
-    2.9 MB on CPython 3.11); for their bits see README, "Speed never moves a
-    bit".  The r-grid and its f and g values are cached per ``(p, q)``.
+    Cost: about 2,800 objective evaluations per call, most at an r or alpha
+    that this or an earlier call on the model has tried.  So the grid is
+    cached per ``(p, q)``, and (f(r), g(r)) from ``_first_form`` by r and the
+    inner max by alpha for the last ``(p, q)``; memo caps, the written-out
+    scan and inner search, and why no bit moves: README, "Speed never moves a bit".
     The oracle shares that kernel with ``mu_d`` but neither its algorithm
     (min-max dual, not tangency plus inverse bisection) nor its grid (second
     form).  A rate above h2(q), an unlimited one included, reads as h2(q),
@@ -391,36 +388,26 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
     p, q = guards.crossover("p", p), guards.crossover("q", q)
     rate = min(guards.rate("rate", rate), _h2(q))
     rgrid, fg, gg = _curve_grids(p, q, _DUAL_GRID_N)
+    vals, (peak, down) = np.empty_like(fg), np.empty((2, fg.size - 2), bool)
+    # the left edge hides a narrow spike for small alpha: always refine it
+    edge = (rgrid.item(0), rgrid.item(2))
     hpq = _h2(_star(p, q))
     first = _first_form(p, q)
     terms, peaks = _dual_memo(p, q)
+
+    def fill(r: float) -> tuple[float, float]:
+        if len(terms) >= _DUAL_MEMO_CAP:
+            terms.clear()
+        t = terms[r] = first(r)
+        return t
 
     def inner_max(alpha: float) -> float:
         best = peaks.get(alpha)
         if best is not None:
             return best
-
-        def objective(r: float) -> float:
-            t = terms.get(r)
-            if t is None:
-                if len(terms) >= _DUAL_MEMO_CAP:
-                    terms.clear()
-                t = terms[r] = first(r)
-            return t[0] - alpha * t[1]
-
-        vals = fg - alpha * gg
-        best = max(float(vals[0]), float(vals[-1]))
-        interior = np.nonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:]))[0] + 1
-        if len(interior):
-            order = interior[np.argsort(vals[interior])[::-1][:2]]
-        else:
-            order = []
-        brackets = [(rgrid[i - 1], rgrid[i + 1]) for i in order]
-        # the left edge hides a narrow spike for small alpha: always refine it
-        brackets.append((float(rgrid[0]), float(rgrid[2])))
-        for lo, hi in brackets:
-            _, v = golden_max(objective, lo, hi, tol=1e-10)
-            best = max(best, v)
+        best, brackets = _dual_grid_scan(alpha, rgrid, fg, gg, vals, peak, down)
+        for lo, hi in (*brackets, edge):
+            best = max(best, _dual_bracket_max(terms.get, fill, alpha, lo, hi))
         if len(peaks) >= _DUAL_MEMO_CAP:
             peaks.clear()
         peaks[alpha] = best
@@ -428,6 +415,55 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
 
     _, value = golden_min(lambda a: inner_max(a) + a * rate, 0.0, 1.0, tol=_DUAL_ALPHA_TOL)
     return 1.0 - hpq + value
+
+
+def _dual_grid_scan(alpha: float, rgrid: np.ndarray, fg: np.ndarray, gg: np.ndarray,
+                    vals: np.ndarray, peak: np.ndarray, down: np.ndarray):
+    """max(v[0], v[-1]) for v = ``fg - alpha * gg``, formed in the caller's buffers, and the
+    brackets (r[i-1], r[i+1]) of v's two highest interior local maxima i, highest first."""
+    np.multiply(gg, alpha, out=vals)
+    np.subtract(fg, vals, out=vals)
+    mid = vals[1:-1]
+    np.greater_equal(mid, vals[:-2], out=peak)
+    np.greater_equal(mid, vals[2:], out=down)
+    peak &= down
+    j = peak.nonzero()[0]   # interior maxima i = j + 1
+    if len(j) > 1:
+        j = j[np.argsort(mid[j])[::-1][:2]]
+    r = rgrid.item
+    return max(vals.item(0), vals.item(-1)), [(r(k), r(k + 2)) for k in j.tolist()]
+
+
+def _dual_bracket_max(get, fill, alpha: float, lo: float, hi: float) -> float:
+    """``golden_max(lambda r: F - alpha G, lo, hi, 1e-10)[1]`` written out, with (F, G) =
+    ``get(r) or fill(r)`` inline in both branches (README, "Speed never moves a bit")."""
+    invphi = _INVPHI
+    a, b, w = lo, hi, hi - lo
+    c = b - invphi * w
+    d = a + invphi * w
+    t = get(c) or fill(c)
+    fc = t[0] - alpha * t[1]
+    t = get(d) or fill(d)
+    fd = t[0] - alpha * t[1]
+    # no stall guard: in [0, 1/2] floats are at most 2^-54 apart, so a step
+    # from w > 1e-10 leaves v <= 0.6181 w + 1.2e-16 < w
+    while w > 1e-10:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            v = b - a
+            c = b - invphi * v
+            t = get(c) or fill(c)
+            fc = t[0] - alpha * t[1]
+        else:
+            a, c, fc = c, d, fd
+            v = b - a
+            d = a + invphi * v
+            t = get(d) or fill(d)
+            fd = t[0] - alpha * t[1]
+        w = v
+    x = 0.5 * (a + b)
+    t = get(x) or fill(x)
+    return t[0] - alpha * t[1]
 
 
 @lru_cache(maxsize=1)
@@ -438,9 +474,12 @@ def _dual_memo(p: float, q: float) -> tuple[dict, dict]:
 
 @lru_cache(maxsize=64)
 def _curve_grids(p: float, q: float, grid_n: int):
-    # the r-grid on [0, 1/2] and f, g on it, shared by both oracles
+    # the r-grid on [0, 1/2] and f, g on it, shared by both oracles: read-only
     rgrid = np.linspace(0.0, 0.5, grid_n)
-    return rgrid, _f_vec(rgrid, p, q), _g_vec(rgrid, q)
+    grids = rgrid, _f_vec(rgrid, p, q), _g_vec(rgrid, q)
+    for a in grids:
+        a.flags.writeable = False
+    return grids
 
 
 def mu_d_timeshare_oracle(rate: float, p: float, q: float) -> float:

@@ -6,7 +6,6 @@ differentiated 50-digit f and g, the curve values from the resulting
 piecewise formula, and every h2 combination from the defining sums.
 """
 
-import inspect
 import math
 
 import numpy as np
@@ -406,33 +405,97 @@ def test_mu_d_dual_equals_reference_bits():
         assert mu_d_dual(rate, p, q) == _ref_mu_d_dual(rate, p, q), (rate, p, q)
 
 
-def test_mu_d_dual_objective_equals_reference_bits(monkeypatch):
+def test_dual_inner_search_equals_golden_max():
     # the end value hides most last-digit changes (a golden section rarely
-    # changes course over one ulp), so the objective handed to golden_max is
-    # checked against the reference f - alpha g at every point the search
-    # evaluates and at 25 random points of [0, 1/2] per search
+    # changes course over one ulp), so the written-out inner search is held
+    # to golden_max on the reference f - alpha g at every step: the same r
+    # evaluated, in order, and the same double.  Its memo stays empty, so
+    # every evaluation is a miss that reads the reference (f, g) through fill
     rng = np.random.default_rng(7)
-    mismatches, evaluations = [], [0]
+    rgrid = _curve_grids(P, Q, 4096)[0].tolist()
+    n = len(rgrid)
+    cases = []
+    for k in range(40):
+        p, q = (float(v) for v in rng.uniform(0.005, 0.495, 2))
+        alpha = (0.0, 1.0)[k] if k < 2 else float(rng.uniform())
+        i = int(rng.integers(2, n - 2))
+        cases.append((p, q, alpha, rgrid[i - 1], rgrid[i + 1]))
+    # the left edge's bracket, and the last one next to r = 1/2
+    cases += [(p, q, alpha, rgrid[0], rgrid[2]) for p, q, alpha, *_ in cases[:10]]
+    cases += [(p, q, alpha, rgrid[n - 3], rgrid[n - 1]) for p, q, alpha, *_ in cases[:10]]
+    for p, q, alpha, lo, hi in cases:
+        want, got = [], []
 
-    def check(fun, r, alpha):
-        v = fun(r)
-        evaluations[0] += 1
-        if v != _ref_f(r, p, q) - alpha * _ref_g(r, q):
-            mismatches.append((r, alpha, p, q))
-        return v
+        def reference(r):
+            want.append(r)
+            return _ref_f(r, p, q) - alpha * _ref_g(r, q)
 
-    def checking_golden_max(fun, lo, hi, tol):
-        alpha = inspect.getclosurevars(fun).nonlocals["alpha"]
-        for r in rng.uniform(0.0, 0.5, 25):
-            check(fun, float(r), alpha)
-        return golden_max(lambda r: check(fun, r, alpha), lo, hi, tol)
+        def fill(r):
+            got.append(r)
+            return _ref_f(r, p, q), _ref_g(r, q)
 
-    monkeypatch.setattr(binary, "golden_max", checking_golden_max)
-    for _ in range(8):
-        p, q = (float(v) for v in rng.uniform(0.02, 0.48, size=2))
-        mu_d_dual(float(rng.uniform(0.0, h2(q))), p, q)
-    assert evaluations[0] > 30000
-    assert mismatches == []
+        value = binary._dual_bracket_max({}.get, fill, alpha, lo, hi)
+        assert value.hex() == golden_max(reference, lo, hi, tol=1e-10)[1].hex()
+        assert got == want, (p, q, alpha, lo, hi)
+        assert len(got) > 30
+
+
+def _ref_grid_scan(alpha, rgrid, fg, gg):
+    # mu_d_dual's grid scan as it was before it was written out
+    vals = fg - alpha * gg
+    best = max(float(vals[0]), float(vals[-1]))
+    interior = np.nonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:]))[0] + 1
+    if len(interior):
+        order = interior[np.argsort(vals[interior])[::-1][:2]]
+    else:
+        order = []
+    return best, [(float(rgrid[i - 1]), float(rgrid[i + 1])) for i in order], len(interior)
+
+
+def test_dual_grid_scan_equals_argsort_expression():
+    # mu_d_dual's own grids show 0 or 1 interior maxima, so the argsort path
+    # is held here on synthetic ones: 0, 1, 2 and 5 maxima, tied maxima and
+    # flat plateaus, at alpha = 0 (values fg itself) and on drawn gg
+    rng = np.random.default_rng(11)
+    x = np.linspace(0.0, 1.0, 64)
+    # 31 peaks tied in tens, on which a stable argsort picks another pair
+    tens = np.round(np.linspace(0.1, 1.0, 32)[np.random.default_rng(0).permutation(32)], 1)
+    shapes = [
+        (0, x), (0, -x), (0, (x - 0.5) ** 2),
+        (1, -(x - 0.3) ** 2),
+        (2, np.sin(4 * np.pi * x) + x),
+        (2, np.sin(np.pi * x)),                               # a tied pair
+        (5, np.sin(10 * np.pi * x) + 0.1 * x),
+        (6, np.round(np.sin(12 * np.pi * x), 1)),             # six tied
+        (31, np.tile([0.0, 1.0], 32)),                        # 31 tied
+        (31, np.column_stack([np.zeros(32), tens]).ravel()),
+        (42, np.minimum(np.sin(np.pi * x), 0.5)),             # one plateau
+        (26, np.minimum(np.abs(np.sin(2 * np.pi * x)), 0.8)),  # two plateaus
+        (62, np.full(64, 0.25)),                              # all flat
+    ]
+    rgrid = np.linspace(0.0, 0.5, 64)
+    buffers = np.empty(64), np.empty(62, bool), np.empty(62, bool)
+    for count, fg in shapes:
+        for alpha, gg in ((0.0, rng.uniform(-1.0, 1.0, 64)),
+                          (float(rng.uniform()), np.zeros(64)),
+                          (float(rng.uniform()), rng.uniform(-1.0, 1.0, 64))):
+            best, brackets, found = _ref_grid_scan(alpha, rgrid, fg, gg)
+            if alpha == 0.0 or not gg.any():
+                assert found == count
+            got = binary._dual_grid_scan(alpha, rgrid, fg, gg, *buffers)
+            assert got[0].hex() == best.hex()
+            assert got[1] == brackets, (count, alpha)
+
+
+def test_curve_grids_are_read_only():
+    # both oracles share these arrays per (p, q); a write through a stray
+    # out= would change every later call on the model
+    for n in (4096, 512):
+        for a in _curve_grids(0.1, 0.2, n):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+            with pytest.raises(ValueError):
+                np.multiply(a, 2.0, out=a)
 
 
 def test_mu_d_dual_memo_keeps_bits(monkeypatch):
