@@ -166,9 +166,11 @@ def _f(r: float, p: float, q: float) -> float:
 
 
 def f(r: float, p: float, q: float) -> float:
-    """Relevance curve; first displayed algebraic form."""
+    """Relevance curve; first displayed algebraic form, at 1 - r for r > 1/2
+    (f is symmetric about 1/2, 1 - r is exact there, and the form cancels)."""
     p, q = guards.crossover("p", p), guards.crossover("q", q)
-    return _f(guards.prob("crossover r", r), p, q)
+    r = guards.prob("crossover r", r)
+    return _f(r if r <= 0.5 else 1.0 - r, p, q)
 
 
 def _second_form(p: float, q: float) -> tuple[float, float, float]:
@@ -286,8 +288,8 @@ def critical_point(p: float, q: float) -> CriticalPoint:
     ``f' g - f g'`` and bisects the bracket.  When the map r -> f(r)/g(r) is
     monotone the tangency degenerates to the boundary (no time-sharing
     segment, R_c -> 0); that raises ``SolverError`` with the scan summary.
-    So does a tangency past r = 1/2 - 1e-3, and one whose slope f(r_c)/R_c
-    is not in (0, 1), which rounding gives for q near 1e-10.
+    So does a tangency past r = 1/2 - 1e-3, and one with R_c <= 0 or a slope
+    f(r_c)/R_c not in (0, 1), which rounding gives for q near 1e-19 or 1e-10.
     """
     p, q = guards.crossover("p", p), guards.crossover("q", q)
     rs = np.linspace(1e-6, 0.5 - 1e-6, _SCAN_N)
@@ -313,13 +315,12 @@ def critical_point(p: float, q: float) -> CriticalPoint:
             f"tangency found only at the boundary (r_c={r_c!r}); "
             "treating the time-sharing segment as empty (R_c -> 0)")
     f_c, rate = first(r_c)
-    slope = f_c / rate
-    if not 0.0 < slope < 1.0:
-        # q near 1e-10: f(r_c) is rounding noise and can come out negative
+    if not (rate > 0.0 and 0.0 < f_c / rate < 1.0):
+        # q near 1e-10: f(r_c) is rounding noise; near 1e-19, R_c rounds to 0
         raise SolverError(
-            f"degenerate tangency at r_c={r_c!r}: slope f/g = {slope!r} is not in (0, 1); "
-            "treating the time-sharing segment as empty (R_c -> 0)")
-    return CriticalPoint(r_c, rate, slope)
+            f"degenerate tangency at r_c={r_c!r}: slope f/g = {f_c!r}/{rate!r} is not in "
+            "(0, 1); treating the time-sharing segment as empty (R_c -> 0)")
+    return CriticalPoint(r_c, rate, f_c / rate)
 
 
 @lru_cache(maxsize=256)

@@ -9,11 +9,13 @@ Subcommands
 
 Model configuration files are JSON objects with a ``kind`` of ``binary``,
 ``gaussian-twcib``, ``gaussian-cdib-x1x2y`` or ``gaussian-cdib-x1yx2``.
+Every other entry is a float argument of the kind's model class: ``rho.<ab>``
+is ``rho_<ab>``, ``sigma.<a>`` is ``sigma_<a>_sq``, any other keeps its name.
 Curve requests pair a model with a ``quantity`` (one of ``mu_ed``,
 ``mu_d``, ``mu_int``, ``twcib_rate``, ``cdib_mu_surface``, ``outer_frontier``,
 ``inner_bound``), a grid, a nonnegative seed and a budget for the stochastic
 ``mu_int`` only, and the rate side ``which`` for ``twcib_rate`` only.
-``_MODELS`` (kind -> builder) and ``_QUANTITIES`` (quantity -> kind,
+``_MODELS`` (kind -> model class) and ``_QUANTITIES`` (quantity -> kind,
 evaluator) hold these rules once; ``QUANTITIES`` lists them in table order.
 
 Deterministic quantities produce byte-identical outputs for identical
@@ -33,6 +35,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from math import isfinite
 
 import numpy as np
@@ -50,21 +53,11 @@ from .errors import (
 )
 
 
-def _sigmas(sig: dict, *names: str) -> dict:
-    """The variances ``sigma_<name>_sq`` read from ``sig``, each defaulting to 1."""
-    return {f"sigma_{n}_sq": float(sig.get(n, 1.0)) for n in names}
-
-
-# model kind -> model built from the config ``d`` and its ``rho``/``sigma`` objects
 _MODELS = {
-    "binary": lambda d, rho, sig: binary.BinaryModel(p=float(d["p"]), q=float(d["q"])),
-    "gaussian-twcib": lambda d, rho, sig: gaussian.GaussianTwcibModel(
-        **{f"rho_{k}": float(rho[k]) for k in ("x1x2", "x1y1", "x2y1", "x2y2", "x1y2")},
-        **_sigmas(sig, "x1", "x2", "y1", "y2")),
-    "gaussian-cdib-x1x2y": lambda d, rho, sig: gaussian.GaussianCdibModel.chain_x1_x2_y(
-        float(rho["x1x2"]), float(rho["x2y"]), **_sigmas(sig, "x1", "x2", "y")),
-    "gaussian-cdib-x1yx2": lambda d, rho, sig: gaussian.GaussianCdibModel.chain_x1_y_x2(
-        float(rho["x1y"]), float(rho["x2y"]), **_sigmas(sig, "x1", "x2", "y")),
+    "binary": binary.BinaryModel,
+    "gaussian-twcib": gaussian.GaussianTwcibModel,
+    "gaussian-cdib-x1x2y": partial(gaussian.GaussianCdibModel, "x1-x2-y"),
+    "gaussian-cdib-x1yx2": partial(gaussian.GaussianCdibModel, "x1-y-x2"),
 }
 # quantity -> (model kind, its value at grid point x given the model and the
 # request's ``which``); None marks ``mu_int``, the one stochastic quantity,
@@ -104,8 +97,12 @@ class ModelConfig:
         if not (isinstance(kind, str) and kind in _MODELS):
             raise ConfigError(f"unknown model kind {kind!r}")
         try:
-            model = _MODELS[kind](d, rho, sig)
-        except (KeyError, TypeError, ValueError, OverflowError, IbregError) as exc:
+            # the class rejects a missing, unknown, doubled or invalid field
+            model = _MODELS[kind](**{f"rho_{k}": float(v) for k, v in rho.items()},
+                                  **{f"sigma_{k}_sq": float(v) for k, v in sig.items()},
+                                  **{k: float(v) for k, v in d.items()
+                                     if k not in ("kind", "rho", "sigma")})
+        except (TypeError, ValueError, OverflowError, IbregError) as exc:
             raise ConfigError(f"invalid {kind!r} model config: {exc}") from exc
         return cls(kind=kind, raw=dict(d), model=model)
 

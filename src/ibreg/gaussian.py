@@ -12,11 +12,11 @@ Three source models:
   ``V1 = X1 + P1``, ``V2 = X2 + V1 + P2``).
 
 Every mutual information here is a log-ratio of covariance determinants, so
-it depends on the correlations only, and rescaling a model's variances moves
-no output and no model check.  The generic determinant evaluator
-:func:`gaussian_mi` is the test oracle; the region functions use
-algebraically reduced determinant ratios which stay accurate for noise
-variances across many orders of magnitude.
+it depends on the correlations only: the broadcast models are unit-variance,
+and the two-way model's variances set only the units of its noise variances
+and coefficients.  The generic determinant evaluator :func:`gaussian_mi` is
+the test oracle; the region functions use algebraically reduced determinant
+ratios which stay accurate for noise variances across many orders of magnitude.
 
 Arguments follow the rules of ``guards``.  An infinite rate is an
 unlimited one in every function here: ``2^(-inf)`` is the exact limit in the
@@ -202,11 +202,20 @@ def twcib_rate_for_relevance(m: GaussianTwcibModel, which: int, mu: float) -> fl
     limit in its message) at or above the limit.
     """
     d, other_rho, _ = _twcib_side(m, which)
-    mu = guards.relevance("mu", mu, twcib_relevance_limit(m, which), "the validity limit ")
+    limit = twcib_relevance_limit(m, which)
+    mu = guards.relevance("mu", mu, limit, "the validity limit ")
     one_m_r2 = 1.0 - m.rho_x1x2 ** 2
     num = one_m_r2 * (1.0 - other_rho ** 2) - d
     den = 2.0 ** (-2.0 * mu) * one_m_r2 - d
-    return max(0.0, 0.5 * log2(num / den))
+    return _rate_for(num, den, mu, limit, "the validity limit ")
+
+
+def _rate_for(num: float, den: float, mu: float, limit: float, what: str) -> float:
+    """``max(0, (1/2) log2(num / den))``, ``den`` positive below ``limit``:
+    ``den <= 0`` is ``mu`` rounding onto it, ``num <= 0`` a Markov chain."""
+    if den <= 0.0:
+        raise DomainError(f"mu={mu!r} rounds onto {what}{limit!r}")
+    return max(0.0, 0.5 * log2(num / den)) if num > 0.0 else 0.0
 
 
 def twcib_test_channel_variances(m: GaussianTwcibModel, mu1: float, mu2: float) -> dict:
@@ -284,13 +293,8 @@ class GaussianCdibModel:
     rho_x1x2: float = 0.0
     rho_x2y: float = 0.0
     rho_x1y: float = 0.0
-    sigma_x1_sq: float = 1.0
-    sigma_x2_sq: float = 1.0
-    sigma_y_sq: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("sigma_x1_sq", "sigma_x2_sq", "sigma_y_sq"):
-            object.__setattr__(self, name, guards.variance(name, getattr(self, name)))
         chains = {"x1-x2-y": ("rho_x1x2", "rho_x2y", "rho_x1y"),
                   "x1-y-x2": ("rho_x1y", "rho_x2y", "rho_x1x2")}
         if not (isinstance(self.chain, str) and self.chain in chains):
@@ -307,21 +311,17 @@ class GaussianCdibModel:
         object.__setattr__(self, implied, product)
 
     @classmethod
-    def chain_x1_x2_y(cls, rho_x1x2: float, rho_x2y: float, **sigmas) -> "GaussianCdibModel":
-        return cls("x1-x2-y", rho_x1x2=rho_x1x2, rho_x2y=rho_x2y, **sigmas)
+    def chain_x1_x2_y(cls, rho_x1x2: float, rho_x2y: float) -> "GaussianCdibModel":
+        return cls("x1-x2-y", rho_x1x2=rho_x1x2, rho_x2y=rho_x2y)
 
     @classmethod
-    def chain_x1_y_x2(cls, rho_x1y: float, rho_x2y: float, **sigmas) -> "GaussianCdibModel":
-        return cls("x1-y-x2", rho_x1y=rho_x1y, rho_x2y=rho_x2y, **sigmas)
+    def chain_x1_y_x2(cls, rho_x1y: float, rho_x2y: float) -> "GaussianCdibModel":
+        return cls("x1-y-x2", rho_x1y=rho_x1y, rho_x2y=rho_x2y)
 
     def covariance(self) -> np.ndarray:
         """3x3 covariance of (X1, X2, Y) with the chain-implied coefficient."""
-        sx1, sx2, sy = sqrt(self.sigma_x1_sq), sqrt(self.sigma_x2_sq), sqrt(self.sigma_y_sq)
-        return np.array([
-            [sx1 * sx1, self.rho_x1x2 * sx1 * sx2, self.rho_x1y * sx1 * sy],
-            [self.rho_x1x2 * sx1 * sx2, sx2 * sx2, self.rho_x2y * sx2 * sy],
-            [self.rho_x1y * sx1 * sy, self.rho_x2y * sx2 * sy, sy * sy],
-        ])
+        a, b, c = self.rho_x1x2, self.rho_x2y, self.rho_x1y
+        return np.array([[1.0, a, c], [a, 1.0, b], [c, b, 1.0]])
 
     def i_y_x1(self) -> float:
         return -0.5 * log2(1.0 - self.rho_x1y ** 2)
@@ -360,11 +360,12 @@ def cdib_x1x2y_r2(m: GaussianCdibModel, rate1: float, mu: float) -> float:
     """Rate R2 needed for relevance ``mu`` at a given R1 (chain X1 - X2 - Y)."""
     _require_chain(m, "x1-x2-y")
     r1 = guards.rate("rate1", rate1)
-    mu = guards.relevance("mu", mu, m.i_y_x2(), "I(Y;X2)=")
+    limit = m.i_y_x2()
+    mu = guards.relevance("mu", mu, limit, "I(Y;X2)=")
     a2, c2 = m.rho_x1x2 ** 2, m.rho_x2y ** 2
     num = c2 * a2 * 2.0 ** (-2.0 * r1) + c2 * (1.0 - a2)
     den = 2.0 ** (-2.0 * mu) - (1.0 - c2)
-    return max(0.0, 0.5 * log2(num / den))
+    return _rate_for(num, den, mu, limit, "I(Y;X2)=")
 
 
 def cdib_x1x2y_critical_r1(m: GaussianCdibModel, mu: float) -> float | None:
@@ -569,8 +570,7 @@ def cdib_x1yx2_inner(m: GaussianCdibModel, rate1: float, rate2: float) -> float:
 
     All four quantities reduce to cancellation-free determinant ratios, so
     the feasibility filter stays exact for noise variances across 26 orders
-    of magnitude.  Noise variances are searched relative to those of X1 and
-    X2, so the bound does not depend on the model's variances.  Deterministic
+    of magnitude, relative to the unit variances of X1 and X2.  Deterministic
     110 x 110 log-variance grid on [1e-13, 1e13] plus five 33 x 33 zoom
     rounds; the constraints carry a 1e-12 slack, and an unlimited rate leaves
     its constraint slack.  The first round is kept for the last model called.

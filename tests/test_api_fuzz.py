@@ -100,8 +100,8 @@ CASES = [
                  binary.optimal_channel)],
     (gaussian.GaussianTwcibModel, (0.3, 0.5, 0.2, 0.6, 0.1, 1.0, 1.0, 1.0, 1.0),
      ("correlation",) * 5 + ("variance",) * 4),
-    (gaussian.GaussianCdibModel, ("x1-x2-y", 0.8, 0.8, 0.0, 1.0, 1.0, 1.0),
-     ("option", "nonzero_correlation", "nonzero_correlation", "any") + ("variance",) * 3),
+    (gaussian.GaussianCdibModel, ("x1-x2-y", 0.8, 0.8, 0.0),
+     ("option", "nonzero_correlation", "nonzero_correlation", "any")),
     (gaussian.gaussian_mi, (CB.covariance(), [0], [1], [2]), ("object",) * 4),
     (gaussian.twcib_coefficients, (TW,), ("object",)),
     (gaussian.twcib_relevance_limit, (TW, 2), ("object", "which")),

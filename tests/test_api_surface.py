@@ -21,6 +21,11 @@ from ibreg import binary, cli, gaussian, optimize, search
 from ibreg.errors import ConfigError
 
 SIGNATURES = [
+    # a model file's fields are these parameters (cli.ModelConfig)
+    (binary.BinaryModel, ("p", "q")),
+    (gaussian.GaussianTwcibModel, ("rho_x1x2", "rho_x1y1", "rho_x2y1", "rho_x2y2", "rho_x1y2",
+                                   "sigma_x1_sq", "sigma_x2_sq", "sigma_y1_sq", "sigma_y2_sq")),
+    (gaussian.GaussianCdibModel, ("chain", "rho_x1x2", "rho_x2y", "rho_x1y")),
     (binary.mu_d_dual, ("rate", "p", "q")),
     (binary.mu_d_timeshare_oracle, ("rate", "p", "q")),
     (binary.TestChannelSpec.to_channel, ("self", "output_name", "out_card")),

@@ -181,10 +181,11 @@ def test_domain_errors():
 @pytest.mark.parametrize("p,q", [(0.1, 0.1), (0.05, 0.3), (0.3, 0.05)])
 def test_kernels_equal_public_twins(p, q):
     # the unchecked kernels hold the only copy of each formula: on in-domain
-    # input the public function must return exactly the kernel's value
+    # input the public function must return exactly the kernel's value; f
+    # evaluates r > 1/2 at its mirror 1 - r
     for r in np.concatenate([[0.0, 1e-300, 0.5], np.linspace(0.0, 1.0, 201)]):
         r = float(r)
-        assert _f(r, p, q) == f(r, p, q)
+        assert _f(r if r <= 0.5 else 1.0 - r, p, q) == f(r, p, q)
         assert _g(r, q) == g(r, q)
         assert _f_prime(r, p, q) == f_prime(r, p, q)
         if 0.0 < r < 1.0:
@@ -248,9 +249,10 @@ def test_critical_point_degenerate_configs_raise():
 
 # q near 1e-10, where f at the tangency is rounding noise: the slope f/g came
 # out negative and CriticalPoint raised DomainError through mu_d and
-# optimal_channel
+# optimal_channel.  At q = 1e-19, R_c = g(r_c) rounds to 0, and f/g raised
+# ZeroDivisionError through both
 TINY_Q = [(0.25, 1e-10), (0.1, 2e-10), (0.2, 2e-10), (0.35, 5e-10), (0.45, 5e-10),
-          (0.4, 5e-09)]
+          (0.4, 5e-09), (0.1, 1e-19)]
 
 
 @pytest.mark.parametrize("p, q", TINY_Q)

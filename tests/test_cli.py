@@ -31,7 +31,7 @@ def write_json(path, obj):
 
 
 def test_model_config_kinds():
-    for cfg in (BINARY, CHAIN_A, CHAIN_B, TWCIB):
+    for cfg in (BINARY, CHAIN_A, CHAIN_B, TWCIB, dict(TWCIB, sigma={"x1": 4.0, "y2": 0.5})):
         assert ModelConfig.from_dict(cfg).kind == cfg["kind"]
     # no quantity accepts a discrete pmf, so the kind is not offered
     with pytest.raises(ConfigError, match="unknown model kind"):
@@ -162,16 +162,60 @@ def test_curve_non_finite_grid_exit_2(tmp_path, capsys, model, quantity, grid):
     assert "grid min/max must be finite" in err
 
 
-def test_curve_inner_bound_scale_free(tmp_path, capsys):
-    # the inner bound printed 0 at every grid point for variances of 1e16
-    scaled = dict(CHAIN_B, sigma={"x1": 1e16, "x2": 1e16, "y": 1e16})
-    rows = []
-    for i, model in enumerate((CHAIN_B, scaled)):
-        path = write_json(tmp_path / f"m{i}.json", model)
-        assert main(["curve", "inner_bound", "--model", path, "--grid", "0:2.5:11"]) == 0
-        rows.append(capsys.readouterr().out.splitlines()[1:])
-    assert rows[0] == rows[1]
-    assert rows[1][-1] == "2.5,0.838627252843"
+def test_curve_inner_bound_rejects_broadcast_variances(tmp_path, capsys):
+    # a broadcast model is unit-variance: its bounds read correlations only,
+    # so a sigma entry is a field no bound reads
+    path = write_json(tmp_path / "m.json", CHAIN_B)
+    assert main(["curve", "inner_bound", "--model", path, "--grid", "0:2.5:11"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "2.5,0.838627252843"
+    scaled = write_json(tmp_path / "s.json",
+                        dict(CHAIN_B, sigma={"x1": 1e16, "x2": 1e16, "y": 1e16}))
+    assert main(["curve", "inner_bound", "--model", scaled, "--grid", "0:2.5:11"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "sigma_x1_sq" in err
+
+
+@pytest.mark.parametrize("model, field", [
+    # computed with the chain's 0.48 in place of the given 0.1
+    (dict(CHAIN_B, rho={"x1y": 0.8, "x2y": 0.6, "x1x2": 0.1}), "rho_x1x2=0.1"),
+    (dict(CHAIN_B, sigma={"x1": 4, "y2": -7}), "sigma_x1_sq"),
+    (dict(TWCIB, rho=dict(TWCIB["rho"], x1y=0.3), sigma={"y": 2.0}), "rho_x1y"),
+    (dict(TWCIB, sigma={"y": 2.0}), "sigma_y_sq"),
+    (dict(BINARY, rho={"x1y": 0.3}), "rho_x1y"),
+    (dict(BINARY, extra=1.0), "extra"),
+    ({"kind": "binary", "p": 0.1}, "q"),
+    (dict(CHAIN_A, rho={"x1x2": 0.8}), "rho_x2y"),
+    (dict(CHAIN_A, chain="x1-y-x2"), "x1-y-x2"),
+    (dict(CHAIN_A, chain=1.0), "chain"),
+    (dict(TWCIB, rho_x1x2=0.5), "rho_x1x2"),
+])
+def test_validate_rejects_unread_and_contradicting_fields(tmp_path, capsys, model, field):
+    # all but the missing q printed ok with exit 0: the CLI read a fixed
+    # list of fields per kind and dropped the rest
+    assert main(["validate", "--model", write_json(tmp_path / "m.json", model)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and field in err
+
+
+def test_twcib_rate_markov_side_needs_no_rate(tmp_path, capsys):
+    # Y1 - X1 - X2 and Y2 - X2 - X1 are Markov (0.3 = 0.5 * 0.6): the
+    # numerator of the rate's log argument is 0 up to rounding, and the curve
+    # printed a ValueError traceback with exit 1
+    model = {"kind": "gaussian-twcib",
+             "rho": {"x1x2": 0.5, "x1y1": 0.6, "x2y1": 0.3, "x2y2": 0.6, "x1y2": 0.3}}
+    path = write_json(tmp_path / "m.json", model)
+    for which in ("1", "2"):
+        assert main(["curve", "twcib_rate", "--model", path, "--grid", "0:0.1:3",
+                     "--which", which]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1:] == ["x,y", "0,0", "0.05,0", "0.1,0"] and err == ""
+
+
+def test_curve_mu_d_at_tiny_q(tmp_path, capsys):
+    # R_c rounds to 0 at q = 1e-19: mu_d leaked ZeroDivisionError (exit 1)
+    path = write_json(tmp_path / "m.json", {"kind": "binary", "p": 0.1, "q": 1e-19})
+    assert main(["curve", "mu_d", "--model", path, "--grid", "0:1e-18:3"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_compare_inclusion(tmp_path, capsys):
