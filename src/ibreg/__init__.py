@@ -6,79 +6,12 @@ evaluation of single-letter inner bounds over cardinality-bounded auxiliary
 channels.  All information quantities are in bits.
 """
 
-from .bentropy import gerber_bound, h2, h2_arr, h2_inv, star
-from .binary import (
-    BinaryModel,
-    CriticalPoint,
-    TestChannelSpec,
-    critical_point,
-    f,
-    f_alt,
-    f_prime,
-    g,
-    g_inverse,
-    g_prime,
-    mu_d,
-    mu_d_dual,
-    mu_d_timeshare_oracle,
-    mu_ed,
-    optimal_channel,
-)
+from .bentropy import *
+from .binary import *
 from .curves import RegionCurve
-from .errors import (
-    ArgumentError,
-    AxisError,
-    CardinalityError,
-    ComparisonError,
-    ConfigError,
-    DegenerateEventError,
-    DegenerateModelError,
-    DomainError,
-    IbregError,
-    SolverError,
-    StructureError,
-)
-from .gaussian import (
-    GaussianCdibModel,
-    GaussianTwcibModel,
-    OuterBoundPoint,
-    cdib_x1x2y_critical_r1,
-    cdib_x1x2y_mu,
-    cdib_x1x2y_r2,
-    cdib_x1yx2_inner,
-    cdib_x1yx2_outer_frontier,
-    cdib_x1yx2_outer_point,
-    gaussian_mi,
-    twcib_coefficients,
-    twcib_point_for_variances,
-    twcib_rate_for_relevance,
-    twcib_relevance_limit,
-    twcib_test_channel_variances,
-)
-from .pmf import (
-    Axis,
-    Channel,
-    JointPmf,
-    compose_markov,
-    condition,
-    conditional_mutual_information,
-    entropy,
-    marginalize,
-    mutual_information,
-)
-from .search import (
-    EnvelopePoint,
-    InclusionVerdict,
-    RegionPoint,
-    RoundSchedule,
-    check_inclusion,
-    corner_points_outer,
-    envelope_value,
-    evaluate_cdib_inner,
-    evaluate_twcib,
-    search_mu_int,
-    search_mu_int_detailed,
-    upper_concave_envelope,
-)
+from .errors import *
+from .gaussian import *
+from .pmf import *
+from .search import *
 
 __version__ = "0.1.0"

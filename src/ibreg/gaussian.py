@@ -58,13 +58,13 @@ def gaussian_mi(cov: np.ndarray, a, b, c=()) -> float:
     """I(A;B|C) in bits for jointly Gaussian variables with covariance ``cov``.
 
     ``a``, ``b``, ``c`` are disjoint index lists into ``cov``, a finite
-    square matrix.  Computed as the log-det ratio
+    symmetric matrix.  Computed as the log-det ratio
     0.5 * log2( |S_AC| |S_BC| / (|S_ABC| |S_C|) ).
     """
     cov = guards.reals("cov", cov)
     n = len(cov) if cov.ndim == 2 and cov.shape == cov.shape[::-1] else 0
-    if not (n and np.isfinite(cov).all()):
-        raise ArgumentError(f"cov must be a finite square matrix, got {cov!r}")
+    if not (n and np.isfinite(cov).all() and np.allclose(cov, cov.T, rtol=1e-12, atol=0.0)):
+        raise ArgumentError(f"cov must be a finite symmetric matrix, got {cov!r}")
 
     def indices(name, v):
         idx = [guards.count(name, i, 0) for i in guards.reals(name, v).ravel()]
@@ -176,22 +176,21 @@ def twcib_coefficients(m: GaussianTwcibModel) -> dict:
     }
 
 
-def _twcib_side(m: GaussianTwcibModel, which: int) -> tuple[float, float, float]:
-    """(det3, own_rho, sigma_x_sq_of_described) for a rate side.
+def _twcib_side(m: GaussianTwcibModel, which: int) -> tuple[float, float, float, float]:
+    """(det3, own_rho, sigma_x_sq_of_described, relevance_limit) for a rate side.
 
     ``which=1`` is the rate R1 as a function of mu2 (encoder 1 describes X1
     for the hidden Y2); ``which=2`` is R2 as a function of mu1.
     """
     guards.instance("m", m, GaussianTwcibModel)
-    if guards.which(which) == 1:
-        return m.delta, m.rho_x2y2, m.sigma_x1_sq
-    return m.beta, m.rho_x1y1, m.sigma_x2_sq
+    d, rho, sx_sq = ((m.delta, m.rho_x2y2, m.sigma_x1_sq) if guards.which(which) == 1
+                     else (m.beta, m.rho_x1y1, m.sigma_x2_sq))
+    return d, rho, sx_sq, 0.5 * log2((1.0 - m.rho_x1x2 ** 2) / d)
 
 
 def twcib_relevance_limit(m: GaussianTwcibModel, which: int) -> float:
     """Supremum of achievable relevance: (1/2) log2((1 - rho_x1x2^2)/d)."""
-    d, _, _ = _twcib_side(m, which)
-    return 0.5 * log2((1.0 - m.rho_x1x2 ** 2) / d)
+    return _twcib_side(m, which)[3]
 
 
 def twcib_rate_for_relevance(m: GaussianTwcibModel, which: int, mu: float) -> float:
@@ -201,8 +200,7 @@ def twcib_rate_for_relevance(m: GaussianTwcibModel, which: int, mu: float) -> fl
     ``twcib_relevance_limit(m, which)``; raises ``DomainError`` (carrying the
     limit in its message) at or above the limit.
     """
-    d, other_rho, _ = _twcib_side(m, which)
-    limit = twcib_relevance_limit(m, which)
+    d, other_rho, _, limit = _twcib_side(m, which)
     mu = guards.relevance("mu", mu, limit, "the validity limit ")
     one_m_r2 = 1.0 - m.rho_x1x2 ** 2
     num = one_m_r2 * (1.0 - other_rho ** 2) - d
@@ -234,8 +232,8 @@ def twcib_test_channel_variances(m: GaussianTwcibModel, mu1: float, mu2: float) 
     """
     out = {}
     for key, which, mu in (("sigma_p1_sq", 1, mu2), ("sigma_p2_sq", 2, mu1)):
-        d, other_rho, sx_sq = _twcib_side(m, which)
-        mu = guards.relevance("mu", mu, twcib_relevance_limit(m, which), "the validity limit ")
+        d, other_rho, sx_sq, limit = _twcib_side(m, which)
+        mu = guards.relevance("mu", mu, limit, "the validity limit ")
         c2 = other_rho ** 2
         if mu <= -0.5 * log2(1.0 - c2) + 1e-15:
             # side information alone already delivers mu: useless description
@@ -404,17 +402,17 @@ def _outer_log_terms(e1: float, e2: float, r1: float) -> tuple[float, float, flo
             (1.0 - e1) * (1.0 - e2))
 
 
-def _outer_objective(e1: float, e2: float, r1: float, cap: float, rate2: float,
+def _outer_objective(base: float, k2: float, den: float, cap: float, rate2: float,
                      room: float):
     """The outer frontier's objective at fixed ``r1`` as a function of r2,
     ``min(mu, cap, rate2 - r2 + mu, room - r2)`` with the relevance
 
         mu = (1/2) log2((1 - e1 e2 - e1 (1 - e2) 2^(-2 r1) - e2 (1 - e1) 2^(-2 r2))
-                        / ((1 - e1)(1 - e2))):
+                        / ((1 - e1)(1 - e2))),
 
+    whose r2-free terms ``(base, k2, den)`` are ``_outer_log_terms(e1, e2, r1)``:
     mu itself when the other three are infinite.  The reference copy of the
     formula; bits: README, "Speed never moves a bit"."""
-    base, k2, den = _outer_log_terms(e1, e2, r1)
     log2 = np.log2
 
     def objective(r2: float) -> float:
@@ -439,7 +437,8 @@ def cdib_x1yx2_outer_point(m: GaussianCdibModel, r1: float, r2: float) -> OuterB
     """
     _require_chain(m, "x1-y-x2")
     r1, r2 = guards.rate("r1", r1), guards.rate("r2", r2)
-    mu = _outer_objective(m.rho_x1y ** 2, m.rho_x2y ** 2, r1, inf, inf, inf)(r2)
+    mu = _outer_objective(*_outer_log_terms(m.rho_x1y ** 2, m.rho_x2y ** 2, r1),
+                          inf, inf, inf)(r2)
     if not isfinite(mu):
         raise DegenerateModelError("log argument vanished in the outer bound")
     i_y_x2 = m.i_y_x2()
@@ -458,11 +457,11 @@ _OUTER_BOX = 128.0    # cap on each auxiliary rate searched, in bits
 
 def _outer_best_over_r2(e1: float, e2: float, r1: float, cap: float, rate2: float,
                         room: float, box: float) -> float:
-    """``golden_max(_outer_objective(e1, e2, r1, cap, rate2, room), 0.0, box,
-    _OUTER_TOL)[1]``, its steps written out and the objective inline in both
-    branches (README, "Speed never moves a bit")."""
-    objective = _outer_objective(e1, e2, r1, cap, rate2, room)
+    """``golden_max(_outer_objective(*_outer_log_terms(e1, e2, r1), cap, rate2,
+    room), 0.0, box, _OUTER_TOL)[1]``, its steps written out and the objective
+    inline in both branches (README, "Speed never moves a bit")."""
     base, k2, den = _outer_log_terms(e1, e2, r1)
+    objective = _outer_objective(base, k2, den, cap, rate2, room)
     log2, invphi, tol = np.log2, _INVPHI, _OUTER_TOL
     a, b, w = 0.0, box, box
     c = b - invphi * w
@@ -544,7 +543,7 @@ def _inner_quantities(e1: float, e2: float, c12: float, g1: np.ndarray, g2: np.n
     i1 = 0.5 * np.log2((1.0 - c12 ** 2 + s1) / s1)
     var_x2_given_v1 = 1.0 - c12 * c12 / (1.0 + s1)
     i2 = 0.5 * np.log2((var_x2_given_v1 + s2) / s2)
-    det_v = (1.0 + s1) * (1.0 + s2) - c12 * c12
+    det_v = (1.0 - c12 * c12) + s1 + s2 + s1 * s2
     isum = 0.5 * np.log2(det_v / (s1 * s2))
     mu = 0.5 * np.log2(det_v / ((1.0 - e1 + s1) * (1.0 - e2 + s2)))
     return i1, i2, isum, mu
@@ -568,12 +567,13 @@ def cdib_x1yx2_inner(m: GaussianCdibModel, rate1: float, rate2: float) -> float:
 
         I(X1;V1|X2) <= R1,  I(X2;V2|V1) <= R2,  I(X1 X2;V1 V2) <= R1 + R2.
 
-    All four quantities reduce to cancellation-free determinant ratios, so
-    the feasibility filter stays exact for noise variances across 26 orders
-    of magnitude, relative to the unit variances of X1 and X2.  Deterministic
-    110 x 110 log-variance grid on [1e-13, 1e13] plus five 33 x 33 zoom
-    rounds; the constraints carry a 1e-12 slack, and an unlimited rate leaves
-    its constraint slack.  The first round is kept for the last model called.
+    All four quantities reduce to determinant ratios; det(V1, V2) is summed
+    as (1 - c12^2) + s1 + s2 + s1 s2, free of cancellation at |c12| near 1
+    for noise variances across 26 orders of magnitude, relative to the unit
+    variances of X1 and X2.  Deterministic 110 x 110 log-variance grid on
+    [1e-13, 1e13] plus five 33 x 33 zoom rounds; the constraints carry a
+    1e-12 slack, and an unlimited rate leaves its constraint slack.  The
+    first round is kept for the last model called.
     """
     _require_chain(m, "x1-y-x2")
     rate1, rate2 = guards.rate("rate1", rate1), guards.rate("rate2", rate2)

@@ -263,12 +263,15 @@ def envelope_value(envelope, x) -> np.ndarray:
 
     Beyond the hull's ends the envelope is extended flat: for the hull of
     (0, 0), (1, 1) and (2, 1), x = -5 gives 0.0 and x = 7 gives 1.0, and so
-    do -inf and +inf.  A NaN ``x`` raises ``DomainError``.
+    do -inf and +inf.  A NaN ``x`` raises ``DomainError``, and an envelope
+    with a non-finite point or an x not strictly increasing ``ArgumentError``.
     """
-    if not guards.sequence("envelope", envelope, EnvelopePoint):
+    points = guards.sequence("envelope", envelope, EnvelopePoint)
+    if not points:
         raise ArgumentError("the envelope needs at least one point")
-    xs = np.array([p.x for p in envelope])
-    ys = np.array([p.y for p in envelope])
+    xs, ys = guards.reals("envelope", [(p.x, p.y) for p in points], allow_nan=True).T
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all() and (np.diff(xs) > 0.0).all()):
+        raise ArgumentError("envelope points must be finite, with x strictly increasing")
     return np.interp(guards.reals("x", x), xs, ys)
 
 

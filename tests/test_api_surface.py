@@ -7,7 +7,8 @@ by the modules that read them; the result records carry only fields some
 caller reads.  These tests keep settings and unread fields from coming back
 as arguments or fields unnoticed, keep the CLI's model kinds to those some
 quantity accepts, keep every function the benchmark's tracer wraps in
-place, and keep the environment out of the library: only the CLI reads it.
+place, keep the package's names to those its modules export, and keep the
+environment out of the library: only the CLI reads it.
 """
 
 import importlib
@@ -17,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from ibreg import binary, cli, gaussian, optimize, search
+import ibreg
+from ibreg import bentropy, binary, cli, curves, errors, gaussian, optimize, pmf, search
 from ibreg.errors import ConfigError
 
 SIGNATURES = [
@@ -83,3 +85,18 @@ def test_only_the_cli_reads_the_environment():
     readers = sorted(path.name for path in src.glob("*.py")
                      if "environ" in path.read_text() or "getenv" in path.read_text())
     assert readers == ["cli.py"]
+
+
+def test_package_names_are_the_modules_exports():
+    # ibreg holds the five modules' __all__, the error classes and
+    # RegionCurve, each the same object as in its module, and nothing else
+    # but the submodules themselves
+    exported = {name: getattr(mod, name) for mod in (bentropy, binary, gaussian, pmf, search)
+                for name in mod.__all__}
+    exported |= {name: v for name, v in vars(errors).items()
+                 if isinstance(v, type) and issubclass(v, errors.IbregError)}
+    exported["RegionCurve"] = curves.RegionCurve
+    public = {name: v for name, v in vars(ibreg).items()
+              if not name.startswith("_") and not inspect.ismodule(v)}
+    assert public.keys() == exported.keys()
+    assert all(public[name] is obj for name, obj in exported.items())

@@ -16,6 +16,7 @@ from ibreg.cli import main
 from ibreg.optimize import golden_max
 
 from ibreg import (
+    ArgumentError,
     DegenerateModelError,
     DomainError,
     GaussianCdibModel,
@@ -501,7 +502,8 @@ def test_outer_inner_search_equals_golden_max(rhos, rates, monkeypatch):
 
     def reference(r1):
         objective = ibreg.gaussian._outer_objective(
-            e1, e2, r1, rate1 - r1 + m.i_y_x2(), rate2, span - r1)
+            *ibreg.gaussian._outer_log_terms(e1, e2, r1), rate1 - r1 + m.i_y_x2(), rate2,
+            span - r1)
         return golden_max(objective, 0.0, box, 1e-11)[1]
 
     def inline(r1):
@@ -610,6 +612,13 @@ def test_inner_limits(chain_b):
         cdib_x1yx2_inner(chain_b, -1.0, 0.0)
 
 
+def test_inner_bound_below_i_y_x1x2_near_unit_correlation():
+    # det(V1, V2) formed as (1 + s1)(1 + s2) - c12^2 lost its leading digits
+    # to cancellation at c12 near 1 and gave 26.3238 > I(Y;X1 X2) = 26.2925
+    m = GaussianCdibModel.chain_x1_y_x2(0.9999999999999999, 0.9999999999999998)
+    assert cdib_x1yx2_inner(m, 50.0, 50.0) <= m.i_y_x1x2()
+
+
 def test_inner_quantities_match_determinant_oracle(chain_b):
     # dual route: the reduced closed forms against generic log-det evaluation
     sx1 = sx2 = sy = 1.0
@@ -710,3 +719,6 @@ def test_gaussian_mi_properties(rng):
         assert lhs == pytest.approx(rhs, abs=1e-9)
     with pytest.raises(DegenerateModelError, match="not positive definite"):
         gaussian_mi(np.ones((3, 3)), [0], [1], [2])
+    # a non-symmetric matrix gave 0.0 for this I(X0;X1)
+    with pytest.raises(ArgumentError, match="symmetric"):
+        gaussian_mi([[1.0, 0.5], [0.0, 1.0]], [0], [1])

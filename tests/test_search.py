@@ -14,6 +14,7 @@ from ibreg import (
     Channel,
     ComparisonError,
     DomainError,
+    EnvelopePoint,
     RegionCurve,
     RoundSchedule,
     StructureError,
@@ -409,6 +410,13 @@ def test_envelope_argument_errors():
         envelope_value([], 0.5)
     with pytest.raises(ArgumentError, match="array of numbers"):   # a ragged nesting
         envelope_value(env, [[0.1], [0.2, 0.3]])
+    # hand-built envelopes: a non-finite point gave nan or inf, and the
+    # unsorted (1, 0), (0, 1) gave 1.0 at x = 0.5
+    for bad in ([(0.0, 0.0), (1.0, np.nan)], [(0.0, 0.0), (np.inf, 1.0)],
+                [(0.0, -np.inf), (1.0, 1.0)], [(1.0, 0.0), (0.0, 1.0)],
+                [(0.0, 0.0), (0.0, 1.0)], [(0.0, 0.0), ("1", 1.0)]):
+        with pytest.raises(ArgumentError, match="envelope"):
+            envelope_value([EnvelopePoint(x, y) for x, y in bad], 0.5)
 
 
 # ---------------------------------------------------------------------------
