@@ -541,7 +541,7 @@ def _inner_quantities(e1: float, e2: float, c12: float, g1: np.ndarray, g2: np.n
     s1 = 10.0 ** g1[:, None]
     s2 = 10.0 ** g2[None, :]
     i1 = 0.5 * np.log2((1.0 - c12 ** 2 + s1) / s1)
-    var_x2_given_v1 = 1.0 - c12 * c12 / (1.0 + s1)
+    var_x2_given_v1 = ((1.0 - c12 * c12) + s1) / (1.0 + s1)
     i2 = 0.5 * np.log2((var_x2_given_v1 + s2) / s2)
     det_v = (1.0 - c12 * c12) + s1 + s2 + s1 * s2
     isum = 0.5 * np.log2(det_v / (s1 * s2))
@@ -568,7 +568,8 @@ def cdib_x1yx2_inner(m: GaussianCdibModel, rate1: float, rate2: float) -> float:
         I(X1;V1|X2) <= R1,  I(X2;V2|V1) <= R2,  I(X1 X2;V1 V2) <= R1 + R2.
 
     All four quantities reduce to determinant ratios; det(V1, V2) is summed
-    as (1 - c12^2) + s1 + s2 + s1 s2, free of cancellation at |c12| near 1
+    as (1 - c12^2) + s1 + s2 + s1 s2 and var(X2 | V1) formed as
+    ((1 - c12^2) + s1) / (1 + s1), free of cancellation at |c12| near 1
     for noise variances across 26 orders of magnitude, relative to the unit
     variances of X1 and X2.  Deterministic 110 x 110 log-variance grid on
     [1e-13, 1e13] plus five 33 x 33 zoom rounds; the constraints carry a

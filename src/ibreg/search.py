@@ -291,13 +291,17 @@ class BucketRecord:
 
 _CHUNK = 8192
 # budget ceiling for outside input: run time grows with the budget, about
-# 10.4 ms a chunk on one thread, so 85 s for the 8,192 chunks of 2**26
-# (2-vCPU x86-64, numpy 2.4.6); above one thread memory grows too, as the
-# pool queues one task per chunk and holds results finished ahead of absorb
+# 4.9 ms a chunk on one thread, so 40 s for the 8,192 chunks of 2**26
+# (2-vCPU x86-64, numpy 2.4.6); one thread holds one chunk's rates,
+# relevances and row entropies (0.5 MB) and one block's draws, but above
+# one thread memory grows, as the pool queues one task per chunk and holds
+# the 128 KB of rates and relevances of each chunk finished ahead of absorb
 _BUDGET_MAX = 2 ** 26
-# kernel rows per block: the 25 chunks of a 200,000 budget took 141 ms at 1,024,
-# 166 ms at 512, 208 ms at 4,096 and 132 ms at 2,048, which adds 2.5 MB to
-# `ibreg figures`' peak RSS (medians of 7; 2-vCPU x86-64, numpy 2.4.6, OpenBLAS)
+# rows per block, drawn and evaluated together: a (1,024, 2, 3, 7) block of
+# draws is 344 KB.  The 25 chunks of a 200,000 budget took 127 ms at 1,024,
+# 126 ms at 512 and 2,048 and 141 ms at 4,096, with tracemalloc peaks of
+# 2.65, 1.71, 4.49 and 8.17 MiB (medians of 7; 2-vCPU x86-64, numpy 2.4.6,
+# OpenBLAS)
 _ROW_BLOCK = 1024
 _BUCKETS = 64
 _V2_CARD = 7   # single-letter bound 2 |V1| + 1; V1 is padded to 3 symbols
@@ -317,21 +321,21 @@ def _pairwise_sum(a: np.ndarray) -> np.ndarray:
     return 0.0 + sum(a[head:], res)
 
 
-def _evaluate_v2_batch(q0: np.ndarray, chans: np.ndarray):
-    """Rates/relevances for a batch of p(v2 | x2, v1) channel tables.
+def _evaluate_blocks(q0: np.ndarray, blocks, b: int):
+    """Rates/relevances of ``b`` channel tables p(v2 | x2, v1).
 
-    ``q0`` is the composed (x1, x2, y1, v1) table; ``chans`` has shape
-    (B, |x2|, |v1|, |v2|).  Returns (I(X2;V2|X1,V1), I(Y1;V2,X1)).  Since
-    V2 - (X2,V1) - (X1,Y1) is a Markov chain, the joint is never formed:
+    ``q0`` is the composed (x1, x2, y1, v1) table; ``blocks`` yields the
+    ``b`` rows in order, ``_ROW_BLOCK`` at a time (the last block may hold
+    fewer), each as one contiguous batch-last (|x2|, |v1|, |v2|, rows) array,
+    so every step is a whole-row vector op.  Returns (I(X2;V2|X1,V1),
+    I(Y1;V2,X1)).  Since V2 - (X2,V1) - (X1,Y1) is a Markov chain, the joint
+    is never formed:
 
         I(X2;V2|X1,V1) = H(X1,V1,V2) - H(X1,V1) - sum p(x2,v1) H(c[x2,v1,:]),
         I(Y1;V2,X1) = H(Y1) + H(X1,V2) - H(X1,Y1,V2).
 
-    Each block of ``_ROW_BLOCK`` rows is transposed once to a batch-last
-    (x2, v1, v2, rows) layout, so every later step is a whole-row vector op;
-    for its bits see README, "Speed never moves a bit".
+    For its bits see README, "Speed never moves a bit".
     """
-    b, n_v2 = chans.shape[0], chans.shape[3]
     n_x1, n_x2, n_y1, n_v1 = q0.shape
     p_x1x2v1 = q0.sum(axis=2)
     h_x1v1 = -_xlog2x(p_x1x2v1.sum(axis=1)).sum()
@@ -343,10 +347,10 @@ def _evaluate_v2_batch(q0: np.ndarray, chans: np.ndarray):
     p_live = p_x1x2v1[:, :, live, None, None]
     rate, rel = np.empty(b), np.empty(b)
     h_rows = np.zeros((b, n_x2, n_v1))
-    m_log = np.zeros((n_x1, n_v1, n_v2, min(b, _ROW_BLOCK)))
-    for lo in range(0, b, _ROW_BLOCK):
-        n = min(b - lo, _ROW_BLOCK)
-        c = np.ascontiguousarray(chans[lo:lo + n].transpose(1, 2, 3, 0))  # batch last
+    for lo, c in zip(range(0, b, _ROW_BLOCK), blocks):
+        n = c.shape[3]
+        if not lo:   # the first block is the longest
+            m_log = np.zeros((n_x1, n_v1, c.shape[2], n))
         m = p_live[:, 0] * c[0, live]
         for x2 in range(1, n_x2):
             m += p_live[:, x2] * c[x2, live]
@@ -358,6 +362,41 @@ def _evaluate_v2_batch(q0: np.ndarray, chans: np.ndarray):
                           + _pairwise_sum(_xlog2x(m_x1y1v2).reshape(-1, n)))
     rate -= h_rows.reshape(b, -1) @ p_x2v1
     return np.maximum(rate, 0.0), np.maximum(rel, 0.0)
+
+
+def _evaluate_v2_batch(q0: np.ndarray, chans: np.ndarray):
+    """:func:`_evaluate_blocks` on an array of (B, |x2|, |v1|, |v2|) channel
+    tables, each block of rows copied once into the batch-last layout."""
+    b = len(chans)
+    blocks = (np.ascontiguousarray(chans[lo:lo + _ROW_BLOCK].transpose(1, 2, 3, 0))
+              for lo in range(0, b, _ROW_BLOCK))
+    return _evaluate_blocks(q0, blocks, b)
+
+
+def _drawn_blocks(seed: int, chunk: int, take: int, v1_card: int):
+    """The first ``take`` rows of search chunk ``chunk``, drawn one block at
+    a time as :func:`_evaluate_blocks` reads them.
+
+    Each row holds 2 |V1| Dirichlet(1) pmfs over the ``_V2_CARD`` symbols of
+    V2, with the bytes of ``rng.dirichlet(np.ones(_V2_CARD), size=(take, 2,
+    v1_card))`` on ``rng = np.random.default_rng([seed, chunk])``: numpy
+    draws one standard exponential per entry, in row order, and multiplies
+    each pmf's entries by 1 / (their sum).  Each block's exponentials go
+    into one buffer, are copied once into the batch-last layout and scaled
+    there by 1 / (sum over v2), added in numpy's order (README, "Speed never
+    moves a bit").
+    """
+    rng = np.random.default_rng([seed, chunk])
+    draws = np.empty((min(take, _ROW_BLOCK), 2, v1_card, _V2_CARD))
+    for lo in range(0, take, _ROW_BLOCK):
+        e = draws[:min(take - lo, _ROW_BLOCK)]
+        rng.standard_exponential(out=e)
+        c = np.ascontiguousarray(e.transpose(1, 2, 3, 0))   # batch last
+        total = c[:, :, 0].copy()   # numpy's sum starts at 0.0, and 0.0 + e0 == e0
+        for v2 in range(1, _V2_CARD):
+            total += c[:, :, v2]
+        c *= 1.0 / total[:, :, None]
+        yield c
 
 
 def _baseline_channels(v1_card: int, v2_card: int) -> tuple[np.ndarray, np.ndarray]:
@@ -396,10 +435,13 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
     Deterministic for a fixed seed; samples are drawn in chunks of 8,192
     rows keyed by (seed, chunk index), the last chunk only the rows the
     budget uses (Dirichlet draws fill rows in order, so a budget prefix is a
-    sample prefix).  Each chunk is absorbed as it is drawn, so one thread
-    holds one chunk's draws, rates and relevances and the kept points,
-    whatever the budget; a record's origin names its channel by chunk and
-    row, which the seed regenerates.
+    sample prefix).  A chunk's rows are drawn one block of 1,024 at a time,
+    just before the kernel evaluates them, with the bytes of one
+    ``rng.dirichlet`` call over the chunk (:func:`_drawn_blocks`).  Each
+    chunk is absorbed as it is drawn, so one thread holds one block's
+    draws, one chunk's rates and relevances and the kept points, whatever
+    the budget; a record's origin names its channel by chunk and row, which
+    the seed regenerates.
     """
     budget = guards.count("budget", budget, 1)
     if budget > _BUDGET_MAX:
@@ -456,10 +498,8 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
     n_chunks = (budget + _CHUNK - 1) // _CHUNK
 
     def run_chunk(j: int):
-        rng = np.random.default_rng([seed, j])
         take = min(_CHUNK, budget - j * _CHUNK)
-        block = rng.dirichlet(np.ones(_V2_CARD), size=(take, 2, v1.output.card))
-        return _evaluate_v2_batch(q0, block)
+        return _evaluate_blocks(q0, _drawn_blocks(seed, j, take, v1.output.card), take)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:  # one thread: chunks run here
         chunks = (pool.map if threads > 1 else map)(run_chunk, range(n_chunks))

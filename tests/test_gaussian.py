@@ -4,6 +4,7 @@ Frozen constants computed at 50-digit precision from the defining log
 expressions.
 """
 
+import decimal
 import math
 import random
 
@@ -617,6 +618,22 @@ def test_inner_bound_below_i_y_x1x2_near_unit_correlation():
     # to cancellation at c12 near 1 and gave 26.3238 > I(Y;X1 X2) = 26.2925
     m = GaussianCdibModel.chain_x1_y_x2(0.9999999999999999, 0.9999999999999998)
     assert cdib_x1yx2_inner(m, 50.0, 50.0) <= m.i_y_x1x2()
+
+
+def test_inner_conditional_rate_matches_decimal_near_unit_correlation():
+    # var(X2 | V1) formed as 1 - c12^2 / (1 + s1) lost its leading digits to
+    # cancellation at c12 near 1: I(X2;V2|V1) read 0.5021111988502722 at
+    # s1 = s2 = 1e-13, against 0.50239857765728428 from 60 digits
+    c12 = 0.9999999999999999 * 0.9999999999999998
+    g = np.array([-13.0, -12.0, -10.0])
+    i2 = ibreg.gaussian._inner_quantities(0.64, 0.36, c12, g, g)[1]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        c, ln2 = decimal.Decimal(c12), decimal.Decimal(2).ln()
+        for j, s1 in enumerate(map(decimal.Decimal, 10.0 ** g)):
+            for k, s2 in enumerate(map(decimal.Decimal, 10.0 ** g)):
+                want = ((1 - c * c / (1 + s1) + s2) / s2).ln() / (2 * ln2)
+                assert i2[j, k] == pytest.approx(float(want), rel=1e-15), (j, k)
 
 
 def test_inner_quantities_match_determinant_oracle(chain_b):

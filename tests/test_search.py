@@ -42,6 +42,8 @@ from ibreg.pmf import (
 from ibreg.search import (
     _ROW_BLOCK,
     _baseline_channels,
+    _drawn_blocks,
+    _evaluate_blocks,
     _evaluate_v2_batch,
     _int_source,
     _pairwise_sum,
@@ -485,14 +487,16 @@ def test_search_records():
 
 def test_search_frees_each_chunk_once_evaluated():
     # keeping every 2.75 MB chunk of draws until the end of the search
-    # peaked at 25.8 MiB here
+    # peaked at 25.8 MiB here, and drawing each chunk whole at 4.89 MiB;
+    # drawing one 1,024-row block at a time peaks at 2.64 MiB
+    search_mu_int(MODEL, GRID, budget=8192, seed=5)   # warm-up: caches and imports
     tracemalloc.start()
     try:
         search_mu_int(MODEL, GRID, budget=8 * 8192, seed=5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2 ** 20
+    assert peak < 3.5 * 2 ** 20
 
 
 def _search_peak(budget):
@@ -793,6 +797,26 @@ def test_search_last_chunk_draws_a_prefix(take):
         rng = np.random.default_rng([seed, j])
         part = rng.dirichlet(np.ones(7), size=(take, 2, 3))
         assert part.tobytes() == _sample_chunk(seed, j)[:take].tobytes()
+
+
+@pytest.mark.parametrize("take", [8192, 3392, 1])
+@pytest.mark.parametrize("seed", [5, 7, 20240917])
+def test_search_block_draws_equal_dirichlet_bytes(seed, take):
+    # the search draws each block's exponentials into one buffer and scales
+    # the batch-last copy by 1 / (sum over v2), which gives the bytes of one
+    # rng.dirichlet call over the chunk; 3,392 rows end a 200,000 budget
+    j = 24 if take == 3392 else 1
+    blocks = list(_drawn_blocks(seed, j, take, 3))
+    assert [c.shape for c in blocks] == [
+        (2, 3, 7, min(_ROW_BLOCK, take - lo)) for lo in range(0, take, _ROW_BLOCK)]
+    assert all(c.flags.c_contiguous for c in blocks)
+    want = np.random.default_rng([seed, j]).dirichlet(np.ones(7), size=(take, 2, 3))
+    got = np.concatenate([c.transpose(3, 0, 1, 2) for c in blocks])
+    assert got.tobytes() == want.tobytes()
+    v1 = optimal_channel(h2(Q), P, Q).to_channel("v1", out_card=3)
+    q0 = compose_markov(_int_source(MODEL), v1).table
+    for a, b in zip(_evaluate_blocks(q0, iter(blocks), take), _evaluate_v2_batch(q0, want)):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("width", [1, 1025])
