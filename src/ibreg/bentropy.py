@@ -7,11 +7,14 @@ cascaded binary symmetric channels.
 Validation rule: each public function checks and clamps its arguments by
 the probability rule of ``guards`` (``h2_arr`` entry by entry), then calls a
 private kernel with a leading underscore (``_h2``, ``_star``, ``_h2_arr``,
-``_gerber``).  The kernel holds the only copy of the formula, assumes
-in-domain floats and checks nothing; besides its public twin, only
-functions that validated their inputs at entry call it (``h2_inv`` here,
-the curve solvers and ``mu_ed`` in ``binary``).  ``_xlog2x``
-(m log2 m) underlies ``_h2_arr``, ``pmf``'s entropies and ``search``.
+``_gerber``).  The kernel holds the formula, assumes in-domain floats and
+checks nothing; besides its public twin, only other kernels and functions
+that validated their inputs at entry call it (the curve solvers and
+``mu_ed`` in ``binary``).  Three hot paths carry ``_h2``'s arithmetic
+written out, each pinned by a test to the same steps on ``_h2``:
+``h2_inv`` here and ``binary``'s ``_first_form`` and ``_g_inverse``.
+``_xlog2x`` (m log2 m) underlies ``_h2_arr``, ``pmf``'s entropies and
+``search``.
 """
 
 from __future__ import annotations
@@ -68,7 +71,10 @@ def h2_inv(y: float) -> float:
     """Unique x in [0, 1/2] with h2(x) = y.
 
     Plain bisection, 60 iterations: monotone, derivative-free and
-    unconditionally convergent; leaves |h2(x) - y| <= 1e-12.
+    unconditionally convergent; leaves |h2(x) - y| <= 1e-12.  Each step
+    evaluates h2 inline with ``_h2``'s operations in ``_h2``'s order, so the
+    result has the bits of the same loop on ``_h2``; it runs all 60 steps,
+    with no stop at adjacent floats (README, "Speed never moves a bit").
     """
     y = prob("y", y)
     if y == 1.0:
@@ -77,7 +83,14 @@ def h2_inv(y: float) -> float:
     lo, hi = 0.0, 0.5
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _h2(mid) < y:
+        # _h2(mid), written out
+        out = 0.0
+        if mid > 0.0:
+            out -= mid * log2(mid)
+        v = 1.0 - mid
+        if v > 0.0:
+            out -= v * log2(v)
+        if out < y:
             lo = mid
         else:
             hi = mid

@@ -32,8 +32,9 @@ constants.  The twins stay apart on purpose: folding them moves last bits,
 and the second-form array kernels keep both oracles independent of the
 primal kernels.  Public functions check their arguments by ``guards``, once.
 ``_first_form(p, q)`` is the one scalar copy of ``f``'s first form,
-``r -> (f(r), g(r))``; ``_g`` keeps ``g`` alone for the bisection of
-``g_inverse``, with the same bits.
+``r -> (f(r), g(r))``; ``_g`` is ``g``'s kernel.  ``_g_inverse``'s loop
+carries ``_g``'s arithmetic written out, and a test pins it to
+``bisect_decreasing_inverse`` on ``_g``, bit for bit.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 from . import guards
 from .bentropy import _gerber, _h2, _h2_arr, _star
 from .errors import ArgumentError, DomainError, SolverError
-from .optimize import _INVPHI, bisect_decreasing_inverse, bisect_root, golden_min
+from .optimize import _BISECT_ITERATIONS, _INVPHI, _capped_midpoint, bisect_root, golden_min
 from .pmf import Axis, Channel, JointPmf
 
 __all__ = [
@@ -248,7 +249,13 @@ def _f_prime_vec(r: np.ndarray, p: float, q: float) -> np.ndarray:
 
 def g_inverse(rate: float, q: float) -> float:
     """Unique r in [0, 1/2] with g(r) = rate, for a rate in [0, h2(q)], the
-    range of g; bisection on the decreasing branch, to adjacent floats."""
+    range of g; bisection on the decreasing branch, to adjacent floats.
+
+    The loop is ``bisect_decreasing_inverse``'s steps on [0, 1/2], its
+    100-halving cap included, with g evaluated inline in ``_g``'s operations
+    and order, so the result has the same bits (README, "Speed never moves
+    a bit").
+    """
     q = guards.crossover("q", q)
     return _g_inverse(guards.prob("rate", rate, _h2(q)), q)
 
@@ -257,7 +264,31 @@ def _g_inverse(rate: float, q: float) -> float:
     if rate == 0.0:
         # g is quadratically flat at 1/2; bisection stalls on the float plateau
         return 0.5
-    return bisect_decreasing_inverse(lambda r: _g(r, q), rate, 0.0, 0.5)
+    omq = 1.0 - q
+    lo, hi = 0.0, 0.5
+    for _ in range(_BISECT_ITERATIONS):
+        mid = 0.5 * (lo + hi)
+        if (mid == lo or mid == hi) and mid != 0.0:
+            return mid
+        # _g(mid, q): h2 of star(mid, q) less h2(mid), each as in _h2
+        x = mid * omq + q * (1.0 - mid)
+        out = 0.0
+        if x > 0.0:
+            out -= x * log2(x)
+        x = 1.0 - x
+        if x > 0.0:
+            out -= x * log2(x)
+        hr = 0.0
+        if mid > 0.0:
+            hr -= mid * log2(mid)
+        x = 1.0 - mid
+        if x > 0.0:
+            hr -= x * log2(x)
+        if out - hr > rate:
+            lo = mid
+        else:
+            hi = mid
+    return _capped_midpoint(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +323,12 @@ def critical_point(p: float, q: float) -> CriticalPoint:
     f(r_c)/R_c not in (0, 1), which rounding gives for q near 1e-19 or 1e-10.
     """
     p, q = guards.crossover("p", p), guards.crossover("q", q)
-    rs = np.linspace(1e-6, 0.5 - 1e-6, _SCAN_N)
-    phi = _f_prime_vec(rs, p, q) * _g_vec(rs, q) - _f_vec(rs, p, q) * _g_prime_vec(rs, q)
-
-    hits = np.nonzero((phi[:-1] > 0.0) & (phi[1:] <= 0.0))[0]
-    if len(hits) == 0:
+    found, lo, hi = _tangency_scan(p, q)
+    if not found:
         raise SolverError(
             "no tangency sign change on (0, 1/2): "
-            f"scan of {_SCAN_N} points has phi in [{phi.min():.3e}, {phi.max():.3e}]; "
+            f"scan of {_SCAN_N} points has phi in [{lo:.3e}, {hi:.3e}]; "
             "the relevance-rate curve has no time-sharing segment (R_c -> 0)")
-    lo, hi = float(rs[hits[0]]), float(rs[hits[0] + 1])
 
     first = _first_form(p, q)
 
@@ -321,6 +348,18 @@ def critical_point(p: float, q: float) -> CriticalPoint:
             f"degenerate tangency at r_c={r_c!r}: slope f/g = {f_c!r}/{rate!r} is not in "
             "(0, 1); treating the time-sharing segment as empty (R_c -> 0)")
     return CriticalPoint(r_c, rate, f_c / rate)
+
+
+def _tangency_scan(p: float, q: float) -> tuple[bool, float, float]:
+    # critical_point's scan, in a frame of its own so that a raised
+    # SolverError keeps no scan array alive in its traceback: (True, lo, hi)
+    # around the first step of phi from > 0 to <= 0, else (False, min, max)
+    rs = np.linspace(1e-6, 0.5 - 1e-6, _SCAN_N)
+    phi = _f_prime_vec(rs, p, q) * _g_vec(rs, q) - _f_vec(rs, p, q) * _g_prime_vec(rs, q)
+    hits = np.nonzero((phi[:-1] > 0.0) & (phi[1:] <= 0.0))[0]
+    if len(hits) == 0:
+        return False, float(phi.min()), float(phi.max())
+    return True, float(rs[hits[0]]), float(rs[hits[0] + 1])
 
 
 @lru_cache(maxsize=256)

@@ -5,6 +5,7 @@ arithmetic (mpmath) from the defining expressions.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -150,6 +151,30 @@ def test_h2_inv_round_trip():
     # 0.468996 is h2(0.1) rounded to 6 digits: its true preimage is not 0.1
     assert h2_inv(0.468996) == pytest.approx(H2INV_0468996, abs=1e-9)
     assert abs(h2(h2_inv(0.3)) - 0.3) <= 1e-12
+
+
+def _ref_h2_inv(y):
+    # h2_inv as 60 halvings on the kernel _h2, before the loop wrote _h2 out
+    if y == 1.0:
+        return 0.5
+    lo, hi = 0.0, 0.5
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _h2(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_h2_inv_equals_halving_loop_on_kernel():
+    # the written-out loop keeps every float operation of the reference
+    rng = random.Random(20240917)
+    ys = [rng.random() for _ in range(10_000)]
+    ys += [10.0 ** rng.uniform(-324.0, 0.0) for _ in range(10_000)]   # subnormals too
+    ys += [0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0 ** -53, 1.0]
+    for y in ys:
+        assert float.hex(h2_inv(y)) == float.hex(_ref_h2_inv(y)), y
 
 
 def test_h2_inv_domain():

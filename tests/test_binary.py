@@ -247,6 +247,24 @@ def test_critical_point_degenerate_configs_raise():
             critical_point(p, q)
 
 
+@pytest.mark.parametrize("p, q, match", [
+    (0.2, 0.3, "no tangency sign change"),
+    (0.1, 0.3, "no sign change on"),
+    (0.3, 0.3, "only at the boundary"),
+    (0.1, 1e-19, "degenerate tangency"),
+])
+def test_critical_point_error_keeps_no_scan_array(p, q, match):
+    # a caller that keeps the error keeps its traceback's frames; no 2,048-point
+    # scan array may stay alive in them
+    with pytest.raises(SolverError, match=match) as info:
+        critical_point(p, q)
+    tb = info.value.__traceback__
+    while tb is not None:
+        held = [k for k, v in tb.tb_frame.f_locals.items() if isinstance(v, np.ndarray)]
+        assert held == [], tb.tb_frame.f_code.co_name
+        tb = tb.tb_next
+
+
 # q near 1e-10, where f at the tangency is rounding noise: the slope f/g came
 # out negative and CriticalPoint raised DomainError through mu_d and
 # optimal_channel.  At q = 1e-19, R_c = g(r_c) rounds to 0, and f/g raised

@@ -345,22 +345,40 @@ def test_bisect_decreasing_inverse_equals_fixed_count_loop():
 
 
 def test_g_inverse_stops_at_adjacent_floats(monkeypatch):
-    # 53-61 evaluations of g on these rates; 100 before the early stop
+    # 53-61 halvings on these rates, 100 before the early stop; each halving
+    # takes four binary.log2 calls, two per h2 of the written-out g
     q = 0.1
-    kernel = binary._g
     calls = []
 
-    def counted(r, q_):
-        calls.append(r)
-        return kernel(r, q_)
+    def counted(x):
+        calls.append(x)
+        return math.log2(x)
 
-    monkeypatch.setattr(binary, "_g", counted)
+    monkeypatch.setattr(binary, "log2", counted)
     for frac in [0.02 + 0.96 * k / 200 for k in range(1, 200)]:
         rate = frac * h2(q)
         calls.clear()
         r = binary.g_inverse(rate, q)
-        assert len(calls) <= 70
-        assert r == _ref_bisect_decreasing_inverse(lambda x: kernel(x, q), rate, 0.0, 0.5)
+        assert len(calls) % 4 == 0 and len(calls) <= 4 * 70
+        assert r == _ref_bisect_decreasing_inverse(lambda x: binary._g(x, q), rate, 0.0, 0.5)
+
+
+def test_g_inverse_equals_bisect_decreasing_inverse():
+    # the written-out loop keeps bisect_decreasing_inverse's steps on _g, the
+    # early stop and the 100-halving cap (taken at rate = h2(q)), bit for bit
+    rng = random.Random(20240917)
+    cases = []
+    for _ in range(20_000):
+        q = rng.uniform(1e-12, 0.5 - 1e-12)
+        cases.append((rng.uniform(0.0, h2(q)), q))
+    for q in (1e-12, 0.1, 0.5 - 1e-12):
+        hq = h2(q)
+        cases += [(0.0, q), (hq, q), (rng.uniform(0.0, 1e-15), q),
+                  (hq - rng.uniform(0.0, 1e-15), q)]
+    for rate, q in cases:
+        want = 0.5 if rate == 0.0 else bisect_decreasing_inverse(
+            lambda r: binary._g(r, q), rate, 0.0, 0.5)
+        assert float.hex(binary.g_inverse(rate, q)) == float.hex(want), (rate, q)
 
 
 def test_critical_point_bisection_stops_at_adjacent_floats(monkeypatch):
