@@ -11,8 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import guards
 from .errors import ArgumentError
 
@@ -44,12 +42,6 @@ class RegionCurve:
         guards.instance("method", self.method, str)
         if self.seed is not None:
             object.__setattr__(self, "seed", guards.count("seed", self.seed, 0))
-
-    def rates(self) -> np.ndarray:
-        return np.array([r for r, _ in self.points])
-
-    def relevances(self) -> np.ndarray:
-        return np.array([mu for _, mu in self.points])
 
     def to_dict(self) -> dict:
         return {

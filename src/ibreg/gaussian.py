@@ -58,7 +58,8 @@ def gaussian_mi(cov: np.ndarray, a, b, c=()) -> float:
     """I(A;B|C) in bits for jointly Gaussian variables with covariance ``cov``.
 
     ``a``, ``b``, ``c`` are disjoint index lists into ``cov``, a finite
-    symmetric matrix.  Computed as the log-det ratio
+    symmetric matrix, with ``a`` and ``b`` nonempty; an empty, repeated or
+    shared index raises :class:`ArgumentError`.  Computed as the log-det ratio
     0.5 * log2( |S_AC| |S_BC| / (|S_ABC| |S_C|) ).
     """
     cov = guards.reals("cov", cov)
@@ -73,6 +74,8 @@ def gaussian_mi(cov: np.ndarray, a, b, c=()) -> float:
         return idx
 
     a, b, c = indices("a", a), indices("b", b), indices("c", c)
+    if not (a and b) or len(set(a + b + c)) < len(a + b + c):
+        raise ArgumentError(f"a and b must be nonempty and a, b, c disjoint, got {a}, {b}, {c}")
 
     def ld(idx):
         if not idx:
@@ -100,8 +103,9 @@ class GaussianTwcibModel:
     through ``rho_x2y2, rho_x1y2``.  The derived quantities ``beta`` and
     ``delta`` (the 3x3 correlation determinants of ``(X1, X2, Y1)`` and
     ``(X1, X2, Y2)``) must be strictly positive.  With every |rho| < 1 that
-    makes both correlation blocks, and so the 4x4 :meth:`covariance` that
-    joins them through independent Y-noises, positive definite.
+    makes both correlation blocks positive definite.  Each decoder's
+    relevance reads only its own block, so the model leaves the dependence
+    of ``Y1`` on ``Y2`` free.
     """
 
     rho_x1x2: float
@@ -133,30 +137,6 @@ class GaussianTwcibModel:
     def delta(self) -> float:
         a, b, c = self.rho_x1x2, self.rho_x2y2, self.rho_x1y2
         return 1.0 - a * a - b * b - c * c + 2.0 * a * c * b
-
-    def covariance(self) -> np.ndarray:
-        """4x4 covariance of (X1, X2, Y1, Y2); the Y-noises are independent,
-        which fixes the one coefficient the model leaves free."""
-        sx1, sx2 = sqrt(self.sigma_x1_sq), sqrt(self.sigma_x2_sq)
-        sy1, sy2 = sqrt(self.sigma_y1_sq), sqrt(self.sigma_y2_sq)
-        r = self.rho_x1x2
-        den = 1.0 - r * r
-        a11 = (sy1 / sx1) * (self.rho_x1y1 - self.rho_x2y1 * r) / den
-        a12 = (sy1 / sx2) * (self.rho_x2y1 - self.rho_x1y1 * r) / den
-        a21 = (sy2 / sx1) * (self.rho_x1y2 - self.rho_x2y2 * r) / den
-        a22 = (sy2 / sx2) * (self.rho_x2y2 - self.rho_x1y2 * r) / den
-        sigx = np.array([[sx1 * sx1, r * sx1 * sx2], [r * sx1 * sx2, sx2 * sx2]])
-        cov_y1y2 = float(np.array([a11, a12]) @ sigx @ np.array([a21, a22]))
-        c = np.empty((4, 4))
-        c[:2, :2] = sigx
-        c[0, 2] = c[2, 0] = self.rho_x1y1 * sx1 * sy1
-        c[1, 2] = c[2, 1] = self.rho_x2y1 * sx2 * sy1
-        c[0, 3] = c[3, 0] = self.rho_x1y2 * sx1 * sy2
-        c[1, 3] = c[3, 1] = self.rho_x2y2 * sx2 * sy2
-        c[2, 2] = sy1 * sy1
-        c[3, 3] = sy2 * sy2
-        c[2, 3] = c[3, 2] = cov_y1y2
-        return c
 
 
 def twcib_coefficients(m: GaussianTwcibModel) -> dict:
@@ -249,22 +229,27 @@ def twcib_point_for_variances(m: GaussianTwcibModel, sigma_p1_sq: float,
                               sigma_p2_sq: float) -> dict:
     """Rates and relevances achieved by V1 = X1 + P1, V2 = X2 + P2.
 
-    Evaluated with the generic determinant oracle on the 6-variable
-    covariance; serves as the independent round-trip check of the closed
-    forms.
+    Evaluated with the generic determinant oracle on the covariance of
+    (X1, X2, Y1, Y2, V1, V2); serves as the independent round-trip check of
+    the closed forms.  No quantity reads a block holding both Y1 and Y2, so
+    their covariance, which the model leaves free, is set to 0.
     """
     s1 = guards.variance("sigma_p1_sq", sigma_p1_sq)
     s2 = guards.variance("sigma_p2_sq", sigma_p2_sq)
-    base = guards.instance("m", m, GaussianTwcibModel).covariance()
-    c = np.zeros((6, 6))
-    c[:4, :4] = base
-    # v1 = x1 + p1 at index 4, v2 = x2 + p2 at index 5
-    c[4, :4] = c[:4, 4] = base[0, :4]
-    c[5, :4] = c[:4, 5] = base[1, :4]
-    c[4, 4] = base[0, 0] + s1
-    c[5, 5] = base[1, 1] + s2
-    c[4, 5] = c[5, 4] = base[0, 1]
+    guards.instance("m", m, GaussianTwcibModel)
+    sx1, sx2 = sqrt(m.sigma_x1_sq), sqrt(m.sigma_x2_sq)
+    sy1, sy2 = sqrt(m.sigma_y1_sq), sqrt(m.sigma_y2_sq)
     x1, x2, y1, y2, v1, v2 = range(6)
+    c = np.zeros((6, 6))
+    c[x1, :4] = sx1 * sx1, m.rho_x1x2 * sx1 * sx2, m.rho_x1y1 * sx1 * sy1, m.rho_x1y2 * sx1 * sy2
+    c[x2, :4] = m.rho_x1x2 * sx1 * sx2, sx2 * sx2, m.rho_x2y1 * sx2 * sy1, m.rho_x2y2 * sx2 * sy2
+    c[y1:y2 + 1, :2] = c[:2, y1:y2 + 1].T
+    c[y1, y1], c[y2, y2] = sy1 * sy1, sy2 * sy2
+    # the noises are independent: V1, V2 covary as X1, X2 do, save their own variances
+    c[v1:, :4] = c[:2, :4]
+    c[:, v1:] = c[:, :2]
+    c[v1, v1] += s1
+    c[v2, v2] += s2
     return {
         "R1": gaussian_mi(c, [x1], [v1, v2], [x2]),
         "R2": gaussian_mi(c, [x2], [v1, v2], [x1]),
@@ -315,11 +300,6 @@ class GaussianCdibModel:
     @classmethod
     def chain_x1_y_x2(cls, rho_x1y: float, rho_x2y: float) -> "GaussianCdibModel":
         return cls("x1-y-x2", rho_x1y=rho_x1y, rho_x2y=rho_x2y)
-
-    def covariance(self) -> np.ndarray:
-        """3x3 covariance of (X1, X2, Y) with the chain-implied coefficient."""
-        a, b, c = self.rho_x1x2, self.rho_x2y, self.rho_x1y
-        return np.array([[1.0, a, c], [a, 1.0, b], [c, b, 1.0]])
 
     def i_y_x1(self) -> float:
         return -0.5 * log2(1.0 - self.rho_x1y ** 2)

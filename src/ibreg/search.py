@@ -364,15 +364,6 @@ def _evaluate_blocks(q0: np.ndarray, blocks, b: int):
     return np.maximum(rate, 0.0), np.maximum(rel, 0.0)
 
 
-def _evaluate_v2_batch(q0: np.ndarray, chans: np.ndarray):
-    """:func:`_evaluate_blocks` on an array of (B, |x2|, |v1|, |v2|) channel
-    tables, each block of rows copied once into the batch-last layout."""
-    b = len(chans)
-    blocks = (np.ascontiguousarray(chans[lo:lo + _ROW_BLOCK].transpose(1, 2, 3, 0))
-              for lo in range(0, b, _ROW_BLOCK))
-    return _evaluate_blocks(q0, blocks, b)
-
-
 def _drawn_blocks(seed: int, chunk: int, take: int, v1_card: int):
     """The first ``take`` rows of search chunk ``chunk``, drawn one block at
     a time as :func:`_evaluate_blocks` reads them.
@@ -399,21 +390,22 @@ def _drawn_blocks(seed: int, chunk: int, take: int, v1_card: int):
         yield c
 
 
-def _baseline_channels(v1_card: int, v2_card: int) -> tuple[np.ndarray, np.ndarray]:
+def _baseline_block(v1_card: int) -> tuple[np.ndarray, np.ndarray]:
     """Second-encoder strategies that ignore V1: V2 = X2 xor Bern(r).
 
     These are the known non-interactive achievable points (r = 0 is the full
     description, r = 1/2 carries nothing); the random search must beat them
-    to demonstrate an interaction gain.
+    to demonstrate an interaction gain.  Returns the 159 rates r and their
+    channels as one batch-last (|x2|, |v1|, |v2|, 159) block, as
+    :func:`_evaluate_blocks` reads it.
     """
     rs = np.unique(np.concatenate([np.linspace(0.0, 0.5, 96),
                                    0.5 * np.geomspace(1e-7, 1.0, 64)]))
-    chans = np.zeros((len(rs), 2, v1_card, v2_card))
-    for i, r in enumerate(rs):
-        for x2 in (0, 1):
-            chans[i, x2, :, x2] = 1.0 - r
-            chans[i, x2, :, 1 - x2] = r
-    return rs, chans
+    block = np.zeros((2, v1_card, _V2_CARD, len(rs)))
+    for x2 in (0, 1):
+        block[x2, :, x2] = 1.0 - rs
+        block[x2, :, 1 - x2] = rs
+    return rs, block
 
 
 def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, *,
@@ -484,8 +476,8 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
                     kept.append((float(rates[k]), float(rels[k])))
                     best[b] = BucketRecord(float(rates[k]), float(rels[k]), origin(int(k)))
 
-    base_rs, base_chans = _baseline_channels(v1.output.card, _V2_CARD)
-    rates, rels = _evaluate_v2_batch(q0, base_chans)
+    base_rs, base_block = _baseline_block(v1.output.card)
+    rates, rels = _evaluate_blocks(q0, (base_block,), len(base_rs))
     absorb(rates, rels, lambda k: f"baseline:r={base_rs[k]:.6g}")
     kept.extend(zip(map(float, rates), map(float, rels)))
     # the zero-rate point must survive bucketing: without it the envelope's
@@ -556,19 +548,17 @@ class InclusionVerdict:
 def check_inclusion(inner: RegionCurve, outer: RegionCurve, tol: float) -> InclusionVerdict:
     """Check inner relevance <= outer relevance + tol at every common rate.
 
-    The outer curve is linearly interpolated at the inner sample rates lying
-    inside both rate ranges; the verdict carries the worst-violation point.
+    The outer curve, its points sorted by rate, is linearly interpolated at
+    the inner sample rates lying inside both rate ranges; the verdict carries
+    the worst-violation point.
     A non-finite ``tol`` raises :class:`ArgumentError`.
     """
     tol = guards.finite("tol", tol, ArgumentError)
     guards.instance("inner", inner, RegionCurve)
     if len(guards.instance("outer", outer, RegionCurve).points) < 2:
         raise ComparisonError("outer curve needs at least two points to interpolate")
-    o = sorted(outer.points)
-    oxs = np.array([r for r, _ in o])
-    oys = np.array([mu for _, mu in o])
-    ixs = inner.rates()
-    iys = inner.relevances()
+    oxs, oys = np.array(sorted(outer.points)).T
+    ixs, iys = np.array(inner.points).T
     lo = max(float(ixs.min()), float(oxs.min()))
     hi = min(float(ixs.max()), float(oxs.max()))
     if lo > hi + 1e-12:

@@ -102,7 +102,8 @@ CASES = [
      ("correlation",) * 5 + ("variance",) * 4),
     (gaussian.GaussianCdibModel, ("x1-x2-y", 0.8, 0.8, 0.0),
      ("option", "nonzero_correlation", "nonzero_correlation", "any")),
-    (gaussian.gaussian_mi, (CB.covariance(), [0], [1], [2]), ("object",) * 4),
+    (gaussian.gaussian_mi, ([[1.0, 0.48, 0.8], [0.48, 1.0, 0.6], [0.8, 0.6, 1.0]], [0], [1], [2]),
+     ("object",) * 4),
     (gaussian.twcib_coefficients, (TW,), ("object",)),
     (gaussian.twcib_relevance_limit, (TW, 2), ("object", "which")),
     (gaussian.twcib_rate_for_relevance, (TW, 2, 0.1), ("object", "which", "relevance_w2")),

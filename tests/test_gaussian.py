@@ -49,6 +49,13 @@ def twcib_model(**kw):
     return GaussianTwcibModel(**base)
 
 
+def correlations(rho_x1x2, rho_x1y, rho_x2y):
+    """Correlation matrix of (X1, X2, Y)."""
+    return np.array([[1.0, rho_x1x2, rho_x1y],
+                     [rho_x1x2, 1.0, rho_x2y],
+                     [rho_x1y, rho_x2y, 1.0]])
+
+
 # ---------------------------------------------------------------------------
 # two-way model
 # ---------------------------------------------------------------------------
@@ -93,12 +100,11 @@ def test_twcib_coefficients_hand_value():
 
 def test_twcib_limit_is_mutual_information():
     m = twcib_model()
-    cov = m.covariance()
-    # which=2 side serves the hidden Y1 (index 2)
-    assert twcib_relevance_limit(m, 2) == pytest.approx(
-        gaussian_mi(cov, [2], [0, 1]), abs=1e-9)
-    assert twcib_relevance_limit(m, 1) == pytest.approx(
-        gaussian_mi(cov, [3], [0, 1]), abs=1e-9)
+    # which=2 side serves the hidden Y1, which=1 the hidden Y2
+    assert twcib_relevance_limit(m, 2) == pytest.approx(gaussian_mi(
+        correlations(m.rho_x1x2, m.rho_x1y1, m.rho_x2y1), [2], [0, 1]), abs=1e-9)
+    assert twcib_relevance_limit(m, 1) == pytest.approx(gaussian_mi(
+        correlations(m.rho_x1x2, m.rho_x1y2, m.rho_x2y2), [2], [0, 1]), abs=1e-9)
 
 
 def test_twcib_limit_frozen_value():
@@ -157,6 +163,50 @@ def test_twcib_round_trip():
         assert pt["mu2"] == pytest.approx(mu2, abs=1e-9)
         assert pt["R1"] == pytest.approx(twcib_rate_for_relevance(m, 1, mu2), abs=1e-9)
         assert pt["R2"] == pytest.approx(twcib_rate_for_relevance(m, 2, mu1), abs=1e-9)
+
+
+def _twcib_six(m, s1, s2, rho_y1y2):
+    # covariance of (X1, X2, Y1, Y2, V1, V2) for V1 = X1 + P1, V2 = X2 + P2,
+    # entry by entry in the library's products, with corr(Y1, Y2) = rho_y1y2
+    s = np.sqrt([m.sigma_x1_sq, m.sigma_x2_sq, m.sigma_y1_sq, m.sigma_y2_sq])
+    rho = np.eye(4)
+    for (i, j), r in zip(((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)),
+                         (m.rho_x1x2, m.rho_x1y1, m.rho_x2y1, m.rho_x1y2, m.rho_x2y2, rho_y1y2)):
+        rho[i, j] = rho[j, i] = r
+    c = np.zeros((6, 6))
+    for i, j in zip(*np.triu_indices(4)):
+        c[i, j] = c[j, i] = rho[i, j] * s[i] * s[j]
+    for v, x, p in ((4, 0, s1), (5, 1, s2)):
+        c[v, :4] = c[:4, v] = c[x, :4]
+        c[v, v] = c[x, x] + p
+    c[4, 5] = c[5, 4] = c[0, 1]
+    return c
+
+
+@pytest.mark.parametrize("joined", ["zero", "independent Y-noises"])
+def test_twcib_point_reads_no_y1_y2_covariance(rng, joined):
+    # the relevances read the (X1, X2, Y1) and (X1, X2, Y2) blocks only: the
+    # point is the determinant oracle's on a covariance whose Y1-Y2 entry
+    # is 0, and again on one joining Y1 and Y2 through independent noises
+    checked = 0
+    while checked < 300:
+        rho = rng.uniform(-0.99, 0.99, 5)
+        try:
+            m = GaussianTwcibModel(*rho, *10.0 ** rng.uniform(-6, 6, 4))
+        except DegenerateModelError:
+            continue
+        s1, s2 = 10.0 ** rng.uniform(-8, 8, 2)
+        rx = np.array([[1.0, m.rho_x1x2], [m.rho_x1x2, 1.0]])
+        rho_y1y2 = 0.0 if joined == "zero" else float(
+            np.array([m.rho_x1y1, m.rho_x2y1]) @ np.linalg.solve(rx, [m.rho_x1y2, m.rho_x2y2]))
+        c = _twcib_six(m, s1, s2, rho_y1y2)
+        assert twcib_point_for_variances(m, s1, s2) == {
+            "R1": gaussian_mi(c, [0], [4, 5], [1]),
+            "R2": gaussian_mi(c, [1], [4, 5], [0]),
+            "mu1": gaussian_mi(c, [2], [4, 5, 0]),
+            "mu2": gaussian_mi(c, [3], [4, 5, 1]),
+        }, (rho, s1, s2)
+        checked += 1
 
 
 def _twcib_round_trip(m, mu1, mu2):
@@ -223,8 +273,8 @@ def test_cdib_x1x2y_endpoints(chain_a):
     assert cdib_x1x2y_mu(chain_a, 40.0, 40.0) == pytest.approx(LIMIT_YX2_08, abs=1e-9)
     # X1 adds nothing about Y once X2 is known
     assert chain_a.i_y_x1x2() == chain_a.i_y_x2() == pytest.approx(LIMIT_YX2_08, abs=1e-15)
-    assert gaussian_mi(chain_a.covariance(), [2], [0, 1]) == pytest.approx(
-        LIMIT_YX2_08, abs=1e-12)
+    cov = correlations(chain_a.rho_x1x2, chain_a.rho_x1y, chain_a.rho_x2y)
+    assert gaussian_mi(cov, [2], [0, 1]) == pytest.approx(LIMIT_YX2_08, abs=1e-12)
     with pytest.raises(DomainError):
         cdib_x1x2y_mu(chain_a, -0.1, 0.2)
 
@@ -327,10 +377,8 @@ def chain_b():
 
 
 def test_markov_consistency(chain_b):
-    assert chain_b.rho_x1x2 == 0.8 * 0.6
-    cov = chain_b.covariance()
     # X1 and X2 conditionally uncorrelated given Y
-    assert cov[0, 1] - cov[0, 2] * cov[1, 2] / cov[2, 2] == pytest.approx(0.0, abs=1e-15)
+    assert chain_b.rho_x1x2 == chain_b.rho_x1y * chain_b.rho_x2y == 0.8 * 0.6
 
 
 def test_outer_point_limits(chain_b):
@@ -642,7 +690,7 @@ def test_inner_quantities_match_determinant_oracle(chain_b):
     c12 = chain_b.rho_x1x2
     for s1, s2 in ((0.3, 0.7), (2.0, 0.05), (0.01, 4.0)):
         cov = np.zeros((5, 5))
-        cov[:3, :3] = chain_b.covariance()
+        cov[:3, :3] = correlations(c12, chain_b.rho_x1y, chain_b.rho_x2y)
         cov[3, :3] = cov[:3, 3] = cov[0, :3]
         cov[3, 3] = sx1 + s1
         cov[4, :3] = cov[:3, 4] = cov[1, :3] + cov[0, :3]
@@ -736,6 +784,13 @@ def test_gaussian_mi_properties(rng):
         assert lhs == pytest.approx(rhs, abs=1e-9)
     with pytest.raises(DegenerateModelError, match="not positive definite"):
         gaussian_mi(np.ones((3, 3)), [0], [1], [2])
+    # an empty or repeated index was blamed on the model ("not positive
+    # definite"), and an empty a gave 0.0
+    cov = correlations(0.5, 0.3, 0.2)
+    for args in (([0], [0]), ([0], [1], [0]), ([0, 0], [1]), ([], [1]), ([0], []),
+                 ([0], [1], [2, 2])):
+        with pytest.raises(ArgumentError, match="nonempty and a, b, c disjoint"):
+            gaussian_mi(cov, *args)
     # a non-symmetric matrix gave 0.0 for this I(X0;X1)
     with pytest.raises(ArgumentError, match="symmetric"):
         gaussian_mi([[1.0, 0.5], [0.0, 1.0]], [0], [1])

@@ -41,10 +41,9 @@ from ibreg.pmf import (
 )
 from ibreg.search import (
     _ROW_BLOCK,
-    _baseline_channels,
+    _baseline_block,
     _drawn_blocks,
     _evaluate_blocks,
-    _evaluate_v2_batch,
     _int_source,
     _pairwise_sum,
 )
@@ -54,6 +53,23 @@ P = Q = 0.1
 MU0 = 0.31992295427172016
 TOP = 0.53100440641071878
 MODEL = BinaryModel(P, Q)
+
+
+def _evaluate_batch(q0, chans):
+    # the search kernel on a (B, |x2|, |v1|, |v2|) array of channel tables,
+    # each block of rows copied once into its batch-last layout
+    b = len(chans)
+    blocks = (np.ascontiguousarray(chans[lo:lo + _ROW_BLOCK].transpose(1, 2, 3, 0))
+              for lo in range(0, b, _ROW_BLOCK))
+    return _evaluate_blocks(q0, blocks, b)
+
+
+def _baseline_chans():
+    # the baseline rates and their channels as a contiguous (B, |x2|, |v1|,
+    # |v2|) array: the reference kernel's einsum sums in an order that
+    # follows the layout
+    rs, block = _baseline_block(3)
+    return rs, np.ascontiguousarray(block.transpose(3, 0, 1, 2))
 
 
 def bsc_stack(r, out_card_v1=2):
@@ -467,15 +483,15 @@ def test_search_records():
     assert recs[0].origin == "anchor:constant"
     v1 = optimal_channel(h2(Q), P, Q).to_channel("v1", out_card=3)
     q0 = compose_markov(_int_source(MODEL), v1).table
-    base_rs, base_chans = _baseline_channels(3, 7)
-    baseline = _evaluate_v2_batch(q0, base_chans)
+    base_rs, base_block = _baseline_block(3)
+    baseline = _evaluate_blocks(q0, (base_block,), len(base_rs))
     chunks = {}
     for r in recs[1:]:
         kind, _, where = r.origin.partition(":")
         if kind == "sample":
             j, k = map(int, where.split("/"))
             if j not in chunks:
-                chunks[j] = _evaluate_v2_batch(q0, _sample_chunk(5, j)[:budget - j * 8192])
+                chunks[j] = _evaluate_batch(q0, _sample_chunk(5, j)[:budget - j * 8192])
             rates, rels = chunks[j]
         else:
             assert kind == "baseline"
@@ -559,7 +575,7 @@ def _kernel_oracle(q0, chans):
 
 def _assert_kernel_matches_oracle(v1, chans):
     q0 = compose_markov(_int_source(MODEL), v1)
-    rate, rel = _evaluate_v2_batch(q0.table, chans)
+    rate, rel = _evaluate_batch(q0.table, chans)
     want_rate, want_rel = _kernel_oracle(q0, chans)
     assert np.all(rate >= 0.0) and np.all(rel >= 0.0)
     assert np.max(np.abs(rate - want_rate)) <= 1e-12
@@ -576,11 +592,11 @@ def test_search_kernel_random_channels(rng, r1_rate):
 def test_search_kernel_baseline_channels():
     # r = 0 holds exact zeros (0 log 0 = 0), r = 1/2 carries nothing
     v1 = optimal_channel(h2(Q), P, Q).to_channel("v1", out_card=3)
-    rs, chans = _baseline_channels(3, 7)
+    rs, chans = _baseline_chans()
     assert rs[0] == 0.0 and rs[-1] == 0.5
     _assert_kernel_matches_oracle(v1, chans)
     q0 = compose_markov(_int_source(MODEL), v1).table
-    rate, rel = _evaluate_v2_batch(q0, chans[[0, -1]])
+    rate, rel = _evaluate_batch(q0, chans[[0, -1]])
     assert rate[0] == pytest.approx(h2(Q), abs=1e-12)
     assert rate[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -595,8 +611,21 @@ def test_search_kernel_v1_with_zeros(rng, table):
     chans[:8, ..., :3] = 0.0           # channel rows with exact zeros
     chans[:8] /= chans[:8].sum(axis=-1, keepdims=True)
     _assert_kernel_matches_oracle(v1, chans)
-    _, base = _baseline_channels(3, 7)
+    _, base = _baseline_chans()
     _assert_kernel_matches_oracle(v1, base[::16])
+
+
+def test_baseline_block_equals_per_rate_tables_bytes():
+    # the baselines were built one rate at a time as (B, |x2|, |v1|, |v2|)
+    # tables and copied to the batch-last layout; the block holds their bytes
+    rs, block = _baseline_block(3)
+    assert len(rs) == 159 and block.flags.c_contiguous   # 0.5 is on both grids
+    chans = np.zeros((len(rs), 2, 3, 7))
+    for i, r in enumerate(rs):
+        for x2 in (0, 1):
+            chans[i, x2, :, x2] = 1.0 - r
+            chans[i, x2, :, 1 - x2] = r
+    assert block.tobytes() == np.ascontiguousarray(chans.transpose(1, 2, 3, 0)).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -815,7 +844,7 @@ def test_search_block_draws_equal_dirichlet_bytes(seed, take):
     assert got.tobytes() == want.tobytes()
     v1 = optimal_channel(h2(Q), P, Q).to_channel("v1", out_card=3)
     q0 = compose_markov(_int_source(MODEL), v1).table
-    for a, b in zip(_evaluate_blocks(q0, iter(blocks), take), _evaluate_v2_batch(q0, want)):
+    for a, b in zip(_evaluate_blocks(q0, iter(blocks), take), _evaluate_batch(q0, want)):
         assert a.tobytes() == b.tobytes()
 
 
@@ -878,12 +907,12 @@ def _assert_kernel_equals_reference_bytes(q0):
         full[:1],
         full[:2],
         full[:1025],                            # the last row block has one row
-        _baseline_channels(3, 7)[1],
+        _baseline_chans()[1],
         zeros,
     ]
     assert 3392 % _ROW_BLOCK and 200_000 - 24 * 8192 == 3392
     for chans in batches:
-        rate, rel = _evaluate_v2_batch(q0, chans)
+        rate, rel = _evaluate_batch(q0, chans)
         want_rate, want_rel = _ref_evaluate_v2_batch(q0, chans)
         assert rate.tobytes() == want_rate.tobytes()
         assert rel.tobytes() == want_rel.tobytes()
