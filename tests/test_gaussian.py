@@ -209,6 +209,15 @@ def test_twcib_point_reads_no_y1_y2_covariance(rng, joined):
         checked += 1
 
 
+def test_gaussian_mi_returns_python_floats():
+    # it returned np.float64, so the two-way point held numpy scalars
+    m = twcib_model()
+    assert type(gaussian_mi(correlations(0.5, 0.3, 0.2), [0], [1, 2])) is float
+    assert type(gaussian_mi(np.eye(3), [0], [1], [2])) is float
+    pt = twcib_point_for_variances(m, 0.5, 2.0)
+    assert all(type(v) is float for v in pt.values()), pt
+
+
 def _twcib_round_trip(m, mu1, mu2):
     v = twcib_test_channel_variances(m, mu1, mu2)
     return twcib_point_for_variances(m, v["sigma_p1_sq"], v["sigma_p2_sq"])
@@ -532,10 +541,11 @@ def test_outer_frontier_equals_oracle_on_drawn_chains(rho_x1y, rho_x2y, rate1, r
     assert got == _oracle_outer_frontier(m, rate1, rate2)
 
 
-# the written-out inner search against golden_max on the objective's
-# reference copy, off the [0, 3] rates the oracle tests draw from: the same
-# result and the same log arguments in the same order, so each inline
-# evaluation is pinned, not only the comparisons that steer the search
+# the written-out inner and outer searches against golden_max on the
+# objective's reference copy, off the [0, 3] rates the oracle tests draw
+# from: the same result and the same log arguments in the same order, so
+# each inline evaluation is pinned, not only the comparisons that steer the
+# searches
 EDGE_RATES = [(20.0, 0.0), (0.0, 20.0), (128.1, 128.1), (5e4, 5e4), (1e300, 1e300),
               (math.inf, 1.0), (1.0, math.inf), (5e-324, 5e-324)]
 
@@ -569,8 +579,44 @@ def test_outer_inner_search_equals_golden_max(rhos, rates, monkeypatch):
     log2 = np.log2
     for r1 in (0.0, box / 3.0, 0.5 * box, box):
         assert traced(inline, r1) == traced(reference, r1), r1
-    expected = max(0.0, golden_max(reference, 0.0, box, 1e-11)[1])
-    assert cdib_x1yx2_outer_frontier(m, rate1, rate2).hex() == expected.hex()
+    # the written-out outer search against golden_max over the nested
+    # reference: every log argument of the whole frontier, in order
+    got = traced(lambda _: cdib_x1yx2_outer_frontier(m, rate1, rate2), None)
+    want = traced(lambda _: max(0.0, golden_max(reference, 0.0, box, 1e-11)[1]), None)
+    assert got == want
+    assert len(got[1]) >= 9   # each search evaluates at least three points
+
+
+def _zoom_grid_reference(g, k):
+    w = (g[-1] - g[0]) / 8.0
+    return np.linspace(g[k] - w, g[k] + w, 33)
+
+
+def test_inner_zoom_grid_equals_linspace_bytes(monkeypatch):
+    # seeded grids across [-13, 13] whose half-widths run from 26 / 8 down
+    # to 26 / 8 / 4^5, below the last zoom's
+    rng = np.random.default_rng(20240917)
+    for _ in range(3000):
+        width = 26.0 / 4.0 ** rng.uniform(0.0, 5.0)
+        lo = rng.uniform(-13.0, 13.0 - width)
+        g = np.sort(np.r_[lo, rng.uniform(lo, lo + width, 31), lo + width])
+        k = int(rng.integers(0, 33))
+        assert ibreg.gaussian._zoom_grid(g, k).tobytes() == \
+            _zoom_grid_reference(g, k).tobytes(), (g[0], g[-1], k)
+    # and every zoom of the fig-4 inner curve, on the grids it meets
+    seen = []
+    zoom = ibreg.gaussian._zoom_grid
+
+    def traced(g, k):
+        y = zoom(g, k)
+        seen.append(y.tobytes() == _zoom_grid_reference(g, k).tobytes())
+        return y
+
+    monkeypatch.setattr(ibreg.gaussian, "_zoom_grid", traced)
+    m = GaussianCdibModel.chain_x1_y_x2(0.8, 0.6)
+    for rate in np.linspace(0.0, 2.5, 51):
+        cdib_x1yx2_inner(m, rate, rate)
+    assert len(seen) == 51 * 10 and all(seen)
 
 
 def _bounded_log2(monkeypatch, limit=50_000):
