@@ -72,9 +72,10 @@ def h2_inv(y: float) -> float:
 
     Plain bisection, 60 iterations: monotone, derivative-free and
     unconditionally convergent; leaves |h2(x) - y| <= 1e-12.  Each step
-    evaluates h2 inline with ``_h2``'s operations in ``_h2``'s order, so the
-    result has the bits of the same loop on ``_h2``; it runs all 60 steps,
-    with no stop at adjacent floats (README, "Speed never moves a bit").
+    evaluates h2 inline with ``_h2``'s products in ``_h2``'s order, without
+    its guards, which hold for a midpoint in [2**-61, 1/2); so the result
+    has the bits of the same loop on ``_h2``.  It runs all 60 steps, with no
+    stop at adjacent floats (README, "Speed never moves a bit").
     """
     y = prob("y", y)
     if y == 1.0:
@@ -83,14 +84,10 @@ def h2_inv(y: float) -> float:
     lo, hi = 0.0, 0.5
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        # _h2(mid), written out
-        out = 0.0
-        if mid > 0.0:
-            out -= mid * log2(mid)
+        # _h2(mid), written out; -a and _h2's 0.0 - a differ only in the
+        # sign of a zero, which < does not see
         v = 1.0 - mid
-        if v > 0.0:
-            out -= v * log2(v)
-        if out < y:
+        if -(mid * log2(mid)) - v * log2(v) < y:
             lo = mid
         else:
             hi = mid

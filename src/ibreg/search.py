@@ -14,7 +14,6 @@ observer's source axis plus every previously generated description.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -493,10 +492,16 @@ def search_mu_int_detailed(model: BinaryModel, r2_grid, budget: int, seed: int, 
         take = min(_CHUNK, budget - j * _CHUNK)
         return _evaluate_blocks(q0, _drawn_blocks(seed, j, take, v1.output.card), take)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:  # one thread: chunks run here
-        chunks = (pool.map if threads > 1 else map)(run_chunk, range(n_chunks))
+    def absorb_chunks(chunks):
         for j, (r, v) in enumerate(chunks):
             absorb(r, v, lambda k: f"sample:{j}/{k}")
+
+    if threads > 1:   # concurrent.futures loads logging: imported only here
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            absorb_chunks(pool.map(run_chunk, range(n_chunks)))
+    else:   # one thread: the chunks run here, one after another
+        absorb_chunks(map(run_chunk, range(n_chunks)))
 
     records = [anchor] + [b for b in best if b is not None]
     ys = envelope_value(upper_concave_envelope(kept), grid)

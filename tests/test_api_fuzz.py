@@ -256,6 +256,25 @@ def test_random_value_in_each_argument(position, value):
     check_call(case, pos, value)
 
 
+@pytest.mark.parametrize("fn, args, want", [
+    (binary.g_prime, (1e-320, 0.1), -1060.481066424152),
+    (binary.f_prime, (1e-320, 1e-320, 0.1), -1060.012070830563),
+    (binary.f_prime, (5e-324, 5e-324, 5e-324), -1.0),
+])
+def test_derivatives_finite_at_subnormal_r(fn, args, want):
+    # (1 - x)/x overflowed: -inf from the first two, inf - inf = NaN from the
+    # third.  want: 60-digit mpmath on the same floats; f_prime's second form
+    # rounds its subnormal gam and dlt, 5e-4 off
+    assert fn(*args) == pytest.approx(want, rel=0.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("args", [(5e-324, 0.1, 1e-320), (0.0, 5e-324, 5e-324)])
+def test_f_prime_raises_domain_error_where_a_crossover_rounds_off(args):
+    # r*dlt rounds to 1 (a bare math ValueError); r*gam is 0 (ZeroDivisionError)
+    with pytest.raises(DomainError, match="rounds to 0 or 1"):
+        binary.f_prime(*args)
+
+
 _AXIS_A = '"axes": [{"name": "a", "card": 2}]'
 _CURVE_HEAD = '"model": {}, "method": "m"'
 

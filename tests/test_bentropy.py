@@ -177,6 +177,36 @@ def test_h2_inv_equals_halving_loop_on_kernel():
         assert float.hex(h2_inv(y)) == float.hex(_ref_h2_inv(y)), y
 
 
+def _guarded_h2_inv(y):
+    # h2_inv's written-out loop as it was with _h2's positivity guards
+    if y == 1.0:
+        return 0.5
+    lo, hi = 0.0, 0.5
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        out = 0.0
+        if mid > 0.0:
+            out -= mid * math.log2(mid)
+        v = 1.0 - mid
+        if v > 0.0:
+            out -= v * math.log2(v)
+        if out < y:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_h2_inv_equals_guarded_loop():
+    # the loop's midpoints lie in [2**-61, 1/2), where both guards hold
+    rng = random.Random(31)
+    ys = [rng.random() for _ in range(5_000)] + [0.0, 0.5, 5e-324]
+    ys += [1.0 - k * 2.0 ** -53 for k in range(1, 65)] + [1.0 - rng.uniform(0.0, 1e-9)
+                                                          for _ in range(500)]
+    for y in ys:
+        assert float.hex(h2_inv(y)) == float.hex(_guarded_h2_inv(y)), y
+
+
 def test_h2_inv_domain():
     with pytest.raises(DomainError):
         h2_inv(1.5)

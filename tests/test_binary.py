@@ -34,8 +34,8 @@ from ibreg import (
 )
 from ibreg import binary
 from ibreg.binary import (
-    _curve_grids, _f, _f_prime, _f_vec, _first_form, _g, _g_prime, _g_vec)
-from ibreg.optimize import golden_max, golden_min
+    _curve_grids, _f, _f_prime, _fg_vec, _first_form, _g, _g_prime, _second_form)
+from ibreg.optimize import bisect_root, golden_max, golden_min
 from ibreg.pmf import compose_markov, conditional_mutual_information as cmi, \
     mutual_information as mi
 
@@ -187,7 +187,7 @@ def test_kernels_equal_public_twins(p, q):
         r = float(r)
         assert _f(r if r <= 0.5 else 1.0 - r, p, q) == f(r, p, q)
         assert _g(r, q) == g(r, q)
-        assert _f_prime(r, p, q) == f_prime(r, p, q)
+        assert _f_prime(r, q, *_second_form(p, q)) == f_prime(r, p, q)
         if 0.0 < r < 1.0:
             assert _g_prime(r, q) == g_prime(r, q)
 
@@ -583,35 +583,91 @@ def test_kernels_equal_reference_bits():
             assert _first_form(p, q)(r) == (_ref_f(r, p, q), _ref_g(r, q)), (r, p, q)
 
 
+# critical_point's scan as it was before it shared its star arrays: four array
+# kernels, each forming r*q (and f' and f r*gam and r*dlt) on its own.  Kept
+# as the reference the shared-term scan must equal bit for bit
+
+def _ref_h2p_vec(x):
+    return np.log2((1.0 - x) / x)
+
+
+def _ref_scan_terms(rs, p, q):
+    # f', g, f and g' on rs
+    w = star(p, q)
+    gam = p * q / (1.0 - w)
+    dlt = p * (1.0 - q) / w
+    fp = ((1 - 2 * q) * _ref_h2p_vec(rs * (1 - 2 * q) + q)
+          - (1 - w) * (1 - 2 * gam) * _ref_h2p_vec(rs * (1 - 2 * gam) + gam)
+          - w * (1 - 2 * dlt) * _ref_h2p_vec(rs * (1 - 2 * dlt) + dlt))
+    g_v = binary._h2_arr(rs * (1 - 2 * q) + q) - binary._h2_arr(rs)
+    f_v = (binary._h2_arr(rs * (1 - 2 * q) + q)
+           - (1.0 - w) * binary._h2_arr(rs * (1 - 2 * gam) + gam)
+           - w * binary._h2_arr(rs * (1 - 2 * dlt) + dlt))
+    gp = (1 - 2 * q) * _ref_h2p_vec(rs * (1 - 2 * q) + q) - _ref_h2p_vec(rs)
+    return fp, g_v, f_v, gp
+
+
+def _ref_critical_point(p, q):
+    # (r_c, R_c, alpha*) by the reference scan and a bisection whose phi forms
+    # the second form's constants at each call; None where critical_point
+    # raises SolverError
+    rs = np.linspace(1e-6, 0.5 - 1e-6, binary._SCAN_N)
+    fp, g_v, f_v, gp = _ref_scan_terms(rs, p, q)
+    phi = fp * g_v - f_v * gp
+    hits = np.nonzero((phi[:-1] > 0.0) & (phi[1:] <= 0.0))[0]
+    scan = ((False, float(phi.min()), float(phi.max())) if len(hits) == 0
+            else (True, float(rs[hits[0]]), float(rs[hits[0] + 1])))
+    if not scan[0]:
+        return scan, None
+    first = _first_form(p, q)
+
+    def phi_scalar(r):
+        f_r, g_r = first(r)
+        return _f_prime(r, q, *_second_form(p, q)) * g_r - f_r * _g_prime(r, q)
+
+    try:
+        r_c = bisect_root(phi_scalar, scan[1], scan[2])
+    except SolverError:
+        return scan, None
+    f_c, rate = first(r_c)
+    if r_c > 0.5 - 1e-3 or not (rate > 0.0 and 0.0 < f_c / rate < 1.0):
+        return scan, None
+    return scan, (r_c, rate, f_c / rate)
+
+
 @pytest.mark.parametrize("p,q", [(0.1, 0.1), (0.05, 0.3), (0.3, 0.05), (0.45, 1e-3)])
 def test_derivative_array_kernels_match_scalar(p, q):
+    # the scan's f' and g' (the reference terms, which it equals bit for bit)
+    # against the scalar kernels
     rs = np.linspace(1e-6, 0.5 - 1e-6, binary._SCAN_N)
-    fp = binary._f_prime_vec(rs, p, q)
-    gp = binary._g_prime_vec(rs, q)
-    np.testing.assert_allclose(fp, [_f_prime(float(r), p, q) for r in rs], rtol=0, atol=1e-12)
+    fp, _, _, gp = _ref_scan_terms(rs, p, q)
+    w_gam_dlt = _second_form(p, q)
+    np.testing.assert_allclose(fp, [_f_prime(float(r), q, *w_gam_dlt) for r in rs],
+                               rtol=0, atol=1e-12)
     np.testing.assert_allclose(gp, [_g_prime(float(r), q) for r in rs], rtol=0, atol=1e-12)
 
 
 def test_derivative_array_kernels_equal_reference_bits():
-    # critical_point's scan computed f' and g' inline like this before the
-    # array kernels held them; the scan's sign changes depend on every bit
-    def h2p(x):
-        return np.log2((1.0 - x) / x)
-
+    # the scan's sign changes, and so the bisection's bracket, depend on
+    # every bit of f', g, f and g'; 300 seeded models, about half of them
+    # degenerate (no tangency), plus tiny and edge p and q
     rng = np.random.default_rng(31)
-    rs = np.linspace(1e-6, 0.5 - 1e-6, binary._SCAN_N)
-    for _ in range(20):
-        p, q = (float(v) for v in rng.uniform(0.005, 0.495, size=2))
-        one_m_2q = 1.0 - 2.0 * q
-        w = star(p, q)
-        gam = p * q / (1.0 - w)
-        dlt = p * (1.0 - q) / w
-        gp = one_m_2q * h2p(rs * one_m_2q + q) - h2p(rs)
-        fp = (one_m_2q * h2p(rs * one_m_2q + q)
-              - (1 - w) * (1 - 2 * gam) * h2p(rs * (1 - 2 * gam) + gam)
-              - w * (1 - 2 * dlt) * h2p(rs * (1 - 2 * dlt) + dlt))
-        assert binary._g_prime_vec(rs, q).tobytes() == gp.tobytes()
-        assert binary._f_prime_vec(rs, p, q).tobytes() == fp.tobytes()
+    models = [tuple(float(v) for v in rng.uniform(0.005, 0.495, size=2)) for _ in range(300)]
+    models += [(p, q) for p in (1e-300, 0.1, 0.4999999999999999)
+               for q in (1e-300, 1e-19, 1e-10, 0.1, 0.4999999999999999)]
+    found = 0
+    for p, q in models:
+        scan, want = _ref_critical_point(p, q)
+        assert binary._tangency_scan(p, q) == scan, (p, q)
+        try:
+            got = critical_point(p, q)
+        except SolverError:
+            assert want is None, (p, q)
+            continue
+        found += 1
+        assert [float.hex(v) for v in (got.crossover, got.rate, got.alpha_star)] \
+            == [float.hex(v) for v in want], (p, q)
+    assert 100 < found < len(models) - 100
 
 
 def test_mu_d_timeshare_oracle():
@@ -630,8 +686,7 @@ def test_mu_d_timeshare_oracle():
 
 def _ref_mu_d_timeshare_oracle(rate, p, q):
     r = np.linspace(0.0, 0.5, 512)
-    gv = _g_vec(r, q)
-    fv = _f_vec(r, p, q)
+    fv, gv, _ = _fg_vec(r, p, q)
     g1, g2 = gv[:, None], gv[None, :]
     f1, f2 = fv[:, None], fv[None, :]
     den = g1 - g2
@@ -665,7 +720,7 @@ def test_mu_d_timeshare_oracle_equals_reference_bits():
         elif kind == 1:
             rate = h2(q)
         elif kind < 4:
-            rate = float(_g_vec(grid, q)[int(rng.integers(0, 500))])
+            rate = float(_fg_vec(grid, p, q)[1][int(rng.integers(0, 500))])
         else:
             rate = float(rng.uniform(0.0, h2(q)))
         assert mu_d_timeshare_oracle(rate, p, q) == _ref_mu_d_timeshare_oracle(rate, p, q), \

@@ -1,10 +1,14 @@
 """Channel-stack evaluators, corner points, envelope, and the seeded search."""
 
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import ibreg
 from ibreg import (
     ArgumentError,
     Axis,
@@ -779,6 +783,17 @@ def test_search_rejects_threads_below_one(threads):
     # both ran serially without a word
     with pytest.raises(ArgumentError, match="threads"):
         search_mu_int(MODEL, [0.0, 0.2], 100, 1, threads=threads)
+
+
+def test_import_leaves_concurrent_futures_unloaded():
+    # one thread runs the chunks in a plain loop; only more than one imports
+    # concurrent.futures, and with it logging
+    src = str(pathlib.Path(ibreg.__file__).parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import ibreg; "
+            "print('concurrent.futures' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.strip() == "False"
 
 
 def _ref_xlog2x(m):
