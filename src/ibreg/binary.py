@@ -293,6 +293,7 @@ class CriticalPoint:
 
 
 _SCAN_N = 2048            # critical_point's sign-change scan
+_EDGE_R = 0.5 - 1e-3      # a tangency past this r counts as the boundary
 _DUAL_GRID_N = 4096       # mu_d_dual's inner r-grid
 _DUAL_ALPHA_TOL = 1e-8    # mu_d_dual's golden-section tolerance on alpha
 _DUAL_MEMO_CAP = 2 ** 15  # entries in each of mu_d_dual's two memo dicts
@@ -306,7 +307,9 @@ def critical_point(p: float, q: float) -> CriticalPoint:
     ``f' g - f g'`` and bisects the bracket.  When the map r -> f(r)/g(r) is
     monotone the tangency degenerates to the boundary (no time-sharing
     segment, R_c -> 0); that raises ``SolverError`` with the scan summary.
-    So does a tangency past r = 1/2 - 1e-3, and one with R_c <= 0 or a slope
+    So does a tangency past r = 1/2 - 1e-3 (a bracket past it is not
+    bisected), a bracket where the scalar phi has no sign change (the
+    scan's was rounding noise), and one with R_c <= 0 or a slope
     f(r_c)/R_c not in (0, 1), which rounding gives for q near 1e-19 or 1e-10.
 
     Cost: about 0.16 ms a call at p = q = 0.1 (2-vCPU x86-64), 0.09 ms of
@@ -319,6 +322,10 @@ def critical_point(p: float, q: float) -> CriticalPoint:
             "no tangency sign change on (0, 1/2): "
             f"scan of {_SCAN_N} points has phi in [{lo:.3e}, {hi:.3e}]; "
             "the relevance-rate curve has no time-sharing segment (R_c -> 0)")
+    if lo > _EDGE_R:
+        raise SolverError(
+            f"tangency found only at the boundary (scan bracket [{lo!r}, {hi!r}]); "
+            "treating the time-sharing segment as empty (R_c -> 0)")
 
     first = _first_form(p, q)
     w, gam, dlt = _second_form(p, q)
@@ -327,8 +334,14 @@ def critical_point(p: float, q: float) -> CriticalPoint:
         f_r, g_r = first(r)
         return _f_prime(r, q, w, gam, dlt) * g_r - f_r * _g_prime(r, q)
 
-    r_c = bisect_root(phi_scalar, lo, hi)
-    if r_c > 0.5 - 1e-3:
+    try:
+        r_c = bisect_root(phi_scalar, lo, hi)
+    except SolverError as exc:
+        raise SolverError(
+            f"no tangency in the scan bracket [{lo!r}, {hi!r}]: the scalar phi has no "
+            "sign change there; the relevance-rate curve has no time-sharing segment "
+            "(R_c -> 0)") from exc
+    if r_c > _EDGE_R:
         raise SolverError(
             f"tangency found only at the boundary (r_c={r_c!r}); "
             "treating the time-sharing segment as empty (R_c -> 0)")

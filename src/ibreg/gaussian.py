@@ -33,7 +33,7 @@ import numpy as np
 
 from . import guards
 from .errors import ArgumentError, DegenerateModelError, DomainError
-from .optimize import _INVPHI
+from .optimize import _INVPHI, golden_max
 
 __all__ = [
     "GaussianTwcibModel",
@@ -512,6 +512,8 @@ def cdib_x1yx2_outer_frontier(m: GaussianCdibModel, rate1: float, rate2: float) 
     box's float spacing would swamp the plateau.  An unlimited rate, or a
     sum that overflows to inf, leaves the box at 128 and the cap and room
     infinite, where 1e300 leaves them beyond every relevance: the same double.
+    The r1 search is ``golden_max``; each of its evaluations is the r2
+    search ``_outer_best_over_r2``, whose steps are written out.
 
     Cost: 57 x 57 objective evaluations, 0.78 ms at R1 = R2 = 0.7 on a
     2-vCPU x86-64 host (Python 3.11, numpy 2.4); bits: README, "Speed never
@@ -525,28 +527,9 @@ def cdib_x1yx2_outer_frontier(m: GaussianCdibModel, rate1: float, rate2: float) 
     if span <= 0.0:
         return 0.0
     box = min(span, _OUTER_BOX)
-    # golden_max(lambda r1: _outer_best_over_r2(e1, e2, r1, rate1 - r1 +
-    # i_y_x2, rate2, span - r1, box), 0.0, box, _OUTER_TOL)[1] written out,
-    # without a stall guard for the reason the inner search gives
-    best, invphi, tol = _outer_best_over_r2, _INVPHI, _OUTER_TOL
-    a, b, w = 0.0, box, box
-    c = b - invphi * w
-    d = a + invphi * w
-    fc = best(e1, e2, c, rate1 - c + i_y_x2, rate2, span - c, box)
-    fd = best(e1, e2, d, rate1 - d + i_y_x2, rate2, span - d, box)
-    while w > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            w = b - a
-            c = b - invphi * w
-            fc = best(e1, e2, c, rate1 - c + i_y_x2, rate2, span - c, box)
-        else:
-            a, c, fc = c, d, fd
-            w = b - a
-            d = a + invphi * w
-            fd = best(e1, e2, d, rate1 - d + i_y_x2, rate2, span - d, box)
-    x = 0.5 * (a + b)
-    return max(0.0, best(e1, e2, x, rate1 - x + i_y_x2, rate2, span - x, box))
+    _, value = golden_max(lambda r1: _outer_best_over_r2(
+        e1, e2, r1, rate1 - r1 + i_y_x2, rate2, span - r1, box), 0.0, box, _OUTER_TOL)
+    return max(0.0, value)
 
 
 _INNER_GRID_N = 110    # points per log-variance axis in the first round (12,100 in all)

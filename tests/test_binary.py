@@ -249,7 +249,8 @@ def test_critical_point_degenerate_configs_raise():
 
 @pytest.mark.parametrize("p, q, match", [
     (0.2, 0.3, "no tangency sign change"),
-    (0.1, 0.3, "no sign change on"),
+    (0.1, 0.3, "only at the boundary"),
+    (1e-12, 1e-3, "no tangency in the scan bracket"),
     (0.3, 0.3, "only at the boundary"),
     (0.1, 1e-19, "degenerate tangency"),
 ])
@@ -661,8 +662,11 @@ def test_derivative_array_kernels_equal_reference_bits():
         assert binary._tangency_scan(p, q) == scan, (p, q)
         try:
             got = critical_point(p, q)
-        except SolverError:
+        except SolverError as exc:
             assert want is None, (p, q)
+            # the message names a missing, boundary or degenerate tangency,
+            # never the bisection's bare bracket
+            assert not str(exc).startswith("no sign change"), (p, q)
             continue
         found += 1
         assert [float.hex(v) for v in (got.crossover, got.rate, got.alpha_star)] \

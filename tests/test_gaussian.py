@@ -541,11 +541,11 @@ def test_outer_frontier_equals_oracle_on_drawn_chains(rho_x1y, rho_x2y, rate1, r
     assert got == _oracle_outer_frontier(m, rate1, rate2)
 
 
-# the written-out inner and outer searches against golden_max on the
-# objective's reference copy, off the [0, 3] rates the oracle tests draw
-# from: the same result and the same log arguments in the same order, so
-# each inline evaluation is pinned, not only the comparisons that steer the
-# searches
+# the written-out inner search, and the outer golden_max over it, against
+# golden_max on the objective's reference copy, off the [0, 3] rates the
+# oracle tests draw from: the same result and the same log arguments in the
+# same order, so each inline evaluation is pinned, not only the comparisons
+# that steer the searches
 EDGE_RATES = [(20.0, 0.0), (0.0, 20.0), (128.1, 128.1), (5e4, 5e4), (1e300, 1e300),
               (math.inf, 1.0), (1.0, math.inf), (5e-324, 5e-324)]
 
@@ -579,12 +579,31 @@ def test_outer_inner_search_equals_golden_max(rhos, rates, monkeypatch):
     log2 = np.log2
     for r1 in (0.0, box / 3.0, 0.5 * box, box):
         assert traced(inline, r1) == traced(reference, r1), r1
-    # the written-out outer search against golden_max over the nested
-    # reference: every log argument of the whole frontier, in order
+    # the frontier against golden_max over the nested reference: every log
+    # argument of the whole frontier, in order
     got = traced(lambda _: cdib_x1yx2_outer_frontier(m, rate1, rate2), None)
     want = traced(lambda _: max(0.0, golden_max(reference, 0.0, box, 1e-11)[1]), None)
     assert got == want
     assert len(got[1]) >= 9   # each search evaluates at least three points
+
+
+@pytest.mark.parametrize("rates", [(0.7, 0.7), (0.0, 2.0), (5e-324, 0.0)] + EDGE_RATES)
+def test_outer_r1_search_calls_gaussian_golden_max(rates, monkeypatch):
+    # the r1 search is one call of gaussian.golden_max, the name a tracer
+    # rebinds, and the origin calls it not at all
+    m = GaussianCdibModel.chain_x1_y_x2(0.8, 0.6)
+    want = cdib_x1yx2_outer_frontier(m, *rates)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1:])
+        return golden_max(*args)
+
+    monkeypatch.setattr(ibreg.gaussian, "golden_max", counting)
+    assert cdib_x1yx2_outer_frontier(m, *rates).hex() == want.hex()
+    assert calls == [(0.0, min(sum(rates), 128.0), 1e-11)]
+    assert cdib_x1yx2_outer_frontier(m, 0.0, 0.0) == 0.0
+    assert len(calls) == 1
 
 
 def _zoom_grid_reference(g, k):
