@@ -33,8 +33,9 @@ apart on purpose: folding them moves last bits, and the second-form array
 kernels keep both oracles independent of the primal kernels.  Public
 functions check their arguments by ``guards``, once.
 ``_first_form(p, q)`` is the one scalar copy of ``f``'s first form,
-``r -> (f(r), g(r))``; ``_g`` is ``g``'s kernel.  ``_g_inverse``'s loop
-carries ``_g``'s arithmetic written out, and a test pins it to
+``r -> (f(r), g(r))`` on [0, 1/2], where ``f`` maps every r, and keeps only
+the guards that can fail there; ``_g`` is ``g``'s kernel.  ``_g_inverse``'s
+loop carries ``_g``'s arithmetic written out, and a test pins it to
 ``bisect_decreasing_inverse`` on ``_g``, bit for bit.
 """
 
@@ -49,7 +50,7 @@ import numpy as np
 from . import guards
 from .bentropy import _gerber, _h2, _h2_arr, _star
 from .errors import ArgumentError, DomainError, SolverError
-from .optimize import _BISECT_ITERATIONS, _INVPHI, _capped_midpoint, bisect_root, golden_min
+from .optimize import _BISECT_ITERATIONS, _INVPHI, bisect_root, golden_min
 from .pmf import Axis, Channel, JointPmf
 
 __all__ = [
@@ -117,8 +118,8 @@ def g(r: float, q: float) -> float:
 
 
 def _first_form(p: float, q: float):
-    # r -> (f(r), g(r)), f in its first algebraic form, with _star and _h2
-    # written out (README, "Speed never moves a bit"); (p, q) parts once, here
+    # r -> (f(r), g(r)) on [0, 1/2], f in its first algebraic form, with _star
+    # and _h2 written out (README, "Speed never moves a bit"); (p, q) parts once
     omq = 1.0 - q
     omp = 1.0 - p
     hpq = _h2(p * omq + q * omp)
@@ -126,38 +127,21 @@ def _first_form(p: float, q: float):
     def first(r: float) -> tuple[float, float]:
         w = q * (1.0 - r) + r * omq   # star(q, r) == star(r, q)
         a = q * r / (1.0 - w)
-        # near r = 1 rounding can put a an ulp above 1; on [0, 1/2] it stays
-        # below 1/2 and the clamp is a no-op
-        if a > 1.0:
-            a = 1.0
         b = omq * r / w
-        # h2 of star(p, a), star(p, b), w and r, each as in _h2
+        # h2 of star(p, a), star(p, b), w and r, each as in _h2, with only
+        # the two of its positivity guards that can fail on [0, 1/2]
         x = p * (1.0 - a) + a * omp
-        ha = 0.0
-        if x > 0.0:
-            ha -= x * log2(x)
-        x = 1.0 - x
-        if x > 0.0:
-            ha -= x * log2(x)
+        y = 1.0 - x
+        ha = -(x * log2(x)) - y * log2(y)
         x = p * (1.0 - b) + b * omp
-        hb = 0.0
-        if x > 0.0:
-            hb -= x * log2(x)
-        x = 1.0 - x
-        if x > 0.0:
-            hb -= x * log2(x)
-        hw = 0.0
-        if w > 0.0:
-            hw -= w * log2(w)
-        x = 1.0 - w
-        if x > 0.0:
-            hw -= x * log2(x)
-        hr = 0.0
-        if r > 0.0:
-            hr -= r * log2(r)
-        x = 1.0 - r
-        if x > 0.0:
-            hr -= x * log2(x)
+        y = 1.0 - x
+        hb = -(x * log2(x))
+        if y > 0.0:   # 0 at r = 1/2 for p and q below about 1e-16
+            hb -= y * log2(y)
+        y = 1.0 - w
+        hw = -(w * log2(w)) - y * log2(y)
+        y = 1.0 - r
+        hr = -(r * log2(r)) - y * log2(y) if r > 0.0 else 0.0   # f(0), f(1)
         return hpq - (1.0 - w) * ha - w * hb, hw - hr
 
     return first
@@ -169,7 +153,8 @@ def _f(r: float, p: float, q: float) -> float:
 
 def f(r: float, p: float, q: float) -> float:
     """Relevance curve; first displayed algebraic form, at 1 - r for r > 1/2
-    (f is symmetric about 1/2, 1 - r is exact there, and the form cancels)."""
+    (f is symmetric about 1/2, 1 - r is exact there, and the form cancels).
+    That map puts every r in [0, 1/2], the domain of the kernel."""
     p, q = guards.crossover("p", p), guards.crossover("q", q)
     r = guards.prob("crossover r", r)
     return _f(r if r <= 0.5 else 1.0 - r, p, q)
@@ -245,12 +230,12 @@ def g_inverse(rate: float, q: float) -> float:
     """Unique r in [0, 1/2] with g(r) = rate, for a rate in [0, h2(q)], the
     range of g; bisection on the decreasing branch, to adjacent floats.
 
-    The loop is ``bisect_decreasing_inverse``'s steps on [0, 1/2], its
-    100-halving cap included, with g evaluated inline in ``_g``'s products
-    and order, without ``_h2``'s positivity guards, which all hold: mid lies
-    in [2**-101, 1/2] and q in (0, 1/2), so x = mid (1 - q) + q (1 - mid)
-    lies in (0, 1/2].  So the result has the same bits (README, "Speed
-    never moves a bit").
+    The loop is ``bisect_decreasing_inverse``'s steps on [0, 1/2], with g
+    evaluated inline in ``_g``'s products and order, without ``_h2``'s
+    positivity guards, which all hold: mid lies in [2**-101, 1/2] and q in
+    (0, 1/2), so x = mid (1 - q) + q (1 - mid) lies in (0, 1/2]; nor does it
+    test for a zero mid or check the 2**-101-wide bracket 100 halvings leave.
+    So the result has the same bits (README, "Speed never moves a bit").
     """
     q = guards.crossover("q", q)
     return _g_inverse(guards.prob("rate", rate, _h2(q)), q)
@@ -264,7 +249,7 @@ def _g_inverse(rate: float, q: float) -> float:
     lo, hi = 0.0, 0.5
     for _ in range(_BISECT_ITERATIONS):
         mid = 0.5 * (lo + hi)
-        if (mid == lo or mid == hi) and mid != 0.0:
+        if mid == lo or mid == hi:
             return mid
         # _g(mid, q): h2 of star(mid, q) less h2(mid), each as in _h2 with
         # -a for _h2's 0.0 - a; they differ only in the sign of a zero
@@ -275,7 +260,7 @@ def _g_inverse(rate: float, q: float) -> float:
             lo = mid
         else:
             hi = mid
-    return _capped_midpoint(lo, hi)
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -417,8 +417,10 @@ def cdib_x1yx2_outer_point(m: GaussianCdibModel, r1: float, r2: float) -> OuterB
     """
     _require_chain(m, "x1-y-x2")
     r1, r2 = guards.rate("r1", r1), guards.rate("r2", r2)
-    mu = _outer_objective(*_outer_log_terms(m.rho_x1y ** 2, m.rho_x2y ** 2, r1),
-                          inf, inf, inf)(r2)
+    # a log argument that cancels to 0 or below gives -inf or NaN, not a warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = _outer_objective(*_outer_log_terms(m.rho_x1y ** 2, m.rho_x2y ** 2, r1),
+                              inf, inf, inf)(r2)
     if not isfinite(mu):
         raise DegenerateModelError("log argument vanished in the outer bound")
     i_y_x2 = m.i_y_x2()

@@ -252,6 +252,8 @@ def test_critical_point_degenerate_configs_raise():
     (0.1, 0.3, "only at the boundary"),
     (1e-12, 1e-3, "no tangency in the scan bracket"),
     (0.3, 0.3, "only at the boundary"),
+    # the scan bracket straddles r = 0.499 and the bisection's root lies past it
+    (0.49792045022311376, 0.3916877838419371, r"only at the boundary \(r_c=0\.4990143"),
     (0.1, 1e-19, "degenerate tangency"),
 ])
 def test_critical_point_error_keeps_no_scan_array(p, q, match):
@@ -578,10 +580,12 @@ def test_kernels_equal_reference_bits():
                          rng.uniform(0.0, 1.0, 300), 1.0 - rng.uniform(0.0, 1e-12, 50)])
     for r in rs:
         r = float(r)
+        # the map f applies, exact by Sterbenz: _first_form works on [0, 1/2]
+        h = r if r <= 0.5 else 1.0 - r
         for p, q in ((0.1, 0.1), (0.3, 0.05), (0.45, 1e-4), (0.2, 1e-3)):
-            assert _f(r, p, q) == _ref_f(r, p, q), (r, p, q)
+            assert _f(h, p, q) == _ref_f(h, p, q), (r, p, q)
             assert _g(r, q) == _ref_g(r, q), (r, q)
-            assert _first_form(p, q)(r) == (_ref_f(r, p, q), _ref_g(r, q)), (r, p, q)
+            assert _first_form(p, q)(h) == (_ref_f(h, p, q), _ref_g(h, q)), (r, p, q)
 
 
 # critical_point's scan as it was before it shared its star arrays: four array

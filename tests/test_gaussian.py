@@ -401,6 +401,14 @@ def test_outer_point_limits(chain_b):
         cdib_x1yx2_outer_point(chain_b, -0.1, 0.0)
 
 
+def test_outer_point_vanishing_log_argument_raises_without_warning():
+    # rho_x2y one ulp below 1: at (0, 0) the log argument cancels to 0, and
+    # DegenerateModelError, not numpy's divide-by-zero RuntimeWarning, comes out
+    m = GaussianCdibModel.chain_x1_y_x2(0.8, 0.9999999999999999)
+    with pytest.raises(DegenerateModelError, match="log argument vanished"):
+        cdib_x1yx2_outer_point(m, 0.0, 0.0)
+
+
 def test_outer_point_structure(chain_b):
     for r1, r2 in ((0.1, 0.8), (1.0, 0.3), (2.0, 2.0)):
         pt = cdib_x1yx2_outer_point(chain_b, r1, r2)
