@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf, isfinite, log2, sqrt
+from math import inf, isfinite, log2, nan, sqrt
 
 import numpy as np
 
@@ -440,10 +440,15 @@ _OUTER_BOX = 128.0    # cap on each auxiliary rate searched, in bits
 def _outer_best_over_r2(e1: float, e2: float, r1: float, cap: float, rate2: float,
                         room: float, box: float) -> float:
     """``golden_max(_outer_objective(*_outer_log_terms(e1, e2, r1), cap, rate2,
-    room), 0.0, box, _OUTER_TOL)[1]``, its steps written out and the objective
-    inline at each of its evaluations (README, "Speed never moves a bit")."""
+    room), 0.0, box, _OUTER_TOL, bound)[1]``, its steps written out and the
+    objective inline at each of its evaluations, where ``bound(r2)`` is
+    ``min(cap, room - r2)`` if ``base - k2 > 0`` and NaN otherwise (README,
+    "Speed never moves a bit")."""
     base, k2, den = _outer_log_terms(e1, e2, r1)
     log2, invphi, tol = np.log2, _INVPHI, _OUTER_TOL
+    # with base - k2 > 0 every log argument is positive, so no value is NaN
+    # and min(cap, room - x) bounds the value at x; NaN makes no claim
+    lid = cap if base - k2 > 0.0 else nan
     a, b, w = 0.0, box, box
     c = b - invphi * w
     d = a + invphi * w
@@ -471,26 +476,30 @@ def _outer_best_over_r2(e1: float, e2: float, r1: float, cap: float, rate2: floa
             b, d, fd = d, c, fc
             v = b - a
             c = b - invphi * v
-            mu = 0.5 * float(log2((base - k2 * 2.0 ** (-2.0 * c)) / den))
-            fc = cap if cap < mu else mu
-            t = rate2 - c + mu
-            if t < fc:
-                fc = t
-            t = room - c
-            if t < fc:
-                fc = t
+            u = room - c
+            fc = u if u < lid else lid
+            if not fc <= fd:
+                mu = 0.5 * float(log2((base - k2 * 2.0 ** (-2.0 * c)) / den))
+                fc = cap if cap < mu else mu
+                t = rate2 - c + mu
+                if t < fc:
+                    fc = t
+                if u < fc:
+                    fc = u
         else:
             a, c, fc = c, d, fd
             v = b - a
             d = a + invphi * v
-            mu = 0.5 * float(log2((base - k2 * 2.0 ** (-2.0 * d)) / den))
-            fd = cap if cap < mu else mu
-            t = rate2 - d + mu
-            if t < fd:
-                fd = t
-            t = room - d
-            if t < fd:
-                fd = t
+            u = room - d
+            fd = u if u < lid else lid
+            if not fc > fd:
+                mu = 0.5 * float(log2((base - k2 * 2.0 ** (-2.0 * d)) / den))
+                fd = cap if cap < mu else mu
+                t = rate2 - d + mu
+                if t < fd:
+                    fd = t
+                if u < fd:
+                    fd = u
         w = v
     x = 0.5 * (a + b)
     mu = 0.5 * float(log2((base - k2 * 2.0 ** (-2.0 * x)) / den))
@@ -515,11 +524,14 @@ def cdib_x1yx2_outer_frontier(m: GaussianCdibModel, rate1: float, rate2: float) 
     sum that overflows to inf, leaves the box at 128 and the cap and room
     infinite, where 1e300 leaves them beyond every relevance: the same double.
     The r1 search is ``golden_max``; each of its evaluations is the r2
-    search ``_outer_best_over_r2``, whose steps are written out.
+    search ``_outer_best_over_r2``, whose steps are written out.  Both skip
+    each evaluation that the cap and room bound already decides.
 
-    Cost: 57 x 57 objective evaluations, 0.78 ms at R1 = R2 = 0.7 on a
-    2-vCPU x86-64 host (Python 3.11, numpy 2.4); bits: README, "Speed never
-    moves a bit".
+    Cost: at most 57 x 57 objective evaluations.  At R1 = R2 = 0.7 it takes
+    1,628 ``np.log2`` calls (3,249 without the bounds) and 0.73-1.00 ms,
+    against 1.26-1.77 ms without, in alternating best-of-15 timeit runs on
+    a shared 2-vCPU x86-64 host (Python 3.11, numpy 2.4).  Bits: README,
+    "Speed never moves a bit".
     """
     _require_chain(m, "x1-y-x2")
     rate1, rate2 = guards.rate("rate1", rate1), guards.rate("rate2", rate2)
@@ -529,8 +541,16 @@ def cdib_x1yx2_outer_frontier(m: GaussianCdibModel, rate1: float, rate2: float) 
     if span <= 0.0:
         return 0.0
     box = min(span, _OUTER_BOX)
-    _, value = golden_max(lambda r1: _outer_best_over_r2(
-        e1, e2, r1, rate1 - r1 + i_y_x2, rate2, span - r1, box), 0.0, box, _OUTER_TOL)
+    # base(r1) >= base(0) and k2 2^(-2 r2) <= k2, so base(0) - k2 > 0 keeps
+    # every log argument positive: then no value is NaN, and the r2 search
+    # at r1, whose final r2 is >= 0, is at most min(cap, room)
+    base, k2, _ = _outer_log_terms(e1, e2, 0.0)
+    bound = (lambda r1: min(rate1 - r1 + i_y_x2, span - r1)) if base - k2 > 0.0 else None
+    # a log argument that cancels to 0 or below gives -inf or NaN, not a warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, value = golden_max(lambda r1: _outer_best_over_r2(
+            e1, e2, r1, rate1 - r1 + i_y_x2, rate2, span - r1, box), 0.0, box, _OUTER_TOL,
+            bound=bound)
     return max(0.0, value)
 
 

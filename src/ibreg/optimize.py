@@ -5,8 +5,11 @@ section assumes a (weakly) unimodal objective on the bracket, which every
 caller in this package guarantees by convexity/concavity arguments.  Its
 ``tol`` must be positive and finite, and every bracket [lo, hi] finite with
 lo <= hi and twice each end finite, so that no midpoint overflows; anything
-else raises ``ArgumentError``.  These two settings are the only arguments
-checked here rather than by ``guards``: no other module reads them.
+else raises ``ArgumentError``, as does a ``bound`` that is neither None nor
+callable.  These settings are the only arguments checked here rather than
+by ``guards``: no other module reads them.  ``golden_max``'s ``bound``, an
+upper bound on the objective (NaN, or >= ``fun(x)`` with ``fun(x)`` not
+NaN), saves the evaluations it decides and moves no bit.
 
 The bisections halve at most ``_BISECT_ITERATIONS`` times and stop as soon
 as the bracket is two adjacent floats (or one), that is when its midpoint
@@ -19,7 +22,7 @@ When the cap ends the halvings with the bracket still wider than
 
 from __future__ import annotations
 
-from math import inf, sqrt
+from math import inf, nan, sqrt
 from typing import Callable
 
 from .errors import ArgumentError, SolverError
@@ -58,7 +61,8 @@ def _capped_midpoint(lo: float, hi: float) -> float:
 
 
 def golden_max(fun: Callable[[float], float], lo: float, hi: float,
-               tol: float = 1e-10) -> tuple[float, float]:
+               tol: float = 1e-10,
+               bound: Callable[[float], float] | None = None) -> tuple[float, float]:
     """Maximise a unimodal function on [lo, hi]; returns (x, fun(x)).
 
     The loop ends when the bracket is at most ``tol`` wide, or when float
@@ -66,8 +70,18 @@ def golden_max(fun: Callable[[float], float], lo: float, hi: float,
     (a, b, c, d), so a state that comes back after a step that did not
     narrow the bracket would come back forever.  Only such a loop, which
     would never end, stops early; ``fun`` must be deterministic.
+
+    ``bound``, if given, is an upper bound on ``fun`` that saves
+    evaluations: at every x it returns NaN (no claim) or a value that is
+    >= ``fun(x)``, with ``fun(x)`` not NaN.  A step's new point takes
+    ``bound(x)`` as its value, and ``fun(x)`` only where the bound does not
+    decide the next comparison; where it does, that comparison discards the
+    point, so the path, the result and every ``fun`` value that steers it
+    are the bound-free call's.
     """
     tol = _check_tol(tol)
+    if bound is not None and not callable(bound):
+        raise ArgumentError(f"bound must be callable or None, got {bound!r}")
     a, b = float(lo), float(hi)
     _check_bracket(a, b)
     w = b - a
@@ -80,12 +94,18 @@ def golden_max(fun: Callable[[float], float], lo: float, hi: float,
             b, d, fd = d, c, fc
             v = b - a
             c = b - _INVPHI * v
-            fc = fun(c)
+            # a new c at most fd is discarded by the next step
+            fc = nan if bound is None else bound(c)
+            if not fc <= fd:
+                fc = fun(c)
         else:
             a, c, fc = c, d, fd
             v = b - a
             d = a + _INVPHI * v
-            fd = fun(d)
+            # a new d below fc is discarded by the next step
+            fd = nan if bound is None else bound(d)
+            if not fc > fd:
+                fd = fun(d)
         if not v < w:
             state = (a, b, c, d)
             if state in stalled:

@@ -37,7 +37,7 @@ SIGNATURES = [
     (gaussian.cdib_x1yx2_outer_frontier, ("m", "rate1", "rate2")),
     (optimize.bisect_root, ("fun", "lo", "hi")),
     (optimize.bisect_decreasing_inverse, ("fun", "target", "lo", "hi")),
-    (optimize.golden_max, ("fun", "lo", "hi", "tol")),
+    (optimize.golden_max, ("fun", "lo", "hi", "tol", "bound")),
     (search.evaluate_twcib, ("source", "sched")),
     (search.evaluate_cdib_inner, ("source", "sched")),
     (search.corner_points_outer, ("source", "u1", "u2")),

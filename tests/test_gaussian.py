@@ -7,6 +7,7 @@ expressions.
 import decimal
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -409,6 +410,17 @@ def test_outer_point_vanishing_log_argument_raises_without_warning():
         cdib_x1yx2_outer_point(m, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("rate", [1e-300, 1e-17])
+def test_outer_frontier_vanishing_log_argument_without_warning(rate):
+    # rho_x2y one ulp below 1: near the origin the r2 search meets log
+    # arguments that cancel to 0, and numpy warned "divide by zero" 9 times
+    # a call, an error under warnings-as-errors
+    m = GaussianCdibModel.chain_x1_y_x2(0.8, 0.9999999999999999)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cdib_x1yx2_outer_frontier(m, rate, rate) == 0.0
+
+
 def test_outer_point_structure(chain_b):
     for r1, r2 in ((0.1, 0.8), (1.0, 0.3), (2.0, 2.0)):
         pt = cdib_x1yx2_outer_point(chain_b, r1, r2)
@@ -558,7 +570,8 @@ EDGE_RATES = [(20.0, 0.0), (0.0, 20.0), (128.1, 128.1), (5e4, 5e4), (1e300, 1e30
               (math.inf, 1.0), (1.0, math.inf), (5e-324, 5e-324)]
 
 
-@pytest.mark.parametrize("rhos", [(0.8, 0.6), (-0.5, 0.5), (0.999999, 0.999999)])
+@pytest.mark.parametrize("rhos", [(0.8, 0.6), (-0.5, 0.5), (0.999999, 0.999999),
+                                  (0.8, 0.9999999999999999)])
 @pytest.mark.parametrize("rates", EDGE_RATES)
 def test_outer_inner_search_equals_golden_max(rhos, rates, monkeypatch):
     m = GaussianCdibModel.chain_x1_y_x2(*rhos)
@@ -567,11 +580,20 @@ def test_outer_inner_search_equals_golden_max(rhos, rates, monkeypatch):
     span = rate1 + rate2
     box = min(span, 128.0)
 
+    # the stand-ins for skipped evaluations, valid where every log argument
+    # is positive: min(cap, room - r2) in the r2 search, min(cap, room) in
+    # the r1 search
+    def certified(r1):
+        base, k2, _ = ibreg.gaussian._outer_log_terms(e1, e2, r1)
+        return base - k2 > 0.0
+
     def reference(r1):
+        cap, room = rate1 - r1 + m.i_y_x2(), span - r1
         objective = ibreg.gaussian._outer_objective(
-            *ibreg.gaussian._outer_log_terms(e1, e2, r1), rate1 - r1 + m.i_y_x2(), rate2,
-            span - r1)
-        return golden_max(objective, 0.0, box, 1e-11)[1]
+            *ibreg.gaussian._outer_log_terms(e1, e2, r1), cap, rate2, room)
+        sure = certified(r1)
+        return golden_max(objective, 0.0, box, 1e-11,
+                          bound=lambda r2: min(cap, room - r2) if sure else math.nan)[1]
 
     def inline(r1):
         return ibreg.gaussian._outer_best_over_r2(
@@ -580,7 +602,10 @@ def test_outer_inner_search_equals_golden_max(rhos, rates, monkeypatch):
     def traced(search, r1):
         seen = []
         monkeypatch.setattr(np, "log2", lambda x: seen.append(x.hex()) or log2(x))
-        value = search(r1)
+        # a log argument that cancels to 0 (rho_x2y one ulp below 1) gives
+        # -inf, as in the frontier
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = search(r1)
         monkeypatch.setattr(np, "log2", log2)
         return value.hex(), seen
 
@@ -589,8 +614,11 @@ def test_outer_inner_search_equals_golden_max(rhos, rates, monkeypatch):
         assert traced(inline, r1) == traced(reference, r1), r1
     # the frontier against golden_max over the nested reference: every log
     # argument of the whole frontier, in order
+    outer_bound = (lambda r1: min(rate1 - r1 + m.i_y_x2(), span - r1)) \
+        if certified(0.0) else None
     got = traced(lambda _: cdib_x1yx2_outer_frontier(m, rate1, rate2), None)
-    want = traced(lambda _: max(0.0, golden_max(reference, 0.0, box, 1e-11)[1]), None)
+    want = traced(lambda _: max(0.0, golden_max(reference, 0.0, box, 1e-11,
+                                                bound=outer_bound)[1]), None)
     assert got == want
     assert len(got[1]) >= 9   # each search evaluates at least three points
 
@@ -603,9 +631,10 @@ def test_outer_r1_search_calls_gaussian_golden_max(rates, monkeypatch):
     want = cdib_x1yx2_outer_frontier(m, *rates)
     calls = []
 
-    def counting(*args):
+    def counting(*args, **kw):
         calls.append(args[1:])
-        return golden_max(*args)
+        assert callable(kw["bound"])   # every log argument is positive on this model
+        return golden_max(*args, **kw)
 
     monkeypatch.setattr(ibreg.gaussian, "golden_max", counting)
     assert cdib_x1yx2_outer_frontier(m, *rates).hex() == want.hex()
@@ -674,6 +703,16 @@ def test_outer_frontier_ends_at_large_rates(chain_b, monkeypatch, rate):
     got = cdib_x1yx2_outer_frontier(chain_b, rate, rate)
     assert calls[0] > 0   # the bound reached the searches
     assert got == pytest.approx(chain_b.i_y_x1x2(), abs=1e-9)
+
+
+def test_outer_frontier_log2_calls_on_the_fig4_grid(chain_b, monkeypatch):
+    # the searches evaluate only where the cap and room bounds leave the
+    # next comparison open: 165,360 np.log2 calls over fig 4's 51 points
+    # when every step evaluated, 89,150 with the bounds
+    calls = _bounded_log2(monkeypatch, limit=90_000)
+    for rate in np.linspace(0.0, 2.5, 51):
+        cdib_x1yx2_outer_frontier(chain_b, float(rate), float(rate))
+    assert calls[0] <= 90_000
 
 
 def test_outer_frontier_ladder_beyond_saturation(chain_b):

@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ibreg.binary as binary
 from ibreg import ArgumentError, SolverError
@@ -171,6 +172,66 @@ def test_golden_path_unchanged_where_the_loop_ended():
         assert xs == ref_xs
         checked += 1
     assert checked >= 300
+
+
+def _is_subsequence(xs, path):
+    rest = iter(path)
+    return all(any(x == y for y in rest) for x in xs)
+
+
+# the objective: -(x - peak)^2 or -|x - peak|, below a cap and a room less x
+# as the outer frontier's are, so plateaus and ties between fc and fd occur;
+# the peak lies at a drawn fraction of the bracket, mostly inside it
+_SHAPES = st.tuples(st.booleans(), st.floats(-0.2, 1.2),
+                    st.floats(-1.0, 1.0) | st.just(math.inf),
+                    st.floats(-1.0, 3.0) | st.just(math.inf))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_SHAPES, st.floats(-2.0, 0.0), st.floats(0.01, 3.0),
+       st.sampled_from([1e-3, 1e-7, 1e-11, 1e-17]),
+       st.just(0.0) | st.floats(0.0, 1e-2) | st.just("terms"))
+def test_golden_bound_keeps_bits_and_path(shape, lo, width, tol, slack):
+    square, at, cap, room = shape
+    peak = lo + at * width
+
+    def fun(x):
+        v = -(x - peak) ** 2 if square else -abs(x - peak)
+        return min(v, cap, room - x)
+
+    if slack == "terms":
+        def bound(x):
+            return min(cap, room - x)
+    else:
+        def bound(x):
+            return fun(x) + slack
+
+    ref, path = _recording(fun, 2_000)
+    want = golden_max(ref, lo, lo + width, tol)
+    rec, xs = _recording(fun, 2_000)
+    got = golden_max(rec, lo, lo + width, tol, bound=bound)
+    assert tuple(map(float.hex, got)) == tuple(map(float.hex, want))
+    assert _is_subsequence(xs, path)
+
+
+def test_golden_nan_bound_keeps_the_path():
+    def fun(x):
+        return -abs(x - 0.3)
+
+    ref, path = _recording(fun, 2_000)
+    want = golden_max(ref, 0.0, 1.0, 1e-12)
+    rec, xs = _recording(fun, 2_000)
+    assert golden_max(rec, 0.0, 1.0, 1e-12, bound=lambda x: math.nan) == want
+    assert xs == path
+
+
+@pytest.mark.parametrize("bound", [0.5, "min", [abs]])
+def test_golden_rejects_a_bound_that_cannot_be_called(bound):
+    # refused before the first evaluation, not at the first stand-in
+    rec, xs = _recording(lambda x: -abs(x - 0.3), 2_000)
+    with pytest.raises(ArgumentError, match="bound"):
+        golden_max(rec, 0.0, 1.0, bound=bound)
+    assert xs == []
 
 
 def _ref_check_bracket(lo, hi):
