@@ -282,6 +282,7 @@ _EDGE_R = 0.5 - 1e-3      # a tangency past this r counts as the boundary
 _DUAL_GRID_N = 4096       # mu_d_dual's inner r-grid
 _DUAL_ALPHA_TOL = 1e-8    # mu_d_dual's golden-section tolerance on alpha
 _DUAL_MEMO_CAP = 2 ** 15  # entries in each of mu_d_dual's two memo dicts
+_DUAL_SKIP_MARGIN = 1e-9  # mu_d_dual's bracket bound's allowance for kernel rounding
 _TIMESHARE_GRID_N = 512   # mu_d_timeshare_oracle's r-grid
 
 
@@ -408,13 +409,16 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
     Outer golden section on alpha (tol 1e-8; the inner max is convex in
     alpha); inner maximisation by a dense 4096-point grid plus golden
     refinement (tol 1e-10) of the two highest interior local maxima and of
-    the left edge.
+    the left edge.  Both searches skip the work a bound already decides: a
+    refinement whose bracket cannot beat the best value so far, and an
+    alpha whose floor, the grid's end values, settles the next comparison.
 
-    Cost: about 2,800 objective evaluations per call, most at an r or alpha
-    that this or an earlier call on the model has tried.  So the grid is
-    cached per ``(p, q)``, and (f(r), g(r)) from ``_first_form`` by r and the
-    inner max by alpha for the last ``(p, q)``; memo caps, the written-out
-    scan and inner search, and why no bit moves: README, "Speed never moves a bit".
+    Cost: about 850-1,550 objective evaluations per call (2,800 without the
+    bounds), many at an r or alpha that this or an earlier call on the model
+    has tried.  So the grid is cached per ``(p, q)``, and (f(r), g(r)) from
+    ``_first_form`` by r and the inner max by alpha for the last ``(p, q)``;
+    memo caps, the written-out scan and inner search, the bounds, and why no
+    bit moves: README, "Speed never moves a bit".
     The oracle shares that kernel with ``mu_d`` but neither its algorithm
     (min-max dual, not tangency plus inverse bisection) nor its grid (second
     form).  A rate above h2(q), an unlimited one included, reads as h2(q),
@@ -424,8 +428,8 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
     rate = min(guards.rate("rate", rate), _h2(q))
     rgrid, fg, gg = _curve_grids(p, q, _DUAL_GRID_N)
     vals, (peak, down) = np.empty_like(fg), np.empty((2, fg.size - 2), bool)
-    # the left edge hides a narrow spike for small alpha: always refine it
-    edge = (rgrid.item(0), rgrid.item(2))
+    r, f_at, g_at = rgrid.item, fg.item, gg.item
+    f0, g0, f1, g1 = f_at(0), g_at(0), f_at(-1), g_at(-1)
     hpq = _h2(_star(p, q))
     first = _first_form(p, q)
     terms, peaks = _dual_memo(p, q)
@@ -440,22 +444,36 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
         best = peaks.get(alpha)
         if best is not None:
             return best
-        best, brackets = _dual_grid_scan(alpha, rgrid, fg, gg, vals, peak, down)
-        for lo, hi in (*brackets, edge):
-            best = max(best, _dual_bracket_max(terms.get, fill, alpha, lo, hi))
+        best, ks = _dual_grid_scan(alpha, fg, gg, vals, peak, down)
+        # the left edge (k = 0) hides a narrow spike for small alpha: refine
+        # it and each peak's bracket [r_k, r_k+2] unless the bracket cannot
+        # beat best, where max(best, .) keeps best: f and g fall on [0, 1/2]
+        # and alpha >= 0, so no value there tops F(r_k) - alpha G(r_k+2),
+        # up to the grid's and the first form's rounding, far below the margin
+        for k in (*ks, 0):
+            if f_at(k) - alpha * g_at(k + 2) + _DUAL_SKIP_MARGIN >= best:
+                best = max(best, _dual_bracket_max(terms.get, fill, alpha, r(k), r(k + 2)))
         if len(peaks) >= _DUAL_MEMO_CAP:
             peaks.clear()
         peaks[alpha] = best
         return best
 
-    _, value = golden_min(lambda a: inner_max(a) + a * rate, 0.0, 1.0, tol=_DUAL_ALPHA_TOL)
+    def floor(a: float) -> float:
+        # inner_max(a) starts from this max, formed with the grid scan's
+        # operations, and only grows; float addition is monotone, so the
+        # objective is at least this, exactly
+        return max(f0 - a * g0, f1 - a * g1) + a * rate
+
+    _, value = golden_min(lambda a: inner_max(a) + a * rate, 0.0, 1.0, tol=_DUAL_ALPHA_TOL,
+                          bound=floor)
     return 1.0 - hpq + value
 
 
-def _dual_grid_scan(alpha: float, rgrid: np.ndarray, fg: np.ndarray, gg: np.ndarray,
+def _dual_grid_scan(alpha: float, fg: np.ndarray, gg: np.ndarray,
                     vals: np.ndarray, peak: np.ndarray, down: np.ndarray):
     """max(v[0], v[-1]) for v = ``fg - alpha * gg``, formed in the caller's buffers, and the
-    brackets (r[i-1], r[i+1]) of v's two highest interior local maxima i, highest first."""
+    indices k = i - 1 of v's two highest interior local maxima i, highest first: the
+    brackets (r[k], r[k+2])."""
     np.multiply(gg, alpha, out=vals)
     np.subtract(fg, vals, out=vals)
     mid = vals[1:-1]
@@ -465,8 +483,7 @@ def _dual_grid_scan(alpha: float, rgrid: np.ndarray, fg: np.ndarray, gg: np.ndar
     j = peak.nonzero()[0]   # interior maxima i = j + 1
     if len(j) > 1:
         j = j[np.argsort(mid[j])[::-1][:2]]
-    r = rgrid.item
-    return max(vals.item(0), vals.item(-1)), [(r(k), r(k + 2)) for k in j.tolist()]
+    return max(vals.item(0), vals.item(-1)), j.tolist()
 
 
 def _dual_bracket_max(get, fill, alpha: float, lo: float, hi: float) -> float:

@@ -9,7 +9,8 @@ else raises ``ArgumentError``, as does a ``bound`` that is neither None nor
 callable.  These settings are the only arguments checked here rather than
 by ``guards``: no other module reads them.  ``golden_max``'s ``bound``, an
 upper bound on the objective (NaN, or >= ``fun(x)`` with ``fun(x)`` not
-NaN), saves the evaluations it decides and moves no bit.
+NaN), and ``golden_min``'s, its mirror lower bound, save the evaluations
+they decide and move no bit.
 
 The bisections halve at most ``_BISECT_ITERATIONS`` times and stop as soon
 as the bracket is two adjacent floats (or one), that is when its midpoint
@@ -73,11 +74,11 @@ def golden_max(fun: Callable[[float], float], lo: float, hi: float,
 
     ``bound``, if given, is an upper bound on ``fun`` that saves
     evaluations: at every x it returns NaN (no claim) or a value that is
-    >= ``fun(x)``, with ``fun(x)`` not NaN.  A step's new point takes
-    ``bound(x)`` as its value, and ``fun(x)`` only where the bound does not
-    decide the next comparison; where it does, that comparison discards the
-    point, so the path, the result and every ``fun`` value that steers it
-    are the bound-free call's.
+    >= ``fun(x)``, with ``fun(x)`` not NaN.  The first d and each step's
+    new point take ``bound(x)`` as their value, and ``fun(x)`` only where
+    the bound does not decide the next comparison; where it does, that
+    comparison discards the point, so the path, the result and every
+    ``fun`` value that steers it are the bound-free call's.
     """
     tol = _check_tol(tol)
     if bound is not None and not callable(bound):
@@ -87,7 +88,11 @@ def golden_max(fun: Callable[[float], float], lo: float, hi: float,
     w = b - a
     c = b - _INVPHI * w
     d = a + _INVPHI * w
-    fc, fd = fun(c), fun(d)
+    fc = fun(c)
+    # a first d below fc is discarded by the first step
+    fd = nan if bound is None else bound(d)
+    if not fc > fd:
+        fd = fun(d)
     stalled = set()   # states after steps that left the bracket as wide
     while w > tol:
         if fc > fd:
@@ -117,9 +122,18 @@ def golden_max(fun: Callable[[float], float], lo: float, hi: float,
 
 
 def golden_min(fun: Callable[[float], float], lo: float, hi: float,
-               tol: float = 1e-10) -> tuple[float, float]:
-    """Minimise a unimodal function on [lo, hi]; returns (x, fun(x))."""
-    x, v = golden_max(lambda t: -fun(t), lo, hi, tol)
+               tol: float = 1e-10,
+               bound: Callable[[float], float] | None = None) -> tuple[float, float]:
+    """Minimise a unimodal function on [lo, hi]; returns (x, fun(x)).
+
+    ``golden_max`` on ``-fun``.  ``bound``, if given, is a lower bound on
+    ``fun``, the mirror of ``golden_max``'s: at every x it returns NaN (no
+    claim) or a value that is <= ``fun(x)``, with ``fun(x)`` not NaN; it
+    saves the evaluations it decides and moves no bit.
+    """
+    # None, or a bound golden_max refuses, goes on as it is
+    neg = (lambda t: -bound(t)) if callable(bound) else bound
+    x, v = golden_max(lambda t: -fun(t), lo, hi, tol, bound=neg)
     return x, -v
 
 

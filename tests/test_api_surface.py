@@ -38,6 +38,7 @@ SIGNATURES = [
     (optimize.bisect_root, ("fun", "lo", "hi")),
     (optimize.bisect_decreasing_inverse, ("fun", "target", "lo", "hi")),
     (optimize.golden_max, ("fun", "lo", "hi", "tol", "bound")),
+    (optimize.golden_min, ("fun", "lo", "hi", "tol", "bound")),
     (search.evaluate_twcib, ("source", "sched")),
     (search.evaluate_cdib_inner, ("source", "sched")),
     (search.corner_points_outer, ("source", "u1", "u2")),

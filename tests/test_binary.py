@@ -428,6 +428,38 @@ def test_mu_d_dual_equals_reference_bits():
         assert mu_d_dual(rate, p, q) == _ref_mu_d_dual(rate, p, q), (rate, p, q)
 
 
+def _small_crossover_models():
+    # p, q = 10^U(-6, log10 0.499): crossovers down to 1e-6 and up to 1/2,
+    # each model once as drawn and once with p and q swapped
+    rng = np.random.default_rng(20261020)
+    drawn = 10.0 ** rng.uniform(-6.0, math.log10(0.499), size=(24, 2))
+    return [(float(p), float(q)) for a, b in drawn for p, q in ((a, b), (b, a))]
+
+
+def test_mu_d_dual_equals_reference_bits_small_crossovers():
+    # the bracket bound and the alpha floor skip work only where it cannot
+    # change a bit: the reference, which skips nothing, at two of the rates
+    # 0, h2(q), an unlimited one (read as h2(q)) and a drawn one per model
+    rng = np.random.default_rng(35)
+    for i, (p, q) in enumerate(_small_crossover_models()):
+        hq = h2(q)
+        rates = (0.0, hq, math.inf, float(rng.uniform(0.0, hq)))
+        for rate in (rates[i % 4], rates[(i + 1) % 4]):
+            assert mu_d_dual(rate, p, q) == _ref_mu_d_dual(min(rate, hq), p, q), (rate, p, q)
+
+
+def test_dual_skip_margin_covers_the_kernels_rounding():
+    # the bracket bound reads F and G off the second-form grid, while the
+    # bracket's search evaluates the first form; the two agree within
+    # 1e-4 of the margin on every grid point of those models
+    for p, q in _small_crossover_models():
+        rgrid, fg, gg = _curve_grids(p, q, binary._DUAL_GRID_N)
+        first = binary._first_form(p, q)
+        f1, g1 = np.array([first(r) for r in rgrid.tolist()]).T
+        assert np.abs(f1 - fg).max() <= binary._DUAL_SKIP_MARGIN / 1e4, (p, q)
+        assert np.abs(g1 - gg).max() <= binary._DUAL_SKIP_MARGIN / 1e4, (p, q)
+
+
 def test_dual_inner_search_equals_golden_max():
     # the end value hides most last-digit changes (a golden section rarely
     # changes course over one ulp), so the written-out inner search is held
@@ -505,9 +537,52 @@ def test_dual_grid_scan_equals_argsort_expression():
             best, brackets, found = _ref_grid_scan(alpha, rgrid, fg, gg)
             if alpha == 0.0 or not gg.any():
                 assert found == count
-            got = binary._dual_grid_scan(alpha, rgrid, fg, gg, *buffers)
+            got = binary._dual_grid_scan(alpha, fg, gg, *buffers)
             assert got[0].hex() == best.hex()
-            assert got[1] == brackets, (count, alpha)
+            # indices k of the brackets (r[k], r[k+2]), as inner_max reads them
+            assert [(float(rgrid[k]), float(rgrid[k + 2])) for k in got[1]] == brackets, \
+                (count, alpha)
+
+
+def test_dual_refines_the_brackets_its_bound_leaves_open(monkeypatch):
+    # the bracket bound as documented: refine the peak brackets, highest
+    # first, then the left edge, each only if F(r_k) - alpha G(r_k+2) plus
+    # the margin reaches the best value so far.  Every scan of a call is
+    # replayed on the reference scan, and the searches must be these
+    scans, searches = [], []
+    scan, search = binary._dual_grid_scan, binary._dual_bracket_max
+
+    def scanned(alpha, *args):
+        scans.append(alpha)
+        return scan(alpha, *args)
+
+    def searched(get, fill, alpha, lo, hi):
+        value = search(get, fill, alpha, lo, hi)
+        searches.append((alpha, lo, hi, value))
+        return value
+
+    monkeypatch.setattr(binary, "_dual_grid_scan", scanned)
+    monkeypatch.setattr(binary, "_dual_bracket_max", searched)
+    models = [(0.1, 0.1), (0.3, 0.05), (0.1, 0.001)] + _small_crossover_models()[:3]
+    for p, q in models:
+        for rate in (0.0, 0.4 * h2(q), h2(q)):
+            scans.clear()
+            searches.clear()
+            binary._dual_memo.cache_clear()
+            mu_d_dual(rate, p, q)
+            rgrid, fg, gg = _curve_grids(p, q, binary._DUAL_GRID_N)
+            index = {r: k for k, r in enumerate(rgrid.tolist())}
+            done, want = iter(searches), []
+            for alpha in scans:
+                best, brackets, _ = _ref_grid_scan(alpha, rgrid, fg, gg)
+                for lo, hi in brackets + [(float(rgrid[0]), float(rgrid[2]))]:
+                    k = index[lo]
+                    if float(fg[k]) - alpha * float(gg[k + 2]) + binary._DUAL_SKIP_MARGIN >= best:
+                        got = next(done)
+                        want.append((alpha, lo, hi, got[3]))
+                        best = max(best, got[3])
+            assert searches == want, (rate, p, q)
+    binary._dual_memo.cache_clear()
 
 
 def test_curve_grids_are_read_only():

@@ -708,11 +708,12 @@ def test_outer_frontier_ends_at_large_rates(chain_b, monkeypatch, rate):
 def test_outer_frontier_log2_calls_on_the_fig4_grid(chain_b, monkeypatch):
     # the searches evaluate only where the cap and room bounds leave the
     # next comparison open: 165,360 np.log2 calls over fig 4's 51 points
-    # when every step evaluated, 89,150 with the bounds
-    calls = _bounded_log2(monkeypatch, limit=90_000)
+    # when every step evaluated, 89,150 with the bounds on each step's new
+    # point, 85,549 with them on the first d as well
+    calls = _bounded_log2(monkeypatch, limit=86_000)
     for rate in np.linspace(0.0, 2.5, 51):
         cdib_x1yx2_outer_frontier(chain_b, float(rate), float(rate))
-    assert calls[0] <= 90_000
+    assert calls[0] <= 86_000
 
 
 def test_outer_frontier_ladder_beyond_saturation(chain_b):

@@ -234,6 +234,92 @@ def test_golden_rejects_a_bound_that_cannot_be_called(bound):
     assert xs == []
 
 
+# golden_min's bound mirrors golden_max's: a lower bound, fun - s with
+# s >= 0, or the floor max(-cap, x - room) of the mirrored objective
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_SHAPES, st.floats(-2.0, 0.0), st.floats(0.01, 3.0),
+       st.sampled_from([1e-3, 1e-7, 1e-11, 1e-17]),
+       st.just(0.0) | st.floats(0.0, 1e-2) | st.just("terms"))
+def test_golden_min_bound_keeps_bits_and_path(shape, lo, width, tol, slack):
+    square, at, cap, room = shape
+    peak = lo + at * width
+
+    def fun(x):
+        v = (x - peak) ** 2 if square else abs(x - peak)
+        return max(v, -cap, x - room)
+
+    if slack == "terms":
+        def bound(x):
+            return max(-cap, x - room)
+    else:
+        def bound(x):
+            return fun(x) - slack
+
+    ref, path = _recording(fun, 2_000)
+    want = golden_min(ref, lo, lo + width, tol)
+    rec, xs = _recording(fun, 2_000)
+    got = golden_min(rec, lo, lo + width, tol, bound=bound)
+    assert tuple(map(float.hex, got)) == tuple(map(float.hex, want))
+    assert _is_subsequence(xs, path)
+
+
+def test_golden_min_nan_bound_keeps_the_path():
+    def fun(x):
+        return abs(x - 0.3)
+
+    ref, path = _recording(fun, 2_000)
+    want = golden_min(ref, 0.0, 1.0, 1e-12)
+    rec, xs = _recording(fun, 2_000)
+    assert golden_min(rec, 0.0, 1.0, 1e-12, bound=lambda x: math.nan) == want
+    assert xs == path
+
+
+@pytest.mark.parametrize("bound", [0.5, "min", [abs]])
+def test_golden_min_rejects_a_bound_that_cannot_be_called(bound):
+    rec, xs = _recording(lambda x: abs(x - 0.3), 2_000)
+    with pytest.raises(ArgumentError, match="bound"):
+        golden_min(rec, 0.0, 1.0, bound=bound)
+    assert xs == []
+
+
+def test_dual_bounds_skip_most_bracket_searches(monkeypatch):
+    # mu_d_dual's two bounds, the bracket bound and golden_min's floor over
+    # alpha, on 24 calls (6 models x 4 rates): the same doubles from at most
+    # 60% of the inner searches and 90% of the grid scans taken without them
+    # (margin +inf refines every bracket; golden_min without its bound
+    # evaluates every alpha).  629 of 1,270 searches and 744 of 914 scans
+    counts = {"_dual_bracket_max": 0, "_dual_grid_scan": 0}
+
+    def counted(name):
+        inner = getattr(binary, name)
+
+        def call(*args):
+            counts[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(binary, name, call)
+
+    models = [(0.1, 0.1), (0.3, 0.05), (0.2, 0.3), (0.05, 0.2), (0.1, 0.001), (1e-4, 0.01)]
+    calls = [(frac * h2(q), p, q) for p, q in models for frac in (0.0, 0.3, 0.7, 1.0)]
+
+    def sweep():
+        counts.update(dict.fromkeys(counts, 0))
+        binary._dual_memo.cache_clear()
+        return [binary.mu_d_dual(*args) for args in calls], dict(counts)
+
+    for name in counts:
+        counted(name)
+    bounded, n_bounded = sweep()
+    monkeypatch.setattr(binary, "_DUAL_SKIP_MARGIN", math.inf)
+    monkeypatch.setattr(binary, "golden_min",
+                        lambda fun, lo, hi, tol, bound: golden_min(fun, lo, hi, tol))
+    free, n_free = sweep()
+    binary._dual_memo.cache_clear()
+    assert bounded == free
+    assert n_bounded["_dual_bracket_max"] <= 0.6 * n_free["_dual_bracket_max"], n_bounded
+    assert n_bounded["_dual_grid_scan"] <= 0.9 * n_free["_dual_grid_scan"], n_bounded
+
+
 def _ref_check_bracket(lo, hi):
     # the solvers' entry rule: the fixed-count loops below overflow on the
     # same brackets, so the references refuse them too
