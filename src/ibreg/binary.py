@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import log2
+from math import inf, log2
 
 import numpy as np
 
@@ -490,15 +490,14 @@ def _dual_bracket_max(get, fill, alpha: float, lo: float, hi: float) -> float:
     """``golden_max(lambda r: F - alpha G, lo, hi, 1e-10)[1]`` written out, with (F, G) =
     ``get(r) or fill(r)`` inline in both branches (README, "Speed never moves a bit")."""
     invphi = _INVPHI
-    a, b, w = lo, hi, hi - lo
-    c = b - invphi * w
-    d = a + invphi * w
-    t = get(c) or fill(c)
-    fc = t[0] - alpha * t[1]
+    # primed: the first c held as d, c = a, fc = -inf, w = inf.  No stall
+    # guard: floats in [0, 1/2] are at most 2^-54 apart, so a step from
+    # w > 1e-10 leaves v <= 0.6181 w + 1.2e-16 < w
+    a, b = lo, hi
+    d = b - invphi * (b - a)
     t = get(d) or fill(d)
     fd = t[0] - alpha * t[1]
-    # no stall guard: in [0, 1/2] floats are at most 2^-54 apart, so a step
-    # from w > 1e-10 leaves v <= 0.6181 w + 1.2e-16 < w
+    c, fc, w = a, -inf, inf
     while w > 1e-10:
         if fc > fd:
             b, d, fd = d, c, fc

@@ -442,37 +442,28 @@ def _outer_best_over_r2(e1: float, e2: float, r1: float, cap: float, rate2: floa
     """``golden_max(_outer_objective(*_outer_log_terms(e1, e2, r1), cap, rate2,
     room), 0.0, box, _OUTER_TOL, bound)[1]``, its steps written out and the
     objective inline at each of its evaluations, where ``bound(r2)`` is
-    ``min(cap, room - r2)`` if ``base - k2 > 0`` and NaN otherwise (README,
-    "Speed never moves a bit")."""
+    ``min(cap, room - r2)`` if ``base - k2 > 0`` and NaN otherwise: a new c
+    is skipped when its bound is <= fd, a new d when its bound is < fc
+    (README, "Speed never moves a bit")."""
     base, k2, den = _outer_log_terms(e1, e2, r1)
     log2, invphi, tol = np.log2, _INVPHI, _OUTER_TOL
     # with base - k2 > 0 every log argument is positive, so no value is NaN
     # and min(cap, room - x) bounds the value at x; NaN makes no claim
     lid = cap if base - k2 > 0.0 else nan
-    a, b, w = 0.0, box, box
-    c = b - invphi * w
-    d = a + invphi * w
-    mu = 0.5 * float(log2((base - k2 * 2.0 ** (-2.0 * c)) / den))
-    fc = cap if cap < mu else mu
-    t = rate2 - c + mu
-    if t < fc:
-        fc = t
-    t = room - c
-    if t < fc:
-        fc = t
-    u = room - d
-    fd = u if u < lid else lid
-    if not fc > fd:
-        mu = 0.5 * float(log2((base - k2 * 2.0 ** (-2.0 * d)) / den))
-        fd = cap if cap < mu else mu
-        t = rate2 - d + mu
-        if t < fd:
-            fd = t
-        if u < fd:
-            fd = u
-    # no stall guard: every point lies in [0, box], box <= _OUTER_BOX, where
-    # floats are at most 2^-45 apart, so a step from w > _OUTER_TOL leaves
-    # v <= 0.6181 w + 6e-14 < w and the bracket always narrows
+    # primed: the first c held as d, c = a, fc = -inf, w = inf.  No stall
+    # guard: in [0, box], box <= _OUTER_BOX, floats are at most 2^-45 apart,
+    # so a step from w > _OUTER_TOL leaves v <= 0.6181 w + 6e-14 < w
+    a, b = 0.0, box
+    d = b - invphi * (b - a)
+    mu = 0.5 * float(log2((base - k2 * 2.0 ** (-2.0 * d)) / den))
+    fd = cap if cap < mu else mu
+    t = rate2 - d + mu
+    if t < fd:
+        fd = t
+    t = room - d
+    if t < fd:
+        fd = t
+    c, fc, w = a, -inf, inf
     while w > tol:
         if fc > fd:
             b, d, fd = d, c, fc
@@ -527,14 +518,14 @@ def cdib_x1yx2_outer_frontier(m: GaussianCdibModel, rate1: float, rate2: float) 
     infinite, where 1e300 leaves them beyond every relevance: the same double.
     The r1 search is ``golden_max``; each of its evaluations is the r2
     search ``_outer_best_over_r2``, whose steps are written out.  Both skip
-    each evaluation that the cap and room bound already decides.
+    each evaluation that the cap and room bound already decides: a new c
+    when its bound is <= fd, a new d when its bound is < fc.
 
     Cost: at most 57 x 57 objective evaluations.  At R1 = R2 = 0.7 it takes
-    1,557 ``np.log2`` calls (3,249 without the bounds); with 1,628, before
-    the bounds also decided each search's first d, it took 0.73-1.00 ms,
-    against 1.26-1.77 ms without, in alternating best-of-15 timeit runs on
-    a shared 2-vCPU x86-64 host (Python 3.11, numpy 2.4).  Bits: README,
-    "Speed never moves a bit".
+    1,557 ``np.log2`` calls (3,249 without the bounds).  Timed at 1,628
+    calls, it took 0.73-1.00 ms, against 1.26-1.77 ms without the bounds, in
+    alternating best-of-15 timeit runs on a shared 2-vCPU x86-64 host
+    (Python 3.11, numpy 2.4).  Bits: README, "Speed never moves a bit".
     """
     _require_chain(m, "x1-y-x2")
     rate1, rate2 = guards.rate("rate1", rate1), guards.rate("rate2", rate2)

@@ -10,7 +10,8 @@ callable.  These settings are the only arguments checked here rather than
 by ``guards``: no other module reads them.  ``golden_max``'s ``bound``, an
 upper bound on the objective (NaN, or >= ``fun(x)`` with ``fun(x)`` not
 NaN), and ``golden_min``'s, its mirror lower bound, save the evaluations
-they decide and move no bit.
+they decide and move no bit: in ``golden_max``'s terms, a new c is skipped
+when its bound is <= fd, a new d when its bound is < fc.
 
 The bisections halve at most ``_BISECT_ITERATIONS`` times and stop as soon
 as the bracket is two adjacent floats (or one), that is when its midpoint
@@ -74,10 +75,10 @@ def golden_max(fun: Callable[[float], float], lo: float, hi: float,
 
     ``bound``, if given, is an upper bound on ``fun`` that saves
     evaluations: at every x it returns NaN (no claim) or a value that is
-    >= ``fun(x)``, with ``fun(x)`` not NaN.  The first d and each step's
-    new point take ``bound(x)`` as their value, and ``fun(x)`` only where
-    the bound does not decide the next comparison; where it does, that
-    comparison discards the point, so the path, the result and every
+    >= ``fun(x)``, with ``fun(x)`` not NaN.  Each step's new point is
+    skipped, its value ``bound(x)``, where the bound decides the next
+    comparison: a new c when its bound is <= fd, a new d when its bound is
+    < fc.  That comparison discards it, so the path, the result and every
     ``fun`` value that steers it are the bound-free call's.
     """
     tol = _check_tol(tol)
@@ -85,14 +86,11 @@ def golden_max(fun: Callable[[float], float], lo: float, hi: float,
         raise ArgumentError(f"bound must be callable or None, got {bound!r}")
     a, b = float(lo), float(hi)
     _check_bracket(a, b)
-    w = b - a
-    c = b - _INVPHI * w
-    d = a + _INVPHI * w
-    fc = fun(c)
-    # a first d below fc is discarded by the first step
-    fd = nan if bound is None else bound(d)
-    if not fc > fd:
-        fd = fun(d)
+    # primed one d step before the first comparison: the first c held as d,
+    # c = a, fc = -inf, w = inf, so the first pass takes the d branch
+    d = b - _INVPHI * (b - a)
+    fd = fun(d)
+    c, fc, w = a, -inf, inf
     stalled = set()   # states after steps that left the bracket as wide
     while w > tol:
         if fc > fd:

@@ -332,6 +332,19 @@ def test_mu_d_shape_and_sandwich(p, q):
     assert np.all(vals <= base + rates + 1e-9)
 
 
+@pytest.mark.xfail(strict=True, reason="mu_d takes the curved branch where its "
+                   "tangency scan, from r = 1e-6, misses the critical point (ROADMAP item 8)")
+def test_mu_d_on_or_above_the_chord_at_small_q():
+    # the chord from the constant channel to the identity is achievable, so
+    # mu_d lies on or above it: here 0.528727 against 0.529739 (mu_d_dual
+    # 0.529739), since f/g peaks near r = 3.5e-7
+    p, q = 0.1, 0.001
+    rate = h2(q) / 2.0
+    hpq = h2(star(p, q))
+    chord = 1.0 - hpq + rate * (hpq - h2(p)) / h2(q)
+    assert mu_d(rate, p, q) >= chord - 1e-9
+
+
 def test_mu_d_dominated_by_mu_ed():
     for p, q in ((0.1, 0.1), (0.3, 0.3), (0.05, 0.3)):
         for r in np.linspace(0.0, h2(q) * 1.2, 60):

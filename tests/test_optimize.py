@@ -174,6 +174,26 @@ def test_golden_path_unchanged_where_the_loop_ended():
     assert checked >= 300
 
 
+def _decreasing(x):
+    return -x
+
+
+# a bracket no wider than tol takes no step: fun evaluates c, then d unless
+# the bound decides the first comparison (bound(d) < fc), then the midpoint;
+# on a point bracket c = d, so a bound, being >= fun(d) = fc, never decides
+@pytest.mark.parametrize("lo, hi", [(0.25, 0.25 + 1e-12), (0.0, 1e-10), (1.2, 1.2)])
+@pytest.mark.parametrize("bound", [None, lambda x: math.nan, lambda x: 1.0 - x, _decreasing])
+def test_golden_within_tol_evaluates_c_d_and_the_midpoint(lo, hi, bound):
+    rec, xs = _recording(_decreasing, 10)
+    x, v = golden_max(rec, lo, hi, 1e-10, bound=bound)
+    c = hi - _INVPHI * (hi - lo)
+    d = lo + _INVPHI * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    decided = bound is _decreasing and lo < hi
+    assert xs == ([c, mid] if decided else [c, d, mid])
+    assert (x, v) == (mid, -mid)
+
+
 def _is_subsequence(xs, path):
     rest = iter(path)
     return all(any(x == y for y in rest) for x in xs)
