@@ -147,17 +147,13 @@ def _first_form(p: float, q: float):
     return first
 
 
-def _f(r: float, p: float, q: float) -> float:
-    return _first_form(p, q)(r)[0]
-
-
 def f(r: float, p: float, q: float) -> float:
     """Relevance curve; first displayed algebraic form, at 1 - r for r > 1/2
     (f is symmetric about 1/2, 1 - r is exact there, and the form cancels).
     That map puts every r in [0, 1/2], the domain of the kernel."""
     p, q = guards.crossover("p", p), guards.crossover("q", q)
     r = guards.prob("crossover r", r)
-    return _f(r if r <= 0.5 else 1.0 - r, p, q)
+    return _first_form(p, q)(r if r <= 0.5 else 1.0 - r)[0]
 
 
 def _second_form(p: float, q: float) -> tuple[float, float, float]:
@@ -281,7 +277,7 @@ _SCAN_N = 2048            # critical_point's sign-change scan
 _EDGE_R = 0.5 - 1e-3      # a tangency past this r counts as the boundary
 _DUAL_GRID_N = 4096       # mu_d_dual's inner r-grid
 _DUAL_ALPHA_TOL = 1e-8    # mu_d_dual's golden-section tolerance on alpha
-_DUAL_MEMO_CAP = 2 ** 15  # entries in each of mu_d_dual's two memo dicts
+_DUAL_MEMO_CAP = 2 ** 15  # mu_d_dual clears a memo this full at a call's start
 _DUAL_SKIP_MARGIN = 1e-9  # mu_d_dual's bracket bound's allowance for kernel rounding
 _TIMESHARE_GRID_N = 512   # mu_d_timeshare_oracle's r-grid
 
@@ -398,7 +394,7 @@ def mu_d(rate: float, p: float, q: float) -> float:
     cp = _critical_or_none(p, q)
     if cp is not None and rate <= cp.rate:
         return base + cp.alpha_star * rate
-    return base + _f(_g_inverse(rate, q), p, q)
+    return base + _first_form(p, q)(_g_inverse(rate, q))[0]
 
 
 def mu_d_dual(rate: float, p: float, q: float) -> float:
@@ -415,10 +411,12 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
 
     Cost: about 850-1,550 objective evaluations per call (2,800 without the
     bounds), many at an r or alpha that this or an earlier call on the model
-    has tried.  So the grid is cached per ``(p, q)``, and (f(r), g(r)) from
-    ``_first_form`` by r and the inner max by alpha for the last ``(p, q)``;
-    memo caps, the written-out scan and inner search, the bounds, and why no
-    bit moves: README, "Speed never moves a bit".
+    has tried.  So the grid is cached per ``(p, q)``, and for the last
+    ``(p, q)`` the ``_first_form`` kernel, (f(r), g(r)) by r and the inner
+    max by alpha.  A call clears each memo it finds at ``_DUAL_MEMO_CAP`` =
+    32,768 entries or more, and adds at most 4,284 r and 42 alphas; the
+    written-out scan and inner search, the bounds, and why no bit moves:
+    README, "Speed never moves a bit".
     The oracle shares that kernel with ``mu_d`` but neither its algorithm
     (min-max dual, not tangency plus inverse bisection) nor its grid (second
     form).  A rate above h2(q), an unlimited one included, reads as h2(q),
@@ -430,19 +428,15 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
     vals, (peak, down) = np.empty_like(fg), np.empty((2, fg.size - 2), bool)
     r, f_at, g_at = rgrid.item, fg.item, gg.item
     f0, g0, f1, g1 = f_at(0), g_at(0), f_at(-1), g_at(-1)
-    hpq = _h2(_star(p, q))
-    first = _first_form(p, q)
-    terms, peaks = _dual_memo(p, q)
-
-    def fill(r: float) -> tuple[float, float]:
-        if len(terms) >= _DUAL_MEMO_CAP:
-            terms.clear()
-        t = terms[r] = first(r)
-        return t
+    first, terms, peaks = _dual_memo(p, q)
+    # golden_min tries at most 42 alphas, each refines at most 3 brackets of
+    # at most 34 points: so a memo bounded here stays under cap + 4,284
+    for memo in (terms, peaks):
+        if len(memo) >= _DUAL_MEMO_CAP:
+            memo.clear()
 
     def inner_max(alpha: float) -> float:
-        best = peaks.get(alpha)
-        if best is not None:
+        if (best := peaks.get(alpha)) is not None:
             return best
         best, ks = _dual_grid_scan(alpha, fg, gg, vals, peak, down)
         # the left edge (k = 0) hides a narrow spike for small alpha: refine
@@ -452,9 +446,7 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
         # up to the grid's and the first form's rounding, far below the margin
         for k in (*ks, 0):
             if f_at(k) - alpha * g_at(k + 2) + _DUAL_SKIP_MARGIN >= best:
-                best = max(best, _dual_bracket_max(terms.get, fill, alpha, r(k), r(k + 2)))
-        if len(peaks) >= _DUAL_MEMO_CAP:
-            peaks.clear()
+                best = max(best, _dual_bracket_max(terms, first, alpha, r(k), r(k + 2)))
         peaks[alpha] = best
         return best
 
@@ -466,7 +458,7 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
 
     _, value = golden_min(lambda a: inner_max(a) + a * rate, 0.0, 1.0, tol=_DUAL_ALPHA_TOL,
                           bound=floor)
-    return 1.0 - hpq + value
+    return 1.0 - _h2(_star(p, q)) + value
 
 
 def _dual_grid_scan(alpha: float, fg: np.ndarray, gg: np.ndarray,
@@ -486,16 +478,18 @@ def _dual_grid_scan(alpha: float, fg: np.ndarray, gg: np.ndarray,
     return max(vals.item(0), vals.item(-1)), j.tolist()
 
 
-def _dual_bracket_max(get, fill, alpha: float, lo: float, hi: float) -> float:
+def _dual_bracket_max(terms: dict, first, alpha: float, lo: float, hi: float) -> float:
     """``golden_max(lambda r: F - alpha G, lo, hi, 1e-10)[1]`` written out, with (F, G) =
-    ``get(r) or fill(r)`` inline in both branches (README, "Speed never moves a bit")."""
+    ``terms[r]``, or ``first(r)`` stored there on a miss, inline at each evaluation
+    (README, "Speed never moves a bit")."""
+    get, put = terms.get, terms.setdefault
     invphi = _INVPHI
     # primed: the first c held as d, c = a, fc = -inf, w = inf.  No stall
     # guard: floats in [0, 1/2] are at most 2^-54 apart, so a step from
     # w > 1e-10 leaves v <= 0.6181 w + 1.2e-16 < w
     a, b = lo, hi
     d = b - invphi * (b - a)
-    t = get(d) or fill(d)
+    t = get(d) or put(d, first(d))
     fd = t[0] - alpha * t[1]
     c, fc, w = a, -inf, inf
     while w > 1e-10:
@@ -503,24 +497,25 @@ def _dual_bracket_max(get, fill, alpha: float, lo: float, hi: float) -> float:
             b, d, fd = d, c, fc
             v = b - a
             c = b - invphi * v
-            t = get(c) or fill(c)
+            t = get(c) or put(c, first(c))
             fc = t[0] - alpha * t[1]
         else:
             a, c, fc = c, d, fd
             v = b - a
             d = a + invphi * v
-            t = get(d) or fill(d)
+            t = get(d) or put(d, first(d))
             fd = t[0] - alpha * t[1]
         w = v
     x = 0.5 * (a + b)
-    t = get(x) or fill(x)
+    t = get(x) or put(x, first(x))
     return t[0] - alpha * t[1]
 
 
 @lru_cache(maxsize=1)
-def _dual_memo(p: float, q: float) -> tuple[dict, dict]:
-    # mu_d_dual's memos of the last model called: r -> (F, G), alpha -> inner max
-    return {}, {}
+def _dual_memo(p: float, q: float):
+    # mu_d_dual's kernel and memos of the last model called: the first form,
+    # r -> (F, G) and alpha -> inner max
+    return _first_form(p, q), {}, {}
 
 
 @lru_cache(maxsize=64)

@@ -7,6 +7,8 @@ piecewise formula, and every h2 combination from the defining sums.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from ibreg import (
 )
 from ibreg import binary
 from ibreg.binary import (
-    _curve_grids, _f, _f_prime, _fg_vec, _first_form, _g, _g_prime, _second_form)
+    _curve_grids, _f_prime, _fg_vec, _first_form, _g, _g_prime, _second_form)
 from ibreg.optimize import bisect_root, golden_max, golden_min
 from ibreg.pmf import compose_markov, conditional_mutual_information as cmi, \
     mutual_information as mi
@@ -185,7 +187,7 @@ def test_kernels_equal_public_twins(p, q):
     # evaluates r > 1/2 at its mirror 1 - r
     for r in np.concatenate([[0.0, 1e-300, 0.5], np.linspace(0.0, 1.0, 201)]):
         r = float(r)
-        assert _f(r if r <= 0.5 else 1.0 - r, p, q) == f(r, p, q)
+        assert _first_form(p, q)(r if r <= 0.5 else 1.0 - r)[0] == f(r, p, q)
         assert _g(r, q) == g(r, q)
         assert _f_prime(r, q, *_second_form(p, q)) == f_prime(r, p, q)
         if 0.0 < r < 1.0:
@@ -477,8 +479,8 @@ def test_dual_inner_search_equals_golden_max():
     # the end value hides most last-digit changes (a golden section rarely
     # changes course over one ulp), so the written-out inner search is held
     # to golden_max on the reference f - alpha g at every step: the same r
-    # evaluated, in order, and the same double.  Its memo stays empty, so
-    # every evaluation is a miss that reads the reference (f, g) through fill
+    # evaluated, in order, and the same double.  Its memo starts empty, so
+    # every new r is a miss that reads the reference (f, g) through first
     rng = np.random.default_rng(7)
     rgrid = _curve_grids(P, Q, 4096)[0].tolist()
     n = len(rgrid)
@@ -498,11 +500,11 @@ def test_dual_inner_search_equals_golden_max():
             want.append(r)
             return _ref_f(r, p, q) - alpha * _ref_g(r, q)
 
-        def fill(r):
+        def first(r):
             got.append(r)
             return _ref_f(r, p, q), _ref_g(r, q)
 
-        value = binary._dual_bracket_max({}.get, fill, alpha, lo, hi)
+        value = binary._dual_bracket_max({}, first, alpha, lo, hi)
         assert value.hex() == golden_max(reference, lo, hi, tol=1e-10)[1].hex()
         assert got == want, (p, q, alpha, lo, hi)
         assert len(got) > 30
@@ -609,11 +611,19 @@ def test_curve_grids_are_read_only():
                 np.multiply(a, 2.0, out=a)
 
 
+# what one mu_d_dual call can add to its memos, which it bounds only at entry:
+# golden_min on [0, 1] at tol 1e-8 tries at most 42 alphas, and each refines
+# at most 3 brackets, each searched at tol 1e-10 in at most 34 points
+_DUAL_CALL_ALPHAS = 42
+_DUAL_CALL_R = 42 * 3 * 34
+
+
 def test_mu_d_dual_memo_keeps_bits(monkeypatch):
     # 60 calls in blocks of three on one of three models, rates drawn from
     # four per model so that rates repeat; each result must equal the same
     # call made with the memo cleared.  The second sweep's cap is below the
-    # distinct r of one call, so its memos are cleared inside calls too
+    # distinct r of one call, so its memos are cleared at most call entries;
+    # after each call they hold less than the cap plus what one call adds
     rng = np.random.default_rng(17)
     models = [(0.1, 0.1), (0.3, 0.05), (0.2, 0.3)]
     rates = {m: [float(v) for v in rng.uniform(0.0, h2(m[1]), 4)] for m in models}
@@ -628,16 +638,20 @@ def test_mu_d_dual_memo_keeps_bits(monkeypatch):
     for cap in (binary._DUAL_MEMO_CAP, 64):
         monkeypatch.setattr(binary, "_DUAL_MEMO_CAP", cap)
         binary._dual_memo.cache_clear()
-        assert [mu_d_dual(*args) for args in calls] == fresh
-        terms, peaks = binary._dual_memo(*calls[-1][1:])
-        assert 0 < len(terms) <= cap and 0 < len(peaks) <= cap
+        got = []
+        for args in calls:
+            got.append(mu_d_dual(*args))
+            _, terms, peaks = binary._dual_memo(*args[1:])
+            assert len(terms) < cap + _DUAL_CALL_R and 0 < len(peaks) < cap + _DUAL_CALL_ALPHAS
+        assert got == fresh
 
 
 def test_mu_d_dual_memo_holds_one_capped_model(monkeypatch):
-    # _DUAL_MEMO_CAP = 2**15 = 32,768 entries in each dict; on CPython 3.11 a
-    # full r -> (F, G) dict takes about 5.5 MB (168 B an entry) and a full
-    # alpha -> inner max dict 2.9 MB (88 B), so at most about 8.4 MB in all.
-    # The sweep inserts more r than the cap, so the clear runs
+    # a call clears each dict it finds at _DUAL_MEMO_CAP = 2**15 = 32,768
+    # entries or more and adds at most 4,284 r and 42 alphas; on CPython 3.11
+    # an r -> (F, G) entry takes 168 B and an alpha -> inner max entry 88 B,
+    # so at most about 6.2 MB + 2.9 MB = 9.1 MB in all.  The sweep inserts
+    # more r than the cap, so the clear runs
     inserts, kernel = [0], binary._first_form
 
     def counting_first_form(p, q):
@@ -656,10 +670,76 @@ def test_mu_d_dual_memo_holds_one_capped_model(monkeypatch):
     assert inserts[0] > binary._DUAL_MEMO_CAP
     info = binary._dual_memo.cache_info()
     assert info.currsize == 1
-    terms, peaks = binary._dual_memo(0.1, 0.3)
+    _, terms, peaks = binary._dual_memo(0.1, 0.3)
     assert binary._dual_memo.cache_info().hits == info.hits + 1
-    assert 0 < len(terms) <= binary._DUAL_MEMO_CAP
-    assert 0 < len(peaks) <= binary._DUAL_MEMO_CAP
+    assert 0 < len(terms) < binary._DUAL_MEMO_CAP + _DUAL_CALL_R
+    assert 0 < len(peaks) < binary._DUAL_MEMO_CAP + _DUAL_CALL_ALPHAS
+
+
+def test_mu_d_dual_call_stays_within_its_memo_bound(monkeypatch):
+    # the counts behind _DUAL_CALL_R and _DUAL_CALL_ALPHAS, on fresh memos so
+    # that every entry is the call's own, down to p, q = 1e-6 and at rates 0,
+    # h2(q) and an unlimited one: a tolerance or grid change that lets a call
+    # outgrow them fails here
+    alphas, brackets, points = [], [], []
+    search = binary._dual_bracket_max
+
+    def counted_golden_min(fun, *args, **kwargs):
+        return golden_min(lambda a: alphas.append(a) or fun(a), *args, **kwargs)
+
+    def searched(terms, first, alpha, lo, hi):
+        # replayed on an empty memo, whose misses are the bracket's points
+        seen = []
+        search({}, lambda r: seen.append(r) or first(r), alpha, lo, hi)
+        brackets.append(alpha)
+        points.append(len(seen))
+        return search(terms, first, alpha, lo, hi)
+
+    monkeypatch.setattr(binary, "golden_min", counted_golden_min)
+    monkeypatch.setattr(binary, "_dual_bracket_max", searched)
+    models = [(0.1, 0.1), (0.1, 0.001), (1e-6, 0.2), (0.4999, 0.4999)]
+    for p, q in models + _small_crossover_models():
+        for rate in (0.0, h2(q), math.inf):
+            for seen in (alphas, brackets, points):
+                seen.clear()
+            binary._dual_memo.cache_clear()
+            mu_d_dual(rate, p, q)
+            _, terms, peaks = binary._dual_memo(p, q)
+            assert len(alphas) <= _DUAL_CALL_ALPHAS, (rate, p, q)
+            assert max(map(brackets.count, brackets), default=0) <= 3, (rate, p, q)
+            assert max(points, default=0) <= 34, (rate, p, q)
+            assert len(terms) <= _DUAL_CALL_R and len(peaks) <= _DUAL_CALL_ALPHAS, (rate, p, q)
+
+
+def test_mu_d_dual_concurrent_calls_keep_bits(monkeypatch):
+    # two threads share one model's memos; at cap 64 each call clears them at
+    # entry, often while the other thread is mid-call, with a short switch
+    # interval to interleave the two finely.  No result may move
+    monkeypatch.setattr(binary, "_DUAL_MEMO_CAP", 64)
+    p, q = 0.1, 0.1
+    rates = [float(v) for v in np.random.default_rng(37).uniform(0.0, h2(q), 36)]
+    want = {}
+    for rate in rates:
+        binary._dual_memo.cache_clear()
+        want[rate] = mu_d_dual(rate, p, q).hex()
+    binary._dual_memo.cache_clear()
+    got = {}
+
+    def run(name, order):
+        got[name] = {rate: mu_d_dual(rate, p, q).hex() for rate in order}
+
+    threads = [threading.Thread(target=run, args=(0, rates)),
+               threading.Thread(target=run, args=(1, rates[::-1]))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == {0: want, 1: want}
 
 
 def test_kernels_equal_reference_bits():
@@ -671,7 +751,6 @@ def test_kernels_equal_reference_bits():
         # the map f applies, exact by Sterbenz: _first_form works on [0, 1/2]
         h = r if r <= 0.5 else 1.0 - r
         for p, q in ((0.1, 0.1), (0.3, 0.05), (0.45, 1e-4), (0.2, 1e-3)):
-            assert _f(h, p, q) == _ref_f(h, p, q), (r, p, q)
             assert _g(r, q) == _ref_g(r, q), (r, q)
             assert _first_form(p, q)(h) == (_ref_f(h, p, q), _ref_g(h, q)), (r, p, q)
 
