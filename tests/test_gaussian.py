@@ -599,6 +599,13 @@ def test_outer_inner_search_equals_golden_max(rhos, rates, monkeypatch):
         return ibreg.gaussian._outer_best_over_r2(
             e1, e2, r1, rate1 - r1 + m.i_y_x2(), rate2, span - r1, box)
 
+    # the r1 search's claims on each r2 search: the closed-form maximum
+    # over r2, give or take the margin, where its slope guard lets it claim
+    def enclosure(r1):
+        g = ibreg.gaussian._outer_fixed_r1_max(
+            e1, e2, r1, rate1 - r1 + m.i_y_x2(), rate2, span - r1, box)
+        return g - ibreg.gaussian._OUTER_MARGIN, g + ibreg.gaussian._OUTER_MARGIN
+
     def traced(search, r1):
         seen = []
         monkeypatch.setattr(np, "log2", lambda x: seen.append(x.hex()) or log2(x))
@@ -618,9 +625,9 @@ def test_outer_inner_search_equals_golden_max(rhos, rates, monkeypatch):
         if certified(0.0) else None
     got = traced(lambda _: cdib_x1yx2_outer_frontier(m, rate1, rate2), None)
     want = traced(lambda _: max(0.0, golden_max(reference, 0.0, box, 1e-11,
-                                                bound=outer_bound)[1]), None)
+                                                bound=outer_bound, enclose=enclosure)[1]), None)
     assert got == want
-    assert len(got[1]) >= 9   # each search evaluates at least three points
+    assert len(got[1]) >= 3   # the final r2 search evaluates at least three points
 
 
 @pytest.mark.parametrize("rates", [(0.7, 0.7), (0.0, 2.0), (5e-324, 0.0)] + EDGE_RATES)
@@ -634,6 +641,7 @@ def test_outer_r1_search_calls_gaussian_golden_max(rates, monkeypatch):
     def counting(*args, **kw):
         calls.append(args[1:])
         assert callable(kw["bound"])   # every log argument is positive on this model
+        assert callable(kw["enclose"])
         return golden_max(*args, **kw)
 
     monkeypatch.setattr(ibreg.gaussian, "golden_max", counting)
@@ -641,6 +649,89 @@ def test_outer_r1_search_calls_gaussian_golden_max(rates, monkeypatch):
     assert calls == [(0.0, min(sum(rates), 128.0), 1e-11)]
     assert cdib_x1yx2_outer_frontier(m, 0.0, 0.0) == 0.0
     assert len(calls) == 1
+
+
+def _scanned_r2_max(objective, box):
+    # the objective's largest value on [0, box] with no closed form: a
+    # 257-point scan, then a golden section on the two cells around its
+    # best point, which hold the maximiser of the concave objective
+    xs = [box * k / 256.0 for k in range(257)]
+    k = max(range(257), key=lambda i: objective(xs[i]))
+    lo, hi = xs[max(k - 1, 0)], xs[min(k + 1, 256)]
+    return max(objective(xs[k]), golden_max(objective, lo, hi, 1e-14)[1])
+
+
+def _closed_form_cases(seed, n):
+    # (e1, e2, r1, cap, rate2, room, box) as the frontier forms them: seeded
+    # chains, from weak to near-unit correlations, rates 0, 1e-300, drawn
+    # and unlimited, and r1 across [0, box]
+    rng = np.random.default_rng(seed)
+    rates = [0.0, 1e-300, math.inf]
+    for _ in range(n):
+        rhos = [float(rng.uniform(0.05, 0.99)) if rng.random() < 0.5
+                else 1.0 - 10.0 ** float(rng.uniform(-7.0, -1.0)) for _ in range(2)]
+        m = GaussianCdibModel.chain_x1_y_x2(*rhos)
+        rate1, rate2 = (rates[int(rng.integers(3))] if rng.random() < 0.3
+                        else float(rng.uniform(0.0, 3.0)) for _ in range(2))
+        span = rate1 + rate2
+        box = min(span, 128.0)
+        for r1 in (0.0, 0.25 * box, 0.5 * box, float(rng.uniform(0.0, box)), 0.95 * box, box):
+            yield (m.rho_x1y ** 2, m.rho_x2y ** 2, r1, rate1 - r1 + m.i_y_x2(), rate2,
+                   span - r1, box)
+
+
+def test_outer_closed_form_is_the_r2_maximum():
+    # wherever the closed form makes a claim it is the objective's maximum
+    # over r2, found here by a scan and a golden section alone: each of its
+    # candidates is the maximiser somewhere in this set
+    claimed = 0
+    for e1, e2, r1, cap, rate2, room, box in _closed_form_cases(20240917, 400):
+        g = ibreg.gaussian._outer_fixed_r1_max(e1, e2, r1, cap, rate2, room, box)
+        if math.isnan(g):
+            continue
+        objective = ibreg.gaussian._outer_objective(
+            *ibreg.gaussian._outer_log_terms(e1, e2, r1), cap, rate2, room)
+        want = _scanned_r2_max(objective, box)
+        assert abs(g - want) <= 1e-12, (e1, e2, r1, cap, rate2, room, box, g, want)
+        claimed += 1
+    assert claimed >= 1000
+
+
+def test_outer_closed_form_claims_only_inside_the_slope_guard():
+    # no claim where mu is flat in r2 (k2 = 0: rho_x2y^2 underflows) or
+    # steeper than 20: at r1 = 0 on chain (0.5, 0.999999999999), whose r2
+    # search runs 0.020 low at rates (0.01, 1), and one ulp below 1
+    for rhos in [(0.8, 1e-200), (0.5, 0.999999999999), (0.8, 0.9999999999999999)]:
+        m = GaussianCdibModel.chain_x1_y_x2(*rhos)
+        e1, e2 = m.rho_x1y ** 2, m.rho_x2y ** 2
+        assert math.isnan(ibreg.gaussian._outer_fixed_r1_max(
+            e1, e2, 0.0, 1.0 + m.i_y_x2(), 1.0, 2.0, 2.0))
+
+
+def test_outer_r2_search_within_the_margin_of_the_closed_form():
+    # the r1 search takes the closed form, give or take _OUTER_MARGIN, as
+    # its claim on each r2 search: wherever it claims, the search lies ten
+    # times closer, |rho| up to one ulp below 1 and rates up to unlimited
+    margin = ibreg.gaussian._OUTER_MARGIN
+    rhos = [0.3, -0.8, 0.95, 0.99, 0.999, 0.999999, 1.0 - 1e-12, 0.9999999999999999]
+    rates = [0.0, 1e-300, 1e-17, 0.01, 0.3, 0.7, 1.6, 2.5, 20.0, 128.1, 1e300, math.inf]
+    worst, claimed = 0.0, 0
+    for rho_x1y in rhos:
+        for rho_x2y in rhos:
+            m = GaussianCdibModel.chain_x1_y_x2(rho_x1y, abs(rho_x2y))
+            e1, e2 = m.rho_x1y ** 2, m.rho_x2y ** 2
+            for rate1 in rates:
+                for rate2 in rates:
+                    span = rate1 + rate2
+                    box = min(span, 128.0)
+                    for r1 in (0.0, 0.1 * box, 0.4 * box, 0.7 * box, box):
+                        args = (e1, e2, r1, rate1 - r1 + m.i_y_x2(), rate2, span - r1, box)
+                        g = ibreg.gaussian._outer_fixed_r1_max(*args)
+                        if not math.isnan(g):
+                            worst = max(worst, abs(ibreg.gaussian._outer_best_over_r2(*args) - g))
+                            claimed += 1
+    assert worst <= margin / 10.0, worst
+    assert claimed >= 25_000
 
 
 def _zoom_grid_reference(g, k):
@@ -709,11 +800,23 @@ def test_outer_frontier_log2_calls_on_the_fig4_grid(chain_b, monkeypatch):
     # the searches evaluate only where the cap and room bounds leave the
     # next comparison open: 165,360 np.log2 calls over fig 4's 51 points
     # when every step evaluated, 89,150 with the bounds on each step's new
-    # point, 85,549 with them on the first d as well
-    calls = _bounded_log2(monkeypatch, limit=86_000)
+    # point, 85,549 with them on the first d as well.  The r1 search runs
+    # an r2 search only where the closed-form maximum over r2 leaves its
+    # comparison open too: 2,034 r2 searches and 85,549 calls before,
+    # 734 and 31,227 with it
+    calls = _bounded_log2(monkeypatch, limit=31_383)
+    searches = [0]
+    search = ibreg.gaussian._outer_best_over_r2
+
+    def counted(*args):
+        searches[0] += 1
+        return search(*args)
+
+    monkeypatch.setattr(ibreg.gaussian, "_outer_best_over_r2", counted)
     for rate in np.linspace(0.0, 2.5, 51):
         cdib_x1yx2_outer_frontier(chain_b, float(rate), float(rate))
-    assert calls[0] <= 86_000
+    assert calls[0] <= 31_383
+    assert searches[0] <= 760
 
 
 def test_outer_frontier_ladder_beyond_saturation(chain_b):

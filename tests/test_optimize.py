@@ -302,6 +302,132 @@ def test_golden_min_rejects_a_bound_that_cannot_be_called(bound):
     assert xs == []
 
 
+# enclosures (fun - s1, fun + s2) with s >= 0, 0 and inf among them, with
+# or without the cap and room bound: every comparison they settle has the
+# bound-free outcome, so the result keeps its bits, and fun runs only at
+# points of the bound-free path, in its order, the final midpoint last
+_SLACK = st.just(0.0) | st.floats(0.0, 1e-2) | st.floats(0.0, 10.0) | st.just(math.inf)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_SHAPES, st.floats(-2.0, 0.0), st.floats(0.01, 3.0),
+       st.sampled_from([1e-3, 1e-7, 1e-11, 1e-17]), _SLACK, _SLACK, st.booleans())
+def test_golden_enclosure_keeps_bits_and_path(shape, lo, width, tol, s1, s2, bounded):
+    square, at, cap, room = shape
+    peak = lo + at * width
+
+    def fun(x):
+        v = -(x - peak) ** 2 if square else -abs(x - peak)
+        return min(v, cap, room - x)
+
+    def enclose(x):
+        v = fun(x)
+        return v - s1, v + s2
+
+    bound = (lambda x: min(cap, room - x)) if bounded else None
+    ref, path = _recording(fun, 2_000)
+    want = golden_max(ref, lo, lo + width, tol)
+    rec, xs = _recording(fun, 2_000)
+    got = golden_max(rec, lo, lo + width, tol, bound=bound, enclose=enclose)
+    assert tuple(map(float.hex, got)) == tuple(map(float.hex, want))
+    assert _is_subsequence(xs, path)
+    assert xs[-1] == path[-1]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(_SHAPES, st.floats(-2.0, 0.0), st.floats(0.01, 3.0),
+       st.sampled_from([1e-3, 1e-11]), st.floats(0.0, 1e-2))
+def test_golden_encloses_each_point_once_after_its_bound(shape, lo, width, tol, slack):
+    # the first point is enclosed at the start; every later one only after
+    # its bound, at most once, and on the bound-free path
+    square, at, cap, room = shape
+    peak = lo + at * width
+
+    def fun(x):
+        v = -(x - peak) ** 2 if square else -abs(x - peak)
+        return min(v, cap, room - x)
+
+    calls = []
+
+    def bound(x):
+        calls.append(("bound", x))
+        return min(cap, room - x)
+
+    def enclose(x):
+        calls.append(("enclose", x))
+        return fun(x) - slack, fun(x) + slack
+
+    ref, path = _recording(fun, 2_000)
+    golden_max(ref, lo, lo + width, tol)
+    golden_max(fun, lo, lo + width, tol, bound=bound, enclose=enclose)
+    enclosed = [x for kind, x in calls if kind == "enclose"]
+    assert calls[0] == ("enclose", path[0])
+    assert all(calls[i - 1] == ("bound", x) for i, (kind, x) in enumerate(calls)
+               if kind == "enclose" and i)
+    assert _is_subsequence(enclosed, path)
+
+
+@pytest.mark.parametrize("side", ["lower", "upper", "both"])
+@pytest.mark.parametrize("slack", [0.0, 1e-6, 1e-2])
+def test_golden_nan_enclosure_side_makes_no_claim(side, slack):
+    # a NaN side settles what -inf (lower) or inf (upper) settles: nothing
+    def fun(x):
+        return min(-abs(x - 0.3), 0.1 - 0.5 * x)
+
+    def claims(none_lower, none_upper):
+        def enclose(x):
+            v = fun(x)
+            return (none_lower if side != "upper" else v - slack,
+                    none_upper if side != "lower" else v + slack)
+        return enclose
+
+    ref, path = _recording(fun, 2_000)
+    want = golden_max(ref, 0.0, 1.0, 1e-12)
+    runs = []
+    for none in [(math.nan, math.nan), (-math.inf, math.inf)]:
+        rec, xs = _recording(fun, 2_000)
+        got = golden_max(rec, 0.0, 1.0, 1e-12, enclose=claims(*none))
+        assert tuple(map(float.hex, got)) == tuple(map(float.hex, want))
+        runs.append(xs)
+    assert runs[0] == runs[1]
+    assert _is_subsequence(runs[0], path)
+
+
+@pytest.mark.parametrize("solver", [golden_max, golden_min])
+@pytest.mark.parametrize("enclose", [0.5, "min", [abs], (0.0, 1.0)])
+def test_golden_rejects_an_enclosure_that_cannot_be_called(solver, enclose):
+    rec, xs = _recording(lambda x: -abs(x - 0.3), 2_000)
+    with pytest.raises(ArgumentError, match="enclose"):
+        solver(rec, 0.0, 1.0, enclose=enclose)
+    assert xs == []
+
+
+# golden_min's enclosure is (lower, upper) on fun itself, not on -fun
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_SHAPES, st.floats(-2.0, 0.0), st.floats(0.01, 3.0),
+       st.sampled_from([1e-3, 1e-7, 1e-11, 1e-17]), _SLACK, _SLACK, st.booleans())
+def test_golden_min_enclosure_keeps_bits_and_path(shape, lo, width, tol, s1, s2, bounded):
+    square, at, cap, room = shape
+    peak = lo + at * width
+
+    def fun(x):
+        v = (x - peak) ** 2 if square else abs(x - peak)
+        return max(v, -cap, x - room)
+
+    def enclose(x):
+        v = fun(x)
+        return v - s1, v + s2
+
+    bound = (lambda x: max(-cap, x - room)) if bounded else None
+    ref, path = _recording(fun, 2_000)
+    want = golden_min(ref, lo, lo + width, tol)
+    rec, xs = _recording(fun, 2_000)
+    got = golden_min(rec, lo, lo + width, tol, bound=bound, enclose=enclose)
+    assert tuple(map(float.hex, got)) == tuple(map(float.hex, want))
+    assert _is_subsequence(xs, path)
+    assert xs[-1] == path[-1]
+
+
 def test_dual_bounds_skip_most_bracket_searches(monkeypatch):
     # mu_d_dual's two bounds, the bracket bound and golden_min's floor over
     # alpha, on 24 calls (6 models x 4 rates): the same doubles from at most
