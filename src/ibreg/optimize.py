@@ -9,10 +9,10 @@ else raises ``ArgumentError``, as does a ``bound`` or ``enclose`` that is
 neither None nor callable.  These settings are the only arguments checked
 here rather than by ``guards``: no other module reads them.  The claims
 ``golden_max`` takes on its objective, ``bound`` (an upper one) and
-``enclose`` (a lower and an upper one), and ``golden_min``'s mirror ones,
-save the evaluations they decide and move no bit: a comparison is settled
-by the claims where they do not overlap, and by fun, at the older point
-first, where they do.
+``enclose`` (a lower and an upper one), and ``golden_min``'s mirror lower
+``bound``, save the evaluations they decide and move no bit: a comparison
+is settled by the claims where they do not overlap, and by fun, at the
+older point first, where they do.
 
 The bisections halve at most ``_BISECT_ITERATIONS`` times and stop as soon
 as the bracket is two adjacent floats (or one), that is when its midpoint
@@ -195,25 +195,17 @@ def _enclosed_steps(fun, a: float, b: float, tol: float, bound, enclose) -> tupl
 
 def golden_min(fun: Callable[[float], float], lo: float, hi: float,
                tol: float = 1e-10,
-               bound: Callable[[float], float] | None = None,
-               enclose: Callable[[float], tuple[float, float]] | None = None,
-               ) -> tuple[float, float]:
+               bound: Callable[[float], float] | None = None) -> tuple[float, float]:
     """Minimise a unimodal function on [lo, hi]; returns (x, fun(x)).
 
     ``golden_max`` on ``-fun``.  ``bound``, if given, is a lower bound on
     ``fun``, the mirror of ``golden_max``'s: at every x it returns NaN (no
-    claim) or a value that is <= ``fun(x)``, with ``fun(x)`` not NaN.
-    ``enclose`` returns (lower, upper) claims on ``fun`` as ``golden_max``'s
-    does.  Both save the evaluations they decide and move no bit.
+    claim) or a value that is <= ``fun(x)``, with ``fun(x)`` not NaN; it
+    saves the evaluations it decides and moves no bit.
     """
-    # None, or a claim golden_max refuses, goes on as it is
+    # None, or a bound golden_max refuses, goes on as it is
     neg = (lambda t: -bound(t)) if callable(bound) else bound
-    flip = enclose
-    if callable(enclose):
-        def flip(t):
-            lower, upper = enclose(t)
-            return -upper, -lower
-    x, v = golden_max(lambda t: -fun(t), lo, hi, tol, bound=neg, enclose=flip)
+    x, v = golden_max(lambda t: -fun(t), lo, hi, tol, bound=neg)
     return x, -v
 
 

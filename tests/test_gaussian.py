@@ -628,6 +628,11 @@ def test_outer_inner_search_equals_golden_max(rhos, rates, monkeypatch):
                                                 bound=outer_bound, enclose=enclosure)[1]), None)
     assert got == want
     assert len(got[1]) >= 3   # the final r2 search evaluates at least three points
+    # and the value against the r1 search with no claims on it, so that a
+    # wrong claim of the closed form, which the reference above shares,
+    # cannot pass on these near-unit correlations and edge rates
+    free = traced(lambda _: max(0.0, golden_max(reference, 0.0, box, 1e-11)[1]), None)
+    assert got[0] == free[0]
 
 
 @pytest.mark.parametrize("rates", [(0.7, 0.7), (0.0, 2.0), (5e-324, 0.0)] + EDGE_RATES)

@@ -393,39 +393,12 @@ def test_golden_nan_enclosure_side_makes_no_claim(side, slack):
     assert _is_subsequence(runs[0], path)
 
 
-@pytest.mark.parametrize("solver", [golden_max, golden_min])
 @pytest.mark.parametrize("enclose", [0.5, "min", [abs], (0.0, 1.0)])
-def test_golden_rejects_an_enclosure_that_cannot_be_called(solver, enclose):
+def test_golden_rejects_an_enclosure_that_cannot_be_called(enclose):
     rec, xs = _recording(lambda x: -abs(x - 0.3), 2_000)
     with pytest.raises(ArgumentError, match="enclose"):
-        solver(rec, 0.0, 1.0, enclose=enclose)
+        golden_max(rec, 0.0, 1.0, enclose=enclose)
     assert xs == []
-
-
-# golden_min's enclosure is (lower, upper) on fun itself, not on -fun
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(_SHAPES, st.floats(-2.0, 0.0), st.floats(0.01, 3.0),
-       st.sampled_from([1e-3, 1e-7, 1e-11, 1e-17]), _SLACK, _SLACK, st.booleans())
-def test_golden_min_enclosure_keeps_bits_and_path(shape, lo, width, tol, s1, s2, bounded):
-    square, at, cap, room = shape
-    peak = lo + at * width
-
-    def fun(x):
-        v = (x - peak) ** 2 if square else abs(x - peak)
-        return max(v, -cap, x - room)
-
-    def enclose(x):
-        v = fun(x)
-        return v - s1, v + s2
-
-    bound = (lambda x: max(-cap, x - room)) if bounded else None
-    ref, path = _recording(fun, 2_000)
-    want = golden_min(ref, lo, lo + width, tol)
-    rec, xs = _recording(fun, 2_000)
-    got = golden_min(rec, lo, lo + width, tol, bound=bound, enclose=enclose)
-    assert tuple(map(float.hex, got)) == tuple(map(float.hex, want))
-    assert _is_subsequence(xs, path)
-    assert xs[-1] == path[-1]
 
 
 def test_dual_bounds_skip_most_bracket_searches(monkeypatch):
