@@ -414,7 +414,7 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
     has tried.  So the grid is cached per ``(p, q)``, and for the last
     ``(p, q)`` the ``_first_form`` kernel, (f(r), g(r)) by r and the inner
     max by alpha.  A call clears each memo it finds at ``_DUAL_MEMO_CAP`` =
-    32,768 entries or more, and adds at most 4,284 r and 42 alphas; the
+    32,768 entries or more, and adds at most 4,059 r and 41 alphas; the
     written-out scan and inner search, the bounds, and why no bit moves:
     README, "Speed never moves a bit".
     The oracle shares that kernel with ``mu_d`` but neither its algorithm
@@ -429,8 +429,8 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
     r, f_at, g_at = rgrid.item, fg.item, gg.item
     f0, g0, f1, g1 = f_at(0), g_at(0), f_at(-1), g_at(-1)
     first, terms, peaks = _dual_memo(p, q)
-    # golden_min tries at most 42 alphas, each refines at most 3 brackets of
-    # at most 34 points: so a memo bounded here stays under cap + 4,284
+    # golden_min tries at most 41 alphas, each refines at most 3 brackets of
+    # at most 33 points: so a memo bounded here stays under cap + 4,059
     for memo in (terms, peaks):
         if len(memo) >= _DUAL_MEMO_CAP:
             memo.clear()
@@ -480,32 +480,35 @@ def _dual_grid_scan(alpha: float, fg: np.ndarray, gg: np.ndarray,
 
 def _dual_bracket_max(terms: dict, first, alpha: float, lo: float, hi: float) -> float:
     """``golden_max(lambda r: F - alpha G, lo, hi, 1e-10)[1]`` written out, with (F, G) =
-    ``terms[r]``, or ``first(r)`` stored there on a miss, inline at each evaluation
-    (README, "Speed never moves a bit")."""
+    ``terms[r]``, or ``first(r)`` stored there on a miss, inline at each evaluation:
+    none at the last step's new point (README, "Speed never moves a bit")."""
     get, put = terms.get, terms.setdefault
     invphi = _INVPHI
-    # primed: the first c held as d, c = a, fc = -inf, w = inf.  No stall
-    # guard: floats in [0, 1/2] are at most 2^-54 apart, so a step from
-    # w > 1e-10 leaves v <= 0.6181 w + 1.2e-16 < w
+    # primed: the first c held as d, c = a, fc = -inf.  No stall guard:
+    # floats in [0, 1/2] are at most 2^-54 apart, so each step from
+    # v > 1e-10 leaves the next v <= 0.6181 v + 1.2e-16 < v
     a, b = lo, hi
     d = b - invphi * (b - a)
     t = get(d) or put(d, first(d))
     fd = t[0] - alpha * t[1]
-    c, fc, w = a, -inf, inf
-    while w > 1e-10:
+    c, fc = a, -inf
+    while True:
         if fc > fd:
             b, d, fd = d, c, fc
             v = b - a
+            if not v > 1e-10:
+                break
             c = b - invphi * v
             t = get(c) or put(c, first(c))
             fc = t[0] - alpha * t[1]
         else:
             a, c, fc = c, d, fd
             v = b - a
+            if not v > 1e-10:
+                break
             d = a + invphi * v
             t = get(d) or put(d, first(d))
             fd = t[0] - alpha * t[1]
-        w = v
     x = 0.5 * (a + b)
     t = get(x) or put(x, first(x))
     return t[0] - alpha * t[1]

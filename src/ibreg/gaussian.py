@@ -445,16 +445,16 @@ def _outer_best_over_r2(e1: float, e2: float, r1: float, cap: float, rate2: floa
     room), 0.0, box, _OUTER_TOL, bound)[1]``, its steps written out and the
     objective inline at each of its evaluations, where ``bound(r2)`` is
     ``min(cap, room - r2)`` if ``base - k2 > 0`` and NaN otherwise: a new c
-    is skipped when its bound is <= fd, a new d when its bound is < fc
-    (README, "Speed never moves a bit")."""
+    is skipped when its bound is <= fd, a new d when its bound is < fc, and
+    the last step's new point always (README, "Speed never moves a bit")."""
     base, k2, den = _outer_log_terms(e1, e2, r1)
     log2, invphi, tol = np.log2, _INVPHI, _OUTER_TOL
     # with base - k2 > 0 every log argument is positive, so no value is NaN
     # and min(cap, room - x) bounds the value at x; NaN makes no claim
     lid = cap if base - k2 > 0.0 else nan
-    # primed: the first c held as d, c = a, fc = -inf, w = inf.  No stall
-    # guard: in [0, box], box <= _OUTER_BOX, floats are at most 2^-45 apart,
-    # so a step from w > _OUTER_TOL leaves v <= 0.6181 w + 6e-14 < w
+    # primed: the first c held as d, c = a, fc = -inf.  No stall guard: in
+    # [0, box], box <= _OUTER_BOX, floats are at most 2^-45 apart, so each
+    # step from v > _OUTER_TOL leaves the next v <= 0.6181 v + 6e-14 < v
     a, b = 0.0, box
     d = b - invphi * (b - a)
     mu = 0.5 * float(log2((base - k2 * 2.0 ** (-2.0 * d)) / den))
@@ -465,11 +465,13 @@ def _outer_best_over_r2(e1: float, e2: float, r1: float, cap: float, rate2: floa
     t = room - d
     if t < fd:
         fd = t
-    c, fc, w = a, -inf, inf
-    while w > tol:
+    c, fc = a, -inf
+    while True:
         if fc > fd:
             b, d, fd = d, c, fc
             v = b - a
+            if not v > tol:
+                break
             c = b - invphi * v
             u = room - c
             fc = u if u < lid else lid
@@ -484,6 +486,8 @@ def _outer_best_over_r2(e1: float, e2: float, r1: float, cap: float, rate2: floa
         else:
             a, c, fc = c, d, fd
             v = b - a
+            if not v > tol:
+                break
             d = a + invphi * v
             u = room - d
             fd = u if u < lid else lid
@@ -495,7 +499,6 @@ def _outer_best_over_r2(e1: float, e2: float, r1: float, cap: float, rate2: floa
                     fd = t
                 if u < fd:
                     fd = u
-        w = v
     x = 0.5 * (a + b)
     mu = 0.5 * float(log2((base - k2 * 2.0 ** (-2.0 * x)) / den))
     v = cap if cap < mu else mu

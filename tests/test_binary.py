@@ -612,10 +612,10 @@ def test_curve_grids_are_read_only():
 
 
 # what one mu_d_dual call can add to its memos, which it bounds only at entry:
-# golden_min on [0, 1] at tol 1e-8 tries at most 42 alphas, and each refines
-# at most 3 brackets, each searched at tol 1e-10 in at most 34 points
-_DUAL_CALL_ALPHAS = 42
-_DUAL_CALL_R = 42 * 3 * 34
+# golden_min on [0, 1] at tol 1e-8 tries at most 41 alphas, and each refines
+# at most 3 brackets, each searched at tol 1e-10 in at most 33 points
+_DUAL_CALL_ALPHAS = 41
+_DUAL_CALL_R = 41 * 3 * 33
 
 
 def test_mu_d_dual_memo_keeps_bits(monkeypatch):
@@ -648,7 +648,7 @@ def test_mu_d_dual_memo_keeps_bits(monkeypatch):
 
 def test_mu_d_dual_memo_holds_one_capped_model(monkeypatch):
     # a call clears each dict it finds at _DUAL_MEMO_CAP = 2**15 = 32,768
-    # entries or more and adds at most 4,284 r and 42 alphas; on CPython 3.11
+    # entries or more and adds at most 4,059 r and 41 alphas; on CPython 3.11
     # an r -> (F, G) entry takes 168 B and an alpha -> inner max entry 88 B,
     # so at most about 6.2 MB + 2.9 MB = 9.1 MB in all.  The sweep inserts
     # more r than the cap, so the clear runs
@@ -707,7 +707,7 @@ def test_mu_d_dual_call_stays_within_its_memo_bound(monkeypatch):
             _, terms, peaks = binary._dual_memo(p, q)
             assert len(alphas) <= _DUAL_CALL_ALPHAS, (rate, p, q)
             assert max(map(brackets.count, brackets), default=0) <= 3, (rate, p, q)
-            assert max(points, default=0) <= 34, (rate, p, q)
+            assert max(points, default=0) <= 33, (rate, p, q)
             assert len(terms) <= _DUAL_CALL_R and len(peaks) <= _DUAL_CALL_ALPHAS, (rate, p, q)
 
 

@@ -4,6 +4,7 @@ stop rules."""
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -44,17 +45,20 @@ def test_golden_max_and_min_find_the_extremum():
 
 
 @pytest.mark.parametrize("solver", [golden_max, golden_min])
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf,
+                                 "1e-10", True, 1e-10 + 0j, np.array(1e-10)])
 def test_golden_rejects_bad_tol(solver, tol):
     # NaN and inf ended the loop at once with the bracket's midpoint; 0 and
-    # -1 never ended it
+    # -1 never ended it; float() took the str and the bool
     with pytest.raises(ArgumentError, match="tol"):
         solver(_bounded_parabola(), 0.0, 1.0, tol=tol)
 
 
 _BAD_BRACKETS = [(2.0, 1.0), (math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0),
                  (0.0, math.inf), (math.inf, math.inf), (-math.inf, math.inf),
-                 (1e308, 1.7e308), (-1.7e308, 1.7e308), (0.0, 1.7e308), (-1.7e308, 0.0)]
+                 (1e308, 1.7e308), (-1.7e308, 1.7e308), (0.0, 1.7e308), (-1.7e308, 0.0),
+                 ("0", 1.0), (0.0, "1"), (False, 1.0), (0.0, True), (0j, 1.0),
+                 (0.0, np.array(1.0)), (np.array([0.0]), 1.0)]
 _SOLVERS = {
     "golden_max": lambda lo, hi: golden_max(_bounded_parabola(), lo, hi),
     "golden_min": lambda lo, hi: golden_min(_bounded_parabola(), lo, hi),
@@ -71,9 +75,19 @@ def test_solvers_reject_bad_bracket(solver, lo, hi):
     # bisect_decreasing_inverse(lambda x: -x, -1.2, 2.0, 1.0) returned 2.0;
     # an infinite end gave NaN, and an end within a factor 2 of the float
     # limit gave inf, as bisect_root(lambda x: x - 1.5e308, 1e308, 1.7e308)
-    # and golden_max(f, -1.7e308, 1.7e308, tol=1e300) did
+    # and golden_max(f, -1.7e308, 1.7e308, tol=1e300) did.  A str, bool,
+    # complex or array end is no real number: golden_max(f, "0", 1) and
+    # golden_max(f, False, 1, True) ran, bisect_root(f, "-1", 1) raised a
+    # bare TypeError
     with pytest.raises(ArgumentError, match="bracket"):
         _SOLVERS[solver](lo, hi)
+
+
+@pytest.mark.parametrize("target", [math.nan, "0.5", True, np.array(-0.5)])
+def test_bisect_decreasing_inverse_rejects_a_bad_target(target):
+    # a NaN target returned 3.9e-31 on [0, 1], from 100 halvings to the left
+    with pytest.raises(ArgumentError, match="target"):
+        bisect_decreasing_inverse(lambda x: -x, target, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("solver", list(_SOLVERS))
@@ -149,7 +163,8 @@ def test_golden_stops_when_the_bracket_cannot_shrink(peak, lo, hi, tol, square):
 
 def test_golden_path_unchanged_where_the_loop_ended():
     # every run of the loop before the stop rule that ended takes the same
-    # evaluations now, tol near the float spacing included
+    # evaluations now, tol near the float spacing included, but for the last
+    # step's new point, second to last in its path, which no comparison reads
     rng = random.Random(20240917)
     checked = 0
     for _ in range(400):
@@ -169,7 +184,7 @@ def test_golden_path_unchanged_where_the_loop_ended():
             continue
         rec, xs = _recording(fun, 2_000)
         assert golden_max(rec, lo, hi, tol) == want
-        assert xs == ref_xs
+        assert xs == ref_xs[:-2] + ref_xs[-1:]
         checked += 1
     assert checked >= 300
 
@@ -178,19 +193,17 @@ def _decreasing(x):
     return -x
 
 
-# a bracket no wider than tol takes no step: fun evaluates c, then d unless
-# the bound decides the first comparison (bound(d) < fc), then the midpoint;
-# on a point bracket c = d, so a bound, being >= fun(d) = fc, never decides
+# a bracket no wider than tol takes one step, the priming one, whose new
+# point d no comparison reads: fun evaluates c, placed first, and the
+# midpoint, whatever the bound, and never d
 @pytest.mark.parametrize("lo, hi", [(0.25, 0.25 + 1e-12), (0.0, 1e-10), (1.2, 1.2)])
 @pytest.mark.parametrize("bound", [None, lambda x: math.nan, lambda x: 1.0 - x, _decreasing])
 def test_golden_within_tol_evaluates_c_d_and_the_midpoint(lo, hi, bound):
     rec, xs = _recording(_decreasing, 10)
     x, v = golden_max(rec, lo, hi, 1e-10, bound=bound)
     c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
     mid = 0.5 * (lo + hi)
-    decided = bound is _decreasing and lo < hi
-    assert xs == ([c, mid] if decided else [c, d, mid])
+    assert xs == [c, mid]
     assert (x, v) == (mid, -mid)
 
 
@@ -331,6 +344,50 @@ def test_golden_enclosure_keeps_bits_and_path(shape, lo, width, tol, s1, s2, bou
     got = golden_max(rec, lo, lo + width, tol, bound=bound, enclose=enclose)
     assert tuple(map(float.hex, got)) == tuple(map(float.hex, want))
     assert _is_subsequence(xs, path)
+    assert xs[-1] == path[-1]
+
+
+# with or without a bound and an enclosure, fun never runs at the last
+# step's new point, second to last in the reference's path, which evaluates
+# every point; a point bracket and one narrower than tol take only the
+# priming step, whose new point is the reference's d
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_SHAPES, st.floats(-2.0, 0.0), st.just(0.0) | st.floats(1e-13, 3.0),
+       st.sampled_from([1e-3, 1e-7, 1e-11]),
+       st.none() | st.just("terms") | st.floats(0.0, 1e-2),
+       st.none() | st.tuples(_SLACK, _SLACK))
+def test_golden_never_evaluates_the_last_step_point(shape, lo, width, tol, bounded, slacks):
+    square, at, cap, room = shape
+    peak = lo + at * width
+
+    def fun(x):
+        v = -(x - peak) ** 2 if square else -abs(x - peak)
+        return min(v, cap, room - x)
+
+    if bounded == "terms":
+        def bound(x):
+            return min(cap, room - x)
+    elif bounded is None:
+        bound = None
+    else:
+        def bound(x):
+            return fun(x) + bounded
+
+    if slacks is None:
+        enclose = None
+    else:
+        def enclose(x):
+            v = fun(x)
+            return v - slacks[0], v + slacks[1]
+
+    ref, path = _recording(fun, 2_000)
+    want = _ref_golden_max(ref, lo, lo + width, tol)
+    rec, xs = _recording(fun, 2_000)
+    got = golden_max(rec, lo, lo + width, tol, bound=bound, enclose=enclose)
+    free = golden_max(fun, lo, lo + width, tol)
+    assert tuple(map(float.hex, got)) == tuple(map(float.hex, free))
+    assert tuple(map(float.hex, got)) == tuple(map(float.hex, want))
+    assert _is_subsequence(xs, path[:-2] + path[-1:])
     assert xs[-1] == path[-1]
 
 
