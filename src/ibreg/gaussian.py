@@ -436,7 +436,7 @@ def cdib_x1yx2_outer_point(m: GaussianCdibModel, r1: float, r2: float) -> OuterB
 _OUTER_TOL = 1e-11    # golden-section tolerance of both nested searches
 _OUTER_BOX = 128.0    # cap on each auxiliary rate searched, in bits
 _OUTER_SLOPE = 20.0   # steepest mu in r2 at which the closed form makes a claim
-_OUTER_MARGIN = 1e-9  # half-width of the closed form's claim on the r2 search
+_OUTER_MARGIN = 1e-12  # rounding allowance of the closed form's claims on the r2 search
 
 
 def _outer_best_over_r2(e1: float, e2: float, r1: float, cap: float, rate2: float,
@@ -525,25 +525,31 @@ def _outer_fixed_r1_max(e1: float, e2: float, r1: float, cap: float, rate2: floa
     where A = room - rate2.  G is taken at each of these six that lies in
     [0, box].  An exponent above 511, where ``4.0 ** x`` overflows, is read
     as 511: the candidate then lies outside [0, box], as the exact one
-    does.  The guard keeps mu's slope in r2, k2 t / (base - k2 t), and so
-    the objective's, at most 20: the r2 search, whose final r2 lies within
-    _OUTER_TOL / 2 of a maximiser, is within 1e-10 of the maximum, a tenth
-    of ``_OUTER_MARGIN`` (README, "Speed never moves a bit")."""
+    does.  The guard keeps mu's slope in r2, k2 t / (base - k2 t), at most
+    20, where the log argument keeps its leading digits: the r2 search was
+    measured at most 5.3e-15 above this maximum, inside ``_OUTER_MARGIN``
+    = 1e-12, and 3.5e-11 above it with a guard of 1e6 (README, "Speed
+    never moves a bit")."""
     base, k2, den = _outer_log_terms(e1, e2, r1)
     if not (k2 > 0.0 and den > 0.0 and k2 <= _OUTER_SLOPE * (base - k2)):
         return nan
     lo = 4.0 ** -box
     best = -inf
     for t in (1.0, lo, 4.0 ** -rate2, 0.5 * base / k2,
-              base / (k2 + den * 4.0 ** min(room, 511.0)),
-              (base - den * 4.0 ** min(room - rate2, 511.0)) / k2):
+              base / (k2 + den * 4.0 ** (511.0 if 511.0 < room else room)),
+              (base - den * 4.0 ** (511.0 if 511.0 < room - rate2 else room - rate2)) / k2):
         if lo <= t <= 1.0:
             r2 = -0.5 * log2(t)
-            mu = 0.5 * log2((base - k2 * t) / den)
-            v = min(mu, rate2 - r2 + mu, room - r2)
+            v = 0.5 * log2((base - k2 * t) / den)
+            u = rate2 - r2 + v
+            if u < v:
+                v = u
+            u = room - r2
+            if u < v:
+                v = u
             if v > best:
                 best = v
-    return min(cap, best)
+    return best if best < cap else cap
 
 
 def cdib_x1yx2_outer_frontier(m: GaussianCdibModel, rate1: float, rate2: float) -> float:
@@ -562,17 +568,20 @@ def cdib_x1yx2_outer_frontier(m: GaussianCdibModel, rate1: float, rate2: float) 
     search ``_outer_best_over_r2``, whose steps are written out.  Both skip
     each evaluation that the cap and room bound already decides: a new c
     when its bound is <= fd, a new d when its bound is < fc.  The r1
-    search also encloses each r2 search in the closed-form maximum over r2,
-    ``_outer_fixed_r1_max``, give or take ``_OUTER_MARGIN`` = 1e-9, where
-    its slope guard lets it claim, and runs an r2 search only where two
-    points' claims overlap.
+    search also encloses each r2 search, where the slope guard of the
+    closed-form maximum over r2, g = ``_outer_fixed_r1_max``, lets it
+    claim, in (g - lip _OUTER_TOL - _OUTER_MARGIN, g + _OUTER_MARGIN),
+    lip the objective's steepest slope in r2 and ``_OUTER_MARGIN`` = 1e-12
+    a rounding allowance, and runs an r2 search only where two points'
+    claims overlap.
 
     Cost: at most 57 x 57 objective evaluations.  At R1 = R2 = 0.7 it takes
-    16 r2 searches and 640 ``np.log2`` calls (39 and 1,557 with the cap and
-    room bounds alone, 3,249 calls without either).  It took 0.38-0.41 ms,
-    against 0.65-0.69 ms with the bounds alone, in alternating best-of-15
-    timeit runs on a shared 2-vCPU x86-64 host (Python 3.11, numpy 2.4).
-    Bits: README, "Speed never moves a bit".
+    5 r2 searches and 199 ``np.log2`` calls (16 and 627 with claims of
+    g +- 1e-9, 39 and 1,557 with the cap and room bounds alone, 3,249 calls
+    without either).  It took 0.17-0.19 ms in 5 of 6 best-of-15 timeit
+    runs (0.30 in one), against 0.39-0.43 ms with claims of g +- 1e-9 in
+    all 6, alternating on a shared 2-vCPU x86-64 host (Python 3.11, numpy
+    2.4).  Bits: README, "Speed never moves a bit".
     """
     _require_chain(m, "x1-y-x2")
     rate1, rate2 = guards.rate("rate1", rate1), guards.rate("rate2", rate2)
@@ -587,10 +596,17 @@ def cdib_x1yx2_outer_frontier(m: GaussianCdibModel, rate1: float, rate2: float) 
     # at r1, whose final r2 is >= 0, is at most min(cap, room)
     base, k2, _ = _outer_log_terms(e1, e2, 0.0)
     bound = (lambda r1: min(rate1 - r1 + i_y_x2, span - r1)) if base - k2 > 0.0 else None
+    # lip bounds the objective's slope in r2 at every r1: mu's,
+    # k2 t / (base - k2 t), is largest at t = 1 and r1 = 0, C's is mu's - 1
+    # and D's is -1.  So the r2 search, whose final r2 lies within
+    # _OUTER_TOL / 2 of a maximiser, is at most lip _OUTER_TOL / 2 below the
+    # maximum g and, but for rounding, never above it
+    lip = max(1.0, k2 / (base - k2)) if base - k2 > 0.0 else inf
+    slack = lip * _OUTER_TOL + _OUTER_MARGIN
 
     def enclose(r1):
         g = _outer_fixed_r1_max(e1, e2, r1, rate1 - r1 + i_y_x2, rate2, span - r1, box)
-        return g - _OUTER_MARGIN, g + _OUTER_MARGIN
+        return g - slack, g + _OUTER_MARGIN
 
     # a log argument that cancels to 0 or below gives -inf or NaN, not a warning
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -600,11 +600,16 @@ def test_outer_inner_search_equals_golden_max(rhos, rates, monkeypatch):
             e1, e2, r1, rate1 - r1 + m.i_y_x2(), rate2, span - r1, box)
 
     # the r1 search's claims on each r2 search: the closed-form maximum
-    # over r2, give or take the margin, where its slope guard lets it claim
+    # over r2, where its slope guard lets it claim, less lip tol on the
+    # lower side and plus the rounding margin on the upper
+    base, k2, _ = ibreg.gaussian._outer_log_terms(e1, e2, 0.0)
+    lip = max(1.0, k2 / (base - k2)) if base - k2 > 0.0 else math.inf
+    margin = ibreg.gaussian._OUTER_MARGIN
+
     def enclosure(r1):
         g = ibreg.gaussian._outer_fixed_r1_max(
             e1, e2, r1, rate1 - r1 + m.i_y_x2(), rate2, span - r1, box)
-        return g - ibreg.gaussian._OUTER_MARGIN, g + ibreg.gaussian._OUTER_MARGIN
+        return g - (lip * 1e-11 + margin), g + margin
 
     def traced(search, r1):
         seen = []
@@ -715,18 +720,26 @@ def test_outer_closed_form_claims_only_inside_the_slope_guard():
             e1, e2, 0.0, 1.0 + m.i_y_x2(), 1.0, 2.0, 2.0))
 
 
-def test_outer_r2_search_within_the_margin_of_the_closed_form():
-    # the r1 search takes the closed form, give or take _OUTER_MARGIN, as
-    # its claim on each r2 search: wherever it claims, the search lies ten
-    # times closer, |rho| up to one ulp below 1 and rates up to unlimited
-    margin = ibreg.gaussian._OUTER_MARGIN
+def test_outer_r2_search_within_the_claims_of_the_closed_form():
+    # the r1 search takes (g - lip tol - margin, g + margin) as its claims on
+    # each r2 search, g the closed-form maximum and lip = max(1, k2 / (base
+    # - k2)) at r1 = 0 the objective's steepest slope in r2.  The search,
+    # whose final r2 lies within tol / 2 of a maximiser, is never more than
+    # a rounding error above g and at most lip tol / 2 below it, |rho| up to
+    # one ulp below 1 and rates up to unlimited.  The lower gap reaches 0.96
+    # of lip tol / 2, at chain (0.3, 0.3), rates (0.7, 0.01), r1 = 0.71, and
+    # 0.99 of the slope bound at r1 itself, at chain (0.999999, 0.99), rates
+    # (2.5, 2.5), r1 = 0.5: a lower claim of g - lip tol / 4 fails this sweep
+    margin, tol = ibreg.gaussian._OUTER_MARGIN, ibreg.gaussian._OUTER_TOL
     rhos = [0.3, -0.8, 0.95, 0.99, 0.999, 0.999999, 1.0 - 1e-12, 0.9999999999999999]
     rates = [0.0, 1e-300, 1e-17, 0.01, 0.3, 0.7, 1.6, 2.5, 20.0, 128.1, 1e300, math.inf]
-    worst, claimed = 0.0, 0
+    above, below, claimed = -math.inf, 0.0, 0
     for rho_x1y in rhos:
         for rho_x2y in rhos:
             m = GaussianCdibModel.chain_x1_y_x2(rho_x1y, abs(rho_x2y))
             e1, e2 = m.rho_x1y ** 2, m.rho_x2y ** 2
+            base, k2, _ = ibreg.gaussian._outer_log_terms(e1, e2, 0.0)
+            lip = max(1.0, k2 / (base - k2)) if base - k2 > 0.0 else math.inf
             for rate1 in rates:
                 for rate2 in rates:
                     span = rate1 + rate2
@@ -735,9 +748,13 @@ def test_outer_r2_search_within_the_margin_of_the_closed_form():
                         args = (e1, e2, r1, rate1 - r1 + m.i_y_x2(), rate2, span - r1, box)
                         g = ibreg.gaussian._outer_fixed_r1_max(*args)
                         if not math.isnan(g):
-                            worst = max(worst, abs(ibreg.gaussian._outer_best_over_r2(*args) - g))
+                            gap = ibreg.gaussian._outer_best_over_r2(*args) - g
+                            above = max(above, gap)
+                            below = max(below, -gap / (lip * tol / 2.0))
                             claimed += 1
-    assert worst <= margin / 10.0, worst
+    assert above <= margin / 100.0, above
+    assert below <= 1.0, below
+    assert below > 0.5, below   # the claim's 2x headroom is needed, not slack
     assert claimed >= 25_000
 
 
@@ -811,8 +828,11 @@ def test_outer_frontier_log2_calls_on_the_fig4_grid(chain_b, monkeypatch):
     # an r2 search only where the closed-form maximum over r2 leaves its
     # comparison open too: 2,034 r2 searches and 85,549 calls before,
     # 734 and 31,227 with it.  No search evaluates its last step's new
-    # point, which no comparison reads: 30,714 calls
-    calls = _bounded_log2(monkeypatch, limit=30_868)
+    # point, which no comparison reads: 30,714 calls.  The closed form's
+    # claims take the r2 search's own tolerance and slope, g - lip tol
+    # below and a rounding margin above, instead of g +- 1e-9: 309
+    # searches and 13,030 calls
+    calls = _bounded_log2(monkeypatch, limit=13_100)
     searches = [0]
     search = ibreg.gaussian._outer_best_over_r2
 
@@ -823,8 +843,8 @@ def test_outer_frontier_log2_calls_on_the_fig4_grid(chain_b, monkeypatch):
     monkeypatch.setattr(ibreg.gaussian, "_outer_best_over_r2", counted)
     for rate in np.linspace(0.0, 2.5, 51):
         cdib_x1yx2_outer_frontier(chain_b, float(rate), float(rate))
-    assert calls[0] <= 30_868
-    assert searches[0] <= 760
+    assert calls[0] <= 13_100
+    assert searches[0] <= 312
 
 
 def test_outer_frontier_ladder_beyond_saturation(chain_b):
