@@ -278,7 +278,7 @@ _EDGE_R = 0.5 - 1e-3      # a tangency past this r counts as the boundary
 _DUAL_GRID_N = 4096       # mu_d_dual's inner r-grid
 _DUAL_ALPHA_TOL = 1e-8    # mu_d_dual's golden-section tolerance on alpha
 _DUAL_MEMO_CAP = 2 ** 15  # mu_d_dual clears a memo this full at a call's start
-_DUAL_SKIP_MARGIN = 1e-9  # mu_d_dual's bracket bound's allowance for kernel rounding
+_DUAL_SKIP_MARGIN = 1e-9  # mu_d_dual's allowance for kernel rounding: bracket bound, alpha claims
 _TIMESHARE_GRID_N = 512   # mu_d_timeshare_oracle's r-grid
 
 
@@ -407,14 +407,17 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
     refinement (tol 1e-10) of the two highest interior local maxima and of
     the left edge.  Both searches skip the work a bound already decides: a
     refinement whose bracket cannot beat the best value so far, and an
-    alpha whose floor, the grid's end values, settles the next comparison.
+    alpha whose floor, the grid's end values, or whose claims, drawn from
+    the grid scan at that alpha, settle the next comparison.
 
-    Cost: about 850-1,550 objective evaluations per call (2,800 without the
-    bounds), many at an r or alpha that this or an earlier call on the model
-    has tried.  So the grid is cached per ``(p, q)``, and for the last
-    ``(p, q)`` the ``_first_form`` kernel, (f(r), g(r)) by r and the inner
-    max by alpha.  A call clears each memo it finds at ``_DUAL_MEMO_CAP`` =
-    32,768 entries or more, and adds at most 4,059 r and 41 alphas; the
+    Cost: about 400-1,800 objective evaluations per call (10th to 90th
+    percentile on the 16 models p, q in {0.05, 0.1, 0.2, 0.3}; 760-2,200
+    with the floor alone, 2,800 without any bound), many at an r or alpha
+    that this or an earlier call on the model has tried.  So the grid is
+    cached per ``(p, q)``, and for the last ``(p, q)`` the ``_first_form``
+    kernel, (f(r), g(r)) by r, and the inner max and the claims by alpha.
+    A call clears each memo it finds at ``_DUAL_MEMO_CAP`` = 32,768 entries
+    or more, and adds at most 4,059 r and 41 alphas to each; the
     written-out scan and inner search, the bounds, and why no bit moves:
     README, "Speed never moves a bit".
     The oracle shares that kernel with ``mu_d`` but neither its algorithm
@@ -428,17 +431,19 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
     vals, (peak, down) = np.empty_like(fg), np.empty((2, fg.size - 2), bool)
     r, f_at, g_at = rgrid.item, fg.item, gg.item
     f0, g0, f1, g1 = f_at(0), g_at(0), f_at(-1), g_at(-1)
-    first, terms, peaks = _dual_memo(p, q)
+    first, terms, peaks, claims = _dual_memo(p, q)
     # golden_min tries at most 41 alphas, each refines at most 3 brackets of
-    # at most 33 points: so a memo bounded here stays under cap + 4,059
-    for memo in (terms, peaks):
+    # at most 33 points: so a memo bounded here stays under cap + 4,059 (r)
+    # or cap + 41 (alphas)
+    for memo in (terms, peaks, claims):
         if len(memo) >= _DUAL_MEMO_CAP:
             memo.clear()
+    scans = {}   # alpha -> this call's grid scan there: (max of the ends, ks)
 
     def inner_max(alpha: float) -> float:
         if (best := peaks.get(alpha)) is not None:
             return best
-        best, ks = _dual_grid_scan(alpha, fg, gg, vals, peak, down)
+        best, ks = scans.get(alpha) or _dual_grid_scan(alpha, fg, gg, vals, peak, down)
         # the left edge (k = 0) hides a narrow spike for small alpha: refine
         # it and each peak's bracket [r_k, r_k+2] unless the bracket cannot
         # beat best, where max(best, .) keeps best: f and g fall on [0, 1/2]
@@ -456,8 +461,27 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
         # objective is at least this, exactly
         return max(f0 - a * g0, f1 - a * g1) + a * rate
 
+    def enclose(a: float) -> tuple[float, float]:
+        # claims on the objective from a's grid scan, kept for inner_max: the
+        # top peak's bracket is refined whenever its grid value beats the
+        # ends, and its search ends no lower than that value; no bracket
+        # tops the larger of its halves' bounds F(r_k) - a G(r_k+1) and
+        # F(r_k+1) - a G(r_k+2).  Both up to the margin, as above
+        if (best := peaks.get(a)) is not None:
+            return best + a * rate, best + a * rate
+        if (claim := claims.get(a)) is None:
+            ends, ks = scans[a] = _dual_grid_scan(a, fg, gg, vals, peak, down)
+            low = high = ends
+            if ks:
+                low = max(ends, vals.item(ks[0] + 1) - _DUAL_SKIP_MARGIN)
+            for k in (*ks, 0):
+                high = max(high, f_at(k) - a * g_at(k + 1) + _DUAL_SKIP_MARGIN,
+                           f_at(k + 1) - a * g_at(k + 2) + _DUAL_SKIP_MARGIN)
+            claim = claims[a] = low, high
+        return claim[0] + a * rate, claim[1] + a * rate
+
     _, value = golden_min(lambda a: inner_max(a) + a * rate, 0.0, 1.0, tol=_DUAL_ALPHA_TOL,
-                          bound=floor)
+                          bound=floor, enclose=enclose)
     return 1.0 - _h2(_star(p, q)) + value
 
 
@@ -517,8 +541,8 @@ def _dual_bracket_max(terms: dict, first, alpha: float, lo: float, hi: float) ->
 @lru_cache(maxsize=1)
 def _dual_memo(p: float, q: float):
     # mu_d_dual's kernel and memos of the last model called: the first form,
-    # r -> (F, G) and alpha -> inner max
-    return _first_form(p, q), {}, {}
+    # r -> (F, G), alpha -> inner max and alpha -> claims (lower, upper) on it
+    return _first_form(p, q), {}, {}, {}
 
 
 @lru_cache(maxsize=64)

@@ -12,8 +12,8 @@ nor callable.  No other module reads these settings.
 No golden section, here or written out elsewhere, evaluates its last
 step's new point: no comparison reads it.  The claims ``golden_max`` takes
 on its objective, ``bound`` (upper) and ``enclose`` (lower and upper), and
-``golden_min``'s mirror lower ``bound``, save the evaluations they decide
-and move no bit.
+``golden_min``'s mirror ones, a lower ``bound`` and an ``enclose`` on its
+own objective, save the evaluations they decide and move no bit.
 
 The bisections halve at most ``_BISECT_ITERATIONS`` times and stop as soon
 as the bracket is two adjacent floats (or one), that is when its midpoint
@@ -156,17 +156,26 @@ def golden_max(fun: Callable[[float], float], lo: float, hi: float,
 
 def golden_min(fun: Callable[[float], float], lo: float, hi: float,
                tol: float = 1e-10,
-               bound: Callable[[float], float] | None = None) -> tuple[float, float]:
+               bound: Callable[[float], float] | None = None,
+               enclose: Callable[[float], tuple[float, float]] | None = None,
+               ) -> tuple[float, float]:
     """Minimise a unimodal function on [lo, hi]; returns (x, fun(x)).
 
     ``golden_max`` on ``-fun``.  ``bound``, if given, is a lower bound on
     ``fun``, the mirror of ``golden_max``'s: at every x it returns NaN (no
-    claim) or a value that is <= ``fun(x)``, with ``fun(x)`` not NaN; it
-    saves the evaluations it decides and moves no bit.
+    claim) or a value that is <= ``fun(x)``, with ``fun(x)`` not NaN.
+    ``enclose(x)``, if given, returns (lower, upper) claims on ``fun`` itself,
+    each NaN (none) or true, as ``golden_max``'s does.  Both save the
+    evaluations they decide and move no bit.
     """
-    # None, or a bound golden_max refuses, goes on as it is
+    # None, or a claim golden_max refuses, goes on as it is
+    def flip(t):
+        lower, upper = enclose(t)
+        return -upper, -lower
+
     neg = (lambda t: -bound(t)) if callable(bound) else bound
-    x, v = golden_max(lambda t: -fun(t), lo, hi, tol, bound=neg)
+    x, v = golden_max(lambda t: -fun(t), lo, hi, tol, bound=neg,
+                      enclose=flip if callable(enclose) else enclose)
     return x, -v
 
 

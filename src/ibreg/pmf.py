@@ -124,12 +124,14 @@ class JointPmf:
             raise ArgumentError(f"table shape {table.shape} does not match axes {shape}")
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "table", _checked_table(table, None))
+        # not a field: equality, repr and to_dict see the axes alone
+        object.__setattr__(self, "_axis_names", tuple(a.name for a in axes))
 
     # -- axis bookkeeping -------------------------------------------------
 
     @property
     def axis_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.axes)
+        return self._axis_names
 
     def axis_index(self, name: str) -> int:
         if isinstance(name, str) and name in self.axis_names:

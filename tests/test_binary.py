@@ -562,10 +562,15 @@ def test_dual_grid_scan_equals_argsort_expression():
 def test_dual_refines_the_brackets_its_bound_leaves_open(monkeypatch):
     # the bracket bound as documented: refine the peak brackets, highest
     # first, then the left edge, each only if F(r_k) - alpha G(r_k+2) plus
-    # the margin reaches the best value so far.  Every scan of a call is
-    # replayed on the reference scan, and the searches must be these
-    scans, searches = [], []
+    # the margin reaches the best value so far.  Each alpha is scanned once
+    # a call; those whose inner max ran are replayed on the reference scan,
+    # in that order, and the searches must be these.  An alpha golden_min's
+    # claims settled is scanned without a search
+    scans, searches, ran = [], [], []
     scan, search = binary._dual_grid_scan, binary._dual_bracket_max
+
+    def counted_golden_min(fun, *args, **kwargs):
+        return golden_min(lambda a: ran.append(a) or fun(a), *args, **kwargs)
 
     def scanned(alpha, *args):
         scans.append(alpha)
@@ -578,17 +583,21 @@ def test_dual_refines_the_brackets_its_bound_leaves_open(monkeypatch):
 
     monkeypatch.setattr(binary, "_dual_grid_scan", scanned)
     monkeypatch.setattr(binary, "_dual_bracket_max", searched)
+    monkeypatch.setattr(binary, "golden_min", counted_golden_min)
     models = [(0.1, 0.1), (0.3, 0.05), (0.1, 0.001)] + _small_crossover_models()[:3]
+    enclosed_only = 0
     for p, q in models:
         for rate in (0.0, 0.4 * h2(q), h2(q)):
-            scans.clear()
-            searches.clear()
+            for seen in (scans, searches, ran):
+                seen.clear()
             binary._dual_memo.cache_clear()
             mu_d_dual(rate, p, q)
+            assert len(set(scans)) == len(scans) and set(ran) <= set(scans), (rate, p, q)
+            enclosed_only += len(set(scans) - set(ran))
             rgrid, fg, gg = _curve_grids(p, q, binary._DUAL_GRID_N)
             index = {r: k for k, r in enumerate(rgrid.tolist())}
             done, want = iter(searches), []
-            for alpha in scans:
+            for alpha in dict.fromkeys(ran):
                 best, brackets, _ = _ref_grid_scan(alpha, rgrid, fg, gg)
                 for lo, hi in brackets + [(float(rgrid[0]), float(rgrid[2]))]:
                     k = index[lo]
@@ -597,6 +606,37 @@ def test_dual_refines_the_brackets_its_bound_leaves_open(monkeypatch):
                         want.append((alpha, lo, hi, got[3]))
                         best = max(best, got[3])
             assert searches == want, (rate, p, q)
+    assert enclosed_only > 0
+    binary._dual_memo.cache_clear()
+
+
+def test_dual_claims_hold_on_the_computed_objective(monkeypatch):
+    # mu_d_dual's claims on golden_min's objective, inner_max(a) + a rate,
+    # drawn from a's grid scan alone: lower <= objective <= upper at 61
+    # alphas a model, each enclosed before it is evaluated.  Both rest on f
+    # and g falling on [0, 1/2]; on the grid they do, up to rounding far
+    # below the margin
+    probes = np.linspace(0.0, 1.0, 61).tolist()
+    held = []
+
+    def probing_golden_min(fun, lo, hi, tol, bound, enclose):
+        for a in probes:
+            lower, upper = enclose(a)
+            value = fun(a)
+            assert lower <= value <= upper, (a, lower, value, upper)
+            held.append(upper - lower)
+        return golden_min(fun, lo, hi, tol, bound=bound, enclose=enclose)
+
+    monkeypatch.setattr(binary, "golden_min", probing_golden_min)
+    bench = [(p, q) for p in (0.05, 0.1, 0.2, 0.3) for q in (0.05, 0.1, 0.2, 0.3)]
+    extremes = [(0.4999, 0.4999), (1e-6, 0.2), (0.1, 0.001)]
+    for i, (p, q) in enumerate(bench + _small_crossover_models() + extremes):
+        _, fg, gg = _curve_grids(p, q, binary._DUAL_GRID_N)
+        assert np.diff(fg).max() <= binary._DUAL_SKIP_MARGIN / 1e4, (p, q)
+        assert np.diff(gg).max() <= binary._DUAL_SKIP_MARGIN / 1e4, (p, q)
+        binary._dual_memo.cache_clear()
+        mu_d_dual((0.0, 0.5, 1.0)[i % 3] * h2(q), p, q)
+    assert len(held) == 61 * 67
     binary._dual_memo.cache_clear()
 
 
@@ -641,17 +681,19 @@ def test_mu_d_dual_memo_keeps_bits(monkeypatch):
         got = []
         for args in calls:
             got.append(mu_d_dual(*args))
-            _, terms, peaks = binary._dual_memo(*args[1:])
+            _, terms, peaks, claims = binary._dual_memo(*args[1:])
             assert len(terms) < cap + _DUAL_CALL_R and 0 < len(peaks) < cap + _DUAL_CALL_ALPHAS
+            assert 0 < len(claims) < cap + _DUAL_CALL_ALPHAS
         assert got == fresh
 
 
 def test_mu_d_dual_memo_holds_one_capped_model(monkeypatch):
     # a call clears each dict it finds at _DUAL_MEMO_CAP = 2**15 = 32,768
     # entries or more and adds at most 4,059 r and 41 alphas; on CPython 3.11
-    # an r -> (F, G) entry takes 168 B and an alpha -> inner max entry 88 B,
-    # so at most about 6.2 MB + 2.9 MB = 9.1 MB in all.  The sweep inserts
-    # more r than the cap, so the clear runs
+    # an r -> (F, G) entry takes 168 B, an alpha -> inner max entry 88 B and
+    # an alpha -> (lower, upper) claims entry 168 B, so at most about
+    # 6.2 MB + 2.9 MB + 5.5 MB = 14.6 MB in all.  The sweep inserts about
+    # 39,800 r, more than the cap, so the clear runs
     inserts, kernel = [0], binary._first_form
 
     def counting_first_form(p, q):
@@ -665,15 +707,16 @@ def test_mu_d_dual_memo_holds_one_capped_model(monkeypatch):
 
     monkeypatch.setattr(binary, "_first_form", counting_first_form)
     mu_d_dual(0.2, 0.2, 0.2)
-    for rate in np.linspace(0.0, h2(0.3), 50):
+    for rate in np.linspace(0.0, h2(0.3), 80):
         mu_d_dual(rate, 0.1, 0.3)
     assert inserts[0] > binary._DUAL_MEMO_CAP
     info = binary._dual_memo.cache_info()
     assert info.currsize == 1
-    _, terms, peaks = binary._dual_memo(0.1, 0.3)
+    _, terms, peaks, claims = binary._dual_memo(0.1, 0.3)
     assert binary._dual_memo.cache_info().hits == info.hits + 1
     assert 0 < len(terms) < binary._DUAL_MEMO_CAP + _DUAL_CALL_R
     assert 0 < len(peaks) < binary._DUAL_MEMO_CAP + _DUAL_CALL_ALPHAS
+    assert 0 < len(claims) < binary._DUAL_MEMO_CAP + _DUAL_CALL_ALPHAS
 
 
 def test_mu_d_dual_call_stays_within_its_memo_bound(monkeypatch):
@@ -684,8 +727,10 @@ def test_mu_d_dual_call_stays_within_its_memo_bound(monkeypatch):
     alphas, brackets, points = [], [], []
     search = binary._dual_bracket_max
 
-    def counted_golden_min(fun, *args, **kwargs):
-        return golden_min(lambda a: alphas.append(a) or fun(a), *args, **kwargs)
+    def counted_golden_min(fun, lo, hi, tol, bound, enclose):
+        # every alpha the search tries, whether its claims or fun settle it
+        return golden_min(lambda a: alphas.append(a) or fun(a), lo, hi, tol, bound=bound,
+                          enclose=lambda a: alphas.append(a) or enclose(a))
 
     def searched(terms, first, alpha, lo, hi):
         # replayed on an empty memo, whose misses are the bracket's points
@@ -704,11 +749,12 @@ def test_mu_d_dual_call_stays_within_its_memo_bound(monkeypatch):
                 seen.clear()
             binary._dual_memo.cache_clear()
             mu_d_dual(rate, p, q)
-            _, terms, peaks = binary._dual_memo(p, q)
-            assert len(alphas) <= _DUAL_CALL_ALPHAS, (rate, p, q)
+            _, terms, peaks, claims = binary._dual_memo(p, q)
+            assert len(set(alphas)) <= _DUAL_CALL_ALPHAS, (rate, p, q)
             assert max(map(brackets.count, brackets), default=0) <= 3, (rate, p, q)
             assert max(points, default=0) <= 33, (rate, p, q)
             assert len(terms) <= _DUAL_CALL_R and len(peaks) <= _DUAL_CALL_ALPHAS, (rate, p, q)
+            assert len(claims) <= _DUAL_CALL_ALPHAS, (rate, p, q)
 
 
 def test_mu_d_dual_concurrent_calls_keep_bits(monkeypatch):

@@ -458,13 +458,79 @@ def test_golden_rejects_an_enclosure_that_cannot_be_called(enclose):
     assert xs == []
 
 
+@pytest.mark.parametrize("enclose", [0.5, "min", [abs], (0.0, 1.0)])
+def test_golden_min_rejects_an_enclosure_that_cannot_be_called(enclose):
+    rec, xs = _recording(lambda x: abs(x - 0.3), 2_000)
+    with pytest.raises(ArgumentError, match="enclose"):
+        golden_min(rec, 0.0, 1.0, enclose=enclose)
+    assert xs == []
+
+
+# golden_min's enclosure is (lower, upper) on fun itself, not on -fun
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_SHAPES, st.floats(-2.0, 0.0), st.floats(0.01, 3.0),
+       st.sampled_from([1e-3, 1e-7, 1e-11, 1e-17]), _SLACK, _SLACK, st.booleans())
+def test_golden_min_enclosure_keeps_bits_and_path(shape, lo, width, tol, s1, s2, bounded):
+    square, at, cap, room = shape
+    peak = lo + at * width
+
+    def fun(x):
+        v = (x - peak) ** 2 if square else abs(x - peak)
+        return max(v, -cap, x - room)
+
+    def enclose(x):
+        v = fun(x)
+        return v - s1, v + s2
+
+    bound = (lambda x: max(-cap, x - room)) if bounded else None
+    ref, path = _recording(fun, 2_000)
+    want = golden_min(ref, lo, lo + width, tol)
+    rec, xs = _recording(fun, 2_000)
+    got = golden_min(rec, lo, lo + width, tol, bound=bound, enclose=enclose)
+    assert tuple(map(float.hex, got)) == tuple(map(float.hex, want))
+    assert _is_subsequence(xs, path)
+    assert xs[-1] == path[-1]
+
+
+@pytest.mark.parametrize("side", ["lower", "upper", "both"])
+@pytest.mark.parametrize("slack", [0.0, 1e-6, 1e-2])
+def test_golden_min_nan_enclosure_side_makes_no_claim(side, slack):
+    # the mirror of golden_max's: a NaN side settles what -inf (lower) or
+    # inf (upper) settles, nothing
+    def fun(x):
+        return max(abs(x - 0.3), 0.5 * x - 0.1)
+
+    def claims(none_lower, none_upper):
+        def enclose(x):
+            v = fun(x)
+            return (none_lower if side != "upper" else v - slack,
+                    none_upper if side != "lower" else v + slack)
+        return enclose
+
+    ref, path = _recording(fun, 2_000)
+    want = golden_min(ref, 0.0, 1.0, 1e-12)
+    runs = []
+    for none in [(math.nan, math.nan), (-math.inf, math.inf)]:
+        rec, xs = _recording(fun, 2_000)
+        got = golden_min(rec, 0.0, 1.0, 1e-12, enclose=claims(*none))
+        assert tuple(map(float.hex, got)) == tuple(map(float.hex, want))
+        runs.append(xs)
+    assert runs[0] == runs[1]
+    assert _is_subsequence(runs[0], path)
+    if side == "both":
+        assert runs[0] == path
+
+
 def test_dual_bounds_skip_most_bracket_searches(monkeypatch):
-    # mu_d_dual's two bounds, the bracket bound and golden_min's floor over
-    # alpha, on 24 calls (6 models x 4 rates): the same doubles from at most
-    # 60% of the inner searches and 90% of the grid scans taken without them
-    # (margin +inf refines every bracket; golden_min without its bound
-    # evaluates every alpha).  629 of 1,270 searches and 744 of 914 scans
-    counts = {"_dual_bracket_max": 0, "_dual_grid_scan": 0}
+    # mu_d_dual's bounds, the bracket bound and golden_min's floor and
+    # grid-scan claims over alpha, on 24 calls (6 models x 4 rates): the
+    # same doubles from at most 45% of the inner searches, 90% of the grid
+    # scans and 65% of the first-form kernel calls taken without them
+    # (margin +inf refines every bracket; golden_min without its bound and
+    # claims evaluates every alpha).  502 of 1,236 searches, 736 of 890
+    # scans and 4,992 of 8,310 kernel calls; 613, 726 and 7,152 with the
+    # floor alone
+    counts = {"_dual_bracket_max": 0, "_dual_grid_scan": 0, "kernel": 0}
 
     def counted(name):
         inner = getattr(binary, name)
@@ -475,6 +541,17 @@ def test_dual_bounds_skip_most_bracket_searches(monkeypatch):
 
         monkeypatch.setattr(binary, name, call)
 
+    kernel = binary._first_form
+
+    def counted_kernel(p, q):
+        first = kernel(p, q)
+
+        def call(r):
+            counts["kernel"] += 1
+            return first(r)
+
+        return call
+
     models = [(0.1, 0.1), (0.3, 0.05), (0.2, 0.3), (0.05, 0.2), (0.1, 0.001), (1e-4, 0.01)]
     calls = [(frac * h2(q), p, q) for p, q in models for frac in (0.0, 0.3, 0.7, 1.0)]
 
@@ -483,17 +560,19 @@ def test_dual_bounds_skip_most_bracket_searches(monkeypatch):
         binary._dual_memo.cache_clear()
         return [binary.mu_d_dual(*args) for args in calls], dict(counts)
 
-    for name in counts:
+    for name in ("_dual_bracket_max", "_dual_grid_scan"):
         counted(name)
+    monkeypatch.setattr(binary, "_first_form", counted_kernel)
     bounded, n_bounded = sweep()
     monkeypatch.setattr(binary, "_DUAL_SKIP_MARGIN", math.inf)
     monkeypatch.setattr(binary, "golden_min",
-                        lambda fun, lo, hi, tol, bound: golden_min(fun, lo, hi, tol))
+                        lambda fun, lo, hi, tol, bound, enclose: golden_min(fun, lo, hi, tol))
     free, n_free = sweep()
     binary._dual_memo.cache_clear()
     assert bounded == free
-    assert n_bounded["_dual_bracket_max"] <= 0.6 * n_free["_dual_bracket_max"], n_bounded
+    assert n_bounded["_dual_bracket_max"] <= 0.45 * n_free["_dual_bracket_max"], n_bounded
     assert n_bounded["_dual_grid_scan"] <= 0.9 * n_free["_dual_grid_scan"], n_bounded
+    assert n_bounded["kernel"] <= 0.65 * n_free["kernel"], n_bounded
 
 
 def _ref_check_bracket(lo, hi):

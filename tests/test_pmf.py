@@ -1,5 +1,6 @@
 """Finite-alphabet probability algebra and information functionals."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -174,6 +175,22 @@ def test_json_round_trip(rng):
     q = JointPmf.from_json(p.to_json())
     assert q.axis_names == p.axis_names
     assert np.allclose(q.table, p.table, atol=1e-15)
+
+
+def test_axis_names_follow_replace_and_to_dict():
+    # the names are built once, at construction: a replaced or rebuilt pmf
+    # has its own, and the names are no field of the dict, repr or equality
+    p = JointPmf((Axis("a", 2), Axis("b", 3)), np.full((2, 3), 1 / 6))
+    swapped = dataclasses.replace(p, axes=(Axis("c", 2), Axis("a", 3)))
+    assert swapped.axis_names == ("c", "a") and swapped.axis_index("a") == 1
+    assert p.axis_names == ("a", "b") and p.card("b") == 3
+    same = dataclasses.replace(p)
+    assert same.axis_names == ("a", "b") and same.axes == p.axes
+    back = JointPmf.from_dict(p.to_dict())
+    assert back.axis_names == p.axis_names and back.to_dict() == p.to_dict()
+    assert set(p.to_dict()) == {"axes", "table"}
+    assert [f.name for f in dataclasses.fields(p)] == ["axes", "table"]
+    assert "_axis_names" not in repr(p)
 
 
 # ---------------------------------------------------------------------------
