@@ -278,7 +278,7 @@ _EDGE_R = 0.5 - 1e-3      # a tangency past this r counts as the boundary
 _DUAL_GRID_N = 4096       # mu_d_dual's inner r-grid
 _DUAL_ALPHA_TOL = 1e-8    # mu_d_dual's golden-section tolerance on alpha
 _DUAL_MEMO_CAP = 2 ** 15  # mu_d_dual clears a memo this full at a call's start
-_DUAL_SKIP_MARGIN = 1e-9  # mu_d_dual's allowance for kernel rounding: bracket bound, alpha claims
+_DUAL_SKIP_MARGIN = 1e-9  # mu_d_dual's allowance for kernel rounding in its one bracket bound
 _TIMESHARE_GRID_N = 512   # mu_d_timeshare_oracle's r-grid
 
 
@@ -406,20 +406,20 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
     alpha); inner maximisation by a dense 4096-point grid plus golden
     refinement (tol 1e-10) of the two highest interior local maxima and of
     the left edge.  Both searches skip the work a bound already decides: a
-    refinement whose bracket cannot beat the best value so far, and an
-    alpha whose floor, the grid's end values, or whose claims, drawn from
-    the grid scan at that alpha, settle the next comparison.
+    refinement whose bracket bound cannot beat the best value so far, and an
+    alpha whose floor (the grid's end values) or claims (its grid scan and
+    that bracket bound) settle the next comparison.
 
-    Cost: about 400-1,800 objective evaluations per call (10th to 90th
-    percentile on the 16 models p, q in {0.05, 0.1, 0.2, 0.3}; 760-2,200
-    with the floor alone, 2,800 without any bound), many at an r or alpha
-    that this or an earlier call on the model has tried.  So the grid is
-    cached per ``(p, q)``, and for the last ``(p, q)`` the ``_first_form``
-    kernel, (f(r), g(r)) by r, and the inner max and the claims by alpha.
-    A call clears each memo it finds at ``_DUAL_MEMO_CAP`` = 32,768 entries
-    or more, and adds at most 4,059 r and 41 alphas to each; the
-    written-out scan and inner search, the bounds, and why no bit moves:
-    README, "Speed never moves a bit".
+    Cost: the inner searches evaluate a median of 540 points a call (66-920,
+    10th to 90th percentile, on the 16 models p, q in {0.05, 0.1, 0.2, 0.3}
+    at rates (k + 1/2) h2(q) / 8; 2,110 without the bounds), many at an r or
+    alpha that this or an earlier call on the model has tried.  So the grid
+    is cached per ``(p, q)``, and for the last ``(p, q)`` the ``_first_form``
+    kernel, (f(r), g(r)) by r, and by alpha the claims and grid scan, or the
+    inner max once known.  A call clears each memo it finds at
+    ``_DUAL_MEMO_CAP`` = 32,768 entries or more, and adds at most 4,059 r
+    and 41 alphas; the written-out scan and inner search, the bound, and
+    why no bit moves: README, "Speed never moves a bit".
     The oracle shares that kernel with ``mu_d`` but neither its algorithm
     (min-max dual, not tangency plus inverse bisection) nor its grid (second
     form).  A rate above h2(q), an unlimited one included, reads as h2(q),
@@ -431,28 +431,43 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
     vals, (peak, down) = np.empty_like(fg), np.empty((2, fg.size - 2), bool)
     r, f_at, g_at = rgrid.item, fg.item, gg.item
     f0, g0, f1, g1 = f_at(0), g_at(0), f_at(-1), g_at(-1)
-    first, terms, peaks, claims = _dual_memo(p, q)
+    first, terms, alphas = _dual_memo(p, q)
     # golden_min tries at most 41 alphas, each refines at most 3 brackets of
     # at most 33 points: so a memo bounded here stays under cap + 4,059 (r)
     # or cap + 41 (alphas)
-    for memo in (terms, peaks, claims):
+    for memo in (terms, alphas):
         if len(memo) >= _DUAL_MEMO_CAP:
             memo.clear()
-    scans = {}   # alpha -> this call's grid scan there: (max of the ends, ks)
+
+    def top(a: float, k: int) -> float:
+        # no value on the bracket [r_k, r_k+2] tops the larger of its halves'
+        # bounds: f and g fall on [0, 1/2] and a >= 0, so none on [r_j, r_j+1]
+        # tops F(r_j) - a G(r_j+1), up to rounding far below the margin
+        return max(f_at(k) - a * g_at(k + 1), f_at(k + 1) - a * g_at(k + 2)) + _DUAL_SKIP_MARGIN
+
+    def scanned(a: float):
+        # a's entry from its grid scan, on a miss: claims (lower, upper) on
+        # inner_max(a) and the scan (ends, ks), until inner_max(a) replaces it.
+        # The top peak's bracket is refined whenever its grid value beats the
+        # ends, and its search ends no lower than that value, up to the margin
+        ends, ks = _dual_grid_scan(a, fg, gg, vals, peak, down)
+        low = max(ends, vals.item(ks[0] + 1) - _DUAL_SKIP_MARGIN) if ks else ends
+        high = ends
+        for k in (*ks, 0):
+            high = max(high, top(a, k))
+        return alphas.setdefault(a, (low, high, ends, ks))
 
     def inner_max(alpha: float) -> float:
-        if (best := peaks.get(alpha)) is not None:
+        _, _, best, ks = alphas.get(alpha) or scanned(alpha)
+        if ks is None:
             return best
-        best, ks = scans.get(alpha) or _dual_grid_scan(alpha, fg, gg, vals, peak, down)
         # the left edge (k = 0) hides a narrow spike for small alpha: refine
-        # it and each peak's bracket [r_k, r_k+2] unless the bracket cannot
-        # beat best, where max(best, .) keeps best: f and g fall on [0, 1/2]
-        # and alpha >= 0, so no value there tops F(r_k) - alpha G(r_k+2),
-        # up to the grid's and the first form's rounding, far below the margin
+        # it and each peak's bracket [r_k, r_k+2] unless top says it cannot
+        # beat best, where max(best, .) keeps best
         for k in (*ks, 0):
-            if f_at(k) - alpha * g_at(k + 2) + _DUAL_SKIP_MARGIN >= best:
+            if top(alpha, k) >= best:
                 best = max(best, _dual_bracket_max(terms, first, alpha, r(k), r(k + 2)))
-        peaks[alpha] = best
+        alphas[alpha] = best, best, best, None
         return best
 
     def floor(a: float) -> float:
@@ -462,23 +477,8 @@ def mu_d_dual(rate: float, p: float, q: float) -> float:
         return max(f0 - a * g0, f1 - a * g1) + a * rate
 
     def enclose(a: float) -> tuple[float, float]:
-        # claims on the objective from a's grid scan, kept for inner_max: the
-        # top peak's bracket is refined whenever its grid value beats the
-        # ends, and its search ends no lower than that value; no bracket
-        # tops the larger of its halves' bounds F(r_k) - a G(r_k+1) and
-        # F(r_k+1) - a G(r_k+2).  Both up to the margin, as above
-        if (best := peaks.get(a)) is not None:
-            return best + a * rate, best + a * rate
-        if (claim := claims.get(a)) is None:
-            ends, ks = scans[a] = _dual_grid_scan(a, fg, gg, vals, peak, down)
-            low = high = ends
-            if ks:
-                low = max(ends, vals.item(ks[0] + 1) - _DUAL_SKIP_MARGIN)
-            for k in (*ks, 0):
-                high = max(high, f_at(k) - a * g_at(k + 1) + _DUAL_SKIP_MARGIN,
-                           f_at(k + 1) - a * g_at(k + 2) + _DUAL_SKIP_MARGIN)
-            claim = claims[a] = low, high
-        return claim[0] + a * rate, claim[1] + a * rate
+        low, high, _, _ = alphas.get(a) or scanned(a)
+        return low + a * rate, high + a * rate
 
     _, value = golden_min(lambda a: inner_max(a) + a * rate, 0.0, 1.0, tol=_DUAL_ALPHA_TOL,
                           bound=floor, enclose=enclose)
@@ -541,8 +541,8 @@ def _dual_bracket_max(terms: dict, first, alpha: float, lo: float, hi: float) ->
 @lru_cache(maxsize=1)
 def _dual_memo(p: float, q: float):
     # mu_d_dual's kernel and memos of the last model called: the first form,
-    # r -> (F, G), alpha -> inner max and alpha -> claims (lower, upper) on it
-    return _first_form(p, q), {}, {}, {}
+    # r -> (F, G) and alpha -> (lower, upper, ends, ks), replaced whole
+    return _first_form(p, q), {}, {}
 
 
 @lru_cache(maxsize=64)

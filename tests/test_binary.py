@@ -561,11 +561,12 @@ def test_dual_grid_scan_equals_argsort_expression():
 
 def test_dual_refines_the_brackets_its_bound_leaves_open(monkeypatch):
     # the bracket bound as documented: refine the peak brackets, highest
-    # first, then the left edge, each only if F(r_k) - alpha G(r_k+2) plus
-    # the margin reaches the best value so far.  Each alpha is scanned once
-    # a call; those whose inner max ran are replayed on the reference scan,
-    # in that order, and the searches must be these.  An alpha golden_min's
-    # claims settled is scanned without a search
+    # first, then the left edge, each only if the split bound
+    # max(F(r_k) - alpha G(r_k+1), F(r_k+1) - alpha G(r_k+2)) plus the margin
+    # reaches the best value so far.  On a fresh memo each alpha is scanned
+    # once a call; those whose inner max ran are replayed on the reference
+    # scan, in that order, and the searches must be these.  An alpha
+    # golden_min's claims settled is scanned without a search
     scans, searches, ran = [], [], []
     scan, search = binary._dual_grid_scan, binary._dual_bracket_max
 
@@ -601,7 +602,9 @@ def test_dual_refines_the_brackets_its_bound_leaves_open(monkeypatch):
                 best, brackets, _ = _ref_grid_scan(alpha, rgrid, fg, gg)
                 for lo, hi in brackets + [(float(rgrid[0]), float(rgrid[2]))]:
                     k = index[lo]
-                    if float(fg[k]) - alpha * float(gg[k + 2]) + binary._DUAL_SKIP_MARGIN >= best:
+                    split = max(float(fg[k]) - alpha * float(gg[k + 1]),
+                                float(fg[k + 1]) - alpha * float(gg[k + 2]))
+                    if split + binary._DUAL_SKIP_MARGIN >= best:
                         got = next(done)
                         want.append((alpha, lo, hi, got[3]))
                         best = max(best, got[3])
@@ -637,6 +640,40 @@ def test_dual_claims_hold_on_the_computed_objective(monkeypatch):
         binary._dual_memo.cache_clear()
         mu_d_dual((0.0, 0.5, 1.0)[i % 3] * h2(q), p, q)
     assert len(held) == 61 * 67
+    binary._dual_memo.cache_clear()
+
+
+def test_dual_refined_bracket_never_tops_its_split_bound(monkeypatch):
+    # the one bound behind both the bracket skip and the upper claim: at
+    # every alpha golden_min tries, each bracket in (*ks, 0), refined with
+    # no skip, ends at most max(F(r_k) - alpha G(r_k+1), F(r_k+1) -
+    # alpha G(r_k+2)) plus the margin, with F and G read off the grid alone
+    tried = []
+
+    def recording_golden_min(fun, lo, hi, tol, bound, enclose):
+        return golden_min(lambda a: tried.append(a) or fun(a), lo, hi, tol, bound=bound,
+                          enclose=lambda a: tried.append(a) or enclose(a))
+
+    monkeypatch.setattr(binary, "golden_min", recording_golden_min)
+    bench = [(p, q) for p in (0.05, 0.1, 0.2, 0.3) for q in (0.05, 0.1, 0.2, 0.3)]
+    extremes = [(0.4999, 0.4999), (1e-6, 0.2), (0.1, 0.001)]
+    refined = 0
+    for i, (p, q) in enumerate(bench + _small_crossover_models() + extremes):
+        tried.clear()
+        binary._dual_memo.cache_clear()
+        mu_d_dual((0.0, 0.5, 1.0)[i % 3] * h2(q), p, q)
+        grids = _curve_grids(p, q, binary._DUAL_GRID_N)
+        rgrid, fg, gg = (a.tolist() for a in grids)
+        first, terms = binary._first_form(p, q), {}
+        buffers = np.empty(len(fg)), np.empty(len(fg) - 2, bool), np.empty(len(fg) - 2, bool)
+        for alpha in dict.fromkeys(tried):
+            _, ks = binary._dual_grid_scan(alpha, *grids[1:], *buffers)
+            for k in (*ks, 0):
+                value = binary._dual_bracket_max(terms, first, alpha, rgrid[k], rgrid[k + 2])
+                split = max(fg[k] - alpha * gg[k + 1], fg[k + 1] - alpha * gg[k + 2])
+                assert value <= split + binary._DUAL_SKIP_MARGIN, (p, q, alpha, k)
+                refined += 1
+    assert refined > 2000
     binary._dual_memo.cache_clear()
 
 
@@ -681,18 +718,18 @@ def test_mu_d_dual_memo_keeps_bits(monkeypatch):
         got = []
         for args in calls:
             got.append(mu_d_dual(*args))
-            _, terms, peaks, claims = binary._dual_memo(*args[1:])
-            assert len(terms) < cap + _DUAL_CALL_R and 0 < len(peaks) < cap + _DUAL_CALL_ALPHAS
-            assert 0 < len(claims) < cap + _DUAL_CALL_ALPHAS
+            _, terms, alphas = binary._dual_memo(*args[1:])
+            assert len(terms) < cap + _DUAL_CALL_R and 0 < len(alphas) < cap + _DUAL_CALL_ALPHAS
         assert got == fresh
 
 
 def test_mu_d_dual_memo_holds_one_capped_model(monkeypatch):
     # a call clears each dict it finds at _DUAL_MEMO_CAP = 2**15 = 32,768
     # entries or more and adds at most 4,059 r and 41 alphas; on CPython 3.11
-    # an r -> (F, G) entry takes 168 B, an alpha -> inner max entry 88 B and
-    # an alpha -> (lower, upper) claims entry 168 B, so at most about
-    # 6.2 MB + 2.9 MB + 5.5 MB = 14.6 MB in all.  The sweep inserts about
+    # an r -> (F, G) entry takes 168 B, and an alpha -> (lower, upper, ends,
+    # ks) entry 336 B while it holds a scan (two grid indices in ks) and
+    # 160 B once it holds the inner max, so at most about
+    # 6.2 MB + 11.0 MB = 17.2 MB in all.  The sweep inserts about
     # 39,800 r, more than the cap, so the clear runs
     inserts, kernel = [0], binary._first_form
 
@@ -712,11 +749,10 @@ def test_mu_d_dual_memo_holds_one_capped_model(monkeypatch):
     assert inserts[0] > binary._DUAL_MEMO_CAP
     info = binary._dual_memo.cache_info()
     assert info.currsize == 1
-    _, terms, peaks, claims = binary._dual_memo(0.1, 0.3)
+    _, terms, alphas = binary._dual_memo(0.1, 0.3)
     assert binary._dual_memo.cache_info().hits == info.hits + 1
     assert 0 < len(terms) < binary._DUAL_MEMO_CAP + _DUAL_CALL_R
-    assert 0 < len(peaks) < binary._DUAL_MEMO_CAP + _DUAL_CALL_ALPHAS
-    assert 0 < len(claims) < binary._DUAL_MEMO_CAP + _DUAL_CALL_ALPHAS
+    assert 0 < len(alphas) < binary._DUAL_MEMO_CAP + _DUAL_CALL_ALPHAS
 
 
 def test_mu_d_dual_call_stays_within_its_memo_bound(monkeypatch):
@@ -749,43 +785,54 @@ def test_mu_d_dual_call_stays_within_its_memo_bound(monkeypatch):
                 seen.clear()
             binary._dual_memo.cache_clear()
             mu_d_dual(rate, p, q)
-            _, terms, peaks, claims = binary._dual_memo(p, q)
+            _, terms, memo = binary._dual_memo(p, q)
             assert len(set(alphas)) <= _DUAL_CALL_ALPHAS, (rate, p, q)
             assert max(map(brackets.count, brackets), default=0) <= 3, (rate, p, q)
             assert max(points, default=0) <= 33, (rate, p, q)
-            assert len(terms) <= _DUAL_CALL_R and len(peaks) <= _DUAL_CALL_ALPHAS, (rate, p, q)
-            assert len(claims) <= _DUAL_CALL_ALPHAS, (rate, p, q)
+            assert len(terms) <= _DUAL_CALL_R and len(memo) <= _DUAL_CALL_ALPHAS, (rate, p, q)
 
 
 def test_mu_d_dual_concurrent_calls_keep_bits(monkeypatch):
     # two threads share one model's memos; at cap 64 each call clears them at
     # entry, often while the other thread is mid-call, with a short switch
-    # interval to interleave the two finely.  No result may move
+    # interval to interleave the two finely.  The sweep runs over eight
+    # pairs of rate orders, each from a cleared memo: the same order twice,
+    # so that both threads reach one alpha at once, an order and its
+    # reverse, and two shuffles, so that an alpha entry one thread reads
+    # while the other writes or clears it is met at many points of a call.
+    # No result may move
     monkeypatch.setattr(binary, "_DUAL_MEMO_CAP", 64)
     p, q = 0.1, 0.1
-    rates = [float(v) for v in np.random.default_rng(37).uniform(0.0, h2(q), 36)]
+    rng = np.random.default_rng(37)
+    rates = [float(v) for v in rng.uniform(0.0, h2(q), 36)]
     want = {}
     for rate in rates:
         binary._dual_memo.cache_clear()
         want[rate] = mu_d_dual(rate, p, q).hex()
-    binary._dual_memo.cache_clear()
+    one, two = ([rates[i] for i in rng.permutation(len(rates))] for _ in range(2))
+    orders = [(rates, rates), (rates, rates[::-1]), (one, one), (one, one[::-1]),
+              (two, two), (two, two[::-1]), (rates, one), (one, two)]
     got = {}
 
     def run(name, order):
         got[name] = {rate: mu_d_dual(rate, p, q).hex() for rate in order}
 
-    threads = [threading.Thread(target=run, args=(0, rates)),
-               threading.Thread(target=run, args=(1, rates[::-1]))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        for i, pair in enumerate(orders):
+            got.clear()
+            binary._dual_memo.cache_clear()
+            threads = [threading.Thread(target=run, args=(name, order))
+                       for name, order in enumerate(pair)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+                assert not t.is_alive(), i
+            assert got == {0: want, 1: want}, i
     finally:
         sys.setswitchinterval(interval)
-    assert got == {0: want, 1: want}
 
 
 def test_kernels_equal_reference_bits():
